@@ -47,6 +47,7 @@ from repro.cache.keys import (
 )
 from repro.cache.store import ContentStore, blob_digest, write_blob
 from repro.obs.journal import NULL_JOURNAL, Journal
+from repro.obs.provenance import config_digest
 from repro.telemetry.registry import NULL_TELEMETRY, MetricsRegistry
 
 #: Pickle protocol pinned for blob stability within one schema version.
@@ -107,24 +108,29 @@ class CachePlan:
 
 
 def store_result_blob(
-    plan: CachePlan, config: object, result: object
+    plan: CachePlan, digest: str, result: object
 ) -> Dict[str, object]:
     """Deposit one run result as a blob per ``plan`` (worker-side).
 
-    Returns the pending index entry ``{"key", "blob", "size"}`` for the
-    supervisor to adopt.  Touches only the blob area — never the index.
+    ``digest`` is the run's config digest.  Returns the pending index
+    entry ``{"key", "blob", "size"}`` for the supervisor to adopt.
+    Touches only the blob area — never the index.
     """
     data = pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
-    digest, size = write_blob(plan.cache_dir, data)
+    blob, size = write_blob(plan.cache_dir, data)
     return {
-        "key": run_key(config, plan.salt),
-        "blob": digest,
+        "key": run_key(digest, plan.salt),
+        "blob": blob,
         "size": size,
     }
 
 
 class RunCache:
     """Memoized ``run_system``: config in, cached ``SimulationResult`` out.
+
+    Lookups and stores take the config's
+    :func:`~repro.obs.provenance.config_digest`, which callers derive
+    once per point and reuse for the probe and the store alike.
 
     ``cache_dir`` defaults to ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``;
     ``max_bytes`` bounds the store with LRU eviction (``None`` =
@@ -164,18 +170,20 @@ class RunCache:
     def _count(self, kind: str, n: int = 1) -> None:
         self.telemetry.counter(f"cache.{kind}").inc(n)
 
-    def key_for(self, config: object) -> str:
-        """The cache key of one config under this cache's salt."""
-        return run_key(config, self.salt)
+    def key_for(self, digest: str) -> str:
+        """The cache key of a config digest under this cache's salt."""
+        return run_key(digest, self.salt)
 
-    def get_result(self, config: object):
-        """Cached :class:`SimulationResult` for ``config``, or ``None``.
+    def get_result(self, digest: str):
+        """Cached :class:`SimulationResult` under a config digest, or ``None``.
 
-        Integrity failures (blob digest mismatch, unreadable blob,
-        unpicklable payload) quarantine the entry and report a miss so
-        the caller transparently recomputes.
+        ``digest`` is the config's
+        :func:`~repro.obs.provenance.config_digest`.  Integrity failures
+        (blob digest mismatch, unreadable blob, unpicklable payload)
+        quarantine the entry and report a miss so the caller
+        transparently recomputes.
         """
-        key = self.key_for(config)
+        key = self.key_for(digest)
         status, data = self.store.get(key)
         if status == "corrupt":
             self.stats.corrupt += 1
@@ -203,9 +211,9 @@ class RunCache:
         self._count("hits")
         return result
 
-    def put_result(self, config: object, result: object) -> str:
-        """Store one result; returns its cache key."""
-        key = self.key_for(config)
+    def put_result(self, digest: str, result: object) -> str:
+        """Store the result of the config with ``digest``; returns its key."""
+        key = self.key_for(digest)
         data = pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
         _digest, evicted = self.store.put(key, data)
         self.stats.puts += 1
@@ -238,13 +246,14 @@ class RunCache:
         self, config: object, runner: Optional[Callable] = None
     ) -> Tuple[object, bool]:
         """Serve ``config`` from cache or run it; returns (result, hit)."""
-        cached = self.get_result(config)
+        digest = config_digest(config)
+        cached = self.get_result(digest)
         if cached is not None:
             return cached, True
         if runner is None:
             from repro.core.system import run_system as runner
         result = runner(config)
-        self.put_result(config, result)
+        self.put_result(digest, result)
         return result, False
 
     # ------------------------------------------------------------------

@@ -6,7 +6,8 @@ A simulation is a pure function of its
 
 * the config's content digest
   (:func:`repro.obs.provenance.config_digest` — every field, nested
-  parameter blocks included), and
+  parameter blocks included), which the caller derives once per point
+  and passes in, and
 * a **code-version salt**: the package version plus a cache schema
   number, so upgrading the simulator (which may legitimately change
   what a config computes) or the blob format silently invalidates every
@@ -21,8 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-
-from repro.obs.provenance import config_digest
 
 #: Bump when the blob format (pickled ``SimulationResult``) or the key
 #: derivation changes incompatibly: old entries become unreachable
@@ -50,13 +49,17 @@ def default_salt(extra: str = "") -> str:
     return f"{salt}/{extra}" if extra else salt
 
 
-def run_key(config: object, salt: str) -> str:
-    """Cache key of one run: sha256 over the salted config digest."""
+def run_key(digest: str, salt: str) -> str:
+    """Cache key of one run: sha256 over the salted config digest.
+
+    ``digest`` is :func:`repro.obs.provenance.config_digest` of the
+    run's config.
+    """
     h = hashlib.sha256()
     h.update(b"repro.cache.run\x00")
     h.update(salt.encode("utf-8"))
     h.update(b"\x00")
-    h.update(config_digest(config).encode("ascii"))
+    h.update(digest.encode("ascii"))
     return h.hexdigest()
 
 

@@ -157,7 +157,7 @@ def default_worker(payload):
             from repro.cache import store_result_blob
 
             try:
-                entry = store_result_blob(cache_plan, point.config, result)
+                entry = store_result_blob(cache_plan, point.digest, result)
             except Exception:
                 entry = None
         if scope is not None:

@@ -125,6 +125,7 @@ def plan_missing(
     spec: CampaignSpec,
     records: Dict[str, Dict[str, object]],
     exclude: Optional[Set[str]] = None,
+    fixed_points: Optional[List[CampaignPoint]] = None,
 ) -> List[CampaignPoint]:
     """The points the campaign still needs, as a pure function of state.
 
@@ -132,12 +133,17 @@ def plan_missing(
     not replanned (the campaign completes without them), but they also
     stop sequential growth of their cell — the stopping rule cannot be
     evaluated on a prefix with a hole in it.
+
+    ``fixed_points`` is ``spec.fixed_points()`` of a fixed-mode spec,
+    for callers that plan repeatedly and resolve the points once.
     """
     exclude = exclude or set()
     if not spec.sequential:
+        if fixed_points is None:
+            fixed_points = spec.fixed_points()
         return [
             point
-            for point in spec.fixed_points()
+            for point in fixed_points
             if point.digest not in records and point.digest not in exclude
         ]
     by_cell_seed = _records_by_cell_seed(records)
@@ -151,11 +157,12 @@ def plan_missing(
                 seed for seed in prefix if (cell, seed) not in by_cell_seed
             ]
             if holes:
-                for seed in holes:
-                    point = spec.point(cell, seed, index=index)
-                    index += 1
-                    if point.digest not in exclude:
-                        missing.append(point)
+                missing.extend(
+                    point
+                    for point in spec.cell_points(cell, holes, start=index)
+                    if point.digest not in exclude
+                )
+                index += len(holes)
                 break  # need this prefix complete before evaluating
             detected = injected = 0
             for seed in prefix:
@@ -298,7 +305,7 @@ def _serve_from_cache(
     served = 0
     still_missing: List[CampaignPoint] = []
     for point in points:
-        result = cache.get_result(point.config)
+        result = cache.get_result(point.digest)
         if result is None:
             still_missing.append(point)
             continue
@@ -462,12 +469,17 @@ def run_campaign(
     completed_this_invocation = 0
     final_state = "interrupted"
     try:
+        # A fixed-mode spec's points are resolved once, not in every wave.
+        fixed_points = None if spec.sequential else spec.fixed_points()
         # Wave loop: fixed mode needs one wave (plus one to observe
         # "done"); sequential mode grows cells until the planner returns
         # nothing.
         while True:
             missing = plan_missing(
-                spec, records, exclude=quarantined_digests
+                spec,
+                records,
+                exclude=quarantined_digests,
+                fixed_points=fixed_points,
             )
             if not missing:
                 break

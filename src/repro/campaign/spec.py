@@ -316,33 +316,49 @@ class CampaignSpec:
             for combo in itertools.product(*value_lists)
         ]
 
-    def config_for(self, cell: Cell, seed: int) -> SystemConfig:
-        """The fully-resolved config of one point (defaults < base < cell)."""
+    def cell_config(self, cell: Cell) -> SystemConfig:
+        """The resolved config of one cell (defaults < base < cell).
+
+        Goes through :func:`~repro.core.config_io.config_from_dict`, so
+        unknown keys are rejected and every ``__post_init__`` check
+        runs.  The seed is the default one; points replace it.
+        """
         data = config_to_dict(SystemConfig())
         for key, value in self.base:
             data[key] = _thaw(value)
         for key, value in cell:
             data[key] = _thaw(value)
-        data["seed"] = seed
         return config_from_dict(data)
 
-    def point(self, cell: Cell, seed: int, index: int = -1) -> CampaignPoint:
-        """Materialize one (cell, seed) pair into a CampaignPoint."""
-        config = self.config_for(cell, seed)
-        return CampaignPoint(
-            index=index,
-            digest=config_digest(config),
-            cell=cell,
-            seed=seed,
-            config=config,
-        )
+    def cell_points(
+        self, cell: Cell, seeds: Sequence[int], start: int = 0
+    ) -> List[CampaignPoint]:
+        """The points of one cell for ``seeds``, indexed from ``start``.
+
+        Resolves the cell's config once; each seed's config is a
+        ``dataclasses.replace`` of it.
+        """
+        config = self.cell_config(cell)
+        points: List[CampaignPoint] = []
+        for seed in seeds:
+            seeded = dataclasses.replace(config, seed=seed)
+            points.append(
+                CampaignPoint(
+                    index=start + len(points),
+                    digest=config_digest(seeded),
+                    cell=cell,
+                    seed=seed,
+                    config=seeded,
+                )
+            )
+        return points
 
     def fixed_points(self) -> List[CampaignPoint]:
         """Every point of a fixed-mode campaign, in deterministic order."""
+        seeds = self.seeds.fixed_seeds()
         points: List[CampaignPoint] = []
         for cell in self.cells():
-            for seed in self.seeds.fixed_seeds():
-                points.append(self.point(cell, seed, index=len(points)))
+            points.extend(self.cell_points(cell, seeds, start=len(points)))
         return points
 
     def n_planned_points(self) -> Optional[int]:

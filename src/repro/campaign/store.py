@@ -96,8 +96,7 @@ class ResultStore:
         self.path = path
 
     def load(self) -> Dict[str, Dict[str, object]]:
-        """All checkpointed records keyed by point digest."""
-        """All completed records, keyed by digest (first record wins).
+        """All checkpointed records, keyed by point digest (first wins).
 
         Tolerates exactly one torn line at the end of the file — the
         signature of a crash mid-append.  Corruption anywhere else is an
@@ -129,8 +128,11 @@ class ResultStore:
         return records
 
     def append(self, record: Dict[str, object]) -> None:
-        """Append one completed-point record and fsync it."""
-        """Durably append one record (flush + fsync before returning)."""
+        """Durably append one completed-point record.
+
+        The line is flushed and fsynced before this returns, one record
+        at a time, so a crash loses at most the line being written.
+        """
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(record_line(record))
             handle.write("\n")

@@ -24,6 +24,7 @@ from typing import Any, Dict
 from repro.aging.model import AgingParameters
 from repro.core.criticality import CriticalityParameters
 from repro.core.system import SystemConfig
+from repro.obs.provenance import field_dict
 from repro.platform.thermal import ThermalParameters
 from repro.platform.variation import VariationParameters
 
@@ -39,8 +40,12 @@ _TUPLES = ("profile_names", "profile_weights", "type_grid")
 
 
 def config_to_dict(config: SystemConfig) -> Dict[str, Any]:
-    """Flatten a :class:`SystemConfig` into a JSON-compatible dict."""
-    return dataclasses.asdict(config)
+    """Flatten a :class:`SystemConfig` into a JSON-compatible dict.
+
+    Equal to ``dataclasses.asdict(config)``, from one field walk
+    (:func:`repro.obs.provenance.field_dict`).
+    """
+    return field_dict(config)
 
 
 def config_from_dict(data: Dict[str, Any]) -> SystemConfig:

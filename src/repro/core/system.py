@@ -22,7 +22,7 @@ used by the examples and every experiment.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from time import perf_counter as _perf_counter
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -40,7 +40,7 @@ from repro.noc.model import NocModel, NocParameters
 from repro.obs import active_journal, active_profiler
 from repro.obs.journal import Journal
 from repro.obs.profiler import PhaseProfiler
-from repro.obs.provenance import RunManifest, digest_of
+from repro.obs.provenance import RunManifest, digest_of, field_dict
 from repro.telemetry import active_telemetry
 from repro.telemetry.registry import MetricsRegistry
 from repro.noc.queued import QueuedNocModel
@@ -751,7 +751,7 @@ class ManycoreSystem:
             version=getattr(repro, "__version__", "0"),
             seed=self.config.seed,
             horizon_us=self.config.horizon_us,
-            config=asdict(self.config),
+            config=field_dict(self.config),
             summary_digest=digest_of(sorted(result.summary().items())),
             profile=self.profiler.summary() if self.profiler.enabled else {},
             journal_events=len(self.journal),

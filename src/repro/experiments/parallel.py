@@ -370,9 +370,11 @@ def run_many(
                 on_blob,
             )
         results: List[Optional[SimulationResult]] = [None] * len(config_list)
+        # One digest per config, shared by the probe and the store.
+        digests = [config_digest(config) for config in config_list]
         miss_indices: List[int] = []
-        for index, config in enumerate(config_list):
-            cached = cache.get_result(config)
+        for index, digest in enumerate(digests):
+            cached = cache.get_result(digest)
             if cached is not None:
                 results[index] = cached
             else:
@@ -382,7 +384,7 @@ def run_many(
                 config_list, miss_indices, jobs, batch_size, ctx, on_blob
             )
             for index, result in zip(miss_indices, fresh):
-                cache.put_result(config_list[index], result)
+                cache.put_result(digests[index], result)
                 results[index] = result
         return results  # type: ignore[return-value]
     finally:

@@ -9,8 +9,8 @@ process boundaries in ``repro.experiments.run_many``.
 
 This module must stay import-light: it is imported by ``repro.core``
 machinery, so it cannot import ``repro`` (version) or ``repro.core``
-(config) itself — callers pass the version string and a config dict
-(``repro.core.config_io.config_to_dict``) in.
+(config) itself — callers pass the version string in, and configs are
+walked by duck typing (:func:`field_dict`).
 """
 
 from __future__ import annotations
@@ -39,15 +39,50 @@ def rows_digest(rows: Iterable[object]) -> str:
     return digest_of(rows)
 
 
+#: Field value types :func:`field_dict` shares with the config as-is:
+#: immutable, and equal by ``repr`` to the copy ``dataclasses.asdict``
+#: would make.  Tuples must hold only the scalar ones.
+_SCALAR_TYPES = frozenset({bool, int, float, str, type(None)})
+
+
+def field_dict(config: object) -> Dict[str, object]:
+    """The ``dataclasses.asdict`` dict of a config, from one field walk.
+
+    Same keys, order and value reprs as ``asdict`` for the field types
+    :class:`~repro.core.system.SystemConfig` has: scalars, tuples of
+    scalars, and nested parameter dataclasses (which become dicts).
+    Scalars and tuples are immutable, so they are shared with the
+    config rather than deep-copied.  Any other field type raises
+    ``TypeError``.
+    """
+    out: Dict[str, object] = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        kind = type(value)
+        if kind not in _SCALAR_TYPES:
+            if hasattr(kind, "__dataclass_fields__"):
+                value = field_dict(value)
+            elif kind is not tuple or not all(
+                type(item) in _SCALAR_TYPES for item in value
+            ):
+                raise TypeError(
+                    f"{type(config).__name__}.{f.name}: cannot walk a "
+                    f"field of type {kind.__name__}"
+                )
+        out[f.name] = value
+    return out
+
+
 def config_digest(config: object) -> str:
     """Stable identity of a config dataclass (any one, by duck typing).
 
-    Digest over the sorted ``dataclasses.asdict`` items, so two configs
-    are identical iff every field (nested parameter blocks included)
-    compares equal by ``repr``.  This is the point identity used by the
-    campaign checkpoint store and by sweep failure attribution.
+    Digest over the sorted :func:`field_dict` items, so two configs are
+    identical iff every field (nested parameter blocks included)
+    compares equal by ``repr`` — ``80`` and ``80.0`` differ.  This is
+    the point identity used by the campaign checkpoint store, the run
+    cache and sweep failure attribution.
     """
-    return digest_of(sorted(dataclasses.asdict(config).items()))
+    return digest_of(sorted(field_dict(config).items()))
 
 
 @dataclass

@@ -345,7 +345,7 @@ class ServeEngine:
                 plan.append((point, "coalesced", shared))
                 continue
             if self.cache is not None:
-                result = self.cache.get_result(point.config)
+                result = self.cache.get_result(point.digest)
                 if result is not None:
                     plan.append((point, "cached", result))
                     continue
@@ -395,11 +395,15 @@ class ServeEngine:
             else:
                 future = loop.create_future()
                 self._inflight[point.digest] = future
+                # Only lockstep chunking groups seed-replicas; without
+                # it every point is its own group.
+                group_key = (
+                    config_digest(replace(point.config, seed=0))
+                    if self.batch_size is not None
+                    else point.digest
+                )
                 work = _Work(
-                    point.config,
-                    point.digest,
-                    config_digest(replace(point.config, seed=0)),
-                    tenant.name,
+                    point.config, point.digest, group_key, tenant.name
                 )
                 tenant.queue.append(work)
                 tenant.in_use += 1
@@ -520,7 +524,7 @@ class ServeEngine:
                 )
                 if self.cache is not None:
                     try:
-                        self.cache.put_result(work.config, result)
+                        self.cache.put_result(work.digest, result)
                     except OSError:
                         self._count("cache_put_errors")
                 self._resolve(work, payload)

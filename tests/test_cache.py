@@ -42,10 +42,11 @@ from repro.cli import main
 from repro.core.system import SystemConfig, run_system
 from repro.experiments.parallel import run_many
 from repro.obs import Journal, configure
-from repro.obs.provenance import rows_digest
+from repro.obs.provenance import config_digest, rows_digest
 
 #: Small fast config: one run is ~50 ms.
 BASE = SystemConfig(width=4, height=4, horizon_us=2000.0, seed=5)
+BASE_DIGEST = config_digest(BASE)
 
 
 def summaries_digest(results) -> str:
@@ -62,13 +63,13 @@ def cache(tmp_path):
 # ----------------------------------------------------------------------
 def test_key_is_stable_and_config_sensitive():
     salt = default_salt()
-    assert run_key(BASE, salt) == run_key(BASE, salt)
+    assert run_key(BASE_DIGEST, salt) == run_key(config_digest(BASE), salt)
     other = dataclasses.replace(BASE, seed=6)
-    assert run_key(other, salt) != run_key(BASE, salt)
+    assert run_key(config_digest(other), salt) != run_key(BASE_DIGEST, salt)
 
 
 def test_key_is_salt_sensitive():
-    assert run_key(BASE, "v1/s1") != run_key(BASE, "v2/s1")
+    assert run_key(BASE_DIGEST, "v1/s1") != run_key(BASE_DIGEST, "v2/s1")
     assert default_salt("e2") != default_salt()
 
 
@@ -227,13 +228,13 @@ def test_run_cache_round_trip(cache):
 
 
 def test_run_cache_unpicklable_blob_is_corrupt(cache):
-    key = cache.put_result(BASE, run_system(BASE))
+    key = cache.put_result(BASE_DIGEST, run_system(BASE))
     entry = cache.store._entries[key]
     # digest-valid bytes that are not a pickle
     bogus = b"not a pickle at all"
     digest, size = write_blob(cache.cache_dir, bogus)
     cache.store.adopt(key, digest, size)
-    assert cache.get_result(BASE) is None
+    assert cache.get_result(BASE_DIGEST) is None
     assert cache.stats.corrupt == 1
     del entry
 
@@ -456,10 +457,10 @@ def test_worker_blob_deposit_matches_supervisor_put(tmp_path):
     """CachePlan deposits index identically to a supervisor-side put."""
     plan = CachePlan(cache_dir=str(tmp_path), salt=default_salt())
     result = run_system(BASE)
-    entry = store_result_blob(plan, BASE, result)
+    entry = store_result_blob(plan, BASE_DIGEST, result)
     cache = RunCache(cache_dir=str(tmp_path))
     cache.adopt(entry["key"], str(entry["blob"]), int(entry["size"]))
-    served = cache.get_result(BASE)
+    served = cache.get_result(BASE_DIGEST)
     assert served is not None
     assert summaries_digest([served]) == summaries_digest([result])
 
@@ -496,7 +497,7 @@ def test_cli_sweep_warm_and_cache_commands(tmp_path, capsys):
 def test_cli_cache_verify_flags_corruption(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
     cache = RunCache(cache_dir=cache_dir)
-    key = cache.put_result(BASE, run_system(BASE))
+    key = cache.put_result(BASE_DIGEST, run_system(BASE))
     blob = cache.store._entries[key].blob
     with open(blob_path(cache_dir, blob), "r+b") as handle:
         handle.write(b"XX")
