@@ -55,13 +55,6 @@ from repro.experiments.runners import DEFAULT_CONFIG, run_e2_throughput_penalty
 #: Seeds of the default-scale E2 sweep (4 seeds x 4 policies = 16 runs).
 SEEDS = (11, 23, 47, 61)
 
-#: Lockstep batch sizes timed by the batch-kernel section.
-BATCH_SIZES = (1, 4, 16, 64)
-#: Batch lane seeds are disjoint from the sweep seeds: lane i runs
-#: ``BATCH_SEED_START + BATCH_SEED_STEP * i``.
-BATCH_SEED_START = 101
-BATCH_SEED_STEP = 7
-
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 
@@ -110,60 +103,6 @@ def events_per_second(horizon_us: float) -> dict:
         "events_fired": result.events_fired,
         "wall_s": wall,
         "events_per_s": result.events_fired / wall if wall > 0 else 0.0,
-    }
-
-
-def batch_seeds(n: int) -> list:
-    """The first ``n`` lane seeds of the batch-kernel protocol."""
-    return [BATCH_SEED_START + BATCH_SEED_STEP * i for i in range(n)]
-
-
-def batch_kernels(
-    horizon_us: float, sizes=BATCH_SIZES, repeats: int = 1
-) -> dict:
-    """Lockstep batch-kernel throughput per batch size.
-
-    Protocol: arrival traces for every lane seed are pre-generated
-    untimed (the scalar kernel enjoys the same warmth — its seed's
-    trace is memoized by the sweep that precedes it), one warm-up batch
-    runs untimed, then each size is timed ``repeats`` times keeping the
-    best rate (noise only ever slows a run down, so the best repeat is
-    the tightest bound on the true kernel speed).
-    """
-    from repro.batch import run_batch
-    from repro.core.system import ManycoreSystem
-
-    config = replace(DEFAULT_CONFIG, horizon_us=horizon_us)
-    seeds = batch_seeds(max(sizes))
-    for seed in seeds:
-        ManycoreSystem(replace(config, seed=seed)).generate_arrivals()
-    run_batch(config, seeds[:1])  # warm the batch path itself
-    out = {}
-    for size in sizes:
-        best = None
-        for _ in range(max(repeats, 1)):
-            t0 = time.perf_counter()
-            results = run_batch(config, seeds[:size])
-            wall = time.perf_counter() - t0
-            events = sum(r.events_fired for r in results)
-            rate = events / wall if wall > 0 else 0.0
-            if best is None or rate > best["events_per_s"]:
-                best = {
-                    "events_fired": events,
-                    "wall_s": wall,
-                    "events_per_s": rate,
-                }
-        out[str(size)] = best
-    return out
-
-
-def _batch_section(batch: dict, repeats: int) -> dict:
-    """The ``batch`` baseline entry (protocol provenance + timings)."""
-    return {
-        "seed_start": BATCH_SEED_START,
-        "seed_step": BATCH_SEED_STEP,
-        "repeats": repeats,
-        "sizes": batch,
     }
 
 
@@ -260,20 +199,6 @@ def main(argv=None) -> int:
         help="record the current timings/digest as the comparison baseline",
     )
     parser.add_argument(
-        "--write-batch-baseline",
-        action="store_true",
-        help=(
-            "update only the 'batch' section of the existing baseline, "
-            "preserving the recorded scalar numbers verbatim"
-        ),
-    )
-    parser.add_argument(
-        "--batch-repeats",
-        type=int,
-        default=1,
-        help="timed repeats per batch size, best kept (default 1)",
-    )
-    parser.add_argument(
         "--strict",
         action="store_true",
         help="fail unless wall-clock speedup vs. the baseline is >= 3x",
@@ -307,26 +232,6 @@ def main(argv=None) -> int:
         f"kernel: {kernel['events_fired']} events in {kernel['wall_s']:.2f} s "
         f"-> {kernel['events_per_s']:.0f} events/s"
     )
-    batch = batch_kernels(args.horizon_us, repeats=args.batch_repeats)
-    for size in BATCH_SIZES:
-        entry = batch[str(size)]
-        print(
-            f"batch B={size:>2}: {entry['events_fired']} events in "
-            f"{entry['wall_s']:.2f} s -> {entry['events_per_s']:.0f} events/s"
-        )
-
-    if args.write_batch_baseline:
-        if not BASELINE_PATH.exists():
-            print(
-                f"no baseline at {BASELINE_PATH}; run --write-baseline first",
-                file=sys.stderr,
-            )
-            return 1
-        data = json.loads(BASELINE_PATH.read_text())
-        data["batch"] = _batch_section(batch, args.batch_repeats)
-        BASELINE_PATH.write_text(json.dumps(data, indent=2) + "\n")
-        print(f"batch section updated in {BASELINE_PATH} (scalar keys kept)")
-        return 0
 
     if args.write_baseline:
         BASELINE_PATH.write_text(
@@ -338,7 +243,6 @@ def main(argv=None) -> int:
                     "wall_s": wall,
                     "rows_digest": digest,
                     "kernel": kernel,
-                    "batch": _batch_section(batch, args.batch_repeats),
                 },
                 indent=2,
             )
@@ -383,14 +287,6 @@ def main(argv=None) -> int:
         )
         if args.strict and speedup < 3.0:
             failures.append(f"speedup {speedup:.2f}x below the 3x floor")
-        scalar_rate = baseline["kernel"]["events_per_s"]
-        if scalar_rate > 0:
-            for size in BATCH_SIZES:
-                rate = batch[str(size)]["events_per_s"]
-                print(
-                    f"batch B={size:>2} vs recorded scalar kernel: "
-                    f"{rate / scalar_rate:.2f}x events/s"
-                )
     else:
         print("baseline recorded at a different scale; skipping the comparison")
 

@@ -44,9 +44,9 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.batch import result_digest
 from repro.core.system import SystemConfig
 from repro.experiments.parallel import run_many
+from repro.obs.provenance import result_digest
 from repro.serve.client import LocalServer, ServeClient, sweep_request_doc
 
 #: The shared sweep-point universe: every request asks for ``--points``

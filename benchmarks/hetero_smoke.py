@@ -13,8 +13,8 @@ observable float on the homogeneous path.
 Two gates:
 
 * **differential** (always) — every degenerate spelling of the three
-  golden workloads, through ``run_system``, ``run_batch``, pooled
-  ``run_many`` and a cold+warm ``RunCache``, against the frozen
+  golden workloads, through ``run_system``, pooled ``run_many`` and a
+  cold+warm ``RunCache``, against the frozen
   digests (the served path is pinned separately in
   ``tests/test_hetero_differential.py``, which needs the async engine);
 * **relations** (``--relations``) — one E11 campaign cell: the
@@ -43,10 +43,10 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from repro.batch import result_digest, run_batch
 from repro.cache import RunCache
 from repro.core.system import SystemConfig, run_system
 from repro.experiments.parallel import run_many
+from repro.obs.provenance import result_digest
 
 GOLDENS_PATH = (
     Path(__file__).resolve().parent.parent
@@ -81,8 +81,8 @@ GOLDEN_BASES = {
     "g22_fast": dict(width=2, height=2, horizon_us=1_500.0, seed=3),
 }
 
-#: Seeds of the lockstep-batch golden cells (all on ``g44_base``).
-BATCH_SEEDS = [7, 14, 21, 28]
+#: Seeds of the pooled and cached sweep golden cells (all on ``g44_base``).
+SWEEP_SEEDS = [7, 14, 21, 28]
 
 
 def golden_configs():
@@ -117,8 +117,10 @@ def compute_goldens() -> dict:
     for name, config in golden_configs().items():
         table[f"{name}@{config.seed}"] = result_digest(run_system(config))
     base = golden_configs()["g44_base"]
-    for seed, result in zip(BATCH_SEEDS, run_batch(base, BATCH_SEEDS)):
-        table[f"g44_base@{seed}"] = result_digest(result)
+    for seed in SWEEP_SEEDS:
+        table[f"g44_base@{seed}"] = result_digest(
+            run_system(replace(base, seed=seed))
+        )
     return table
 
 
@@ -144,22 +146,15 @@ def differential_gate(jobs: int = 2) -> dict:
                     f"(type_grid={variant.type_grid!r}): {got} != {want}"
                 )
 
-    # Lockstep batch, on a hetero-spelled degenerate config.
+    # Pooled sweep + cold/warm cache round trip, on a hetero-spelled
+    # degenerate config.
     base = replace(golden_configs()["g44_base"], type_grid=("std",))
-    for seed, result in zip(BATCH_SEEDS, run_batch(base, BATCH_SEEDS)):
-        cells += 1
-        want = goldens[f"g44_base@{seed}"]
-        got = result_digest(result)
-        if got != want:
-            failures.append(f"batch g44_base@{seed}: {got} != {want}")
-
-    # Pooled sweep + cold/warm cache round trip.
-    sweep = [replace(base, seed=seed) for seed in BATCH_SEEDS]
+    sweep = [replace(base, seed=seed) for seed in SWEEP_SEEDS]
     for label, results in (
         ("pooled", run_many(sweep, jobs)),
         ("cached", _cached_twice(sweep)),
     ):
-        for seed, result in zip(BATCH_SEEDS, results):
+        for seed, result in zip(SWEEP_SEEDS, results):
             cells += 1
             want = goldens[f"g44_base@{seed}"]
             got = result_digest(result)
@@ -252,7 +247,7 @@ def main(argv=None) -> int:
     failures = []
     print(
         f"hetero differential gate: {len(GOLDEN_BASES)} workloads, "
-        f"batch seeds {BATCH_SEEDS}, goldens {GOLDENS_PATH.name}"
+        f"sweep seeds {SWEEP_SEEDS}, goldens {GOLDENS_PATH.name}"
     )
     differential = differential_gate(args.jobs)
     failures.extend(differential["failures"])

@@ -38,10 +38,10 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.batch import result_digest
 from repro.campaign import CampaignSpec, run_campaign
 from repro.core.system import SystemConfig
 from repro.experiments.parallel import run_many
+from repro.obs.provenance import result_digest
 from repro.serve.campaigns import CAMPAIGNS_SUBDIR
 from repro.serve.client import LocalServer, ServeClient, sweep_request_doc
 

@@ -30,18 +30,13 @@ point.
 from __future__ import annotations
 
 import os
-import signal
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.batch import run_batch
 from repro.campaign.executor import (
     CampaignInterrupted,
     ExecutionStats,
     RetryPolicy,
     RobustExecutor,
-    _alarm_handler,
-    _PointTimeout,
 )
 from repro.campaign.report import CampaignReport, build_report
 from repro.campaign.spec import CampaignPoint, CampaignSpec, Cell
@@ -55,7 +50,7 @@ from repro.campaign.store import (
     record_from_result,
 )
 from repro.metrics.stats import halfwidth_met
-from repro.telemetry import TelemetrySession, worker_telemetry
+from repro.telemetry import TelemetrySession
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.status import CampaignStatusWriter
 
@@ -182,112 +177,6 @@ def plan_missing(
 
 
 # ----------------------------------------------------------------------
-# Batched execution: seed-groups as executor work items
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _PointGroup:
-    """A seed-chunk of one cell, duck-typing a point for the executor.
-
-    The executor only ever reads ``digest``/``seed``/``cell`` (failure
-    attribution) and passes the work item through to its worker, so a
-    group — digest derived from the member digests, representative
-    seed/cell from the first member — slots into the same machinery:
-    retries, timeouts and quarantine all operate at group granularity.
-    """
-
-    digest: str
-    seed: int
-    cell: Tuple[Tuple[str, object], ...]
-    points: Tuple[CampaignPoint, ...]
-
-    @staticmethod
-    def build(members: List[CampaignPoint]) -> "_PointGroup":
-        from repro.obs.provenance import digest_of
-
-        return _PointGroup(
-            digest=digest_of([point.digest for point in members]),
-            seed=members[0].seed,
-            cell=members[0].cell,
-            points=tuple(members),
-        )
-
-
-def _group_points(
-    points: List[CampaignPoint], batch: int
-) -> List["_PointGroup"]:
-    """Chunk the planner's missing points per cell, in plan order.
-
-    Points within one cell differ only in seed (that is what a cell
-    *is*), so each chunk is a valid lockstep batch; cells with fewer
-    missing points than ``batch`` simply yield smaller groups.
-    """
-    by_cell: Dict[Tuple, List[CampaignPoint]] = {}
-    order: List[Tuple] = []
-    for point in points:
-        members = by_cell.get(point.cell)
-        if members is None:
-            by_cell[point.cell] = members = []
-            order.append(point.cell)
-        members.append(point)
-    groups: List[_PointGroup] = []
-    for cell in order:
-        members = by_cell[cell]
-        for start in range(0, len(members), batch):
-            groups.append(_PointGroup.build(members[start : start + batch]))
-    return groups
-
-
-def _batched_worker(payload):
-    """Module-level batched worker (picklable); never raises.
-
-    Mirrors :func:`repro.campaign.executor.default_worker` — same
-    ``SIGALRM`` timeout enforcement, same tagged-tuple protocol — but
-    runs a whole :class:`_PointGroup` through the lockstep batch engine
-    and returns one checkpoint-ready record *per member point*, so the
-    store rows are identical to what scalar execution would have
-    written.  The timeout budget covers the whole group (one dispatch).
-
-    Payload layout matches the executor's: ``(group, timeout_s)`` plus
-    an always-``None`` cache-plan slot and a trailing
-    :class:`~repro.telemetry.spans.SpanContext` when the campaign
-    collects telemetry (then the ok-outcome grows to ``("ok", digest,
-    records, None, telemetry_blob)``).
-    """
-    group, timeout_s = payload[0], payload[1]
-    ctx = payload[3] if len(payload) > 3 else None
-    seeds = [point.seed for point in group.points]
-    use_alarm = bool(timeout_s) and hasattr(signal, "SIGALRM")
-    try:
-        if use_alarm:
-            old = signal.signal(signal.SIGALRM, _alarm_handler)
-            signal.setitimer(signal.ITIMER_REAL, timeout_s)
-        try:
-            with worker_telemetry(
-                ctx, group.digest[:12], "campaign.batch"
-            ) as scope:
-                results = run_batch(group.points[0].config, seeds)
-        finally:
-            if use_alarm:
-                signal.setitimer(signal.ITIMER_REAL, 0.0)
-                signal.signal(signal.SIGALRM, old)
-        records = [
-            record_from_result(point, result)
-            for point, result in zip(group.points, results)
-        ]
-        if scope is not None:
-            return ("ok", group.digest, records, None, scope.blob())
-        return ("ok", group.digest, records)
-    except _PointTimeout:
-        return (
-            "err",
-            group.digest,
-            f"Timeout: batch of {len(seeds)} exceeded {timeout_s:g}s",
-        )
-    except Exception as exc:
-        return ("err", group.digest, f"{type(exc).__name__}: {exc}")
-
-
-# ----------------------------------------------------------------------
 # Run / resume / report
 # ----------------------------------------------------------------------
 def _serve_from_cache(
@@ -324,7 +213,6 @@ def run_campaign(
     worker=None,
     resume: bool = False,
     cache=None,
-    batch: Optional[int] = None,
     telemetry: bool = True,
 ) -> CampaignReport:
     """Execute a campaign to completion (or controlled interruption).
@@ -338,17 +226,6 @@ def run_campaign(
     ``interrupt_after`` (testing/ops hook) deterministically simulates a
     crash after N newly-checkpointed results by raising
     :class:`CampaignInterrupted`.
-
-    ``batch`` (``None`` disables) consumes each cell's missing seeds as
-    whole lockstep batches of at most ``batch`` lanes per dispatch
-    (:func:`repro.batch.run_batch`).  Checkpoint rows are unchanged —
-    one record per point, digest-identical to scalar execution, so the
-    ``aggregate_digest`` cannot tell a batched campaign from a scalar
-    one.  Retries, ``timeout_s`` and quarantine operate at *group*
-    granularity (a failing group quarantines all its member points), and
-    ``interrupt_after`` counts checkpointed groups rather than single
-    results.  Incompatible with a custom ``worker``, and cache blob
-    deposits are disabled (cache *serving* still works).
 
     ``cache`` (a :class:`repro.cache.RunCache`) memoizes points across
     campaigns: before each execution wave the planner's missing points
@@ -369,11 +246,6 @@ def run_campaign(
     ride along with the stock workers — a custom ``worker`` still gets
     supervisor-side progress/status, just no per-point blobs.
     """
-    if batch is not None:
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        if worker is not None:
-            raise ValueError("batch uses its own worker; pass one or the other")
     if resume:
         spec = load_spec(campaign_dir)
     else:
@@ -408,15 +280,8 @@ def run_campaign(
             session.merge_blob(blob)
             status.note_worker(blob)
 
-    if batch is not None:
-        executor_kwargs = {"worker": _batched_worker}
-    else:
-        executor_kwargs = {} if worker is None else {"worker": worker}
-    cache_plan = (
-        cache.plan()
-        if cache is not None and worker is None and batch is None
-        else None
-    )
+    executor_kwargs = {} if worker is None else {"worker": worker}
+    cache_plan = cache.plan() if cache is not None and worker is None else None
     executor = RobustExecutor(
         jobs=jobs,
         retry=retry,
@@ -432,16 +297,9 @@ def run_campaign(
     )
 
     def on_record(point, record) -> None:
-        # The batched worker delivers one record per member point.
-        if isinstance(record, list):
-            for member_record in record:
-                store.append(member_record)
-            n = len(record)
-        else:
-            store.append(record)
-            n = 1
+        store.append(record)
         if status is not None:
-            status.note_points(n)
+            status.note_points(1)
             status.write("running")
 
     def on_failure(
@@ -451,8 +309,7 @@ def run_campaign(
             point.digest, point.seed, point.cell, attempt, error, quarantined
         )
         if status is not None and quarantined:
-            # A quarantined batch group takes all its members with it.
-            status.note_quarantine(len(getattr(point, "points", ())) or 1)
+            status.note_quarantine(1)
             status.write("running")
 
     def on_cache_entry(
@@ -462,10 +319,6 @@ def run_campaign(
             str(entry["key"]), str(entry["blob"]), int(entry["size"])
         )
     quarantined_digests: Set[str] = set()
-    # Group digest -> member point digests, for quarantine expansion: the
-    # planner excludes *points*, so a quarantined group must poison every
-    # member or its survivors would be replanned forever.
-    group_members: Dict[str, List[str]] = {}
     completed_this_invocation = 0
     final_state = "interrupted"
     try:
@@ -491,14 +344,6 @@ def run_campaign(
                 if served and not missing:
                     records = store.load()
                     continue
-            if batch is not None:
-                work_items = _group_points(missing, batch)
-                for group in work_items:
-                    group_members[group.digest] = [
-                        point.digest for point in group.points
-                    ]
-            else:
-                work_items = missing
             remaining_interrupt = (
                 None
                 if interrupt_after is None
@@ -506,7 +351,7 @@ def run_campaign(
             )
             try:
                 stats: ExecutionStats = executor.run(
-                    work_items,
+                    missing,
                     on_record=on_record,
                     on_failure=on_failure,
                     interrupt_after=remaining_interrupt,
@@ -520,10 +365,9 @@ def run_campaign(
                     completed_this_invocation + exc.completed
                 ) from None
             completed_this_invocation += stats.completed
-            for failure in stats.quarantined:
-                quarantined_digests |= set(
-                    group_members.get(failure.digest, [failure.digest])
-                )
+            quarantined_digests.update(
+                failure.digest for failure in stats.quarantined
+            )
             records = store.load()
         final_state = "complete"
     finally:

@@ -74,21 +74,6 @@ def _jobs_arg(raw: str) -> int:
     return value
 
 
-def _batch_size_arg(raw: str) -> int:
-    """argparse type for ``--batch-size``: reject nonsense at parse time."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"batch size must be an integer, got {raw!r}"
-        )
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"batch size must be >= 1, got {value}"
-        )
-    return value
-
-
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     """The shared ``--cache/--no-cache/--cache-dir`` flag triple."""
     group = parser.add_mutually_exclusive_group()
@@ -246,11 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the sweep points "
              "(results are identical to a serial run)",
     )
-    sweep_p.add_argument(
-        "--batch-size", type=_batch_size_arg, default=None, metavar="N",
-        help="lockstep batch width: seed-replica lanes per batch-engine "
-             "group (results are digest-identical to unbatched runs)",
-    )
     _add_cache_flags(sweep_p)
 
     obs_p = sub.add_parser("obs", help="summarize/filter a JSONL run journal")
@@ -374,11 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
              "fronts are identical either way)",
     )
     dse_run.add_argument(
-        "--batch-size", type=_batch_size_arg, default=None, metavar="N",
-        help="lockstep batch width: seed-replica lanes per batch-engine "
-             "group (results are digest-identical to unbatched runs)",
-    )
-    dse_run.add_argument(
         "--interrupt-after", type=int, default=None, metavar="N",
         help="testing/ops hook: simulate a crash after N checkpointed "
              "results (exit code 3; rerunning resumes)",
@@ -484,11 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=_jobs_arg, default=0, metavar="N",
         help="worker processes for sweep points (0 = in-process "
              "threads; results are identical either way)",
-    )
-    serve_p.add_argument(
-        "--batch-size", type=_batch_size_arg, default=None, metavar="N",
-        help="lockstep batch width: seed-replica lanes per batch-engine "
-             "group (results are digest-identical to unbatched runs)",
     )
     serve_p.add_argument(
         "--max-queue", type=int, default=1024, metavar="N",
@@ -870,9 +840,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         dataclasses.replace(base, **{args.field: value}) for value in values
     ]
     cache = _cache_from_args(args)
-    results = run_many(
-        configs, args.jobs, cache=cache, batch_size=args.batch_size
-    )
+    results = run_many(configs, args.jobs, cache=cache)
     rows = []
     for value, result in zip(values, results):
         summary = result.summary()
@@ -1088,7 +1056,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
             args.search_dir,
             spec=spec,
             jobs=args.jobs,
-            batch=args.batch_size,
             cache=cache,
             interrupt_after=args.interrupt_after,
             telemetry=not args.no_telemetry,
@@ -1363,7 +1330,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         jobs=args.jobs,
-        batch_size=args.batch_size,
         state_dir=args.state_dir,
         cache=cache,
         max_queue=args.max_queue,

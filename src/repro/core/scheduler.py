@@ -67,11 +67,6 @@ class PowerAwareTestScheduler(TestSchedulerBase):
         self.skipped_no_budget = 0
         self.downgraded_levels = 0
         self.emergency_aborts = 0
-        #: One-shot measured-power injection for drivers that already read
-        #: the meter this epoch (the lockstep batch runner): consumed and
-        #: cleared by the next :meth:`tick`, which otherwise reads the
-        #: meter itself.  ``None`` means "read the meter" (the default).
-        self.measured_override: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Candidate selection
@@ -114,9 +109,7 @@ class PowerAwareTestScheduler(TestSchedulerBase):
     def tick(self, now: float, dt: float) -> None:
         journal = self.journal
         tm = self.telemetry
-        override = self.measured_override
-        self.measured_override = None
-        measured = self.meter.chip_power() if override is None else override
+        measured = self.meter.chip_power()
         if measured > self.budget.cap:
             aborted = self._emergency(measured)
             tm.counter("test.emergency").inc()

@@ -7,9 +7,9 @@ evaluates it; this package searches the space around that point.  A
 the evolutionary/surrogate settings; :func:`~repro.dse.search.run_search`
 then runs a seeded, fully deterministic evolutionary loop whose
 evaluation step is literally a campaign — so it inherits checkpointing,
-the process pool, the lockstep batch engine, the run cache and the
-sequential stopping rules unchanged, and a killed search resumes to a
-byte-identical ``front.json``.
+the process pool, the run cache and the sequential stopping rules
+unchanged, and a killed search resumes to a byte-identical
+``front.json``.
 
 >>> from repro.dse import DseSpec
 >>> spec = DseSpec.from_dict({

@@ -20,9 +20,8 @@ selected objectives.  Its structure:
   :class:`~repro.campaign.spec.CampaignSpec`, one generation = one
   campaign directory under the search directory.  Evaluation therefore
   rides the checkpoint store, the crash-tolerant executor, the process
-  pool, the lockstep batch engine, the run cache and the sequential
-  stopping rules *unchanged* — and inherits their digest-identity
-  guarantees.
+  pool, the run cache and the sequential stopping rules *unchanged* —
+  and inherits their digest-identity guarantees.
 * **Front** — after every generation the archive's Pareto front is
   extracted (:mod:`repro.dse.pareto`) and written to ``front.json``
   along with a deterministic ``front_digest``.
@@ -646,7 +645,6 @@ def run_search(
     search_dir: str,
     spec: Optional[DseSpec] = None,
     jobs: Optional[int] = None,
-    batch: Optional[int] = None,
     cache=None,
     interrupt_after: Optional[int] = None,
     telemetry: bool = True,
@@ -669,9 +667,9 @@ def run_search(
     :class:`SearchInterrupted` — the same contract campaigns make, and
     the hook the ``dse-smoke`` CI job kills searches with.
 
-    ``jobs``/``batch`` pass straight through to
+    ``jobs`` passes straight through to
     :func:`repro.campaign.runner.run_campaign`; results are
-    digest-identical whatever their values.
+    digest-identical whatever its value.
     """
     spec = _prepare_search_dir(spec, search_dir)
     run_cache = _resolve_cache(cache, search_dir)
@@ -796,7 +794,6 @@ def run_search(
                     spec=None if resume else camp_spec,
                     resume=resume,
                     jobs=jobs,
-                    batch=batch,
                     cache=run_cache,
                     interrupt_after=remaining,
                     telemetry=telemetry,

@@ -13,7 +13,7 @@ parameter.  The space resolves candidates into fully-formed
 in the sense of :mod:`repro.campaign.spec` — so candidate identity is
 the existing :func:`~repro.campaign.spec.cell_digest` and evaluation
 rides the whole campaign substrate (checkpoint store, run cache,
-process pool, batch engine, stopping rules) unchanged.
+process pool, stopping rules) unchanged.
 
 All randomness flows through a caller-supplied ``numpy`` Generator —
 nothing here touches the :mod:`random` module or any global state, which

@@ -12,10 +12,6 @@ byte-identical :class:`~repro.core.system.SimulationResult` data.
 falls back to the plain serial loop (no pool, no pickling), so callers
 can thread a ``--jobs`` flag straight through without special-casing.
 Results always come back in input order regardless of completion order.
-``batch_size=`` additionally routes seed-replica groups through the
-lockstep batch engine (``repro.batch``), one whole seed-chunk per
-worker dispatch — the batched results are digest-identical to scalar
-runs, so the choice is purely a throughput knob.
 
 A failing run raises :class:`RunFailed` carrying the index and config
 digest of the offender, in both the serial and the pooled path — a bare
@@ -39,11 +35,9 @@ carry the observability stream of the run it skipped.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from concurrent.futures import ProcessPoolExecutor
+from typing import Iterable, List, Optional
 
-from repro.batch import run_batch
 from repro.core.system import SimulationResult, SystemConfig, run_system
 from repro.obs.provenance import config_digest
 from repro.telemetry import (
@@ -95,121 +89,6 @@ def _run_one(payload):
         )
 
 
-def _run_chunk(payload):
-    """Module-level batched worker (picklable); mirrors :func:`_run_one`.
-
-    Runs one seed-chunk through the lockstep batch engine and returns the
-    per-seed results together with the original sweep indices, so the
-    parent can slot them into place no matter in which order the pool's
-    futures complete.
-    """
-    indices, config, seeds = payload[0], payload[1], payload[2]
-    ctx: Optional[SpanContext] = payload[3] if len(payload) > 3 else None
-    try:
-        with worker_telemetry(ctx, str(indices[0]), "sweep.chunk") as scope:
-            results = run_batch(config, seeds)
-        if scope is not None:
-            return ("ok", indices, results, scope.blob())
-        return ("ok", indices, results)
-    except Exception as exc:
-        return (
-            "err",
-            indices,
-            config_digest(replace(config, seed=seeds[0])),
-            f"{type(exc).__name__}: {exc}",
-        )
-
-
-def _seed_chunks(
-    config_list: List[SystemConfig],
-    indices: List[int],
-    batch_size: int,
-) -> List[List[int]]:
-    """Partition ``indices`` into lockstep-compatible seed chunks.
-
-    Configs are grouped by everything-but-seed (the digest of the config
-    with its seed pinned) and each group is chunked, in input order, into
-    runs of at most ``batch_size`` — only seed-replicas of the *same*
-    config may share a lockstep batch.  Heterogeneous sweeps degrade
-    gracefully to one-lane chunks.
-    """
-    groups: Dict[str, List[int]] = {}
-    order: List[str] = []
-    for index in indices:
-        key = config_digest(replace(config_list[index], seed=0))
-        members = groups.get(key)
-        if members is None:
-            groups[key] = members = []
-            order.append(key)
-        members.append(index)
-    chunks: List[List[int]] = []
-    for key in order:
-        members = groups[key]
-        for start in range(0, len(members), batch_size):
-            chunks.append(members[start : start + batch_size])
-    return chunks
-
-
-def _run_batched(
-    config_list: List[SystemConfig],
-    indices: List[int],
-    jobs: Optional[int],
-    batch_size: int,
-    ctx: Optional[SpanContext] = None,
-    on_blob=None,
-) -> List[SimulationResult]:
-    """Run the configs at ``indices`` as lockstep seed-chunks.
-
-    Results come back in ``indices`` order regardless of pool completion
-    order: every chunk carries its original indices, the supervisor slots
-    completed chunks into a dense table, and error attribution is
-    deterministic too (the failing chunk with the smallest leading index
-    wins when several fail at once).
-    """
-    chunks = _seed_chunks(config_list, indices, batch_size)
-    by_index: Dict[int, SimulationResult] = {}
-    if not jobs or jobs == 1 or len(chunks) <= 1:
-        for chunk in chunks:
-            config = config_list[chunk[0]]
-            seeds = [config_list[i].seed for i in chunk]
-            try:
-                with worker_telemetry(
-                    ctx, str(chunk[0]), "sweep.chunk"
-                ) as scope:
-                    chunk_results = run_batch(config, seeds)
-            except Exception as exc:
-                raise RunFailed(
-                    chunk[0],
-                    config_digest(config),
-                    f"{type(exc).__name__}: {exc}",
-                ) from exc
-            if scope is not None and on_blob is not None:
-                on_blob(scope.blob())
-            by_index.update(zip(chunk, chunk_results))
-        return [by_index[i] for i in indices]
-    payloads = [
-        (chunk, config_list[chunk[0]], [config_list[i].seed for i in chunk])
-        + ((ctx,) if ctx is not None else ())
-        for chunk in chunks
-    ]
-    workers = min(jobs, len(payloads))
-    failures: List[Tuple[int, str, str]] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_chunk, payload) for payload in payloads]
-        for future in as_completed(futures):
-            outcome = future.result()
-            if outcome[0] == "err":
-                failures.append((outcome[1][0], outcome[2], outcome[3]))
-            else:
-                by_index.update(zip(outcome[1], outcome[2]))
-                if len(outcome) > 3 and on_blob is not None:
-                    on_blob(outcome[3])
-    if failures:
-        index, digest, error = min(failures)
-        raise RunFailed(index, digest, error)
-    return [by_index[i] for i in indices]
-
-
 def _resolve_cache(cache, n_configs: int):
     """Effective cache for one call: explicit arg, else process default.
 
@@ -236,7 +115,6 @@ def _run_indexed(
     config_list: List[SystemConfig],
     indices: List[int],
     jobs: Optional[int],
-    batch_size: Optional[int] = None,
     ctx: Optional[SpanContext] = None,
     on_blob=None,
 ) -> List[SimulationResult]:
@@ -247,8 +125,6 @@ def _run_indexed(
     the serial path uses the same collect-then-merge semantics as the
     pool, which is what makes serial and pooled snapshots identical.
     """
-    if batch_size is not None:
-        return _run_batched(config_list, indices, jobs, batch_size, ctx, on_blob)
     if not jobs or jobs == 1 or len(indices) <= 1:
         results = []
         for index in indices:
@@ -283,38 +159,24 @@ def run_many(
     configs: Iterable[SystemConfig],
     jobs: Optional[int] = None,
     cache=None,
-    batch_size: Optional[int] = None,
 ) -> List[SimulationResult]:
     """Run every config, optionally across ``jobs`` worker processes.
 
     ``jobs=None`` (or ``0``/``1``) runs serially in-process.  Results are
     returned in the order of ``configs`` and are identical to a serial
-    run: each simulation is deterministic given its config, and both
-    pooled paths reassemble results by original index.
-
-    ``batch_size`` (``None`` disables) routes the runs through the
-    lockstep batch engine (:func:`repro.batch.run_batch`): configs that
-    differ only in seed are grouped into chunks of at most
-    ``batch_size`` lanes, and with ``jobs`` each worker process advances
-    one whole chunk.  Chunk futures complete in whatever order the pool
-    likes; ordering stays deterministic because every chunk carries its
-    original sweep indices.  Batched results are digest-identical to
-    scalar runs (that is the batch engine's contract), so serial, pooled
-    and batched sweeps all produce the same rows.
+    run: each simulation is deterministic given its config, and the
+    pooled path reassembles results by original index.
 
     ``cache`` (a :class:`repro.cache.RunCache`; defaults to the process
     default, if any) memoizes results by salted config digest — hits
-    are served without running, misses are computed (pooled/batched if
-    asked) and stored by the supervisor.  Results are identical with the
+    are served without running, misses are computed (pooled if asked)
+    and stored by the supervisor.  Results are identical with the
     cache on, off, warm or cold.
 
     Raises :class:`RunFailed` (with the failing config's index and
     digest) if any run fails; nothing is cached for a failing sweep.
-    For a batched sweep the failure is attributed to the failing chunk's
-    first config, deterministically (smallest index wins across chunks).
-    Nonsensical execution knobs fail fast, before any work starts:
-    non-int ``jobs``/``batch_size`` (including bools) raise
-    :class:`TypeError`, negative ``jobs`` and ``batch_size < 1`` raise
+    A nonsensical ``jobs`` fails fast, before any work starts: a non-int
+    (including a bool) raises :class:`TypeError`, a negative one raises
     :class:`ValueError`.
     """
     config_list = list(configs)
@@ -328,17 +190,6 @@ def run_many(
             raise ValueError(
                 f"jobs must be non-negative (0 or 1 means serial), "
                 f"got {jobs}"
-            )
-    if batch_size is not None:
-        if isinstance(batch_size, bool) or not isinstance(batch_size, int):
-            raise TypeError(
-                f"batch_size must be an int or None, got "
-                f"{type(batch_size).__name__} ({batch_size!r})"
-            )
-        if batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1 (None disables batching), "
-                f"got {batch_size}"
             )
     cache = _resolve_cache(cache, len(config_list))
     # Telemetry: with a process-active registry, the sweep becomes one
@@ -365,7 +216,6 @@ def run_many(
                 config_list,
                 list(range(len(config_list))),
                 jobs,
-                batch_size,
                 ctx,
                 on_blob,
             )
@@ -380,9 +230,7 @@ def run_many(
             else:
                 miss_indices.append(index)
         if miss_indices:
-            fresh = _run_indexed(
-                config_list, miss_indices, jobs, batch_size, ctx, on_blob
-            )
+            fresh = _run_indexed(config_list, miss_indices, jobs, ctx, on_blob)
             for index, result in zip(miss_indices, fresh):
                 cache.put_result(digests[index], result)
                 results[index] = result

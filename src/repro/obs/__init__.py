@@ -37,6 +37,7 @@ from repro.obs.provenance import (
     config_digest,
     digest_of,
     experiment_provenance,
+    result_digest,
     rows_digest,
 )
 
@@ -59,6 +60,7 @@ __all__ = [
     "events_of",
     "experiment_provenance",
     "profiled",
+    "result_digest",
     "rows_digest",
 ]
 

@@ -18,7 +18,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
+
+if TYPE_CHECKING:
+    from repro.core.system import SimulationResult
 
 
 def digest_of(parts: Iterable[object]) -> str:
@@ -83,6 +86,40 @@ def config_digest(config: object) -> str:
     cache and sweep failure attribution.
     """
     return digest_of(sorted(field_dict(config).items()))
+
+
+def result_digest(result: SimulationResult) -> str:
+    """Stable digest over everything a run observably produced.
+
+    Covers the scalar summary row, per-core busy/aging/test tallies,
+    per-level test counts, NoC stats, event/abort/skip counters, policy
+    names and the full fault-record list — everything except wall-time
+    provenance (profile timings, journal event counts), which legitimately
+    differs between two bit-identical runs.  Served-vs-direct identity
+    and the frozen heterogeneity goldens are asserted on this digest.
+    """
+    faults = tuple(
+        (r.core_id, r.injected_at, r.manifest_level, r.kind, r.detected_at)
+        for r in result.fault_records
+    )
+    return digest_of(
+        [
+            sorted(result.summary().items()),
+            sorted(result.per_core_busy_us.items()),
+            sorted(result.per_core_age_stress.items()),
+            sorted(result.per_core_tests.items()),
+            sorted(result.per_level_tests.items()),
+            result.noc_avg_hops,
+            result.peak_temperature_c,
+            result.events_fired,
+            result.emergency_aborts,
+            result.skipped_no_budget,
+            result.scheduler_name,
+            result.mapper_name,
+            result.power_policy_name,
+            faults,
+        ]
+    )
 
 
 @dataclass

@@ -47,7 +47,7 @@ class BusyWindow:
 
     def __init__(self) -> None:
         self._intervals: List[Tuple[float, float]] = []
-        #: Interval end times, kept in lockstep for binary search: intervals
+        #: Interval end times, kept in step for binary search: intervals
         #: are non-overlapping and appended in time order, so ends ascend.
         self._ends: List[float] = []
         self.total_busy: float = 0.0
@@ -127,8 +127,8 @@ class Core:
             core_type if core_type is not None else CORE_TYPES[DEFAULT_CORE_TYPE]
         )
         #: Index into the owning chip's first-occurrence type catalog;
-        #: the chip assigns it, and the power meter / batch SoA arrays
-        #: use it to pick per-type cache rows without hashing names.
+        #: the chip assigns it, and the power meter uses it to pick
+        #: per-type cache rows without hashing names.
         self.type_index: int = 0
         self._state = CoreState.IDLE
         self._level = level

@@ -1,6 +1,6 @@
 """Simulation-as-a-service: a multi-tenant async server for sweeps.
 
-``repro.serve`` turns the batch experiment engine into a long-running
+``repro.serve`` turns the experiment engine into a long-running
 service: many clients submit sweep points and campaign specs over HTTP,
 a shared worker fleet executes them, and results stream back as JSONL
 events the moment each point finishes.  The subsystem is stdlib-only
@@ -12,8 +12,8 @@ and built from five small layers:
 * :mod:`repro.serve.engine` — the scheduler: per-tenant bounded queues
   with fair round-robin draining, quota/backpressure rejection
   (429 + Retry-After), in-flight **coalescing** (N concurrent requests
-  for the same digest cost one simulation), run-cache probing, lockstep
-  batch chunking, and crash-tolerant pool rebuilds;
+  for the same digest cost one simulation), run-cache probing, and
+  crash-tolerant pool rebuilds;
 * :mod:`repro.serve.http` — minimal asyncio HTTP/1.1 with
   close-delimited streaming responses;
 * :mod:`repro.serve.campaigns` — server-owned campaign jobs backed by
@@ -24,7 +24,7 @@ and built from five small layers:
   used by tests, benchmarks and ``repro top --url``.
 
 The determinism contract is the whole point: a result obtained through
-the server — queued, coalesced, cached, or batched — has the same
+the server — queued, coalesced or cached — has the same
 ``result_digest`` as the same config run directly through
 :func:`repro.experiments.run_many`.
 """

@@ -87,14 +87,12 @@ class CampaignManager:
         self,
         state_dir: str,
         jobs: Optional[int] = None,
-        batch: Optional[int] = None,
         cache=None,
         max_active: int = 4,
     ) -> None:
         self.root = os.path.join(state_dir, CAMPAIGNS_SUBDIR)
         os.makedirs(self.root, exist_ok=True)
         self.jobs = jobs
-        self.batch = batch
         self.cache = cache
         self.max_active = max_active
         self._jobs: Dict[str, CampaignJob] = {}
@@ -108,10 +106,7 @@ class CampaignManager:
         return [j for j in self._jobs.values() if j.state == "running"]
 
     def submit(
-        self,
-        spec: CampaignSpec,
-        jobs: Optional[int] = None,
-        batch: Optional[int] = None,
+        self, spec: CampaignSpec, jobs: Optional[int] = None
     ) -> CampaignJob:
         """Start (or attach to, or resume) the job for ``spec``.
 
@@ -135,21 +130,18 @@ class CampaignManager:
         self._jobs[job_id] = job
         thread = threading.Thread(
             target=self._run,
-            args=(job, jobs if jobs is not None else self.jobs,
-                  batch if batch is not None else self.batch),
+            args=(job, jobs if jobs is not None else self.jobs),
             name=f"campaign-{job_id}",
             daemon=True,
         )
         thread.start()
         return job
 
-    def _run(
-        self, job: CampaignJob, jobs: Optional[int], batch: Optional[int]
-    ) -> None:
+    def _run(self, job: CampaignJob, jobs: Optional[int]) -> None:
         from repro.campaign import run_campaign
 
         try:
-            kwargs = dict(jobs=jobs, batch=batch, cache=self.cache)
+            kwargs = dict(jobs=jobs, cache=self.cache)
             if job.resumed:
                 report = run_campaign(job.directory, resume=True, **kwargs)
             else:

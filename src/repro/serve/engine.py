@@ -18,17 +18,14 @@ HTTP so it can be driven directly by tests.  One engine owns:
   thousand queued points cannot starve a tenant with one;
 * **the worker fleet** — a persistent ``ProcessPoolExecutor``
   (``jobs >= 1``) or thread pool (``jobs = 0``, handy for tests and
-  tiny deployments) executing :func:`repro.core.system.run_system`;
-  with ``batch_size`` set, runs of seed-replicas are fed through the
-  lockstep batch engine (:func:`repro.batch.run_batch`) instead, one
-  whole chunk per dispatch.  A broken process pool is rebuilt and the
-  interrupted work retried, mirroring the campaign executor's
-  crash-tolerance.
+  tiny deployments) executing :func:`repro.core.system.run_system`.
+  A broken process pool is rebuilt and the interrupted work retried,
+  mirroring the campaign executor's crash-tolerance.
 
 Determinism contract: every result leaving the engine is produced by
-``run_system``/``run_batch`` on a fully-resolved config, so its
-:func:`~repro.batch.result_digest` is byte-identical to a direct
-:func:`~repro.experiments.run_many` call — serial, pooled, batched,
+``run_system`` on a fully-resolved config, so its
+:func:`~repro.obs.provenance.result_digest` is byte-identical to a
+direct :func:`~repro.experiments.run_many` call — serial, pooled,
 cached or coalesced.  The engine adds routing, never arithmetic.
 """
 
@@ -44,12 +41,11 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.batch import result_digest, run_batch
 from repro.core.system import SimulationResult, SystemConfig, run_system
-from repro.obs.provenance import config_digest
+from repro.obs.provenance import result_digest
 from repro.serve.protocol import SweepRequest
 from repro.telemetry.registry import MetricsRegistry
 
@@ -85,20 +81,13 @@ def _point_worker(config: SystemConfig) -> SimulationResult:
     return run_system(config)
 
 
-def _chunk_worker(
-    config: SystemConfig, seeds: List[int]
-) -> List[SimulationResult]:
-    """Module-level lockstep-chunk worker (picklable); one result per seed."""
-    return run_batch(config, seeds)
-
-
 @dataclass(frozen=True)
 class PointPayload:
     """What a completed point resolves to: identity plus the summary row.
 
-    ``result_digest`` is :func:`repro.batch.result_digest` of the full
-    :class:`~repro.core.system.SimulationResult` — the identity the
-    served-equals-direct contract is asserted on; ``summary`` is the
+    ``result_digest`` is :func:`repro.obs.provenance.result_digest` of
+    the full :class:`~repro.core.system.SimulationResult` — the identity
+    the served-equals-direct contract is asserted on; ``summary`` is the
     scalar summary row clients actually consume.
     """
 
@@ -126,16 +115,12 @@ class Ticket:
 class _Work:
     """One queued fresh point: config, identities, owning tenant."""
 
-    __slots__ = ("config", "digest", "group_key", "tenant", "seed")
+    __slots__ = ("config", "digest", "tenant")
 
-    def __init__(
-        self, config: SystemConfig, digest: str, group_key: str, tenant: str
-    ) -> None:
+    def __init__(self, config: SystemConfig, digest: str, tenant: str) -> None:
         self.config = config
         self.digest = digest
-        self.group_key = group_key
         self.tenant = tenant
-        self.seed = config.seed
 
 
 class _TenantState:
@@ -171,8 +156,8 @@ class ServeEngine:
     process — identical results, no pickling, the mode tests use.
     ``tenant_quota`` bounds each tenant's fresh (non-coalesced,
     non-cached) points in flight; ``max_queue`` bounds the total queued
-    backlog across tenants; ``batch_size`` enables lockstep seed-chunk
-    dispatch.  ``registry`` receives ``serve.*`` counters and gauges.
+    backlog across tenants.  ``registry`` receives ``serve.*`` counters
+    and gauges.
     """
 
     def __init__(
@@ -181,18 +166,11 @@ class ServeEngine:
         cache=None,
         max_queue: int = 1024,
         tenant_quota: int = 256,
-        batch_size: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
         max_attempts: int = 3,
     ) -> None:
         if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 0:
             raise ValueError(f"jobs must be a non-negative int, got {jobs!r}")
-        if batch_size is not None and (
-            not isinstance(batch_size, int)
-            or isinstance(batch_size, bool)
-            or batch_size < 1
-        ):
-            raise ValueError(f"batch_size must be an int >= 1, got {batch_size!r}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if tenant_quota < 1:
@@ -201,7 +179,6 @@ class ServeEngine:
         self.cache = cache
         self.max_queue = max_queue
         self.tenant_quota = tenant_quota
-        self.batch_size = batch_size
         self.max_attempts = max_attempts
         self.registry = (
             registry if registry is not None else MetricsRegistry(enabled=True)
@@ -395,17 +372,9 @@ class ServeEngine:
             else:
                 future = loop.create_future()
                 self._inflight[point.digest] = future
-                # Only lockstep chunking groups seed-replicas; without
-                # it every point is its own group.
-                group_key = (
-                    config_digest(replace(point.config, seed=0))
-                    if self.batch_size is not None
-                    else point.digest
+                tenant.queue.append(
+                    _Work(point.config, point.digest, tenant.name)
                 )
-                work = _Work(
-                    point.config, point.digest, group_key, tenant.name
-                )
-                tenant.queue.append(work)
                 tenant.in_use += 1
                 self._queued_total += 1
                 self._count("queued")
@@ -424,14 +393,11 @@ class ServeEngine:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _next_chunk(self) -> Optional[List[_Work]]:
-        """Pop the next fair-share work chunk, or None if all queues idle.
+    def _next_work(self) -> Optional[_Work]:
+        """Pop the next fair-share work item, or None if all queues idle.
 
         Round-robin: tenants are cycled in first-seen order and each
-        turn takes one item — or, with batching on, one lockstep chunk
-        of up to ``batch_size`` same-cell (everything-but-seed) points
-        from the *front* of that tenant's queue; chunking never reaches
-        past a differing config, preserving per-tenant FIFO order.
+        turn takes the item at the front of that tenant's queue.
         """
         for _ in range(len(self._rr)):
             name = self._rr[0]
@@ -439,64 +405,42 @@ class ServeEngine:
             queue = self._tenants[name].queue
             if not queue:
                 continue
-            first = queue.popleft()
-            chunk = [first]
-            if self.batch_size is not None:
-                while (
-                    len(chunk) < self.batch_size
-                    and queue
-                    and queue[0].group_key == first.group_key
-                ):
-                    chunk.append(queue.popleft())
-            self._queued_total -= len(chunk)
+            self._queued_total -= 1
             self._gauge_depths()
-            return chunk
+            return queue.popleft()
         return None
 
     async def _dispatch_loop(self) -> None:
         assert self._slots is not None
         while True:
-            chunk = self._next_chunk()
-            if chunk is None:
+            work = self._next_work()
+            if work is None:
                 self._wake.clear()
                 if self._draining and not self._inflight:
                     return
                 await self._wake.wait()
                 continue
             await self._slots.acquire()
-            self._running += len(chunk)
+            self._running += 1
             self._gauge_depths()
-            asyncio.get_running_loop().create_task(self._execute(chunk))
+            asyncio.get_running_loop().create_task(self._execute(work))
 
-    async def _run_in_pool(self, chunk: List[_Work]):
-        loop = asyncio.get_running_loop()
-        if len(chunk) == 1:
-            result = await loop.run_in_executor(
-                self._pool, _point_worker, chunk[0].config
-            )
-            return [result]
-        return await loop.run_in_executor(
-            self._pool,
-            _chunk_worker,
-            chunk[0].config,
-            [work.seed for work in chunk],
-        )
-
-    async def _execute(self, chunk: List[_Work]) -> None:
-        """Run one chunk on the fleet; resolve futures; survive pool death."""
+    async def _execute(self, work: _Work) -> None:
+        """Run one point; resolve its future; survive pool death."""
         assert self._slots is not None
+        loop = asyncio.get_running_loop()
         started = time.perf_counter()
-        if len(chunk) > 1:
-            self._count("batch_chunks")
         try:
             attempts = 0
             while True:
                 generation = self._pool_generation
                 try:
-                    results = await self._run_in_pool(chunk)
+                    result = await loop.run_in_executor(
+                        self._pool, _point_worker, work.config
+                    )
                     break
                 except BrokenExecutor as exc:
-                    # The pool died under this chunk (e.g. a worker was
+                    # The pool died under this point (e.g. a worker was
                     # OOM-killed).  Rebuild once per generation and
                     # retry the interrupted work, like the campaign
                     # executor does.
@@ -505,32 +449,30 @@ class ServeEngine:
                         self._make_pool()
                         self._count("pool_rebuilds")
                     if attempts >= self.max_attempts:
-                        self._fail(chunk, f"worker pool died: {exc}")
+                        self._fail(work, f"worker pool died: {exc}")
                         return
                 except Exception as exc:  # deterministic sim failure
-                    self._fail(chunk, f"{type(exc).__name__}: {exc}")
+                    self._fail(work, f"{type(exc).__name__}: {exc}")
                     return
             elapsed = time.perf_counter() - started
-            per_point = elapsed / len(chunk)
-            self._ewma_point_s += 0.2 * (per_point - self._ewma_point_s)
+            self._ewma_point_s += 0.2 * (elapsed - self._ewma_point_s)
             self.registry.histogram(
                 "serve.point_seconds", (0.01, 0.1, 0.5, 1.0, 5.0, 30.0)
-            ).observe(per_point)
-            for work, result in zip(chunk, results):
-                payload = PointPayload(
-                    digest=work.digest,
-                    result_digest=result_digest(result),
-                    summary=result.summary(),
-                )
-                if self.cache is not None:
-                    try:
-                        self.cache.put_result(work.digest, result)
-                    except OSError:
-                        self._count("cache_put_errors")
-                self._resolve(work, payload)
-            self._count("computed", len(chunk))
+            ).observe(elapsed)
+            payload = PointPayload(
+                digest=work.digest,
+                result_digest=result_digest(result),
+                summary=result.summary(),
+            )
+            if self.cache is not None:
+                try:
+                    self.cache.put_result(work.digest, result)
+                except OSError:
+                    self._count("cache_put_errors")
+            self._resolve(work, payload)
+            self._count("computed")
         finally:
-            self._running -= len(chunk)
+            self._running -= 1
             self._gauge_depths()
             self._slots.release()
             self._wake.set()
@@ -543,14 +485,12 @@ class ServeEngine:
         tenant.in_use -= 1
         tenant.completed += 1
 
-    def _fail(self, chunk: List[_Work], error: str) -> None:
-        self._count("errors", len(chunk))
-        for work in chunk:
-            future = self._inflight.pop(work.digest, None)
-            if future is not None and not future.done():
-                future.set_exception(RuntimeError(error))
-            tenant = self._tenants[work.tenant]
-            tenant.in_use -= 1
+    def _fail(self, work: _Work, error: str) -> None:
+        self._count("errors")
+        future = self._inflight.pop(work.digest, None)
+        if future is not None and not future.done():
+            future.set_exception(RuntimeError(error))
+        self._tenants[work.tenant].in_use -= 1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -566,7 +506,6 @@ class ServeEngine:
         return {
             "jobs": self.jobs,
             "width": self.width,
-            "batch_size": self.batch_size,
             "draining": self._draining,
             "queued": self._queued_total,
             "running": self._running,

@@ -246,9 +246,8 @@ class CampaignRequest:
     tenant: str
     spec: "object"  # repro.campaign.CampaignSpec (kept untyped: lazy import)
     jobs: Optional[int] = None
-    batch: Optional[int] = None
 
-    _KNOWN_KEYS = frozenset({"tenant", "spec", "jobs", "batch"})
+    _KNOWN_KEYS = frozenset({"tenant", "spec", "jobs"})
 
     @classmethod
     def parse(cls, data: Dict[str, object]) -> "CampaignRequest":
@@ -256,8 +255,8 @@ class CampaignRequest:
 
         The ``spec`` object is handed to
         :meth:`repro.campaign.CampaignSpec.from_dict`, so the server
-        rejects exactly what the CLI would reject.  ``jobs``/``batch``
-        override the server defaults for this campaign only.
+        rejects exactly what the CLI would reject.  ``jobs`` overrides
+        the server default for this campaign only.
         """
         from repro.campaign import CampaignSpec
 
@@ -279,9 +278,4 @@ class CampaignRequest:
             not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 0
         ):
             raise SpecError("'jobs' must be a non-negative integer")
-        batch = data.get("batch")
-        if batch is not None and (
-            not isinstance(batch, int) or isinstance(batch, bool) or batch < 1
-        ):
-            raise SpecError("'batch' must be an integer >= 1")
-        return cls(tenant=tenant, spec=spec, jobs=jobs, batch=batch)
+        return cls(tenant=tenant, spec=spec, jobs=jobs)

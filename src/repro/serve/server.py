@@ -80,7 +80,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0
     jobs: int = 0
-    batch_size: Optional[int] = None
     state_dir: str = "serve-state"
     cache: Optional[object] = None
     max_queue: int = 1024
@@ -103,13 +102,11 @@ class ReproServer:
             cache=config.cache,
             max_queue=config.max_queue,
             tenant_quota=config.tenant_quota,
-            batch_size=config.batch_size,
             registry=self.registry,
         )
         self.campaigns = CampaignManager(
             config.state_dir,
             jobs=config.jobs if config.jobs >= 1 else None,
-            batch=config.batch_size,
             cache=config.cache,
             max_active=config.max_campaigns,
         )
@@ -426,9 +423,7 @@ class ReproServer:
             await response.send_json(400, {"error": str(exc)})
             return
         try:
-            job = self.campaigns.submit(
-                creq.spec, jobs=creq.jobs, batch=creq.batch
-            )
+            job = self.campaigns.submit(creq.spec, jobs=creq.jobs)
         except RuntimeError as exc:
             await response.send_json(
                 429,

@@ -14,9 +14,9 @@ no-op-sink invariant: every instrumentation site defaults to the
 disabled :data:`NULL_TELEMETRY` registry and enabling telemetry never
 changes what a run computes — registries are written to, never read
 from, by instrumented code.  Unlike the journal and profiler, telemetry
-does **not** force the batch engine onto the scalar oracle and does not
-bypass the run cache: its counters describe *executed* work, so cached
-hits contribute ``cache.*`` counters but no ``sim.*`` ones.
+does **not** bypass the run cache: its counters describe *executed*
+work, so cached hits contribute ``cache.*`` counters but no ``sim.*``
+ones.
 
 Cross-process model: the supervisor owns one registry per sweep or
 campaign and opens a root trace span; each worker run executes under

@@ -16,9 +16,9 @@ Design constraints, in order of importance:
    ``min``/``max``/``count`` (no float accumulators, whose addition
    order would leak the execution schedule into the snapshot), and a
    gauge's ``last`` field — inherently completion-order-dependent — is
-   dropped by :meth:`MetricsRegistry.merge`.  Serial, pooled and
-   batched execution of the same work merge to identical snapshots
-   (over the invariant namespaces, see :func:`invariant_view`).
+   dropped by :meth:`MetricsRegistry.merge`.  Serial and pooled
+   execution of the same work merge to identical snapshots (over the
+   invariant namespaces, see :func:`invariant_view`).
 3. **Fixed memory.**  Histograms are bounded: a fixed bucket ladder is
    chosen at creation and observations only bump integer bucket counts,
    so a billion observations cost the same bytes as ten.
@@ -82,7 +82,7 @@ class Gauge:
 
 
 #: Default histogram ladder: geometric decades with a 1-2-5 pattern,
-#: wide enough for µs durations and batch widths alike.
+#: wide enough for µs durations and small counts alike.
 DEFAULT_BOUNDS: Tuple[float, ...] = (
     1.0, 2.0, 5.0,
     10.0, 20.0, 50.0,
@@ -157,19 +157,19 @@ _NULL_HISTOGRAM = _NullHistogram((1.0,))
 
 
 #: Namespaces whose values are a pure function of the simulated work —
-#: identical whether the work ran serially, pooled or batched.  The
-#: complement (``exec.*``, ``batch.*``, ``campaign.*`` and any future
-#: machinery namespace) describes *how* the work was executed and
-#: legitimately differs between paths.
+#: identical whether the work ran serially or pooled.  The complement
+#: (``exec.*``, ``campaign.*`` and any future machinery namespace)
+#: describes *how* the work was executed and legitimately differs
+#: between paths.
 INVARIANT_PREFIXES: Tuple[str, ...] = ("sim.", "power.", "test.", "cache.")
 
 
 def invariant_view(snapshot: Mapping[str, object]) -> Dict[str, object]:
     """Project a snapshot onto the execution-path-invariant namespaces.
 
-    The serial == pooled == batched identity contract is asserted on
-    this view: machinery metrics (retries, queue depths, lane widths)
-    are execution-schedule facts, not simulation facts.
+    The serial == pooled identity contract is asserted on this view:
+    machinery metrics (retries, queue depths) are execution-schedule
+    facts, not simulation facts.
     """
 
     def keep(section: Mapping[str, object]) -> Dict[str, object]:

@@ -543,10 +543,6 @@ def test_run_many_parallel_failure_attributed():
         ({"jobs": True}, TypeError, "jobs must be an int"),
         ({"jobs": 2.5}, TypeError, "jobs must be an int"),
         ({"jobs": "4"}, TypeError, "jobs must be an int"),
-        ({"batch_size": 0}, ValueError, "batch_size must be >= 1"),
-        ({"batch_size": -3}, ValueError, "batch_size must be >= 1"),
-        ({"batch_size": False}, TypeError, "batch_size must be an int"),
-        ({"batch_size": 1.0}, TypeError, "batch_size must be an int"),
     ],
 )
 def test_run_many_rejects_nonsense_knobs(kwargs, exc, fragment):
@@ -604,18 +600,3 @@ def test_cli_jobs_rejects_non_integer(capsys):
         main(["experiment", "E2", "--jobs", "two"])
     assert excinfo.value.code == 2
     assert "jobs must be an integer" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("raw", ["0", "-2"])
-def test_cli_batch_size_rejects_nonpositive(raw, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["sweep", "tdp_w", "40,60", "--batch-size", raw])
-    assert excinfo.value.code == 2
-    assert "batch size must be >= 1" in capsys.readouterr().err
-
-
-def test_cli_batch_size_rejects_non_integer(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["sweep", "tdp_w", "40,60", "--batch-size", "big"])
-    assert excinfo.value.code == 2
-    assert "batch size must be an integer" in capsys.readouterr().err

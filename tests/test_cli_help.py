@@ -100,7 +100,7 @@ def test_every_option_help_is_lowercase_prose():
             )
 
 
-@pytest.mark.parametrize("flag", ["--jobs", "--batch-size", "--cache-dir"])
+@pytest.mark.parametrize("flag", ["--jobs", "--cache-dir"])
 def test_shared_flags_use_one_metavar_everywhere(flag):
     """The same flag never shows different metavars across subcommands."""
     metavars = set()

@@ -9,7 +9,6 @@ engine and are never regenerated casually, so these tests compare
 today's engine against history, across every execution path:
 
 * scalar ``run_system`` (all degenerate spellings),
-* the lockstep batch engine,
 * a pooled ``run_many(jobs=2)`` sweep,
 * a cold+warm ``RunCache`` round trip,
 * a served sweep through :class:`repro.serve.ServeEngine`.
@@ -28,11 +27,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.batch import result_digest, run_batch
 from repro.cache import RunCache
 from repro.core.system import run_system
 from repro.experiments.parallel import run_many
 from repro.obs.journal import Journal
+from repro.obs.provenance import result_digest
 from repro.serve import ServeEngine, SweepRequest
 from repro.verify import replay_journal, verify_config
 
@@ -71,7 +70,7 @@ def test_scalar_degenerate_spellings_match_frozen_goldens(name):
 
 
 # ----------------------------------------------------------------------
-# Batch, pooled, cached and served paths (hetero-spelled degenerate)
+# Pooled, cached and served paths (hetero-spelled degenerate)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def degenerate_base():
@@ -83,25 +82,19 @@ def degenerate_base():
     )
 
 
-def test_batch_lanes_match_frozen_goldens(degenerate_base):
-    results = run_batch(degenerate_base, smoke.BATCH_SEEDS)
-    for seed, result in zip(smoke.BATCH_SEEDS, results):
-        assert result_digest(result) == _golden("g44_base", seed)
-
-
 def test_pooled_run_many_matches_frozen_goldens(degenerate_base):
-    sweep = [replace(degenerate_base, seed=s) for s in smoke.BATCH_SEEDS]
-    for seed, result in zip(smoke.BATCH_SEEDS, run_many(sweep, jobs=2)):
+    sweep = [replace(degenerate_base, seed=s) for s in smoke.SWEEP_SEEDS]
+    for seed, result in zip(smoke.SWEEP_SEEDS, run_many(sweep, jobs=2)):
         assert result_digest(result) == _golden("g44_base", seed)
 
 
 def test_warm_cache_matches_frozen_goldens(degenerate_base, tmp_path):
-    sweep = [replace(degenerate_base, seed=s) for s in smoke.BATCH_SEEDS]
+    sweep = [replace(degenerate_base, seed=s) for s in smoke.SWEEP_SEEDS]
     cache = RunCache(cache_dir=str(tmp_path / "cache"))
     run_many(sweep, None, cache=cache)
     warm = run_many(sweep, None, cache=cache)
     assert cache.stats.hits >= len(sweep)
-    for seed, result in zip(smoke.BATCH_SEEDS, warm):
+    for seed, result in zip(smoke.SWEEP_SEEDS, warm):
         assert result_digest(result) == _golden("g44_base", seed)
 
 
@@ -117,7 +110,7 @@ def test_served_sweep_matches_frozen_goldens():
         try:
             request = SweepRequest.parse(
                 {
-                    "points": [{"seed": s} for s in smoke.BATCH_SEEDS],
+                    "points": [{"seed": s} for s in smoke.SWEEP_SEEDS],
                     "base": base,
                 }
             )
@@ -128,7 +121,7 @@ def test_served_sweep_matches_frozen_goldens():
             await engine.stop()
 
     payloads = asyncio.run(body())
-    for seed, payload in zip(smoke.BATCH_SEEDS, payloads):
+    for seed, payload in zip(smoke.SWEEP_SEEDS, payloads):
         assert payload.result_digest == _golden("g44_base", seed)
 
 

@@ -12,7 +12,10 @@ test at the bottom fails when those pages lag the code.
 
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,7 +24,6 @@ import repro
 PACKAGES = [
     "repro",
     "repro.aging",
-    "repro.batch",
     "repro.cache",
     "repro.campaign",
     "repro.core",
@@ -88,6 +90,48 @@ def test_cli_module_importable():
 
     parser = build_parser()
     assert parser.prog == "repro"
+
+
+#: Everything a run, sweep, campaign, cache hit or served point imports.
+#: Importing numpy costs each interpreter about 0.1 s and 13 MB, so none
+#: of these may load it; ``repro.dse`` (the surrogate fit) is its only user.
+NUMPY_FREE_MODULES = [
+    "repro",
+    "repro.experiments",
+    "repro.campaign",
+    "repro.cache",
+    "repro.serve.server",
+    "repro.serve.client",
+    "repro.cli",
+    "repro.verify",
+]
+
+
+def test_run_path_does_not_import_numpy():
+    code = (
+        "import importlib, json, sys\n"
+        "loaded = {}\n"
+        f"for name in {NUMPY_FREE_MODULES!r}:\n"
+        "    importlib.import_module(name)\n"
+        "    loaded[name] = 'numpy' in sys.modules\n"
+        "print(json.dumps(loaded))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = json.loads(proc.stdout)
+    assert list(loaded) == NUMPY_FREE_MODULES
+    offenders = [name for name, numpy_seen in loaded.items() if numpy_seen]
+    assert offenders == [], f"numpy loaded by importing {offenders[0]}"
 
 
 # ----------------------------------------------------------------------

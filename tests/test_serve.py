@@ -27,10 +27,10 @@ import threading
 
 import pytest
 
-from repro.batch import result_digest
 from repro.cache import RunCache
 from repro.core.system import SystemConfig
 from repro.experiments.parallel import run_many
+from repro.obs.provenance import result_digest
 from repro.serve import (
     CampaignManager,
     QuotaError,
@@ -315,8 +315,6 @@ class TestEngine:
         with pytest.raises(ValueError):
             ServeEngine(jobs=True)
         with pytest.raises(ValueError):
-            ServeEngine(batch_size=0)
-        with pytest.raises(ValueError):
             ServeEngine(max_queue=0)
         with pytest.raises(ValueError):
             ServeEngine(tenant_quota=0)
@@ -351,11 +349,6 @@ class TestServedEqualsDirect:
 
     def test_threaded_engine_matches_run_many(self):
         assert self._served_digests() == self._direct_digests()
-
-    def test_batched_engine_matches_run_many(self):
-        assert (
-            self._served_digests(batch_size=3) == self._direct_digests()
-        )
 
     def test_cached_engine_matches_run_many(self, tmp_path):
         cache = RunCache(cache_dir=str(tmp_path / "cache"))

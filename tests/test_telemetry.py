@@ -3,7 +3,7 @@
 The contract pinned here is the null-sink/digest-identity guarantee:
 telemetry is write-only, so enabling it never changes what a run, a
 sweep or a campaign computes — and merged snapshots are deterministic,
-so serial, pooled and batched execution of the same work agree on every
+so serial and pooled execution of the same work agree on every
 invariant (``sim.*``/``power.*``/``test.*``/``cache.*``) counter.
 """
 
@@ -16,12 +16,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.batch import result_digest
 from repro.campaign import CampaignInterrupted, CampaignSpec, run_campaign
 from repro.cli import main
 from repro.core.system import SystemConfig, run_system
 from repro.experiments.parallel import run_many
 from repro.obs import Journal, configure
+from repro.obs.provenance import result_digest
 from repro.telemetry import (
     MetricsRegistry,
     NULL_TELEMETRY,
@@ -316,7 +316,7 @@ def test_run_system_picks_up_process_registry():
 
 
 # ----------------------------------------------------------------------
-# Sweeps: serial == pooled == batched
+# Sweeps: serial == pooled
 # ----------------------------------------------------------------------
 def _sweep_configs():
     base = small_config(max_concurrent_tests=1)
@@ -336,56 +336,13 @@ def _sweep_snapshot(**kwargs):
 def test_sweep_paths_merge_to_identical_invariants():
     serial_rows, serial_snap = _sweep_snapshot()
     pooled_rows, pooled_snap = _sweep_snapshot(jobs=2)
-    batched_rows, batched_snap = _sweep_snapshot(batch_size=2)
     baseline = [result_digest(r) for r in run_many(_sweep_configs())]
-    assert serial_rows == pooled_rows == batched_rows == baseline
+    assert serial_rows == pooled_rows == baseline
     serial_view = invariant_view(serial_snap)
     assert serial_view == invariant_view(pooled_snap)
-    assert serial_view == invariant_view(batched_snap)
     assert serial_view["counters"]["sim.runs"] == 4
     # Pooled-path gauge merges drop ``last``; the extrema survive.
     assert serial_snap["gauges"]["power.measured_w"]["last"] is None
-
-
-def test_batched_sweep_counts_batch_lanes():
-    _rows, snap = _sweep_snapshot(batch_size=2)
-    assert snap["counters"]["batch.dispatches"] == 2
-    assert snap["counters"]["batch.lanes"] == 4
-
-
-# ----------------------------------------------------------------------
-# Journal forces the scalar oracle; telemetry does not (satellite)
-# ----------------------------------------------------------------------
-def _event_type_counts(events):
-    counts = {}
-    for event in events:
-        counts[event.type] = counts.get(event.type, 0) + 1
-    return counts
-
-
-def test_batched_run_many_with_journal_falls_back_to_scalar():
-    configs = _sweep_configs()
-    # Per-run scalar references, each under its own journal.
-    reference_counts = {}
-    reference_digests = []
-    for config in configs:
-        journal = Journal()
-        reference_digests.append(
-            result_digest(run_system(config, journal=journal))
-        )
-        for etype, n in _event_type_counts(journal.events).items():
-            reference_counts[etype] = reference_counts.get(etype, 0) + n
-    assert reference_counts, "scalar references produced no events"
-    # Batched sweep under a process-wide journal: must fall back to the
-    # scalar engine AND emit the union of the per-run event streams.
-    journal = Journal()
-    configure(journal)
-    try:
-        results = run_many(configs, batch_size=2)
-    finally:
-        configure()
-    assert [result_digest(r) for r in results] == reference_digests
-    assert _event_type_counts(journal.events) == reference_counts
 
 
 # ----------------------------------------------------------------------
@@ -433,9 +390,7 @@ def test_campaign_paths_merge_to_identical_invariants(tmp_path):
 
     serial = snapshot_for("serial")
     pooled = snapshot_for("pooled", jobs=2)
-    batched = snapshot_for("batched", batch=2)
     assert invariant_view(serial) == invariant_view(pooled)
-    assert invariant_view(serial) == invariant_view(batched)
 
 
 def test_degraded_status_for_pre_telemetry_dir(tmp_path):
