@@ -16,6 +16,11 @@ today's engine against history, across every execution path:
 A genuinely heterogeneous grid must *move* the digest (negative
 control), and the journal stays byte-compatible: hetero platform keys
 appear only for heterogeneous chips.
+
+The outputs the degenerate contract does not reach — E11's three
+configs, ``g44_base`` under ``ntv``, and the E11 / E3 ``rows_digest``\\ s —
+are pinned against ``tests/goldens/nondegenerate_goldens.json``, frozen
+from the engine before the technology layer became one module.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ def _load_script(name):
 
 smoke = _load_script("hetero_smoke")
 GOLDENS = smoke.load_goldens()
+NONDEGENERATE = smoke.load_nondegenerate_goldens()
 
 
 def _golden(name, seed):
@@ -67,6 +73,22 @@ def test_scalar_degenerate_spellings_match_frozen_goldens(name):
             f"type_grid={variant.type_grid!r} tech_model="
             f"{variant.tech_model!r} moved the {name} digest"
         )
+
+
+# ----------------------------------------------------------------------
+# Scalar path: heterogeneous and ntv outputs
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", sorted(smoke.nondegenerate_configs()))
+def test_nondegenerate_configs_match_frozen_goldens(name):
+    config = smoke.nondegenerate_configs()[name]
+    want = NONDEGENERATE["result_digest"][f"{name}@{config.seed}"]
+    assert result_digest(run_system(config)) == want
+
+
+@pytest.mark.parametrize("experiment_id", sorted(smoke.ROWS_CELLS))
+def test_experiment_rows_match_frozen_goldens(experiment_id):
+    want = NONDEGENERATE["rows_digest"][experiment_id]
+    assert smoke.experiment_rows_digest(experiment_id) == want
 
 
 # ----------------------------------------------------------------------
