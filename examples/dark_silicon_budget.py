@@ -12,20 +12,22 @@ Run:  python examples/dark_silicon_budget.py
 
 from dataclasses import replace
 
-from repro import SystemConfig, get_node, node_names, run_system
+from repro import Chip, SystemConfig, node_names, run_system
 from repro.metrics import format_table
 
 
-def static_picture(n_cores: int, tdp_w: float) -> None:
+def static_picture(width: int, height: int, tdp_w: float) -> None:
+    n_cores = width * height
     rows = []
     for name in node_names():
-        node = get_node(name)
-        lit = node.lit_fraction(n_cores, tdp_w)
+        chip = Chip.build(width, height, name, tdp_w)
+        peak = chip.tech_model.peak_core_power(chip.node, chip.core_types[0])
+        lit = chip.lit_fraction()
         rows.append(
             [
                 name,
-                node.peak_core_power(),
-                n_cores * node.peak_core_power(),
+                peak,
+                n_cores * peak,
                 lit * 100.0,
                 (1.0 - lit) * 100.0,
                 int(lit * n_cores),
@@ -73,7 +75,7 @@ def dynamic_picture() -> None:
 
 
 def main() -> None:
-    static_picture(n_cores=64, tdp_w=80.0)
+    static_picture(width=8, height=8, tdp_w=80.0)
     print()
     dynamic_picture()
 

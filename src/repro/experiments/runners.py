@@ -22,7 +22,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.system import SimulationResult, SystemConfig
 from repro.experiments.parallel import run_many
 from repro.experiments.result import ExperimentResult
-from repro.platform.technology import get_node, node_names
+from repro.platform.chip import Chip
+from repro.platform.technology import node_names
 
 #: Baseline workload used by most experiments (16 nm, saturating load).
 DEFAULT_CONFIG = SystemConfig(
@@ -159,8 +160,8 @@ def run_e3_tech_nodes(
         configs.append(replace(base, node_name=name, test_policy="power-aware"))
     runs = run_many(configs, jobs)
     for i, name in enumerate(names):
-        node = get_node(name)
-        lit = node.lit_fraction(base.width * base.height, base.tdp_w)
+        chip = Chip.build(base.width, base.height, name, base.tdp_w)
+        lit = chip.lit_fraction()
         off = runs[2 * i]
         on = runs[2 * i + 1]
         penalty = _penalty_pct(

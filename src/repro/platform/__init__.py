@@ -11,29 +11,22 @@ from repro.platform.coretypes import (
     register_core_type,
 )
 from repro.platform.dvfs import VFLevel, VFTable, build_vf_table
-from repro.platform.techmodel import (
-    DEFAULT_TECH_MODEL,
-    TECHNOLOGY_MODELS,
-    CMOSModel,
-    NearThresholdModel,
-    TechnologyModel,
-    get_tech_model,
-    register_tech_model,
-    tech_model_names,
-)
 from repro.platform.thermal import ThermalModel, ThermalParameters, thermal_safe_power
 from repro.platform.variation import VariationModel, VariationParameters
 from repro.platform.technology import (
     DEFAULT_TDP_W,
+    DEFAULT_TECH_MODEL,
+    TECHNOLOGY_MODELS,
     TECHNOLOGY_NODES,
+    TechnologyModel,
     TechnologyNode,
     get_node,
+    get_tech_model,
     node_names,
 )
 
 __all__ = [
     "BusyWindow",
-    "CMOSModel",
     "CORE_TYPES",
     "Chip",
     "Core",
@@ -42,7 +35,6 @@ __all__ = [
     "DEFAULT_CORE_TYPE",
     "DEFAULT_TDP_W",
     "DEFAULT_TECH_MODEL",
-    "NearThresholdModel",
     "TECHNOLOGY_MODELS",
     "TECHNOLOGY_NODES",
     "TechnologyModel",
@@ -60,7 +52,5 @@ __all__ = [
     "get_tech_model",
     "node_names",
     "register_core_type",
-    "register_tech_model",
-    "tech_model_names",
     "thermal_safe_power",
 ]

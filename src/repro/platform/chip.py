@@ -11,18 +11,19 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from repro.platform.core import Core, CoreState
 from repro.platform.coretypes import DEFAULT_CORE_TYPE, CoreType, get_core_type
 from repro.platform.dvfs import VFTable, build_vf_table
-from repro.platform.techmodel import (
+from repro.platform.technology import (
+    DEFAULT_TDP_W,
     DEFAULT_TECH_MODEL,
     TechnologyModel,
+    TechnologyNode,
+    get_node,
     get_tech_model,
 )
-from repro.platform.technology import DEFAULT_TDP_W, TechnologyNode, get_node
 
 #: Chip-level transition listener: ``cb(core, old_state, new_state)``.
 #: Level/leakage changes are reported with ``old_state is new_state``.
@@ -51,7 +52,7 @@ class Chip:
         vf_table: Optional[VFTable] = None,
         tdp_w: float = DEFAULT_TDP_W,
         type_grid: Optional[Sequence[str]] = None,
-        tech_model: Union[str, TechnologyModel, None] = None,
+        tech_model: str = DEFAULT_TECH_MODEL,
     ) -> None:
         if width < 1 or height < 1:
             raise ValueError(f"invalid mesh {width}x{height}")
@@ -62,13 +63,7 @@ class Chip:
         self.node = node
         self.vf_table = vf_table if vf_table is not None else build_vf_table(node)
         self.tdp_w = tdp_w
-        if tech_model is None:
-            tech_model = DEFAULT_TECH_MODEL
-        self.tech_model: TechnologyModel = (
-            get_tech_model(tech_model)
-            if isinstance(tech_model, str)
-            else tech_model
-        )
+        self.tech_model: TechnologyModel = get_tech_model(tech_model)
         n_cores = width * height
         if type_grid is None or len(type_grid) == 0:
             type_names: List[str] = [DEFAULT_CORE_TYPE] * n_cores
@@ -147,7 +142,7 @@ class Chip:
         tdp_w: float = DEFAULT_TDP_W,
         n_vf_levels: int = 8,
         type_grid: Optional[Sequence[str]] = None,
-        tech_model: Union[str, TechnologyModel, None] = None,
+        tech_model: str = DEFAULT_TECH_MODEL,
     ) -> "Chip":
         """Convenience constructor from a node name."""
         node = get_node(node_name)
@@ -304,8 +299,9 @@ class Chip:
         """Dark-silicon lit fraction of this chip under its own TDP.
 
         Derived from the technology model over the chip's type mix; on a
-        homogeneous-``std`` chip under the baseline model this equals
-        :meth:`TechnologyNode.lit_fraction` bit for bit.
+        homogeneous-``std`` chip of ``n`` cores under the baseline model
+        this is ``min(1, tdp_w / (n * peak))`` with the node's peak core
+        power.
         """
         return self.tech_model.lit_fraction(
             self.node, self.type_counts(), self.tdp_w

@@ -90,22 +90,6 @@ class VFTable:
         return candidate
 
 
-def level_dynamic_power(
-    node: TechnologyNode, level: VFLevel, activity: float = 1.0
-) -> float:
-    """Memoized dynamic power of one core at ``level`` (bit-identical)."""
-    from repro.platform.technology import cached_dynamic_power
-
-    return cached_dynamic_power(node, level.vdd, level.f_mhz, activity)
-
-
-def level_leakage_power(node: TechnologyNode, level: VFLevel) -> float:
-    """Memoized nominal-leakage power of one core at ``level``."""
-    from repro.platform.technology import cached_leakage_power
-
-    return cached_leakage_power(node, level.vdd)
-
-
 def build_vf_table(node: TechnologyNode, n_levels: int = 8) -> VFTable:
     """Build a DVFS ladder for ``node`` with ``n_levels`` points.
 

@@ -1,4 +1,4 @@
-"""Technology-node models and the dark-silicon budget arithmetic.
+"""Technology nodes and models, and the dark-silicon budget arithmetic.
 
 The DATE'15 paper frames online testing as a consumer of the *power slack*
 left under a fixed chip-level power budget (TDP).  With every technology
@@ -21,13 +21,26 @@ Dynamic power of a core running at voltage ``V`` and frequency ``f`` is
 exp(leak_beta · (V − Vnom))``.  Absolute Watts are calibrated, not measured
 (see DESIGN.md, substitutions table): what matters is that the budget-to-
 demand ratio reproduces the published dark-silicon fractions per node.
+
+A :class:`TechnologyModel` turns a node's formulas into per-core power
+for one :class:`~repro.platform.coretypes.CoreType`, and derives the
+lit and dark fractions of a type mix under a TDP.  Models are plain
+parameter objects picked by name from :data:`TECHNOLOGY_MODELS`:
+``cmos`` (the node's formulas times the type scales) and ``ntv``
+(near-threshold: guard-banded timing, back-biased leakage).
+
+Nothing here is memoized.  An evaluation is a few multiplies and one
+``exp``; the power meter keeps its own per-chip leakage table (see
+:mod:`repro.power.meter`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Mapping
+
+from repro.platform.coretypes import CoreType
 
 
 @dataclass(frozen=True)
@@ -81,74 +94,101 @@ class TechnologyNode:
             self.leak_beta * (vdd - self.vdd_nominal)
         )
 
-    def peak_core_power(self) -> float:
-        """Power (W) of one core at nominal voltage and frequency, active."""
+
+@dataclass(frozen=True)
+class TechnologyModel:
+    """Maps (node, core type, V/F) to per-core power.
+
+    Every evaluation takes a :class:`~repro.platform.coretypes.CoreType`,
+    so IO / O3 / accelerator tiles on one die draw different power at the
+    same V/F point and the chip's dark-silicon ratio becomes a *derived*
+    quantity of the type mix (see :meth:`lit_fraction`).  Two parameters
+    select the model family:
+
+    * ``timing_guard`` — constant relative dynamic-power overhead (the
+      wider timing margins near-threshold operation needs);
+    * ``leak_gain`` — an extra ``exp(leak_gain * (vdd - vdd_nominal))``
+      leakage factor, == 1 at nominal (aggressive body biasing steepens
+      the roll-off below nominal supply).
+
+    With both at 0.0 — the ``cmos`` baseline — every result is the
+    node's formula times the type scale, and with the ``std`` type the
+    node's formula itself, bit for bit: ``x * 1.0 == x`` and
+    ``exp(±0.0) == 1.0``.
+    """
+
+    name: str
+    timing_guard: float = 0.0
+    leak_gain: float = 0.0
+
+    def dynamic_power(
+        self,
+        node: TechnologyNode,
+        ctype: CoreType,
+        vdd: float,
+        f_mhz: float,
+        activity: float = 1.0,
+    ) -> float:
+        """Dynamic power (W) of one ``ctype`` core at ``vdd``/``f_mhz``."""
         return (
-            self.dynamic_power(self.vdd_nominal, self.f_nominal_mhz)
-            + self.leakage_power(self.vdd_nominal)
+            node.dynamic_power(vdd, f_mhz, activity)
+            * ctype.dyn_scale
+            * (1.0 + self.timing_guard)
         )
 
+    def leakage_power(
+        self, node: TechnologyNode, ctype: CoreType, vdd: float
+    ) -> float:
+        """Leakage power (W) of one powered ``ctype`` core at ``vdd``."""
+        return (
+            node.leakage_power(vdd)
+            * ctype.leak_scale
+            * math.exp(self.leak_gain * (vdd - node.vdd_nominal))
+        )
+
+    def peak_core_power(self, node: TechnologyNode, ctype: CoreType) -> float:
+        """Power (W) of one ``ctype`` core at nominal V/F, fully active."""
+        return self.dynamic_power(
+            node, ctype, node.vdd_nominal, node.f_nominal_mhz
+        ) + self.leakage_power(node, ctype, node.vdd_nominal)
+
     # ------------------------------------------------------------------
-    # Dark-silicon arithmetic
+    # Dark-silicon arithmetic over a type mix
     # ------------------------------------------------------------------
-    def lit_fraction(self, n_cores: int, tdp_w: float) -> float:
-        """Fraction of cores that can run at peak within ``tdp_w`` (clipped)."""
+    def lit_fraction(
+        self,
+        node: TechnologyNode,
+        type_counts: Mapping[CoreType, int],
+        tdp_w: float,
+    ) -> float:
+        """Fraction of the chip runnable at peak within ``tdp_w`` (clipped).
+
+        ``type_counts`` maps each :class:`CoreType` present to its tile
+        count, in a stable iteration order (the chip uses first-occurrence
+        order).  A single ``std`` entry of ``n`` tiles under ``cmos`` gives
+        ``min(1, tdp_w / (n * peak))`` with the node's peak core power.
+        """
+        demand = 0.0
+        n_cores = 0
+        for ctype, count in type_counts.items():
+            if count <= 0:
+                raise ValueError(
+                    f"type count for {ctype.name!r} must be positive"
+                )
+            demand += count * self.peak_core_power(node, ctype)
+            n_cores += count
         if n_cores <= 0:
-            raise ValueError("n_cores must be positive")
-        demand = n_cores * self.peak_core_power()
+            raise ValueError("type_counts must cover at least one core")
         return min(1.0, tdp_w / demand)
 
-    def dark_fraction(self, n_cores: int, tdp_w: float) -> float:
+    def dark_fraction(
+        self,
+        node: TechnologyNode,
+        type_counts: Mapping[CoreType, int],
+        tdp_w: float,
+    ) -> float:
         """Complement of :meth:`lit_fraction`."""
-        return 1.0 - self.lit_fraction(n_cores, tdp_w)
-
-
-# ----------------------------------------------------------------------
-# Memoized power evaluation (the simulation fast path)
-# ----------------------------------------------------------------------
-# A run evaluates the analytic power model millions of times but only ever
-# at a handful of distinct (node, V/F level, activity) points: the DVFS
-# ladder has ~8 levels and activities come from a small set of workload /
-# SBST profiles.  Caching the *exact* method results keeps every consumer
-# bit-identical to the analytic model while skipping the transcendental
-# math.  The memo dict hangs off each node instance (``object.__setattr__``
-# sidesteps the frozen dataclass) and is keyed by the remaining float
-# arguments, so lookups hash small tuples in C instead of running the
-# dataclass-generated ``TechnologyNode.__hash__`` per call the way an
-# ``lru_cache`` over all arguments would.
-
-
-def cached_dynamic_power(
-    node: TechnologyNode, vdd: float, f_mhz: float, activity: float = 1.0
-) -> float:
-    """Memoized :meth:`TechnologyNode.dynamic_power` (bit-identical)."""
-    try:
-        cache = node._dyn_cache
-    except AttributeError:
-        cache = {}
-        object.__setattr__(node, "_dyn_cache", cache)
-    key = (vdd, f_mhz, activity)
-    try:
-        return cache[key]
-    except KeyError:
-        value = node.dynamic_power(vdd, f_mhz, activity)
-        cache[key] = value
-        return value
-
-
-def cached_leakage_power(node: TechnologyNode, vdd: float) -> float:
-    """Memoized :meth:`TechnologyNode.leakage_power` (bit-identical)."""
-    try:
-        cache = node._leak_cache
-    except AttributeError:
-        cache = {}
-        object.__setattr__(node, "_leak_cache", cache)
-    try:
-        return cache[vdd]
-    except KeyError:
-        value = node.leakage_power(vdd)
-        cache[vdd] = value
-        return value
+        return 1.0 - self.lit_fraction(node, type_counts, tdp_w)
 
 
 #: Calibrated node table.  With the default 80 W TDP on an 8x8 chip the lit
@@ -190,3 +230,26 @@ def get_node(name: str) -> TechnologyNode:
 def node_names() -> List[str]:
     """Node names ordered from oldest (largest feature) to newest."""
     return sorted(TECHNOLOGY_NODES, key=lambda n: -TECHNOLOGY_NODES[n].feature_nm)
+
+
+#: Model registry.  ``cmos`` is the degenerate baseline every
+#: pre-heterogeneity config implicitly used; ``ntv`` is its
+#: near-threshold variant.
+TECHNOLOGY_MODELS: Dict[str, TechnologyModel] = {
+    "cmos": TechnologyModel("cmos"),
+    "ntv": TechnologyModel("ntv", timing_guard=0.08, leak_gain=1.5),
+}
+
+#: Name of the baseline model.
+DEFAULT_TECH_MODEL = "cmos"
+
+
+def get_tech_model(name: str) -> TechnologyModel:
+    """Look up a technology model by name (e.g. ``"cmos"``)."""
+    try:
+        return TECHNOLOGY_MODELS[name]
+    except KeyError:
+        known = ", ".join(sorted(TECHNOLOGY_MODELS))
+        raise KeyError(
+            f"unknown technology model {name!r}; known: {known}"
+        ) from None

@@ -28,7 +28,6 @@ from repro.obs.journal import NULL_JOURNAL
 from repro.platform.chip import Chip
 from repro.platform.core import Core
 from repro.platform.dvfs import VFLevel
-from repro.platform.techmodel import cached_model_dynamic, cached_model_leakage
 from repro.power.budget import PowerBudget
 from repro.power.meter import PowerMeter
 from repro.power.pid import PIDController, PIDGains
@@ -223,7 +222,7 @@ class PIDPowerManager(PowerManager):
         self.controller = PIDController(budget.guarded_cap, gains)
         self.utilization_window_us = utilization_window_us
         # ``start_level_for`` may bisect the ladder instead of scanning it
-        # iff busy power is nondecreasing level to level *in the cached
+        # iff busy power is nondecreasing level to level *in the model's
         # floats*.  Checking at activity 1.0 suffices: multiplying a sorted
         # pair by the same non-negative activity (or leak factor) and
         # adding componentwise sorted terms preserves order under IEEE
@@ -235,11 +234,11 @@ class PIDPowerManager(PowerManager):
         self._ladder_sorted = True
         for ctype in chip.core_types:
             dyn = [
-                cached_model_dynamic(model, node, ctype, lvl.vdd, lvl.f_mhz, 1.0)
+                model.dynamic_power(node, ctype, lvl.vdd, lvl.f_mhz, 1.0)
                 for lvl in chip.vf_table
             ]
             leak = [
-                cached_model_leakage(model, node, ctype, lvl.vdd)
+                model.leakage_power(node, ctype, lvl.vdd)
                 for lvl in chip.vf_table
             ]
             if not all(
@@ -289,10 +288,10 @@ class PIDPowerManager(PowerManager):
         def fits(index: int) -> bool:
             level = table[index]
             busy = (
-                cached_model_dynamic(
-                    model, node, ctype, level.vdd, level.f_mhz, activity
+                model.dynamic_power(
+                    node, ctype, level.vdd, level.f_mhz, activity
                 )
-                + cached_model_leakage(model, node, ctype, level.vdd) * lf
+                + model.leakage_power(node, ctype, level.vdd) * lf
             )
             return busy - base <= headroom
 

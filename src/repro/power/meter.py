@@ -14,13 +14,14 @@ retired (faulty) cores are fully dark.
 
 **Fast path.** The meter subscribes to the chip's core-transition feed
 and keeps a per-core cache of each core's dynamic and leakage
-contribution (evaluated through the memoized technology model), plus
-running per-channel sums that are refreshed lazily when some core changed
-since the last query.  ``breakdown()``/``chip_power()``/``headroom()``
-are therefore O(1) between transitions instead of an O(width·height)
-rescan per query.  The refresh accumulates the cached per-core values in
-ascending core-id order — exactly the order the original full scan used —
-so the fast path is **bit-identical** to the scan, not an approximation.
+contribution (dynamic straight from the technology model, leakage from a
+per-chip table of the model's values), plus running per-channel sums
+that are refreshed lazily when some core changed since the last query.
+``breakdown()``/``chip_power()``/``headroom()`` are therefore O(1)
+between transitions instead of an O(width·height) rescan per query.
+The refresh accumulates the cached per-core values in ascending core-id
+order — exactly the order the original full scan used — so the fast
+path is **bit-identical** to the scan, not an approximation.
 The original scan survives as :meth:`scan_breakdown` and can be run as a
 periodic audit against the incremental sums via ``verify_every_n``.
 """
@@ -33,12 +34,6 @@ from typing import Dict, List, Optional
 from repro.platform.chip import Chip
 from repro.platform.core import Core, CoreState
 from repro.platform.dvfs import VFLevel
-from repro.platform.techmodel import (
-    cached_model_dynamic,
-    cached_model_leakage,
-    dyn_cache_for,
-    leak_cache_for,
-)
 
 
 @dataclass(frozen=True)
@@ -110,23 +105,17 @@ class PowerMeter:
         # activity) cost one refresh instead of three.
         self._dirty_cores: set = set()
         self._queries = 0
-        # Direct references to the per-(model, type) memo dicts (see
-        # repro.platform.techmodel): _refresh_core runs on every core
-        # transition, so its cache hits must not pay a function call.
-        # Indexed by ``Core.type_index`` — one dict pair per catalog type.
-        node = chip.node
-        model = chip.tech_model
-        self._model = model
-        max_level = self.chip.vf_table.max_level
-        self._dyn_caches: List[Dict[tuple, float]] = []
-        self._leak_caches: List[Dict[float, float]] = []
-        for ctype in chip.core_types:
-            cached_model_dynamic(
-                model, node, ctype, max_level.vdd, max_level.f_mhz
-            )
-            cached_model_leakage(model, node, ctype, max_level.vdd)
-            self._dyn_caches.append(dyn_cache_for(node, model, ctype))
-            self._leak_caches.append(leak_cache_for(node, model, ctype))
+        self._model = chip.tech_model
+        # Leakage depends on the supply voltage only, so a core's base
+        # leakage is one of len(vf_table) values per catalog type: one
+        # fixed table, indexed [core.type_index][level.index].
+        self._leak_table: List[List[float]] = [
+            [
+                self._model.leakage_power(chip.node, ctype, level.vdd)
+                for level in chip.vf_table
+            ]
+            for ctype in chip.core_types
+        ]
         for core in chip:
             self._refresh_core(core)
         chip.add_transition_listener(self._on_core_transition)
@@ -149,38 +138,26 @@ class PowerMeter:
         """Re-derive one core's cached channel contributions.
 
         Reads the core's ``_state``/``_level``/``_leak_factor`` slots
-        directly (skipping the observer properties) and hits the node memo
-        dicts inline: this runs on every transition of every core.
+        directly (skipping the observer properties): this runs on every
+        transition of every core.
         """
         cid = core.core_id
         state = core._state
         level = core._level
-        tidx = core.type_index
         if state is CoreState.BUSY or state is CoreState.TESTING:
             activity = self._core_activity.get(cid, self.default_activity)
-            key = (level.vdd, level.f_mhz, activity)
-            dyn = self._dyn_caches[tidx].get(key)
-            if dyn is None:
-                dyn = cached_model_dynamic(
-                    self._model,
-                    self.chip.node,
-                    core.core_type,
-                    level.vdd,
-                    level.f_mhz,
-                    activity,
-                )
-            self._dyn_w[cid] = dyn
+            self._dyn_w[cid] = self._model.dynamic_power(
+                self.chip.node, core.core_type, level.vdd, level.f_mhz, activity
+            )
         else:
             self._dyn_w[cid] = 0.0
         if state is CoreState.FAULTY:
             leak = 0.0
         else:
-            base = self._leak_caches[tidx].get(level.vdd)
-            if base is None:
-                base = cached_model_leakage(
-                    self._model, self.chip.node, core.core_type, level.vdd
-                )
-            leak = base * core._leak_factor
+            leak = (
+                self._leak_table[core.type_index][level.index]
+                * core._leak_factor
+            )
             if state is CoreState.IDLE:
                 leak = leak * self.gated_leak_fraction
         if leak != self._leak_w[cid]:
@@ -278,13 +255,8 @@ class PowerMeter:
         if core.state not in (CoreState.BUSY, CoreState.TESTING):
             return 0.0
         activity = self._core_activity.get(core.core_id, self.default_activity)
-        return cached_model_dynamic(
-            self._model,
-            self.chip.node,
-            core.core_type,
-            level.vdd,
-            level.f_mhz,
-            activity,
+        return self._model.dynamic_power(
+            self.chip.node, core.core_type, level.vdd, level.f_mhz, activity
         )
 
     def core_leakage(self, core: Core, level: Optional[VFLevel] = None) -> float:
@@ -297,12 +269,7 @@ class PowerMeter:
             return self._leak_w[cid]
         if core.state is CoreState.FAULTY:
             return 0.0
-        leak = (
-            cached_model_leakage(
-                self._model, self.chip.node, core.core_type, level.vdd
-            )
-            * core.leak_factor
-        )
+        leak = self._leak_table[core.type_index][level.index] * core.leak_factor
         if core.state is CoreState.IDLE:
             return leak * self.gated_leak_fraction
         return leak
@@ -336,7 +303,7 @@ class PowerMeter:
         """Reference full scan over all cores (the pre-fast-path algorithm).
 
         Kept as the audit path: it re-derives every channel from live core
-        state through the unmemoized analytic model.
+        state straight through the technology model, table-free.
         """
         workload = 0.0
         test = 0.0
@@ -405,14 +372,10 @@ class PowerMeter:
         self, core: Core, level: VFLevel, activity: float
     ) -> float:
         """Power added if the (currently gated) core started work at ``level``."""
-        node = self.chip.node
         busy = (
-            cached_model_dynamic(
-                self._model, node, core.core_type, level.vdd, level.f_mhz, activity
+            self._model.dynamic_power(
+                self.chip.node, core.core_type, level.vdd, level.f_mhz, activity
             )
-            + cached_model_leakage(
-                self._model, node, core.core_type, level.vdd
-            )
-            * core.leak_factor
+            + self._leak_table[core.type_index][level.index] * core.leak_factor
         )
         return busy - self.core_power(core)

@@ -166,7 +166,7 @@ class TestRunner:
             pass
         model = self.chip.tech_model
         node = self.chip.node
-        full = library.session_power_model(model, node, ctype, level)
+        full = library.session_power(model, node, ctype, level)
         gated = (
             model.leakage_power(node, ctype, level.vdd)
             * self.meter.gated_leak_fraction

@@ -25,8 +25,7 @@ from typing import Dict, List, Sequence
 
 from repro.platform.coretypes import CoreType
 from repro.platform.dvfs import VFLevel
-from repro.platform.techmodel import TechnologyModel
-from repro.platform.technology import TechnologyNode
+from repro.platform.technology import TechnologyModel, TechnologyNode
 
 
 @dataclass(frozen=True)
@@ -138,24 +137,16 @@ class SBSTLibrary:
             self._typed[ctype.name] = scaled
             return scaled
 
-    def session_power(self, node: TechnologyNode, level: VFLevel) -> float:
-        """Estimated power (W) of a core running the suite at ``level``."""
-        return (
-            node.dynamic_power(level.vdd, level.f_mhz, self.session_power_factor())
-            + node.leakage_power(level.vdd)
-        )
-
-    def session_power_model(
+    def session_power(
         self,
         model: TechnologyModel,
         node: TechnologyNode,
         ctype: CoreType,
         level: VFLevel,
     ) -> float:
-        """:meth:`session_power` routed through a technology model.
+        """Estimated power (W) of a core running the suite at ``level``.
 
-        Under the baseline model with the ``std`` type this is bit-equal
-        to :meth:`session_power` (every factor multiplies by exactly 1.0).
+        The core is a ``ctype`` tile under the technology ``model``.
         """
         return model.dynamic_power(
             node, ctype, level.vdd, level.f_mhz, self.session_power_factor()

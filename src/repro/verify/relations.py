@@ -306,8 +306,7 @@ def _resolved_type_names(config) -> List[str]:
 def _dark_fraction_of(config) -> float:
     """Analytic dark fraction of a config (placement-free)."""
     from repro.platform.coretypes import get_core_type
-    from repro.platform.techmodel import get_tech_model
-    from repro.platform.technology import get_node
+    from repro.platform.technology import get_node, get_tech_model
 
     model = get_tech_model(config.tech_model)
     node = get_node(config.node_name)

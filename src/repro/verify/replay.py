@@ -5,8 +5,8 @@ enabled carries one ``verify.platform`` event (node, mesh, V/F ladder,
 per-core leakage factors) plus per-epoch ``verify.cores`` /
 ``verify.power`` snapshots.  :func:`replay_journal` re-derives every
 epoch's power breakdown **independently** — straight through the
-unmemoized analytic technology model, knowing nothing of the live
-meter's incremental bookkeeping — and compares against the recorded
+technology model, knowing nothing of the live meter's incremental
+bookkeeping or leakage table — and compares against the recorded
 channels.  Because the recomputation accumulates in the same ascending
 core-id order as the reference full scan, agreement is expected to be
 *bit-exact*, and any drift localises to an epoch and a channel.
@@ -29,9 +29,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.journal import Journal, JournalEvent, events_of
 from repro.platform.core import CoreState
-from repro.platform.coretypes import get_core_type
-from repro.platform.techmodel import get_tech_model
-from repro.platform.technology import get_node
+from repro.platform.coretypes import DEFAULT_CORE_TYPE, get_core_type
+from repro.platform.technology import (
+    DEFAULT_TECH_MODEL,
+    get_node,
+    get_tech_model,
+)
 from repro.verify.invariants import LEGAL_TRANSITIONS
 
 
@@ -81,22 +84,19 @@ def _load_events(source) -> List[JournalEvent]:
 
 def _recompute(
     node,
+    tech_model,
+    core_types: List,
     vf_levels: List[Tuple[float, float]],
     leak_factors: List[float],
     gated_leak_fraction: float,
     default_activity: float,
     cores: List,
-    tech_model=None,
-    core_types: Optional[List] = None,
 ) -> Tuple[float, float, float]:
     """One epoch's (workload, test, leakage) from a ``verify.cores`` payload.
 
-    Accumulates in ascending core-id order through the *unmemoized*
-    analytic model — the reference full scan's float order — so the
-    result is bit-comparable to the live meter.  A heterogeneous journal
-    additionally declares its technology model and per-core types
-    (``tech_model`` / ``core_types``); degenerate journals carry neither
-    and replay through the plain node model, exactly as before.
+    Accumulates in ascending core-id order straight through the
+    technology model — the reference full scan's float order — so the
+    result is bit-comparable to the live meter.
     """
     workload = 0.0
     test = 0.0
@@ -104,17 +104,10 @@ def _recompute(
     for core_id, entry in enumerate(cores):
         code, level_index, activity = entry
         vdd, f_mhz = vf_levels[level_index]
-        ctype = (
-            core_types[core_id]
-            if core_types is not None and tech_model is not None
-            else None
-        )
+        ctype = core_types[core_id]
         if code in ("b", "t"):
             act = activity if activity is not None else default_activity
-            if ctype is not None:
-                dyn = tech_model.dynamic_power(node, ctype, vdd, f_mhz, act)
-            else:
-                dyn = node.dynamic_power(vdd, f_mhz, act)
+            dyn = tech_model.dynamic_power(node, ctype, vdd, f_mhz, act)
             if code == "b":
                 workload += dyn
             else:
@@ -126,11 +119,10 @@ def _recompute(
         if code == "f":
             leak = 0.0
         else:
-            if ctype is not None:
-                base = tech_model.leakage_power(node, ctype, vdd)
-            else:
-                base = node.leakage_power(vdd)
-            leak = base * leak_factors[core_id]
+            leak = (
+                tech_model.leakage_power(node, ctype, vdd)
+                * leak_factors[core_id]
+            )
             if code == "i":
                 leak = leak * gated_leak_fraction
         leakage += leak
@@ -158,6 +150,9 @@ def replay_journal(source, tolerance_w: float = 1e-9) -> ReplayReport:
         for event in events:
             if event.type == "verify.platform":
                 data = event.data
+                n_cores = int(data["width"]) * int(data["height"])
+                # Degenerate journals carry no hetero keys: they replay
+                # through the baseline model over all-std tiles.
                 platform = {
                     "vf_levels": [
                         (float(vdd), float(f_mhz))
@@ -166,18 +161,16 @@ def replay_journal(source, tolerance_w: float = 1e-9) -> ReplayReport:
                     "leak_factors": [float(v) for v in data["leak_factors"]],
                     "gated_leak_fraction": float(data["gated_leak_fraction"]),
                     "default_activity": float(data["default_activity"]),
-                    "n_cores": int(data["width"]) * int(data["height"]),
-                    # Hetero-only keys (absent in degenerate journals).
-                    "tech_model": (
-                        get_tech_model(str(data["tech_model"]))
-                        if "tech_model" in data
-                        else None
+                    "n_cores": n_cores,
+                    "tech_model": get_tech_model(
+                        str(data.get("tech_model", DEFAULT_TECH_MODEL))
                     ),
-                    "core_types": (
-                        [get_core_type(str(n)) for n in data["core_types"]]
-                        if "core_types" in data
-                        else None
-                    ),
+                    "core_types": [
+                        get_core_type(str(name))
+                        for name in data.get(
+                            "core_types", [DEFAULT_CORE_TYPE] * n_cores
+                        )
+                    ],
                 }
                 node = get_node(str(data["node"]))
             elif event.type == "verify.cores":
@@ -206,13 +199,13 @@ def replay_journal(source, tolerance_w: float = 1e-9) -> ReplayReport:
                     )
                 replayed = _recompute(
                     node,
+                    platform["tech_model"],
+                    platform["core_types"],
                     platform["vf_levels"],
                     platform["leak_factors"],
                     platform["gated_leak_fraction"],
                     platform["default_activity"],
                     cores,
-                    tech_model=platform["tech_model"],
-                    core_types=platform["core_types"],
                 )
                 report.ticks_checked += 1
                 for channel, value in zip(_CHANNELS, replayed):

@@ -72,9 +72,10 @@ def test_free_cores_excludes_owned(chip44):
 
 def test_lit_fraction_matches_node(chip44):
     node = get_node("16nm")
-    assert chip44.lit_fraction() == pytest.approx(
-        node.lit_fraction(16, 20.0)
-    )
+    peak = node.dynamic_power(
+        node.vdd_nominal, node.f_nominal_mhz
+    ) + node.leakage_power(node.vdd_nominal)
+    assert chip44.lit_fraction() == pytest.approx(min(1.0, 20.0 / (16 * peak)))
 
 
 def test_build_rejects_bad_mesh():

@@ -42,8 +42,7 @@ from repro.core.system import SystemConfig, run_system
 from repro.experiments.runners import DEFAULT_CONFIG, experiment_configs
 from repro.obs import provenance
 from repro.obs.provenance import config_digest, digest_of, field_dict
-from repro.platform.techmodel import TECHNOLOGY_MODELS
-from repro.platform.technology import TECHNOLOGY_NODES
+from repro.platform.technology import TECHNOLOGY_MODELS, TECHNOLOGY_NODES
 from repro.platform.thermal import ThermalParameters
 from repro.platform.variation import VariationParameters
 

@@ -26,8 +26,12 @@ from repro.core.config_io import config_from_json, config_to_json
 from repro.core.system import SystemConfig
 from repro.obs.provenance import config_digest
 from repro.platform.coretypes import CORE_TYPES, CoreType, get_core_type
-from repro.platform.techmodel import TECHNOLOGY_MODELS, get_tech_model
-from repro.platform.technology import TECHNOLOGY_NODES, get_node
+from repro.platform.technology import (
+    TECHNOLOGY_MODELS,
+    TECHNOLOGY_NODES,
+    get_node,
+    get_tech_model,
+)
 
 TYPE_NAMES = sorted(n for n in ("std", "io", "o3", "accel"))
 MODEL_NAMES = sorted(TECHNOLOGY_MODELS)

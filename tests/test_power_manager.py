@@ -116,7 +116,9 @@ def test_naive_relax_fraction_validation(chip44):
 # ----------------------------------------------------------------------
 def test_worst_case_slot_arithmetic(chip44):
     manager, _, _ = make(chip44, "worst-case", 20.0)
-    peak = chip44.node.peak_core_power()
+    peak = chip44.tech_model.peak_core_power(
+        chip44.node, chip44.core_types[0]
+    )
     expected = int(20.0 / peak)
     assert manager.max_active_cores() == expected
     assert manager.spare_core_slots() == expected

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.platform.coretypes import get_core_type
 from repro.platform.dvfs import build_vf_table
+from repro.platform.technology import get_tech_model
 from repro.testing.sbst import SBSTLibrary, SBSTRoutine, default_library
 
 
@@ -60,10 +62,11 @@ def test_library_session_coverage_combines(library):
 
 
 def test_library_session_power_positive(library, node16, table):
-    assert library.session_power(node16, table.min_level) > 0.0
-    assert library.session_power(node16, table.max_level) > library.session_power(
-        node16, table.min_level
-    )
+    cmos = get_tech_model("cmos")
+    std = get_core_type("std")
+    low = library.session_power(cmos, node16, std, table.min_level)
+    assert low > 0.0
+    assert library.session_power(cmos, node16, std, table.max_level) > low
 
 
 def test_library_rejects_empty_and_duplicates():

@@ -1,15 +1,32 @@
 """Tests for technology-node models and dark-silicon arithmetic."""
 
+from dataclasses import fields, replace
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.system import run_system
+from repro.experiments.runners import experiment_configs
+from repro.platform.chip import Chip
+from repro.platform.coretypes import (
+    CORE_TYPES,
+    CoreType,
+    get_core_type,
+    register_core_type,
+)
 from repro.platform.technology import (
     DEFAULT_TDP_W,
+    TECHNOLOGY_MODELS,
     TECHNOLOGY_NODES,
     TechnologyNode,
     get_node,
+    get_tech_model,
     node_names,
 )
+from repro.power.meter import PowerMeter
+
+CMOS = get_tech_model("cmos")
+STD = get_core_type("std")
 
 
 def test_all_four_nodes_present():
@@ -87,13 +104,14 @@ def test_peak_core_power_is_dyn_plus_leak(node16):
     expected = node16.dynamic_power(
         node16.vdd_nominal, node16.f_nominal_mhz
     ) + node16.leakage_power(node16.vdd_nominal)
-    assert node16.peak_core_power() == pytest.approx(expected)
+    assert CMOS.peak_core_power(node16, STD) == pytest.approx(expected)
 
 
 def test_dark_silicon_fraction_grows_with_scaling():
     """The utilization-wall trend: lit fraction shrinks every generation."""
     lits = [
-        get_node(name).lit_fraction(64, DEFAULT_TDP_W) for name in node_names()
+        CMOS.lit_fraction(get_node(name), {STD: 64}, DEFAULT_TDP_W)
+        for name in node_names()
     ]
     assert lits == sorted(lits, reverse=True)
     assert lits[0] > 0.85      # 45 nm almost fully lit
@@ -101,18 +119,18 @@ def test_dark_silicon_fraction_grows_with_scaling():
 
 
 def test_lit_fraction_clipped_at_one(node45):
-    assert node45.lit_fraction(1, 1000.0) == 1.0
+    assert CMOS.lit_fraction(node45, {STD: 1}, 1000.0) == 1.0
 
 
 def test_dark_fraction_is_complement(node16):
-    assert node16.dark_fraction(64, 80.0) == pytest.approx(
-        1.0 - node16.lit_fraction(64, 80.0)
+    assert CMOS.dark_fraction(node16, {STD: 64}, 80.0) == pytest.approx(
+        1.0 - CMOS.lit_fraction(node16, {STD: 64}, 80.0)
     )
 
 
 def test_lit_fraction_rejects_bad_core_count(node16):
     with pytest.raises(ValueError):
-        node16.lit_fraction(0, 80.0)
+        CMOS.lit_fraction(node16, {STD: 0}, 80.0)
 
 
 def test_invalid_voltage_ordering_rejected():
@@ -145,3 +163,46 @@ def test_power_positive_in_operating_range(vdd, f):
     node = get_node("16nm")
     assert node.dynamic_power(vdd, f) > 0.0
     assert node.leakage_power(vdd) > 0.0
+
+
+# ----------------------------------------------------------------------
+# The shared catalogs are read-only: no power memo hangs off them
+# ----------------------------------------------------------------------
+def test_overwritten_core_type_changes_its_watts():
+    """A chip built after a type is overwritten draws the new type's power."""
+    probe = CoreType("probe", "regression probe")
+
+    def busy_power():
+        chip = Chip.build(2, 2, type_grid=("probe",))
+        meter = PowerMeter(chip)
+        return meter.added_power_if_busy(
+            chip.core(0), chip.vf_table.max_level, 1.0
+        )
+
+    register_core_type(probe)
+    try:
+        before = busy_power()
+        register_core_type(replace(probe, dyn_scale=2.0), overwrite=True)
+        after = busy_power()
+    finally:
+        CORE_TYPES.pop("probe", None)
+    node = get_node("16nm")
+    dyn = node.dynamic_power(node.vdd_nominal, node.f_nominal_mhz)
+    assert after == pytest.approx(before + dyn)
+
+
+def test_run_leaves_shared_catalogs_untouched():
+    config = replace(
+        experiment_configs(horizon_us=4_000.0, seed=11)["E11"],
+        tech_model="ntv",
+    )
+    models = dict(TECHNOLOGY_MODELS)
+    types = dict(CORE_TYPES)
+    run_system(config)
+    node_fields = {f.name for f in fields(TechnologyNode)}
+    for node in TECHNOLOGY_NODES.values():
+        assert set(vars(node)) == node_fields
+    assert TECHNOLOGY_MODELS == models
+    assert all(TECHNOLOGY_MODELS[n] is model for n, model in models.items())
+    assert CORE_TYPES == types
+    assert all(CORE_TYPES[n] is ctype for n, ctype in types.items())
