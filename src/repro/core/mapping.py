@@ -81,7 +81,12 @@ class TestAwareUtilizationMapper(RuntimeMapper):
     ) -> Optional[Dict[int, int]]:
         if app.graph.n_tasks > len(ctx.available):
             return None
-        first = pick_first_node(ctx, app.graph.n_tasks, extra_cost=self.core_cost)
+        # A core's cost walks its busy window, so it is evaluated once per
+        # candidate per decision and both placement stages read the table.
+        now = ctx.now
+        core_cost = self.core_cost
+        costs = {core.core_id: core_cost(now, core) for core in ctx.available}
+        first = pick_first_node(ctx, app.graph.n_tasks, core_costs=costs)
         if first is None:
             return None
-        return assign_tasks_near(app, ctx, first, extra_cost=self.core_cost)
+        return assign_tasks_near(app, ctx, first, core_costs=costs)

@@ -72,23 +72,34 @@ class PowerAwareTestScheduler(TestSchedulerBase):
     # Candidate selection
     # ------------------------------------------------------------------
     def candidates(self, now: float) -> List[Core]:
-        """Due cores (criticality over threshold), most critical first."""
-        due = [
-            core
-            for core in self.chip.idle_cores()
-            if core.owner_app is None
-            and now - core.last_test_end >= self.min_interval_us
-            and self.criticality.is_due(core, now)
-        ]
-        return self.criticality.rank(due, now)
+        """Due cores (criticality over threshold), most critical first.
 
-    def _fitting_level(self, core: Core, now: float, headroom: float) -> Optional[VFLevel]:
-        """Pure downgrade walk: preferred level, lowered until it fits.
+        Each eligible core's criticality is evaluated once and serves as
+        both the due test and the sort key: the order is
+        :meth:`TestCriticality.rank`'s ``(-value, core_id)``.
+        """
+        value = self.criticality.value
+        threshold = self.criticality.params.threshold
+        min_interval = self.min_interval_us
+        keyed = []
+        for core in self.chip.idle_cores():
+            if core.owner_app is None and now - core.last_test_end >= min_interval:
+                crit = value(core, now)
+                if crit >= threshold:
+                    keyed.append((-crit, core.core_id, core))
+        # Core ids are unique, so the sort never compares two cores.
+        keyed.sort()
+        return [core for _, _, core in keyed]
+
+    def _fitting_level(
+        self, core: Core, preferred: VFLevel, headroom: float
+    ) -> Optional[VFLevel]:
+        """Pure downgrade walk: ``preferred``, lowered until it fits.
 
         Mutates nothing — shared by the admitting path (which counts
         downgrades) and the read-only audit path (:meth:`explain`).
         """
-        index = self.pick_level(core, now).index
+        index = preferred.index
         while index >= 0:
             level = self.chip.vf_table[index]
             if self.session_cost(core, level) <= headroom:
@@ -98,8 +109,9 @@ class PowerAwareTestScheduler(TestSchedulerBase):
 
     def affordable_level(self, core: Core, now: float, headroom: float) -> Optional[VFLevel]:
         """Preferred level, downgraded until its session power fits."""
-        level = self._fitting_level(core, now, headroom)
-        if level is not None and level.index != self.pick_level(core, now).index:
+        preferred = self.pick_level(core, now)
+        level = self._fitting_level(core, preferred, headroom)
+        if level is not None and level.index != preferred.index:
             self.downgraded_levels += 1
         return level
 
@@ -229,11 +241,11 @@ class PowerAwareTestScheduler(TestSchedulerBase):
             elif headroom <= 0:
                 entry.update(action="defer", reason="no-headroom")
             else:
-                level = self._fitting_level(core, now, headroom)
+                preferred = self.pick_level(core, now)
+                level = self._fitting_level(core, preferred, headroom)
                 if level is None:
                     entry.update(action="defer", reason="no-level-fits")
                 else:
-                    preferred = self.pick_level(core, now)
                     cost = self.session_cost(core, level)
                     entry.update(
                         action="launch",

@@ -12,22 +12,18 @@ style and the proposed test-aware mapper) is factored here:
 * :func:`assign_tasks_near` — greedy task-to-core assignment that walks the
   task graph in topological order and puts each task on the allocatable
   core minimising communication distance to its already-placed
-  predecessors (with a pluggable tie-breaking cost, which is where the
+  predecessors (with an optional per-core cost table, which is where the
   proposed mapper injects utilization/criticality awareness).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.noc.topology import Mesh
 from repro.platform.chip import Chip
 from repro.platform.core import Core
 from repro.workload.application import ApplicationInstance
-
-#: Extra placement cost for a candidate core, injected by mapper subclasses
-#: (now, core) -> cost in "hop-equivalents".
-CoreCost = Callable[[float, Core], float]
 
 
 class MappingContext:
@@ -89,14 +85,17 @@ def square_region_score(ctx: MappingContext, core: Core, radius: int) -> int:
 
 
 def pick_first_node(
-    ctx: MappingContext, n_tasks: int, extra_cost: Optional[CoreCost] = None
+    ctx: MappingContext,
+    n_tasks: int,
+    core_costs: Optional[Mapping[int, float]] = None,
 ) -> Optional[Core]:
     """SHiC-style first-node selection.
 
     The radius is the smallest square that could hold the application; the
     chosen node maximises available cores in that square (most-contiguous
-    region), with ``extra_cost`` subtracted for policy-aware biasing and
-    core id as the final deterministic tie-break.
+    region), with the candidate's entry in ``core_costs`` (core id -> cost
+    in hop-equivalents, one entry per available core) subtracted for
+    policy-aware biasing and core id as the final deterministic tie-break.
     """
     if not ctx.available:
         return None
@@ -129,8 +128,8 @@ def pick_first_node(
             pref[y1 + 1][x1 + 1] - pref[y0][x1 + 1]
             - pref[y1 + 1][x0] + pref[y0][x0]
         )
-        if extra_cost is not None:
-            score -= extra_cost(ctx.now, core)
+        if core_costs is not None:
+            score -= core_costs[core.core_id]
         key = (-score, core.core_id)
         if best_key is None or key < best_key:
             best_key = key
@@ -142,29 +141,38 @@ def assign_tasks_near(
     app: ApplicationInstance,
     ctx: MappingContext,
     first: Core,
-    extra_cost: Optional[CoreCost] = None,
+    core_costs: Optional[Mapping[int, float]] = None,
 ) -> Optional[Dict[int, int]]:
     """Greedy contiguous assignment around ``first``.
 
     Tasks are placed in topological order; each goes to the free core with
     the lowest cost, where cost is the summed Manhattan distance to already
     placed predecessors (communication locality), the distance to the first
-    node (region compactness), and the injected ``extra_cost``.
+    node (region compactness), and the core's entry in ``core_costs``
+    (core id -> cost in hop-equivalents, one entry per available core).
     Returns ``None`` when the region runs out of cores.
     """
     graph = app.graph
     if graph.n_tasks > len(ctx.available):
         return None
-    # Every cost term is integer-valued except the exact half-integer
-    # first-node bias, so float addition is exact here and the sums may be
-    # regrouped freely: the per-core cost splits into a per-core constant
+    # Every distance term is integer-valued except the exact half-integer
+    # first-node bias, so float addition is exact here and those sums may
+    # be regrouped freely: the distance splits into a per-core constant
     # (distance to the first node, hoisted below) plus separable per-axis
     # predecessor distances read from small tables — O(width + height)
     # absolute differences per task instead of O(|free| * preds).  Same
-    # values, same (cost, core_id) winner as the naive double loop.
+    # values, same (cost, core_id) winner as the naive double loop.  The
+    # table cost is added last, as the naive loop did; without a table it
+    # is 0.0, and adding 0.0 to the non-negative distance is exact.
     first_x, first_y = first.position
     free: Dict[int, tuple] = {
-        c.core_id: (c, 0.5 * (abs(c.x - first_x) + abs(c.y - first_y)), c.x, c.y)
+        c.core_id: (
+            c,
+            0.5 * (abs(c.x - first_x) + abs(c.y - first_y)),
+            c.x,
+            c.y,
+            0.0 if core_costs is None else core_costs[c.core_id],
+        )
         for c in ctx.available
     }
     placement: Dict[int, int] = {}
@@ -172,7 +180,6 @@ def assign_tasks_near(
 
     width = ctx.mesh.width
     height = ctx.mesh.height
-    now = ctx.now
     predecessors = graph.predecessors
     for task_id in graph.topo_order:
         pred_positions = [
@@ -189,10 +196,8 @@ def assign_tasks_near(
                 row[y] += abs(y - py)
         best_core = None
         best_cost = 0.0
-        for core, base, cx, cy in free.values():
-            cost = base + col[cx] + row[cy]
-            if extra_cost is not None:
-                cost += extra_cost(now, core)
+        for core, base, cx, cy, extra in free.values():
+            cost = base + col[cx] + row[cy] + extra
             if (
                 best_core is None
                 or cost < best_cost

@@ -102,10 +102,6 @@ class Chip:
         self._state_lists: Dict[CoreState, Optional[List[Core]]] = {
             s: None for s in CoreState
         }
-        #: Memoized ascending-id lists per state (the meter's sum order).
-        self._sorted_ids: Dict[CoreState, Optional[List[int]]] = {
-            s: None for s in CoreState
-        }
         #: Memoized ``free_cores`` result, invalidated on any state change
         #: and (via the cores' owner callbacks) on any ownership change.
         self._free_list: Optional[List[Core]] = None
@@ -168,8 +164,6 @@ class Chip:
             self._state_ids[new].add(core.core_id)
             self._state_lists[old] = None
             self._state_lists[new] = None
-            self._sorted_ids[old] = None
-            self._sorted_ids[new] = None
             self._free_list = None
             if core._owner_app is None:
                 if old is CoreState.IDLE:
@@ -199,14 +193,6 @@ class Chip:
     def state_ids(self, state: CoreState) -> Set[int]:
         """Ids of cores currently in ``state`` (live view; do not mutate)."""
         return self._state_ids[state]
-
-    def sorted_state_ids(self, state: CoreState) -> List[int]:
-        """Ascending ids of cores in ``state``.  Treat as read-only."""
-        cached = self._sorted_ids[state]
-        if cached is None:
-            cached = sorted(self._state_ids[state])
-            self._sorted_ids[state] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -247,9 +233,7 @@ class Chip:
         cached = self._state_lists[state]
         if cached is None:
             cores = self.cores
-            # Shares the sorted-id cache so a state queried both ways
-            # between transitions sorts once.
-            cached = [cores[i] for i in self.sorted_state_ids(state)]
+            cached = [cores[i] for i in sorted(self._state_ids[state])]
             self._state_lists[state] = cached
         return cached
 

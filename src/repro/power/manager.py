@@ -278,11 +278,13 @@ class PIDPowerManager(PowerManager):
         table = self.chip.vf_table
         # Inlined ``meter.added_power_if_busy`` with the loop-invariant
         # current core power hoisted; the float expression per level is
-        # ``(dyn + leak·lf) - base``, identical to the meter's.
+        # ``(dyn + leak·lf) - base``, identical to the meter's, and the
+        # leakage comes from the meter's table of the model's values.
         base = meter.core_power(core)
         node = self.chip.node
         model = self.chip.tech_model
         ctype = core.core_type
+        leak = meter.leak_table[core.type_index]
         lf = core.leak_factor
 
         def fits(index: int) -> bool:
@@ -291,7 +293,7 @@ class PIDPowerManager(PowerManager):
                 model.dynamic_power(
                     node, ctype, level.vdd, level.f_mhz, activity
                 )
-                + model.leakage_power(node, ctype, level.vdd) * lf
+                + leak[index] * lf
             )
             return busy - base <= headroom
 

@@ -15,13 +15,14 @@ retired (faulty) cores are fully dark.
 **Fast path.** The meter subscribes to the chip's core-transition feed
 and keeps a per-core cache of each core's dynamic and leakage
 contribution (dynamic straight from the technology model, leakage from a
-per-chip table of the model's values), plus running per-channel sums
-that are refreshed lazily when some core changed since the last query.
-``breakdown()``/``chip_power()``/``headroom()`` are therefore O(1)
-between transitions instead of an O(width·height) rescan per query.
-The refresh accumulates the cached per-core values in ascending core-id
-order — exactly the order the original full scan used — so the fast
-path is **bit-identical** to the scan, not an approximation.
+per-chip table of the model's values), plus per-channel sums.  A query
+between transitions reads the sums as they are; after a transition it
+re-sums each channel whose members or member watts changed, once, over
+dense per-core arrays (a core's watts in that channel, else ``0.0``).
+The re-sum runs in ascending core-id order — exactly the order the
+original full scan used — and a ``+0.0`` term changes neither a plain
+nor a compensated float sum, so the fast path is **bit-identical** to
+the scan, not an approximation.
 The original scan survives as :meth:`scan_breakdown` and can be run as a
 periodic audit against the incremental sums via ``verify_every_n``.
 """
@@ -85,19 +86,29 @@ class PowerMeter:
         # Activity/test factors set by the execution engine / test runner.
         self._core_activity: Dict[int, float] = {}
         # Incremental state: per-core channel contributions plus lazily
-        # refreshed per-channel sums.
+        # refreshed per-channel sums.  ``_busy_w``/``_testing_w`` hold a
+        # core's dynamic watts while it is busy/testing, else 0.0, so each
+        # channel sums one dense array in core-id order.
         n = len(chip.cores)
         self._dyn_w: List[float] = [0.0] * n
+        self._busy_w: List[float] = [0.0] * n
+        self._testing_w: List[float] = [0.0] * n
         self._leak_w: List[float] = [0.0] * n
         self._workload_w = 0.0
         self._test_w = 0.0
         self._leakage_w = 0.0
         self._sums_dirty = True
-        # True whenever some per-core leakage value changed since the
-        # leakage channel was last summed.  Most transitions (task start,
-        # task end) leave every leakage value intact under a fixed-level
-        # policy, and summing unchanged floats reproduces the previous
-        # result bit for bit — so the 1-per-core re-sum can be skipped.
+        # Live views of the chip's busy/testing id sets: an empty channel
+        # reads int 0, the value of a sum over no members.
+        self._busy_ids = chip.state_ids(CoreState.BUSY)
+        self._testing_ids = chip.state_ids(CoreState.TESTING)
+        # Per channel: True whenever its members or a member's watts
+        # changed since it was last summed.  Summing unchanged floats
+        # reproduces the previous result bit for bit, so a channel no
+        # transition touched (leakage on task start/end under a fixed-level
+        # policy, test while only workload moves) skips its re-sum.
+        self._workload_stale = True
+        self._test_stale = True
         self._leak_stale = True
         # Cores whose cached contributions are stale.  Transitions only
         # mark; the recompute happens on the next read, so the bursts of
@@ -106,10 +117,11 @@ class PowerMeter:
         self._dirty_cores: set = set()
         self._queries = 0
         self._model = chip.tech_model
-        # Leakage depends on the supply voltage only, so a core's base
-        # leakage is one of len(vf_table) values per catalog type: one
-        # fixed table, indexed [core.type_index][level.index].
-        self._leak_table: List[List[float]] = [
+        #: Leakage depends on the supply voltage only, so a core's base
+        #: leakage is one of len(vf_table) values per catalog type: one
+        #: fixed table of the model's watts (leak factor 1, powered),
+        #: indexed ``[core.type_index][level.index]``.  Read-only.
+        self.leak_table: List[List[float]] = [
             [
                 self._model.leakage_power(chip.node, ctype, level.vdd)
                 for level in chip.vf_table
@@ -126,11 +138,18 @@ class PowerMeter:
     def _on_core_transition(
         self, core: Core, old: CoreState, new: CoreState
     ) -> None:
-        if new is not old and new in (CoreState.IDLE, CoreState.FAULTY):
-            # A gated or retired core has no switching activity; dropping
-            # the factor here guarantees a dead core can never contribute
-            # dynamic power through a stale entry.
-            self._core_activity.pop(core.core_id, None)
+        if new is not old:
+            if new is CoreState.IDLE or new is CoreState.FAULTY:
+                # A gated or retired core has no switching activity;
+                # dropping the factor here guarantees a dead core can never
+                # contribute dynamic power through a stale entry.
+                self._core_activity.pop(core.core_id, None)
+            # Membership moved; the watts may not have (a busy core at
+            # activity 0 draws 0.0), and an emptied channel reads int 0.
+            if old is CoreState.BUSY or new is CoreState.BUSY:
+                self._workload_stale = True
+            if old is CoreState.TESTING or new is CoreState.TESTING:
+                self._test_stale = True
         self._dirty_cores.add(core.core_id)
         self._sums_dirty = True
 
@@ -144,18 +163,31 @@ class PowerMeter:
         cid = core.core_id
         state = core._state
         level = core._level
+        busy = 0.0
+        testing = 0.0
         if state is CoreState.BUSY or state is CoreState.TESTING:
             activity = self._core_activity.get(cid, self.default_activity)
-            self._dyn_w[cid] = self._model.dynamic_power(
+            dyn = self._model.dynamic_power(
                 self.chip.node, core.core_type, level.vdd, level.f_mhz, activity
             )
+            if state is CoreState.BUSY:
+                busy = dyn
+            else:
+                testing = dyn
         else:
-            self._dyn_w[cid] = 0.0
+            dyn = 0.0
+        self._dyn_w[cid] = dyn
+        if busy != self._busy_w[cid]:
+            self._busy_w[cid] = busy
+            self._workload_stale = True
+        if testing != self._testing_w[cid]:
+            self._testing_w[cid] = testing
+            self._test_stale = True
         if state is CoreState.FAULTY:
             leak = 0.0
         else:
             leak = (
-                self._leak_table[core.type_index][level.index]
+                self.leak_table[core.type_index][level.index]
                 * core._leak_factor
             )
             if state is CoreState.IDLE:
@@ -165,28 +197,25 @@ class PowerMeter:
             self._leak_stale = True
 
     def _refresh_sums(self) -> None:
-        """Rebuild the channel sums from the per-core caches.
+        """Re-sum the stale channels from the per-core caches.
 
         Accumulation runs in ascending core-id order — the order of the
-        original full scan — so the result is bit-identical to it.  Faulty
-        cores hold a cached 0.0, matching the scan's explicit ``+= 0.0``.
+        original full scan — so the result is bit-identical to it.  A core
+        outside a channel holds 0.0 in its array, and adding 0.0 to a sum
+        of non-negative watts leaves it unchanged; faulty cores hold a
+        cached 0.0 leakage, matching the scan's explicit ``+= 0.0``.
         """
         if self._dirty_cores:
             self._flush_dirty()
-        # ``sum`` adds left-to-right from zero exactly like the explicit
+        # ``sum`` adds left-to-right from int 0 exactly like the explicit
         # accumulation loop did, so the floats are unchanged.
-        dyn = self._dyn_w
-        chip = self.chip
-        self._workload_w = sum(
-            map(dyn.__getitem__, chip.sorted_state_ids(CoreState.BUSY))
-        )
-        self._test_w = sum(
-            map(dyn.__getitem__, chip.sorted_state_ids(CoreState.TESTING))
-        )
+        if self._workload_stale:
+            self._workload_w = sum(self._busy_w) if self._busy_ids else 0
+            self._workload_stale = False
+        if self._test_stale:
+            self._test_w = sum(self._testing_w) if self._testing_ids else 0
+            self._test_stale = False
         if self._leak_stale:
-            # Re-summing unchanged values would reproduce the previous
-            # result exactly, so the leakage channel only pays the all-core
-            # sum when some per-core leakage actually moved.
             self._leakage_w = sum(self._leak_w)
             self._leak_stale = False
         self._sums_dirty = False
@@ -269,7 +298,7 @@ class PowerMeter:
             return self._leak_w[cid]
         if core.state is CoreState.FAULTY:
             return 0.0
-        leak = self._leak_table[core.type_index][level.index] * core.leak_factor
+        leak = self.leak_table[core.type_index][level.index] * core.leak_factor
         if core.state is CoreState.IDLE:
             return leak * self.gated_leak_fraction
         return leak
@@ -376,6 +405,6 @@ class PowerMeter:
             self._model.dynamic_power(
                 self.chip.node, core.core_type, level.vdd, level.f_mhz, activity
             )
-            + self._leak_table[core.type_index][level.index] * core.leak_factor
+            + self.leak_table[core.type_index][level.index] * core.leak_factor
         )
         return busy - self.core_power(core)

@@ -26,6 +26,7 @@ from repro.obs.journal import NULL_JOURNAL
 from repro.telemetry.registry import NULL_TELEMETRY
 from repro.platform.chip import Chip
 from repro.platform.core import Core, CoreState
+from repro.platform.coretypes import DEFAULT_CORE_TYPE, get_core_type
 from repro.platform.dvfs import VFLevel
 from repro.power.meter import PowerMeter
 from repro.sim.engine import Simulator
@@ -154,7 +155,7 @@ class TestRunner:
         (``std``) tile, which is exact on homogeneous-std chips.
         """
         if core is None:
-            ctype = self.chip.core_types[0]
+            ctype = get_core_type(DEFAULT_CORE_TYPE)
             library = self.library
         else:
             ctype = core.core_type

@@ -26,12 +26,12 @@ STATES = (CoreState.IDLE, CoreState.BUSY, CoreState.TESTING, CoreState.FAULTY)
 
 
 def _assert_breakdown_matches_scan(meter: PowerMeter) -> None:
+    # Exact: the meter promises the scan's floats bit for bit, so a
+    # tolerance would let a reordered sum through.
     fast = meter.breakdown()
     reference = meter.scan_breakdown()
     for channel in CHANNELS:
-        assert getattr(fast, channel) == pytest.approx(
-            getattr(reference, channel), abs=1e-9
-        ), channel
+        assert getattr(fast, channel) == getattr(reference, channel), channel
 
 
 # ----------------------------------------------------------------------
@@ -42,7 +42,7 @@ def _assert_breakdown_matches_scan(meter: PowerMeter) -> None:
     ops=st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=15),   # core
-            st.integers(min_value=0, max_value=4),    # op kind
+            st.integers(min_value=0, max_value=6),    # op kind
             st.integers(min_value=0, max_value=7),    # parameter
         ),
         min_size=1,
@@ -53,8 +53,12 @@ def test_incremental_breakdown_matches_scan_under_random_transitions(ops):
     chip = Chip.build(4, 4, "16nm", tdp_w=20.0)
     meter = PowerMeter(chip)
     table = chip.vf_table
+    n = len(chip.cores)
     for core_idx, kind, param in ops:
         core = chip.cores[core_idx]
+        # Ops 5 and 6 act on the busy (even parameter) or testing (odd)
+        # set as a whole: empty it, or refill a run of cores into it.
+        channel_state = CoreState.BUSY if param % 2 == 0 else CoreState.TESTING
         if kind == 0:
             core.state = STATES[param % len(STATES)]
         elif kind == 1:
@@ -63,9 +67,46 @@ def test_incremental_breakdown_matches_scan_under_random_transitions(ops):
             meter.set_core_activity(core, param / 4.0)
         elif kind == 3:
             meter.set_core_activity(core, None)
-        else:
+        elif kind == 4:
             core.leak_factor = 1.0 + param * 0.05
+        elif kind == 5:
+            for member in list(chip.cores_in_state(channel_state)):
+                member.state = CoreState.IDLE
+        else:
+            for offset in range(param + 1):
+                chip.cores[(core_idx + offset) % n].state = channel_state
         _assert_breakdown_matches_scan(meter)
+        # An empty channel reads int 0, as the sum over no members does.
+        fast = meter.breakdown()
+        for channel, state in (
+            ("workload", CoreState.BUSY),
+            ("test", CoreState.TESTING),
+        ):
+            empty = not chip.state_ids(state)
+            assert (type(getattr(fast, channel)) is int) == empty, channel
+
+
+@pytest.mark.parametrize(
+    "state, channel",
+    [(CoreState.BUSY, "workload"), (CoreState.TESTING, "test")],
+    ids=["busy", "testing"],
+)
+def test_zero_watt_member_still_moves_its_channel(chip44, state, channel):
+    # At activity 0 a core draws 0.0 W, so entering or leaving the channel
+    # changes no per-core watts, only membership: the channel must still
+    # turn from the empty int 0 into the scan's float 0.0 and back.
+    meter = PowerMeter(chip44)
+    core = chip44.cores[3]
+    meter.set_core_activity(core, 0.0)
+    empty = getattr(meter.breakdown(), channel)
+    assert empty == 0 and type(empty) is int
+    core.state = state
+    lit = getattr(meter.breakdown(), channel)
+    assert lit == 0.0 and type(lit) is float
+    _assert_breakdown_matches_scan(meter)
+    core.state = CoreState.IDLE
+    empty = getattr(meter.breakdown(), channel)
+    assert empty == 0 and type(empty) is int
 
 
 def test_builtin_audit_passes_under_churn(chip44):
@@ -211,24 +252,71 @@ def test_pending_and_compaction_after_mass_cancellation(sim):
 # ----------------------------------------------------------------------
 # Bisected DVFS start-level selection == linear scan
 # ----------------------------------------------------------------------
-def test_start_level_bisect_matches_linear_scan(chip44):
-    meter = PowerMeter(chip44)
+def _start_level_straight_through_model(manager, core, activity):
+    """Linear scan of the ladder, every watt from the technology model.
+
+    No meter cache or table: chip power comes from the full scan and the
+    core's own gated leakage from the model, in the meter's expressions.
+    """
+    chip = manager.chip
+    meter = manager.meter
+    model = chip.tech_model
+    node = chip.node
+    ctype = core.core_type
+    headroom = manager.current_cap() - meter.scan_breakdown().total
+    assert core.state is CoreState.IDLE
+    base = 0.0 + (
+        model.leakage_power(node, ctype, core.level.vdd)
+        * core.leak_factor
+        * meter.gated_leak_fraction
+    )
+    for level in reversed(list(chip.vf_table)):
+        busy = (
+            model.dynamic_power(node, ctype, level.vdd, level.f_mhz, activity)
+            + model.leakage_power(node, ctype, level.vdd) * core.leak_factor
+        )
+        if busy - base <= headroom:
+            return level
+    return chip.vf_table.min_level
+
+
+def _check_start_levels(chip):
+    """Bisection, linear scan and the model reference agree everywhere."""
+    meter = PowerMeter(chip)
+    # One target per core type present, each with its own leak factor.
+    targets = list({core.core_type.name: core for core in chip.cores[12:]}.values())
+    for i, target in enumerate(targets):
+        target.leak_factor = 1.0 + 0.15 * i
     for cap in (0.5, 2.0, 6.0, 20.0, 200.0):
-        manager = PIDPowerManager(chip44, meter, PowerBudget(cap))
+        manager = PIDPowerManager(chip, meter, PowerBudget(cap))
         assert manager._ladder_sorted
-        for n_busy in (0, 3, 9, 15):
-            for core, _ in zip(chip44, range(n_busy)):
+        for n_busy in (0, 3, 9, 12):
+            for core, _ in zip(chip, range(n_busy)):
                 core.state = CoreState.BUSY
-            target = chip44.cores[15]
-            target.state = CoreState.IDLE
-            for activity in (0.0, 0.25, 1.0, 1.8):
-                fast = manager.start_level_for(target, activity)
-                manager._ladder_sorted = False
-                reference = manager.start_level_for(target, activity)
-                manager._ladder_sorted = True
-                assert fast is reference
-            for core in chip44:
+            for target in targets:
+                for activity in (0.0, 0.25, 1.0, 1.8):
+                    fast = manager.start_level_for(target, activity)
+                    manager._ladder_sorted = False
+                    scan = manager.start_level_for(target, activity)
+                    manager._ladder_sorted = True
+                    assert fast is scan
+                    assert fast is _start_level_straight_through_model(
+                        manager, target, activity
+                    )
+            for core in chip:
                 core.state = CoreState.IDLE
+
+
+def test_start_level_bisect_matches_linear_scan():
+    # Homogeneous std under cmos, then a mixed-type grid under ntv.
+    for type_grid, tech_model in (
+        ((), "cmos"),
+        (("std", "io", "o3", "accel") * 4, "ntv"),
+    ):
+        chip = Chip.build(
+            4, 4, "16nm", tdp_w=20.0, type_grid=type_grid, tech_model=tech_model
+        )
+        _check_start_levels(chip)
 
 
 # ----------------------------------------------------------------------

@@ -65,9 +65,11 @@ def test_pick_first_node_extra_cost_biases_choice(chip44):
     ctx = make_ctx(chip44)
     shunned = pick_first_node(ctx, 4)
     # Penalise the previously chosen node heavily; a different one wins.
-    def cost(now, core):
-        return 100.0 if core.core_id == shunned.core_id else 0.0
-    other = pick_first_node(ctx, 4, extra_cost=cost)
+    costs = {
+        core.core_id: 100.0 if core.core_id == shunned.core_id else 0.0
+        for core in ctx.available
+    }
+    other = pick_first_node(ctx, 4, core_costs=costs)
     assert other.core_id != shunned.core_id
 
 

@@ -1,13 +1,17 @@
 """Tests for the proposed power-aware test scheduler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aging.model import AgingModel
 from repro.core.criticality import CriticalityParameters, TestCriticality
 from repro.core.scheduler import PowerAwareTestScheduler
+from repro.platform.chip import Chip
 from repro.platform.core import CoreState
 from repro.power.budget import PowerBudget
 from repro.power.meter import PowerMeter
+from repro.sim.engine import Simulator
 from repro.testing.runner import TestRunner
 from repro.testing.sbst import default_library
 
@@ -50,6 +54,40 @@ def test_candidates_ranked_by_criticality(sim, chip44):
     sched.tick(now=10.0, dt=100.0)
     assert chip44.core(9).state is CoreState.TESTING
     assert chip44.core(2).state is CoreState.IDLE
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_candidates_equal_rank_of_due_cores(data):
+    # ``candidates`` evaluates each criticality once; the result must be
+    # what ranking the ``is_due`` cores gives.
+    chip = Chip.build(4, 4, "16nm", tdp_w=20.0)
+    now = 5000.0
+    # Few distinct values, so equal criticalities (id tie-breaks) and
+    # cores exactly at the threshold and the interval are common.
+    for core in chip:
+        core.stress_since_test = data.draw(st.sampled_from([0.0, 2.0, 4.0, 50.0]))
+        core.last_test_end = data.draw(
+            st.sampled_from([0.0, 1000.0, 2000.0, 3000.0, 5000.0])
+        )
+        fate = data.draw(st.sampled_from(["idle", "idle", "owned", "busy", "testing"]))
+        if fate == "owned":
+            core.owner_app = 7
+        elif fate == "busy":
+            core.state = CoreState.BUSY
+        elif fate == "testing":
+            core.state = CoreState.TESTING
+    min_interval = data.draw(st.sampled_from([0.0, 2000.0, 3000.0]))
+    _, _, _, sched = make_rig(Simulator(), chip, 20.0, min_interval_us=min_interval)
+    crit = sched.criticality
+    due = [
+        core
+        for core in chip.idle_cores()
+        if core.owner_app is None
+        and now - core.last_test_end >= min_interval
+        and crit.is_due(core, now)
+    ]
+    assert sched.candidates(now) == crit.rank(due, now)
 
 
 def test_budget_limits_admissions(sim, chip44):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.aging.faults import FaultInjector, FaultParameters
 from repro.aging.model import AgingModel
+from repro.platform.chip import Chip
 from repro.platform.core import CoreState
 from repro.power.meter import PowerMeter
 from repro.testing.runner import TestRunner
@@ -152,6 +153,21 @@ def test_estimated_power_positive_and_monotonic(rig):
     low = runner.estimated_power(chip.vf_table.min_level)
     high = runner.estimated_power(chip.vf_table.max_level)
     assert 0.0 < low < high
+
+
+def test_estimated_power_without_core_prices_a_std_tile(sim):
+    # Tile 0 is an IO tile: the no-core estimate must still price ``std``,
+    # not whatever type happens to come first in the chip's catalog.
+    chip = Chip.build(4, 4, "16nm", tdp_w=20.0, type_grid=("io",) + ("std",) * 15)
+    runner = TestRunner(sim, chip, PowerMeter(chip), default_library())
+    io_core, std_core = chip.core(0), chip.core(1)
+    for level in chip.vf_table:
+        assert runner.estimated_power(level) == runner.estimated_power(
+            level, std_core
+        )
+        assert runner.estimated_power(level) != runner.estimated_power(
+            level, io_core
+        )
 
 
 def test_concurrent_sessions_tracked(rig):
