@@ -27,8 +27,10 @@ Correctness contract: a cache hit is byte-identical to a recompute
 (pickle round-trips preserve float bit patterns), so cold-vs-warm
 aggregate digests match exactly — pinned by ``tests/test_cache.py``
 and the ``benchmarks/bench_cache.py`` CI gate.  Runs under an enabled
-journal/profiler are *bypassed* (counted, never served or stored):
-a cached result cannot carry the events of the run it skipped.
+journal or invariant checker are *bypassed* (counted, never served or
+stored): a cached result cannot carry the events of the run it skipped.
+A :class:`repro.obs.Profile` observes from outside and bypasses
+nothing, so profiling a cache hit shows the cache layer's own cost.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ from repro.campaign.store import (
     record_from_result,
 )
 from repro.metrics.stats import halfwidth_met
-from repro.telemetry import TelemetrySession
+from repro.telemetry import TelemetrySession, atomic_write_text
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.status import CampaignStatusWriter
 
@@ -404,9 +404,7 @@ def report_campaign(campaign_dir: str) -> CampaignReport:
 def _write_manifest(campaign_dir: str, report: CampaignReport) -> None:
     import repro
 
-    path = os.path.join(campaign_dir, MANIFEST_FILE)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(
-            report.manifest_json(getattr(repro, "__version__", "0"))
-        )
-        handle.write("\n")
+    atomic_write_text(
+        os.path.join(campaign_dir, MANIFEST_FILE),
+        report.manifest_json(getattr(repro, "__version__", "0")) + "\n",
+    )

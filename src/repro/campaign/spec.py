@@ -43,6 +43,7 @@ from repro.core.config_io import config_from_dict, config_to_dict
 from repro.core.system import SystemConfig
 from repro.metrics.stats import binomial_interval  # noqa: F401  (re-export convenience)
 from repro.obs.provenance import config_digest, digest_of
+from repro.telemetry.export import atomic_write_text
 
 #: One grid cell: the (field, value) overrides that define it, in the
 #: spec's grid-field order.  Hashable so cells can key dictionaries.
@@ -282,10 +283,8 @@ class CampaignSpec:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def save(self, path: str) -> None:
-        """Write the spec as JSON to ``path``."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
+        """Write the spec as JSON to ``path`` (atomically: never torn)."""
+        atomic_write_text(path, self.to_json() + "\n")
 
     def spec_digest(self) -> str:
         """Content digest pinning a campaign directory to its spec."""

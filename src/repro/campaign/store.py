@@ -3,7 +3,9 @@
 Every completed point becomes one JSON line in ``results.jsonl``, keyed
 by the point's config digest and flushed+fsynced on append, so a crash
 can lose at most the line being written — and a torn final line is
-detected and ignored on load.  Records are plain JSON (no pickles):
+detected and ignored on load, then cut off before the next append so
+that a resumed run never writes a record onto it.  Records are plain
+JSON (no pickles):
 the report layer recomputes every aggregate from them, which is what
 makes an interrupted-then-resumed campaign byte-identical to an
 uninterrupted one.
@@ -89,11 +91,65 @@ def aggregate_digest(records: Iterable[Dict[str, object]]) -> str:
     return digest_of(line for _, line in lines)
 
 
-class ResultStore:
-    """The ``results.jsonl`` checkpoint file of one campaign directory."""
+class _JsonlFile:
+    """One append-only JSONL file with durable, crash-safe appends."""
 
     def __init__(self, path: str) -> None:
         self.path = path
+        self._tail_checked = False
+
+    def _append_line(self, line: str) -> None:
+        """Append ``line`` plus a newline, flushed and fsynced.
+
+        A crash mid-append leaves a final line with no newline.  Before
+        its first append, the store repairs such a torn tail (see
+        :func:`_repair_torn_tail`); otherwise the next line would be
+        glued onto the fragment, and that mid-file garbage would fail
+        every later load.
+        """
+        if not self._tail_checked:
+            _repair_torn_tail(self.path)
+            self._tail_checked = True
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(line)
+            handle.write("\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+
+
+def _repair_torn_tail(path: str) -> None:
+    """End ``path`` with a newline, cutting off a torn final line.
+
+    A final line that already parses is a whole record that lost only
+    its newline (and ``load`` counts it), so it gets the newline back;
+    any other fragment is truncated back to the last newline.
+    """
+    try:
+        handle = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with handle:
+        size = handle.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        handle.seek(size - 1)
+        if handle.read(1) == b"\n":
+            return
+        handle.seek(0)
+        data = handle.read()
+        cut = data.rfind(b"\n") + 1
+        try:
+            json.loads(data[cut:])
+        except ValueError:
+            handle.truncate(cut)
+        else:
+            handle.write(b"\n")
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
+class ResultStore(_JsonlFile):
+    """The ``results.jsonl`` checkpoint file of one campaign directory."""
 
     def load(self) -> Dict[str, Dict[str, object]]:
         """All checkpointed records, keyed by point digest (first wins).
@@ -133,18 +189,11 @@ class ResultStore:
         The line is flushed and fsynced before this returns, one record
         at a time, so a crash loses at most the line being written.
         """
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(record_line(record))
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        self._append_line(record_line(record))
 
 
-class FailureLog:
+class FailureLog(_JsonlFile):
     """The ``failures.jsonl`` attempt/quarantine log (append-only)."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
 
     def append(
         self,
@@ -164,11 +213,7 @@ class FailureLog:
             "error": error,
             "quarantined": quarantined,
         }
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True))
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        self._append_line(json.dumps(entry, sort_keys=True))
 
     def load(self) -> List[Dict[str, object]]:
         """All failure records, in append order."""

@@ -4,7 +4,7 @@ Commands:
 
 * ``run``        — run one simulation and print its summary
   (``--journal PATH`` writes a JSONL event journal, ``--profile`` prints
-  the phase profile)
+  self time per ``repro`` module)
 * ``experiment`` — run experiment(s) by id (E1..E10, A1..A6)
 * ``sweep``      — sweep one config field over values, print a row per run
 * ``obs``        — summarize/filter a JSONL run journal
@@ -187,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--profile", action="store_true",
-        help="enable the phase profiler and print the per-subsystem profile",
+        help="profile the whole command and print self time per repro "
+             "module (about 3x slower; a cache hit still serves)",
     )
     run_p.add_argument(
         "--verify", action="store_true",
@@ -623,13 +624,23 @@ def _effective_config(args: argparse.Namespace) -> SystemConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.obs import Journal, PhaseProfiler
+    if not args.profile:
+        return _run_command(args)
+    from repro.obs import Profile
+
+    with Profile() as profile:
+        status = _run_command(args)
+    print(profile.report())
+    return status
+
+
+def _run_command(args: argparse.Namespace) -> int:
+    from repro.obs import Journal
 
     config = _effective_config(args)
     if args.save_config:
         save_config(config, args.save_config)
     journal = Journal(level=args.journal_level) if args.journal else None
-    profiler = PhaseProfiler() if args.profile else None
     verifier = None
     if args.verify:
         from repro.verify import InvariantChecker
@@ -637,17 +648,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         verifier = InvariantChecker()
     cache = _cache_from_args(args)
     cache_hit = False
-    if cache is not None and (
-        journal is not None or profiler is not None or verifier is not None
-    ):
-        # A cached result cannot carry the journal/profile/verification
-        # stream of the run it would skip; count the bypass, compute cold.
+    if cache is not None and (journal is not None or verifier is not None):
+        # A cached result cannot carry the journal/verification stream of
+        # the run it would skip; count the bypass, compute cold.
         cache.note_bypass(1, reason="observability enabled")
         cache = None
     telemetry_reg = None
     if args.telemetry:
-        # Telemetry is a write-only sink: unlike journal/profiler it
-        # neither bypasses the cache nor changes the result.
+        # Telemetry is a write-only sink: unlike the journal it neither
+        # bypasses the cache nor changes the result.
         from repro.telemetry import configure_telemetry
         from repro.telemetry.registry import MetricsRegistry
 
@@ -659,9 +668,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if cache is not None:
             result, cache_hit = cache.get_or_run(config)
         else:
-            result = run_system(
-                config, journal=journal, profiler=profiler, verifier=verifier
-            )
+            result = run_system(config, journal=journal, verifier=verifier)
     finally:
         if telemetry_reg is not None:
             from repro.telemetry import configure_telemetry
@@ -689,8 +696,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if journal is not None:
         journal.write_jsonl(args.journal)
         print(f"journal written to {args.journal} ({len(journal)} events)")
-    if profiler is not None:
-        print(profiler.report())
     if telemetry_reg is not None:
         snapshot = telemetry_reg.snapshot()
         lines = [

@@ -25,9 +25,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.aging.model import AgingModel
 from repro.noc.model import NocModel
-from time import perf_counter as _perf_counter
-
-from repro.obs.profiler import NULL_PROFILER
 from repro.platform.chip import Chip
 from repro.platform.core import Core, CoreState
 from repro.platform.dvfs import VFLevel
@@ -90,9 +87,6 @@ class ExecutionEngine:
         self.on_task_finished: List[Callable[[Task, float], None]] = []
         self.on_app_finished: List[Callable[[ApplicationInstance, float], None]] = []
         self.on_cores_freed: List[Callable[[float], None]] = []
-        #: Observability sink (no-op by default; installed by the system).
-        self.profiler = NULL_PROFILER
-        self._noc_acc = None  # cached "noc.transfer" accumulator
 
     # ------------------------------------------------------------------
     # Queries
@@ -223,21 +217,6 @@ class ExecutionEngine:
     # Transfers
     # ------------------------------------------------------------------
     def _start_transfer(self, app: ApplicationInstance, edge: Edge) -> None:
-        # Transfers are the hottest instrumentation site (tens of
-        # thousands per run), so timing goes straight into a cached
-        # accumulator instead of a per-call context manager.
-        if self.profiler.enabled:
-            acc = self._noc_acc
-            if acc is None:
-                acc = self._noc_acc = self.profiler.accumulator("noc.transfer")
-            t0 = _perf_counter()
-            self._start_transfer_impl(app, edge)
-            acc.calls += 1
-            acc.wall_s += _perf_counter() - t0
-            return
-        self._start_transfer_impl(app, edge)
-
-    def _start_transfer_impl(self, app: ApplicationInstance, edge: Edge) -> None:
         src_core = self.chip.cores[app.placement[edge.src]]
         dst_core = self.chip.cores[app.placement[edge.dst]]
         estimate = self.noc.begin_transfer(

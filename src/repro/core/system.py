@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from time import perf_counter as _perf_counter
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.aging.faults import FaultInjector, FaultParameters, FaultRecord
@@ -37,9 +36,8 @@ from repro.mapping.baselines import ContiguousMapper, RandomFreeMapper, ScatterM
 from repro.mapping.mappro import MapProMapper
 from repro.metrics.collectors import MetricsCollector
 from repro.noc.model import NocModel, NocParameters
-from repro.obs import active_journal, active_profiler
+from repro.obs import active_journal
 from repro.obs.journal import Journal
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.provenance import RunManifest, digest_of, field_dict
 from repro.telemetry import active_telemetry
 from repro.telemetry.registry import MetricsRegistry
@@ -172,7 +170,7 @@ class SimulationResult:
     events_fired: int
     emergency_aborts: int = 0
     skipped_no_budget: int = 0
-    #: Provenance manifest (config, seed, version, summary digest, profile).
+    #: Provenance manifest (config, seed, version, summary digest).
     manifest: Optional[RunManifest] = None
 
     # ------------------------------------------------------------------
@@ -234,7 +232,6 @@ class ManycoreSystem:
         self,
         config: SystemConfig,
         journal: Optional[Journal] = None,
-        profiler: Optional[PhaseProfiler] = None,
         verifier=None,
         telemetry: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -243,16 +240,12 @@ class ManycoreSystem:
         # default installed by repro.obs.configure /
         # repro.telemetry.configure_telemetry (NULL_* when off).
         self.journal = journal if journal is not None else active_journal()
-        self.profiler = profiler if profiler is not None else active_profiler()
         self.telemetry = telemetry if telemetry is not None else active_telemetry()
         # Runtime invariant checker (repro.verify.InvariantChecker), or
         # None.  Kept duck-typed: repro.core must not import repro.verify
         # (the relation suite imports config/sweep machinery from here).
         self.verifier = verifier
-        self._map_acc = None  # cached "mapping" accumulator
         self.sim = Simulator()
-        if self.profiler.enabled:
-            self.sim.profiler = self.profiler
         self.streams = StreamRegistry(config.seed)
         self.chip = Chip.build(
             config.width,
@@ -399,8 +392,6 @@ class ManycoreSystem:
         )
         self.executor.on_app_finished.append(self.metrics.on_app_finished)
         self.executor.on_cores_freed.append(lambda now: self._try_map())
-        if self.profiler.enabled:
-            self.executor.profiler = self.profiler
         if self.journal.enabled:
             self.runner.journal = self.journal
             self.test_scheduler.journal = self.journal
@@ -553,22 +544,6 @@ class ManycoreSystem:
         )
 
     def _try_map(self) -> None:
-        # Mapping attempts fire on every arrival, core release and control
-        # tick — hot enough that timing goes through a cached accumulator
-        # (see ExecutionEngine._start_transfer) rather than a context
-        # manager per call.
-        if self.profiler.enabled:
-            acc = self._map_acc
-            if acc is None:
-                acc = self._map_acc = self.profiler.accumulator("mapping")
-            t0 = _perf_counter()
-            self._try_map_impl()
-            acc.calls += 1
-            acc.wall_s += _perf_counter() - t0
-            return
-        self._try_map_impl()
-
-    def _try_map_impl(self) -> None:
         while self.queue:
             app = self._next_in_queue()
             mutations = self.chip.mutations
@@ -656,16 +631,14 @@ class ManycoreSystem:
             self.metrics.trace.record(
                 "thermal.max_c", now, self.thermal.hottest()
             )
-        with self.profiler.phase("pid.step"):
-            self.power_manager.tick(now, dt)
+        self.power_manager.tick(now, dt)
         if (
             self.thermal is None
             or self.thermal.headroom_c() >= self.config.thermal_test_margin_c
         ):
             # Thermal guard: on a chip already near the junction limit, the
             # high-toggle SBST sessions are deferred until it cools.
-            with self.profiler.phase("test.schedule"):
-                self.test_scheduler.tick(now, dt)
+            self.test_scheduler.tick(now, dt)
         self._try_map()
         breakdown = self.meter.breakdown()
         if self.telemetry.enabled:
@@ -753,7 +726,6 @@ class ManycoreSystem:
             horizon_us=self.config.horizon_us,
             config=field_dict(self.config),
             summary_digest=digest_of(sorted(result.summary().items())),
-            profile=self.profiler.summary() if self.profiler.enabled else {},
             journal_events=len(self.journal),
             journal_dropped=self.journal.dropped,
         )
@@ -762,7 +734,6 @@ class ManycoreSystem:
 def run_system(
     config: SystemConfig,
     journal: Optional[Journal] = None,
-    profiler: Optional[PhaseProfiler] = None,
     verifier=None,
     telemetry: Optional[MetricsRegistry] = None,
 ) -> SimulationResult:
@@ -776,7 +747,6 @@ def run_system(
     return ManycoreSystem(
         config,
         journal=journal,
-        profiler=profiler,
         verifier=verifier,
         telemetry=telemetry,
     ).run()

@@ -275,10 +275,8 @@ class DseSpec:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def save(self, path: str) -> None:
-        """Write the spec as JSON to ``path``."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
+        """Write the spec as JSON to ``path`` (atomically: never torn)."""
+        atomic_write_text(path, self.to_json() + "\n")
 
     def spec_digest(self) -> str:
         """Content digest pinning a search directory to its spec."""

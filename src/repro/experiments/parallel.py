@@ -28,9 +28,11 @@ misses (serially or to the pool — workers return results and never
 touch the cache), then stores the fresh results itself, so the index
 has exactly one writer.  Cached results are pickle round-trips of the
 originals, so a warm sweep is byte-identical to a cold one.  When a
-process-wide journal/profiler is active the whole call is *bypassed*
-(counted per config on the cache's stats): a cached result cannot
-carry the observability stream of the run it skipped.
+process-wide journal is active the whole call is *bypassed* (counted
+per config on the cache's stats): a cached result cannot carry the
+journal of the run it skipped.  A :class:`repro.obs.Profile` around
+the call does not bypass: it observes from outside, so profiling a
+cache hit shows the cache's own cost.
 """
 
 from __future__ import annotations
@@ -92,10 +94,10 @@ def _run_one(payload):
 def _resolve_cache(cache, n_configs: int):
     """Effective cache for one call: explicit arg, else process default.
 
-    Returns ``None`` (and notes a bypass per config) when observability
-    is active: serving a memoized result would silently drop the
-    journal/profile stream the caller asked for, and storing an
-    observed run would be redundant work.
+    Returns ``None`` (and notes a bypass per config) when a journal is
+    active: serving a memoized result would silently drop the journal
+    the caller asked for, and storing an observed run would be
+    redundant work.
     """
     if cache is None:
         from repro.cache import active_cache
@@ -103,9 +105,9 @@ def _resolve_cache(cache, n_configs: int):
         cache = active_cache()
     if cache is None:
         return None
-    from repro.obs import active_journal, active_profiler
+    from repro.obs import active_journal
 
-    if active_journal().enabled or active_profiler().enabled:
+    if active_journal().enabled:
         cache.note_bypass(n_configs, reason="observability enabled")
         return None
     return cache

@@ -1,20 +1,18 @@
-"""Structured run observability: journal, audit, profiler, provenance.
+"""Structured run observability: journal, audit, profile, provenance.
 
-The subsystem is off by default and obeys the no-op-sink invariant:
-instrumentation sites default to the disabled :data:`NULL_JOURNAL` /
-:data:`NULL_PROFILER` singletons and cost one attribute read when
-observability is off.  Enabling it must never change what a run
+The journal is off by default and obeys the no-op-sink invariant:
+instrumentation sites default to the disabled :data:`NULL_JOURNAL`
+singleton and cost one attribute read when it is off.  Turn it on by
+passing ``journal=`` to ``ManycoreSystem`` / ``run_system`` (what
+``repro run --journal`` does), or install a process-wide default with
+:func:`configure`.  The default does not propagate to ``run_many``
+worker processes, so journaled sweeps should use the serial path
+(``jobs=1``).
+
+:class:`Profile` needs no instrumentation site at all: it profiles a
+``with`` block from outside (``repro run --profile`` wraps the whole
+command in one).  Enabling either must never change what a run
 computes — journaling and profiling are strictly read-only.
-
-Two ways to turn it on:
-
-* pass ``journal=`` / ``profiler=`` explicitly to ``ManycoreSystem`` /
-  ``run_system`` (preferred; no global state), or
-* install process-wide defaults with :func:`configure` — used by the CLI
-  flags (``--journal``, ``--profile``) and the ``@profiled`` decorator.
-
-Note the globals do not propagate to ``run_many`` worker processes;
-journaled runs should use the serial path (``jobs=1``).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from repro.obs.journal import (
     JournalEvent,
     events_of,
 )
-from repro.obs.profiler import NULL_PROFILER, PhaseProfiler, profiled
+from repro.obs.profile import Profile
 from repro.obs.provenance import (
     RunManifest,
     config_digest,
@@ -45,44 +43,31 @@ __all__ = [
     "DEBUG_TYPES",
     "LEVELS",
     "NULL_JOURNAL",
-    "NULL_PROFILER",
     "SAMPLED_TYPES",
     "Journal",
     "JournalEvent",
-    "PhaseProfiler",
+    "Profile",
     "RunManifest",
     "active_journal",
-    "active_profiler",
     "audit",
     "config_digest",
     "configure",
     "digest_of",
     "events_of",
     "experiment_provenance",
-    "profiled",
     "result_digest",
     "rows_digest",
 ]
 
 _active_journal: Journal = NULL_JOURNAL
-_active_profiler: PhaseProfiler = NULL_PROFILER
 
 
-def configure(
-    journal: Optional[Journal] = None,
-    profiler: Optional[PhaseProfiler] = None,
-) -> None:
-    """Install process-wide default sinks (``None`` resets to disabled)."""
-    global _active_journal, _active_profiler
+def configure(journal: Optional[Journal] = None) -> None:
+    """Install the process-wide default journal (``None`` disables it)."""
+    global _active_journal
     _active_journal = journal if journal is not None else NULL_JOURNAL
-    _active_profiler = profiler if profiler is not None else NULL_PROFILER
 
 
 def active_journal() -> Journal:
     """The process-wide default journal (NULL_JOURNAL unless configured)."""
     return _active_journal
-
-
-def active_profiler() -> PhaseProfiler:
-    """The process-wide default profiler (NULL_PROFILER unless configured)."""
-    return _active_profiler

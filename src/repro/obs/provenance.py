@@ -93,10 +93,10 @@ def result_digest(result: SimulationResult) -> str:
 
     Covers the scalar summary row, per-core busy/aging/test tallies,
     per-level test counts, NoC stats, event/abort/skip counters, policy
-    names and the full fault-record list — everything except wall-time
-    provenance (profile timings, journal event counts), which legitimately
-    differs between two bit-identical runs.  Served-vs-direct identity
-    and the frozen heterogeneity goldens are asserted on this digest.
+    names and the full fault-record list — everything except the run
+    manifest's journal counts, which legitimately differ between two
+    bit-identical runs.  Served-vs-direct identity and the frozen
+    heterogeneity goldens are asserted on this digest.
     """
     faults = tuple(
         (r.core_id, r.injected_at, r.manifest_level, r.kind, r.detected_at)
@@ -131,7 +131,6 @@ class RunManifest:
     horizon_us: float
     config: Dict[str, object] = field(default_factory=dict)
     summary_digest: str = ""
-    profile: Dict[str, Dict[str, float]] = field(default_factory=dict)
     journal_events: int = 0
     journal_dropped: int = 0
 
@@ -143,7 +142,6 @@ class RunManifest:
             "horizon_us": self.horizon_us,
             "config": self.config,
             "summary_digest": self.summary_digest,
-            "profile": self.profile,
             "journal_events": self.journal_events,
             "journal_dropped": self.journal_dropped,
         }

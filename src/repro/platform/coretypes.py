@@ -66,17 +66,6 @@ class CoreType:
                 f"{self.sbst_cycles_scale}"
             )
 
-    def is_degenerate(self) -> bool:
-        """True when every scale is exactly 1.0 (the ``std`` contract)."""
-        return (
-            self.dyn_scale == 1.0
-            and self.leak_scale == 1.0
-            and self.sbst_cycles_scale == 1.0
-            and self.detection_scale == 1.0
-            and self.aging_scale == 1.0
-            and self.fault_hazard_scale == 1.0
-        )
-
 
 #: The type catalog.  ``std`` is the degenerate identity type every
 #: pre-heterogeneity config implicitly used; the other three follow the

@@ -16,7 +16,6 @@ Determinism guarantees:
 from __future__ import annotations
 
 import heapq
-import time as _time
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.events import Event, PRIORITY_CONTROL, PRIORITY_NORMAL
@@ -49,10 +48,6 @@ class Simulator:
         self._stopped = False
         self.events_fired: int = 0
         self.heap_compactions: int = 0
-        #: Optional :class:`repro.obs.PhaseProfiler`; when set and enabled,
-        #: each ``run()`` drain loop is timed into the ``sim.dispatch``
-        #: phase with the number of events fired as its call count.
-        self.profiler = None
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -144,16 +139,6 @@ class Simulator:
         self._running = True
         self._stopped = False
         heappop = heapq.heappop
-        profiler = self.profiler if (
-            self.profiler is not None and self.profiler.enabled
-        ) else None
-        # Dispatch timing is loop-granular, not per-event: wrapping every
-        # action in its own perf_counter pair costs more than many actions
-        # take.  ``sim.dispatch`` therefore reports the whole drain loop's
-        # wall time (heap ops and nested phases included) with an exact
-        # fired-event count.
-        fired_before = self.events_fired
-        t_loop = _time.perf_counter() if profiler is not None else 0.0
         try:
             heap = self._heap
             while heap:
@@ -182,12 +167,6 @@ class Simulator:
                 self.now = until
         finally:
             self._running = False
-            if profiler is not None:
-                profiler.add(
-                    "sim.dispatch",
-                    _time.perf_counter() - t_loop,
-                    calls=self.events_fired - fired_before,
-                )
         return self.now
 
     def stop(self) -> None:

@@ -9,14 +9,13 @@ executes — events/s, launches and deferrals, cache hits, worker
 health).  Nothing is re-exported across the two; telemetry never feeds
 back into simulation results.
 
-Like the journal and profiler (``repro.obs``), telemetry obeys the
-no-op-sink invariant: every instrumentation site defaults to the
-disabled :data:`NULL_TELEMETRY` registry and enabling telemetry never
-changes what a run computes — registries are written to, never read
-from, by instrumented code.  Unlike the journal and profiler, telemetry
-does **not** bypass the run cache: its counters describe *executed*
-work, so cached hits contribute ``cache.*`` counters but no ``sim.*``
-ones.
+Like the journal (``repro.obs``), telemetry obeys the no-op-sink
+invariant: every instrumentation site defaults to the disabled
+:data:`NULL_TELEMETRY` registry and enabling telemetry never changes
+what a run computes — registries are written to, never read from, by
+instrumented code.  Unlike the journal, telemetry does **not** bypass
+the run cache: its counters describe *executed* work, so cached hits
+contribute ``cache.*`` counters but no ``sim.*`` ones.
 
 Cross-process model: the supervisor owns one registry per sweep or
 campaign and opens a root trace span; each worker run executes under

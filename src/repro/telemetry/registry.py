@@ -6,7 +6,7 @@ Design constraints, in order of importance:
    registry that is usually :data:`NULL_TELEMETRY`; a disabled registry
    hands out shared null metric objects whose mutators do nothing, so an
    uninstrumented run pays one attribute read per site and — like the
-   journal and the profiler — *enabling* telemetry must never change
+   journal — *enabling* telemetry must never change
    what a run computes (telemetry is read-only by contract).
 2. **Deterministic, order-independent merge.**  Worker processes return
    metric deltas with their results and the supervisor merges them in

@@ -65,12 +65,8 @@ class TestSchedulerBase:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def testable_cores(self) -> List[Core]:
-        """Cores a non-intrusive test could start on right now."""
-        return [c for c in self.chip.idle_cores() if c.owner_app is None]
-
     def due_cores(self, now: float) -> List[Core]:
-        """Testable cores whose re-test interval has elapsed."""
+        """Idle, unowned cores whose re-test interval has elapsed."""
         due = [
             c
             for c in self.chip.idle_cores()

@@ -519,6 +519,23 @@ def test_cli_run_journal_bypasses_cache(tmp_path, capsys):
     assert not os.path.exists(os.path.join(cache_dir, INDEX_FILE))
 
 
+def test_cli_run_profile_serves_from_cache(tmp_path, capsys):
+    # The profiler observes from outside, so it does not bypass the
+    # cache: the second run is a hit, and its profile shows the cache.
+    args = ["run", "--horizon-ms", "3", "--profile",
+            "--cache-dir", str(tmp_path / "cache")]
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    assert "cache: miss (stored)" in first
+    assert main(args) == 0
+    second = capsys.readouterr().out
+    assert "cache: hit" in second
+    rows = [line.split() for line in second.splitlines()]
+    assert any(row[:1] == ["repro.cache"] for row in rows)
+    coverage = float(second.rsplit("(coverage ", 1)[1].split(")")[0])
+    assert coverage >= 0.95
+
+
 def test_cli_cache_and_no_cache_conflict(capsys):
     with pytest.raises(SystemExit):
         main(["sweep", "tdp_w", "40", "--cache", "--no-cache"])

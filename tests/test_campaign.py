@@ -181,6 +181,40 @@ def test_store_tolerates_torn_final_line(tmp_path):
     assert set(store.load()) == {"a"}
 
 
+@pytest.mark.parametrize("kind", ["results", "failures"])
+def test_append_after_torn_tail_keeps_file_loadable(tmp_path, kind):
+    # A crash mid-append leaves a fragment; the next store to append
+    # (a resumed run) must cut it off instead of writing onto it.
+    path = str(tmp_path / f"{kind}.jsonl")
+    if kind == "results":
+        ResultStore(path).append(_fake_record("a"))
+    else:
+        FailureLog(path).append("a", 1, [], 1, "boom", False)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"digest": "b", "trunc')
+    if kind == "results":
+        store = ResultStore(path)
+        store.append(_fake_record("c"))
+        store.append(_fake_record("d"))
+        assert list(store.load()) == ["a", "c", "d"]
+    else:
+        log = FailureLog(path)
+        log.append("c", 1, [], 1, "boom", True)
+        log.append("d", 1, [], 1, "boom", True)
+        assert [e["digest"] for e in log.load()] == ["a", "c", "d"]
+
+
+def test_append_keeps_whole_final_record_missing_its_newline(tmp_path):
+    # load() counts a final line that parses, so the repair must keep it.
+    path = tmp_path / "results.jsonl"
+    ResultStore(str(path)).append(_fake_record("a"))
+    path.write_text(path.read_text().rstrip("\n"), encoding="utf-8")
+    assert list(ResultStore(str(path)).load()) == ["a"]
+    store = ResultStore(str(path))
+    store.append(_fake_record("b"))
+    assert list(store.load()) == ["a", "b"]
+
+
 def test_store_rejects_mid_file_corruption(tmp_path):
     path = tmp_path / "results.jsonl"
     store = ResultStore(str(path))
@@ -407,6 +441,36 @@ def test_fixed_campaign_resume_identity(tmp_path):
     assert json.load(
         open(os.path.join(interrupted_dir, "manifest.json"))
     )["aggregate_digest"] == resumed.aggregate
+
+
+#: Aggregate digest of an uninterrupted run of the CI campaign smoke spec.
+SMOKE_AGGREGATE = (
+    "d20c60170598b42223bbe4dd532bd141d34e7f2ceda817711819a5daac77f7e8"
+)
+
+
+def test_resume_after_torn_checkpoint_tail(tmp_path):
+    """A kill inside ResultStore.append leaves half a record; resuming
+    (twice) must still finish at the uninterrupted aggregate."""
+    spec_path = os.path.join(
+        os.path.dirname(__file__), os.pardir, "benchmarks",
+        "campaign_smoke_spec.json",
+    )
+    spec = CampaignSpec.load(spec_path)
+    cdir = str(tmp_path / "campaign")
+    with pytest.raises(CampaignInterrupted):
+        run_campaign(cdir, spec=spec, retry=NO_BACKOFF, interrupt_after=3)
+    results = os.path.join(cdir, "results.jsonl")
+    with open(results, "rb") as handle:
+        data = handle.read()
+    third_start = data.index(b"\n", data.index(b"\n") + 1) + 1
+    third_end = data.index(b"\n", third_start)
+    with open(results, "wb") as handle:
+        handle.write(data[: (third_start + third_end) // 2])
+    for _ in range(2):
+        report = run_campaign(cdir, resume=True, retry=NO_BACKOFF)
+        assert report.aggregate == SMOKE_AGGREGATE
+        assert report.n_completed == 6
 
 
 def test_sequential_campaign_resume_identity(tmp_path):

@@ -1,9 +1,9 @@
 """Tests for the observability subsystem (repro.obs).
 
-Covers the journal/profiler sinks and their no-op invariants, the audit
-reports reconstructed from journals, run provenance manifests, and — the
-load-bearing guarantee — that enabling full observability reproduces a
-disabled run's results bit for bit.
+Covers the journal sink and its no-op invariant, the block profiler, the
+audit reports reconstructed from journals, run provenance manifests,
+and — the load-bearing guarantee — that enabling full observability
+reproduces a disabled run's results bit for bit.
 """
 
 import json
@@ -14,20 +14,19 @@ from repro.core.system import SystemConfig, run_system
 from repro.obs import (
     DEBUG_TYPES,
     NULL_JOURNAL,
-    NULL_PROFILER,
     Journal,
     JournalEvent,
-    PhaseProfiler,
+    Profile,
     RunManifest,
     active_journal,
-    active_profiler,
     audit,
     configure,
     digest_of,
     events_of,
-    profiled,
+    result_digest,
     rows_digest,
 )
+from repro.obs.profile import OTHER, module_of
 
 
 @pytest.fixture(autouse=True)
@@ -147,70 +146,55 @@ def test_filter_by_prefix_window_and_predicate():
 
 
 # ----------------------------------------------------------------------
-# Profiler
+# Profile
 # ----------------------------------------------------------------------
-def test_profiler_accumulates_phases():
-    profiler = PhaseProfiler()
-    with profiler.phase("mapping"):
-        pass
-    with profiler.phase("mapping"):
-        pass
-    profiler.add("pid.step", 0.5, calls=10)
-    summary = profiler.summary()
-    assert summary["mapping"]["calls"] == 2
-    assert summary["mapping"]["wall_s"] >= 0.0
-    assert summary["pid.step"] == {"calls": 10.0, "wall_s": 0.5}
-    # Sorted by wall time, descending.
-    assert list(summary) == ["pid.step", "mapping"]
-    assert "pid.step" in profiler.report()
+def test_module_of_names_repro_modules():
+    import repro.cache
+    import repro.core.executor
+
+    assert module_of(repro.core.executor.__file__) == "repro.core.executor"
+    assert module_of(repro.cache.__file__) == "repro.cache"
+    assert module_of(json.__file__) == OTHER
+    assert module_of("<string>") == OTHER
 
 
-def test_profiler_accumulator_is_shared_and_cheap():
-    profiler = PhaseProfiler()
-    acc = profiler.accumulator("noc.transfer")
-    assert profiler.accumulator("noc.transfer") is acc
-    acc.calls += 1
-    acc.wall_s += 0.25
-    assert profiler.summary()["noc.transfer"] == {"calls": 1.0, "wall_s": 0.25}
+def test_profile_rows_add_up_and_accumulate():
+    profile = Profile()
+    assert profile.coverage == 0.0
+    with profile:
+        run_system(SystemConfig(horizon_us=1_000.0, seed=2))
+    first_calls = profile.rows["repro.sim.engine"]["calls"]
+    assert profile.self_s == pytest.approx(
+        sum(row["self_s"] for row in profile.summary().values())
+    )
+    assert 0.0 < profile.self_s <= profile.wall_s
+    with profile:
+        run_system(SystemConfig(horizon_us=1_000.0, seed=2))
+    assert profile.rows["repro.sim.engine"]["calls"] == 2 * first_calls
+    selfs = [row["self_s"] for row in profile.summary().values()]
+    assert selfs == sorted(selfs, reverse=True)
+    report = profile.report()
+    assert "repro.core.executor" in report and "coverage" in report
 
 
-def test_disabled_profiler_is_noop():
-    assert not NULL_PROFILER.enabled
-    ctx = NULL_PROFILER.phase("anything")
-    with ctx:
-        pass
-    # The disabled phase context is a shared singleton.
-    assert NULL_PROFILER.phase("other") is ctx
-
-
-def test_profiler_reset():
-    profiler = PhaseProfiler()
-    profiler.add("x", 1.0)
-    profiler.reset()
-    assert profiler.summary() == {}
-    assert profiler.report() == "no phases recorded"
-
-
-def test_profiled_decorator_uses_active_profiler():
-    @profiled("decorated.fn")
-    def work(x):
-        return x * 2
-
-    assert work(3) == 6  # no profiler configured: plain call
-    profiler = PhaseProfiler()
-    configure(profiler=profiler)
-    assert work(4) == 8
-    assert profiler.summary()["decorated.fn"]["calls"] == 1
+def test_profiled_run_is_bit_exact_and_covered():
+    """A 2 ms run under Profile computes what a plain run does, and the
+    per-module self times add up to (nearly all of) its wall time."""
+    config = SystemConfig(horizon_us=2_000.0, seed=7)
+    plain = run_system(config)
+    with Profile() as profile:
+        profiled_result = run_system(config)
+    assert result_digest(profiled_result) == result_digest(plain)
+    assert profile.coverage >= 0.95
+    assert {"repro.sim.engine", "repro.core.executor"} <= set(profile.rows)
 
 
 def test_configure_and_reset_globals():
-    journal, profiler = Journal(), PhaseProfiler()
-    configure(journal, profiler)
+    journal = Journal()
+    configure(journal)
     assert active_journal() is journal
-    assert active_profiler() is profiler
     configure()
     assert active_journal() is NULL_JOURNAL
-    assert active_profiler() is NULL_PROFILER
 
 
 # ----------------------------------------------------------------------
@@ -292,15 +276,14 @@ def test_enabling_observability_is_bit_exact():
     """The read-only invariant: obs on/off must not change any result."""
     plain = run_system(_CONFIG)
     journal = Journal(level="debug")
-    profiler = PhaseProfiler()
-    observed = run_system(_CONFIG, journal=journal, profiler=profiler)
+    with Profile():
+        observed = run_system(_CONFIG, journal=journal)
     assert observed.summary() == plain.summary()
     assert digest_of(sorted(observed.summary().items())) == digest_of(
         sorted(plain.summary().items())
     )
     assert observed.per_core_tests == plain.per_core_tests
     assert len(journal) > 0
-    assert profiler.summary()["sim.dispatch"]["calls"] > 0
 
 
 def test_journal_answers_the_papers_questions():
@@ -345,13 +328,15 @@ def test_journal_answers_the_papers_questions():
 
 def test_e2_digest_unchanged_with_journal_enabled():
     """Tier-1 guard for the bench invariant: the E2 table is bit-identical
-    with full journaling enabled (scaled-down horizon, serial path)."""
+    with full journaling enabled and the run profiled (scaled-down
+    horizon, serial path)."""
     from repro.experiments import run_experiment
 
     plain = run_experiment("E2", horizon_us=3_000.0, jobs=1)
-    configure(Journal(level="debug"), PhaseProfiler())
+    configure(Journal(level="debug"))
     try:
-        observed = run_experiment("E2", horizon_us=3_000.0, jobs=1)
+        with Profile():
+            observed = run_experiment("E2", horizon_us=3_000.0, jobs=1)
     finally:
         configure()
     assert plain.rows == observed.rows
@@ -363,8 +348,7 @@ def test_e2_digest_unchanged_with_journal_enabled():
 
 def test_run_manifest_provenance():
     journal = Journal()
-    profiler = PhaseProfiler()
-    result = run_system(_CONFIG, journal=journal, profiler=profiler)
+    result = run_system(_CONFIG, journal=journal)
     manifest = result.manifest
     assert isinstance(manifest, RunManifest)
     assert manifest.seed == _CONFIG.seed
@@ -372,7 +356,6 @@ def test_run_manifest_provenance():
     assert manifest.config["tdp_w"] == _CONFIG.tdp_w
     assert manifest.journal_events == len(journal)
     assert manifest.journal_dropped == 0
-    assert "sim.dispatch" in manifest.profile
     # The digest is a pure function of the summary: identical reruns agree.
     rerun = run_system(_CONFIG)
     assert rerun.manifest.summary_digest == manifest.summary_digest
