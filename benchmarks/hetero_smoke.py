@@ -273,8 +273,15 @@ def _cached_twice(sweep):
         return warm
 
 
-def relations_gate(horizon_us: float = 8_000.0, seed: int = 11) -> dict:
-    """One E11 campaign cell: experiment + invariants + hetero relations."""
+def relations_gate(
+    horizon_us: float = 8_000.0, seed: int = 11, jobs: int = 2
+) -> dict:
+    """One E11 campaign cell: experiment + invariants + hetero relations.
+
+    The relation runs are pooled, so the gate also checks that workers
+    see the ``canary`` core type the zero-hazard relation registers in
+    this process.
+    """
     from repro.experiments.runners import experiment_configs, run_experiment
     from repro.verify import check_relations, hetero_relations, verify_config
 
@@ -291,7 +298,7 @@ def relations_gate(horizon_us: float = 8_000.0, seed: int = 11) -> dict:
             f"E11 config violated {len(checker.violations)} invariant(s)"
         )
 
-    report = check_relations(config, relations=hetero_relations())
+    report = check_relations(config, relations=hetero_relations(), jobs=jobs)
     failures.extend(report.failures())
     return {
         "e11_rows": len(table.rows),
@@ -307,7 +314,7 @@ def main(argv=None) -> int:
         "--jobs",
         type=int,
         default=2,
-        help="worker processes for the pooled sweep cell (default 2)",
+        help="worker processes for the pooled cells (default 2)",
     )
     parser.add_argument(
         "--relations",
@@ -361,7 +368,7 @@ def main(argv=None) -> int:
 
     relations = None
     if args.relations:
-        relations = relations_gate(args.e11_horizon_us)
+        relations = relations_gate(args.e11_horizon_us, jobs=args.jobs)
         failures.extend(relations["failures"])
         if not relations["failures"]:
             print(

@@ -16,7 +16,15 @@ real subprocesses of ``python -m repro serve``:
    :func:`repro.campaign.run_campaign` in this process;
 5. the restarted server must still answer ``/status`` and ``/metrics``
    (both archived with ``--artifacts``), and shut down gracefully with
-   exit code 0.
+   exit code 0;
+6. on a server of its own, a campaign runs while a sweep stream opened
+   before it is still streaming.  Campaign workers must not be forks of
+   the threaded server: the sweep stream must reach EOF within 1 s of
+   its ``done`` event (a forked worker holds a duplicate of the stream's
+   socket), and a SIGTERMed campaign worker must die while the server
+   keeps ``serving`` (a forked worker shares the server's signal
+   wake-up fd) — after which the campaign finishes at the aggregate of
+   a direct ``run_campaign`` of the same spec.
 
 Usage::
 
@@ -32,7 +40,9 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
 import shutil
+import signal
 import sys
 import tempfile
 import time
@@ -55,6 +65,19 @@ CAMPAIGN_SPEC = {
     "grid": {"tdp_w": [40.0, 60.0]},
     "seeds": {"start": 1, "count": 4},
 }
+
+#: Phase 6: a sweep long enough to be streaming when the campaign's
+#: workers start, and a campaign that outlives the sweep by seconds.
+HAZARD_BASE = {"width": 8, "height": 8, "horizon_us": 60000.0}
+HAZARD_SPEC = {
+    "name": "fork-hazard",
+    "base": HAZARD_BASE,
+    "grid": {"tdp_w": [40.0, 60.0]},
+    "seeds": {"start": 1, "count": 8},
+}
+
+#: Longest gap allowed between a stream's ``done`` event and its EOF.
+EOF_AFTER_DONE_S = 1.0
 
 
 def fail(message: str) -> int:
@@ -106,26 +129,141 @@ def check_overlap(load: dict) -> int:
     return 0
 
 
-async def submit_campaign_detached(port: int) -> None:
+async def submit_campaign_detached(
+    port: int, spec: dict = CAMPAIGN_SPEC
+) -> None:
     """Fire the campaign submission and read only the accept event.
 
-    The stream is abandoned afterwards on purpose — the server is about
-    to be SIGKILLed and nobody will be left to answer.
+    The stream is abandoned afterwards on purpose — in phase 2 the
+    server is about to be SIGKILLed and nobody will be left to answer.
     """
     client = ServeClient("127.0.0.1", port)
-    stream = client.campaign_events(
-        {"tenant": "alice", "spec": CAMPAIGN_SPEC}
-    )
+    stream = client.campaign_events({"tenant": "alice", "spec": spec})
     accepted = await stream.__anext__()
     if accepted.get("event") != "accepted":
         raise RuntimeError(f"campaign not accepted: {accepted}")
     await stream.aclose()
 
 
-def campaign_dir(state_dir: Path) -> Path:
-    spec = CampaignSpec.from_dict(CAMPAIGN_SPEC)
-    job_id = f"{spec.name}-{spec.spec_digest()[:12]}"
+def campaign_dir(state_dir: Path, spec: dict = CAMPAIGN_SPEC) -> Path:
+    campaign = CampaignSpec.from_dict(spec)
+    job_id = f"{campaign.name}-{campaign.spec_digest()[:12]}"
     return state_dir / CAMPAIGNS_SUBDIR / job_id
+
+
+async def sweep_until_eof(
+    port: int, doc: dict, accepted: asyncio.Event, campaign: Path
+):
+    """Stream one sweep to EOF: (seconds from ``done`` to EOF, the done
+    event, whether ``campaign`` was still running at ``done``).
+
+    Unlike :class:`ServeClient`, which stops reading at ``done``, this
+    reader waits for the server's close to arrive; after 60 s without
+    it the gap reads as infinite.
+    """
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    body = json.dumps(doc).encode("utf-8")
+    writer.write(
+        (
+            f"POST /v1/sweep HTTP/1.1\r\nHost: 127.0.0.1:{port}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+        ).encode("latin-1")
+        + body
+    )
+    await writer.drain()
+    done = None
+    done_at = None
+    running = False
+    try:
+        while await reader.readline() not in (b"\r\n", b""):
+            pass  # status line and headers
+        while True:
+            try:
+                line = await asyncio.wait_for(reader.readline(), 60.0)
+            except asyncio.TimeoutError:
+                return float("inf"), done, running
+            if not line:
+                break
+            event = json.loads(line)
+            if event.get("event") == "accepted":
+                accepted.set()
+            elif event.get("event") == "done":
+                done, done_at = event, time.monotonic()
+                running = not (campaign / "manifest.json").exists()
+    finally:
+        accepted.set()
+        writer.close()
+    if done is None:
+        raise RuntimeError("sweep stream ended without a done event")
+    return time.monotonic() - done_at, done, running
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie awaiting its reaper counts as dead)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+async def wait_for_campaign_worker(directory: Path, timeout_s: float) -> int:
+    """The pid of a live worker that already ran a point of the campaign.
+
+    Read from the campaign's ``status.json``, whose ``workers`` lists
+    every process that sent back a point's telemetry.
+    """
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        try:
+            status = json.loads((directory / "status.json").read_text())
+        except (OSError, ValueError):
+            status = {}
+        for pid in sorted(int(p) for p in status.get("workers", {})):
+            if alive(pid):
+                return pid
+        await asyncio.sleep(0.05)
+    return 0
+
+
+async def fork_hazard(port: int, directory: Path) -> dict:
+    """Phase 6: run a campaign under an open sweep stream, then SIGTERM
+    one of the campaign's workers."""
+    accepted = asyncio.Event()
+    sweep = asyncio.create_task(
+        sweep_until_eof(
+            port,
+            sweep_request_doc(
+                [{"seed": s} for s in (1, 2, 3, 4)],
+                tenant="bob",
+                base=HAZARD_BASE,
+            ),
+            accepted,
+            directory,
+        )
+    )
+    await accepted.wait()
+    await submit_campaign_detached(port, HAZARD_SPEC)
+    pid = await wait_for_campaign_worker(directory, timeout_s=60.0)
+    signalled = False
+    if pid and not (directory / "manifest.json").exists():
+        try:
+            os.kill(pid, signal.SIGTERM)
+            signalled = True
+        except ProcessLookupError:
+            pass  # its pool already ended: the campaign is done
+        await asyncio.sleep(1.0)
+    health = await ServeClient("127.0.0.1", port).healthz()
+    eof_gap, done, running = await sweep
+    return {
+        "pid": pid if signalled else 0,
+        "worker_alive": bool(pid) and alive(pid),
+        "state": health.get("state"),
+        "eof_gap_s": eof_gap,
+        "sweep_done": done,
+        "campaign_running_at_done": running,
+    }
 
 
 def wait_for_checkpoints(directory: Path, n: int, timeout_s: float) -> int:
@@ -230,7 +368,69 @@ def main() -> int:
     if code != 0:
         return fail(f"graceful shutdown exit code {code}")
     print("[ok]   graceful shutdown exit 0")
+
+    # Phase 6: campaign workers are not forks of the threaded server.
+    if args.jobs < 2:
+        # With one job a served campaign runs in the server's own thread.
+        print("[skip] phase 6 needs --jobs >= 2 to give campaigns workers")
+    else:
+        third = LocalServer(state_dir=str(workdir / "hazard"), jobs=args.jobs)
+        third.start()
+        rc = check_fork_hazard(third, workdir, args.jobs)
+        third.stop()
+        if rc:
+            return rc
     print("PASS")
+    return 0
+
+
+def check_fork_hazard(server: LocalServer, workdir: Path, jobs: int) -> int:
+    directory = campaign_dir(workdir / "hazard", HAZARD_SPEC)
+    outcome = asyncio.run(fork_hazard(server.port, directory))
+    done = outcome["sweep_done"]
+    if done.get("errors") or done.get("ok") != 4:
+        return fail(f"hazard sweep ended badly: {done}")
+    if not outcome["campaign_running_at_done"]:
+        return fail("the campaign ended before the sweep: nothing pinned")
+    if outcome["eof_gap_s"] > EOF_AFTER_DONE_S:
+        return fail(
+            f"sweep stream reached EOF {outcome['eof_gap_s']:.1f}s after "
+            f"its done event (limit {EOF_AFTER_DONE_S:g}s): a campaign "
+            f"worker holds a duplicate of the stream's socket"
+        )
+    print(
+        f"[ok]   sweep stream reached EOF {outcome['eof_gap_s']:.2f}s "
+        f"after done, with the campaign running"
+    )
+    if not outcome["pid"]:
+        return fail("no campaign worker to signal before the campaign ended")
+    if outcome["state"] != "serving" or outcome["worker_alive"]:
+        return fail(
+            f"SIGTERM to campaign worker {outcome['pid']}: worker "
+            f"{'alive' if outcome['worker_alive'] else 'dead'}, server "
+            f"{outcome['state']!r} (a forked worker relays the signal to "
+            f"the server)"
+        )
+    print(
+        f"[ok]   SIGTERMed campaign worker {outcome['pid']} died; "
+        f"server still serving"
+    )
+    if not wait_for_manifest(directory, timeout_s=300.0):
+        return fail("campaign did not finish after its worker died")
+    served = json.loads((directory / "manifest.json").read_text())
+    direct = run_campaign(
+        str(workdir / "hazard-direct"),
+        spec=CampaignSpec.from_dict(HAZARD_SPEC),
+        jobs=jobs,
+        telemetry=False,
+    )
+    if served["aggregate_digest"] != direct.aggregate:
+        return fail(
+            f"campaign after worker death: aggregate "
+            f"{served['aggregate_digest'][:16]} != direct "
+            f"{direct.aggregate[:16]}"
+        )
+    print("[ok]   campaign finished at the direct run's aggregate")
     return 0
 
 

@@ -15,13 +15,21 @@ Integration points:
 * :func:`repro.experiments.run_many` accepts ``cache=`` (and falls back
   to the process default installed by :func:`set_default_cache`) — in
   pooled sweeps the workers return results and the *supervisor* owns
-  the index, so there are no concurrent index writers;
+  the cache, so there are no concurrent writers;
 * :func:`repro.campaign.run_campaign` accepts ``cache=`` — planned
-  points found in the cache are checkpointed without running, and
-  completed runs deposit blobs for the next overlapping grid;
+  points found in the cache are checkpointed without running, and the
+  supervisor stores completed runs for the next overlapping grid;
+* :class:`repro.serve.ServeEngine` serves cached points at admission
+  and stores the ones it computes;
 * the CLI exposes ``--cache/--no-cache/--cache-dir`` on
   ``run``/``sweep``/``experiment``/``campaign`` plus a ``repro cache
   stats|verify|gc|clear`` maintenance command.
+
+Workers never touch the cache on any path.  Every call that counts
+traffic takes the caller's :class:`~repro.telemetry.MetricsRegistry`
+(``telemetry=``), so concurrent callers sharing one cache — overlapping
+campaigns under ``repro serve`` — each count their own ``cache.*``
+lookups.
 
 Correctness contract: a cache hit is byte-identical to a recompute
 (pickle round-trips preserve float bit patterns), so cold-vs-warm
@@ -36,8 +44,8 @@ nothing, so profiling a cache hit shows the cache layer's own cost.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.cache.keys import (
     CACHE_DIR_ENV,
@@ -95,38 +103,6 @@ class CacheStats:
         }
 
 
-@dataclass(frozen=True)
-class CachePlan:
-    """Picklable recipe for depositing blobs from worker processes.
-
-    Workers must not touch the index (single-writer invariant), but
-    they *can* safely deposit content-addressed blob files.  A plan is
-    just (directory, salt); the supervisor adopts the resulting entries
-    into the index via :meth:`RunCache.adopt`.
-    """
-
-    cache_dir: str
-    salt: str
-
-
-def store_result_blob(
-    plan: CachePlan, digest: str, result: object
-) -> Dict[str, object]:
-    """Deposit one run result as a blob per ``plan`` (worker-side).
-
-    ``digest`` is the run's config digest.  Returns the pending index
-    entry ``{"key", "blob", "size"}`` for the supervisor to adopt.
-    Touches only the blob area — never the index.
-    """
-    data = pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
-    blob, size = write_blob(plan.cache_dir, data)
-    return {
-        "key": run_key(digest, plan.salt),
-        "blob": blob,
-        "size": size,
-    }
-
-
 class RunCache:
     """Memoized ``run_system``: config in, cached ``SimulationResult`` out.
 
@@ -154,47 +130,39 @@ class RunCache:
         self.store = ContentStore(self.cache_dir, max_bytes=max_bytes)
         self.stats = CacheStats()
         self.journal = journal if journal is not None else NULL_JOURNAL
-        self.telemetry = NULL_TELEMETRY
 
     # ------------------------------------------------------------------
-    def bind_telemetry(self, registry: MetricsRegistry) -> None:
-        """Mirror cache traffic into ``cache.*`` counters of ``registry``.
-
-        Campaign/sweep supervisors bind their local registry here; the
-        default stays the null sink so plain cache use costs nothing.
-        """
-        self.telemetry = registry
-
     def _emit(self, kind: str, **data: object) -> None:
         if self.journal.enabled:
             self.journal.emit(f"cache.{kind}", 0.0, **data)
-
-    def _count(self, kind: str, n: int = 1) -> None:
-        self.telemetry.counter(f"cache.{kind}").inc(n)
 
     def key_for(self, digest: str) -> str:
         """The cache key of a config digest under this cache's salt."""
         return run_key(digest, self.salt)
 
-    def get_result(self, digest: str):
+    def get_result(
+        self, digest: str, telemetry: Optional[MetricsRegistry] = None
+    ):
         """Cached :class:`SimulationResult` under a config digest, or ``None``.
 
         ``digest`` is the config's
-        :func:`~repro.obs.provenance.config_digest`.  Integrity failures
-        (blob digest mismatch, unreadable blob, unpicklable payload)
-        quarantine the entry and report a miss so the caller
-        transparently recomputes.
+        :func:`~repro.obs.provenance.config_digest`; the lookup counts as
+        ``cache.*`` counters in ``telemetry`` (the caller's registry).
+        Integrity failures (blob digest mismatch, unreadable blob,
+        unpicklable payload) quarantine the entry and report a miss so
+        the caller transparently recomputes.
         """
+        tm = NULL_TELEMETRY if telemetry is None else telemetry
         key = self.key_for(digest)
         status, data = self.store.get(key)
         if status == "corrupt":
             self.stats.corrupt += 1
             self._emit("corrupt", key=key)
-            self._count("corrupt")
+            tm.counter("cache.corrupt").inc()
         if data is None:
             self.stats.misses += 1
             self._emit("miss", key=key)
-            self._count("misses")
+            tm.counter("cache.misses").inc()
             return None
         try:
             result = pickle.loads(data)
@@ -205,66 +173,74 @@ class RunCache:
             self.stats.corrupt += 1
             self.stats.misses += 1
             self._emit("corrupt", key=key)
-            self._count("corrupt")
-            self._count("misses")
+            tm.counter("cache.corrupt").inc()
+            tm.counter("cache.misses").inc()
             return None
         self.stats.hits += 1
         self._emit("hit", key=key)
-        self._count("hits")
+        tm.counter("cache.hits").inc()
         return result
 
-    def put_result(self, digest: str, result: object) -> str:
-        """Store the result of the config with ``digest``; returns its key."""
+    def put_result(
+        self,
+        digest: str,
+        result: object,
+        telemetry: Optional[MetricsRegistry] = None,
+    ) -> str:
+        """Store the result of the config with ``digest``; returns its key.
+
+        Counts ``cache.puts`` (and any evictions) in ``telemetry``.
+        """
+        tm = NULL_TELEMETRY if telemetry is None else telemetry
         key = self.key_for(digest)
         data = pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
         _digest, evicted = self.store.put(key, data)
         self.stats.puts += 1
-        self._note_evicted(evicted)
         self._emit("put", key=key, size=len(data))
-        self._count("puts")
+        tm.counter("cache.puts").inc()
+        for victim in evicted:
+            self.stats.evictions += 1
+            self._emit("evict", key=victim)
+            tm.counter("cache.evictions").inc()
         return key
 
-    def adopt(self, key: str, blob: str, size: int) -> None:
-        """Index a worker-deposited blob (see :class:`CachePlan`)."""
-        evicted = self.store.adopt(key, blob, size)
-        self.stats.puts += 1
-        self._note_evicted(evicted)
-        self._emit("put", key=key, size=size)
-        self._count("puts")
-
-    def _note_evicted(self, evicted) -> None:
-        for key in evicted:
-            self.stats.evictions += 1
-            self._emit("evict", key=key)
-            self._count("evictions")
-
-    def note_bypass(self, n: int = 1, reason: str = "") -> None:
+    def note_bypass(
+        self,
+        n: int = 1,
+        reason: str = "",
+        telemetry: Optional[MetricsRegistry] = None,
+    ) -> None:
         """Count ``n`` lookups that were deliberately not served."""
+        tm = NULL_TELEMETRY if telemetry is None else telemetry
         self.stats.bypasses += n
         self._emit("bypass", n=n, reason=reason)
-        self._count("bypasses", n)
+        tm.counter("cache.bypasses").inc(n)
 
     def get_or_run(
-        self, config: object, runner: Optional[Callable] = None
+        self, config: object, telemetry: Optional[MetricsRegistry] = None
     ) -> Tuple[object, bool]:
-        """Serve ``config`` from cache or run it; returns (result, hit)."""
+        """Serve ``config`` from cache or run it; returns (result, hit).
+
+        ``telemetry`` receives the cache counters and, on a miss, the
+        run's own (``None``: the process-wide registry for the run).
+        """
+        from repro.core.system import run_system
+
         digest = config_digest(config)
-        cached = self.get_result(digest)
+        cached = self.get_result(digest, telemetry)
         if cached is not None:
             return cached, True
-        if runner is None:
-            from repro.core.system import run_system as runner
-        result = runner(config)
-        self.put_result(digest, result)
+        result = run_system(config, telemetry=telemetry)
+        self.put_result(digest, result, telemetry)
         return result, False
+
+    def close(self) -> None:
+        """Close the index handle (the cache stays usable; it reopens)."""
+        self.store.close()
 
     # ------------------------------------------------------------------
     # Maintenance passthrough
     # ------------------------------------------------------------------
-    def plan(self) -> CachePlan:
-        """The picklable :class:`CachePlan` for this cache's workers."""
-        return CachePlan(cache_dir=self.cache_dir, salt=self.salt)
-
     def verify(self) -> Dict[str, object]:
         """Re-hash every blob, quarantining failures (see store)."""
         return self.store.verify()
@@ -315,7 +291,6 @@ def active_cache() -> Optional[RunCache]:
 __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_SCHEMA",
-    "CachePlan",
     "CacheStats",
     "ContentStore",
     "RunCache",
@@ -326,6 +301,5 @@ __all__ = [
     "default_salt",
     "run_key",
     "set_default_cache",
-    "store_result_blob",
     "write_blob",
 ]

@@ -27,10 +27,9 @@ least-recently-used entries (by op sequence number: a ``get`` refreshes
 recency) until the store fits.  Blob files are reference-counted across
 entries, so deduplicated blobs survive until their last key is evicted.
 
-The store is single-writer by design: in pooled sweeps and campaigns
-the *supervisor* owns the index while workers at most deposit blob
-files (which is safe — identical content renames onto the same name).
-Concurrent read-only opens of one directory are fine.
+The store is single-writer by design: on every path the *supervisor*
+owns it and workers never touch it.  Concurrent read-only opens of one
+directory are fine.
 """
 
 from __future__ import annotations
@@ -63,12 +62,11 @@ def blob_path(root: str, digest: str) -> str:
 def write_blob(root: str, data: bytes) -> Tuple[str, int]:
     """Atomically deposit ``data`` under its content address.
 
-    Returns ``(digest, size)``.  Safe to call from worker processes
-    concurrently with a supervisor: the write goes to a unique temp file
-    first and ``os.replace`` onto the content-addressed name is atomic,
-    so two writers of identical content converge on one file and
-    writers of different content never collide.  This touches only the
-    blob area — never the index.
+    Returns ``(digest, size)``.  The write goes to a temp file first
+    and ``os.replace`` onto the content-addressed name is atomic, so a
+    crash never leaves a partial blob under its final name and two
+    writers of identical content converge on one file.  This touches
+    only the blob area — never the index.
     """
     digest = blob_digest(data)
     final = blob_path(root, digest)
@@ -274,22 +272,6 @@ class ContentStore:
         orphan blob (reclaimed by :meth:`gc`), never a dangling entry.
         """
         digest, size = write_blob(self.root, data)
-        return digest, self._adopt(key, digest, size)
-
-    def adopt(self, key: str, digest: str, size: int) -> List[str]:
-        """Index a blob some *worker* already deposited with
-        :func:`write_blob`; returns the keys evicted to make room.
-
-        Raises ``FileNotFoundError`` if no such blob exists — adopting a
-        phantom entry would poison every later lookup of the key.
-        """
-        if not os.path.exists(blob_path(self.root, digest)):
-            raise FileNotFoundError(
-                f"cannot adopt {key[:12]}…: blob {digest[:12]}… not in store"
-            )
-        return self._adopt(key, digest, size)
-
-    def _adopt(self, key: str, digest: str, size: int) -> List[str]:
         seq = self._next_seq()
         self._append(
             {"op": "put", "key": key, "blob": digest, "size": size,
@@ -298,7 +280,7 @@ class ContentStore:
         )
         self._entries[key] = Entry(key=key, blob=digest, size=size, seq=seq)
         self.counters["puts"] += 1
-        return self._evict_over_cap()
+        return digest, self._evict_over_cap()
 
     def delete(self, key: str, reason: str = "explicit") -> bool:
         """Remove one entry (and its blob, if unshared)."""

@@ -30,7 +30,6 @@ from repro.campaign.executor import (
     PointFailure,
     RetryPolicy,
     RobustExecutor,
-    default_worker,
 )
 from repro.campaign.report import (
     CampaignReport,
@@ -78,7 +77,6 @@ __all__ = [
     "build_report",
     "cell_digest",
     "cell_label",
-    "default_worker",
     "freeze_cell",
     "load_spec",
     "plan_missing",

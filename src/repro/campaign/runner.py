@@ -183,6 +183,7 @@ def _serve_from_cache(
     cache,
     points: List[CampaignPoint],
     store: ResultStore,
+    telemetry: Optional[MetricsRegistry],
 ) -> Tuple[int, List[CampaignPoint]]:
     """Checkpoint every point the cache already holds; return the rest.
 
@@ -194,7 +195,7 @@ def _serve_from_cache(
     served = 0
     still_missing: List[CampaignPoint] = []
     for point in points:
-        result = cache.get_result(point.digest)
+        result = cache.get_result(point.digest, telemetry)
         if result is None:
             still_missing.append(point)
             continue
@@ -227,24 +228,24 @@ def run_campaign(
     crash after N newly-checkpointed results by raising
     :class:`CampaignInterrupted`.
 
+    ``worker`` replaces :func:`repro.experiments.parallel.execute` (same
+    signature and contract) — the fault-injection seam of the tests.
+
     ``cache`` (a :class:`repro.cache.RunCache`) memoizes points across
     campaigns: before each execution wave the planner's missing points
-    are probed and hits are checkpointed directly (served warm), and —
-    with the default worker — completed runs deposit result blobs that
-    the supervisor adopts into the cache index, so a later grid with
-    overlapping cells is served without re-simulating.  Cache-served
-    records do not count toward ``interrupt_after`` (they cost no work
-    worth crash-testing), and a custom ``worker`` disables deposits but
-    still benefits from warm serving.
+    are probed and hits are checkpointed directly (served warm), and
+    every completed run is stored by this supervisor before it is
+    checkpointed, so a later grid with overlapping cells is served
+    without re-simulating.  Cache-served records do not count toward
+    ``interrupt_after`` (they cost no work worth crash-testing).
 
     ``telemetry=True`` (the default) collects per-point metric deltas
     and trace spans from the workers, merges them supervisor-side, and
     flushes ``status.json``/``telemetry.prom``/``telemetry.json`` into
-    the campaign directory for ``repro campaign status``/``repro top``.
-    Telemetry is a write-only sink: checkpoint rows and the aggregate
-    digest are byte-identical with it on or off.  Span contexts only
-    ride along with the stock workers — a custom ``worker`` still gets
-    supervisor-side progress/status, just no per-point blobs.
+    the campaign directory for ``repro campaign status``/``repro top``;
+    the campaign's cache traffic lands in the same registry.  Telemetry
+    is a write-only sink: checkpoint rows and the aggregate digest are
+    byte-identical with it on or off.
     """
     if resume:
         spec = load_spec(campaign_dir)
@@ -255,10 +256,10 @@ def run_campaign(
     store = ResultStore(os.path.join(campaign_dir, RESULTS_FILE))
     failures = FailureLog(os.path.join(campaign_dir, FAILURES_FILE))
     records = store.load()
+    registry: Optional[MetricsRegistry] = None
     session: Optional[TelemetrySession] = None
     status: Optional[CampaignStatusWriter] = None
     on_telemetry = None
-    prev_cache_telemetry = None
     if telemetry:
         registry = MetricsRegistry()
         session = TelemetrySession(
@@ -272,32 +273,31 @@ def run_campaign(
             already_done=len(records),
             cache=cache,
         )
-        if cache is not None:
-            prev_cache_telemetry = cache.telemetry
-            cache.bind_telemetry(registry)
 
         def on_telemetry(blob) -> None:
             session.merge_blob(blob)
             status.note_worker(blob)
 
     executor_kwargs = {} if worker is None else {"worker": worker}
-    cache_plan = cache.plan() if cache is not None and worker is None else None
     executor = RobustExecutor(
         jobs=jobs,
         retry=retry,
         timeout_s=timeout_s,
-        cache_plan=cache_plan,
-        telemetry=session.registry if session is not None else None,
-        # Span contexts ride only with the stock workers: a custom
-        # worker may unpack a fixed-size payload.
-        telemetry_ctx=(
-            session.ctx if session is not None and worker is None else None
-        ),
+        telemetry=registry,
+        telemetry_ctx=session.ctx if session is not None else None,
         **executor_kwargs,
     )
 
-    def on_record(point, record) -> None:
-        store.append(record)
+    def on_result(point: CampaignPoint, result) -> None:
+        # Cache before checkpointing: an interrupt raised after the
+        # checkpoint must not lose a result the next overlapping grid
+        # could have been served from.
+        if cache is not None:
+            try:
+                cache.put_result(point.digest, result, registry)
+            except OSError:
+                pass  # memoization must never fail a completed run
+        store.append(record_from_result(point, result))
         if status is not None:
             status.note_points(1)
             status.write("running")
@@ -312,12 +312,6 @@ def run_campaign(
             status.note_quarantine(1)
             status.write("running")
 
-    def on_cache_entry(
-        point: CampaignPoint, entry: Dict[str, object]
-    ) -> None:
-        cache.adopt(
-            str(entry["key"]), str(entry["blob"]), int(entry["size"])
-        )
     quarantined_digests: Set[str] = set()
     completed_this_invocation = 0
     final_state = "interrupted"
@@ -337,7 +331,9 @@ def run_campaign(
             if not missing:
                 break
             if cache is not None:
-                served, missing = _serve_from_cache(cache, missing, store)
+                served, missing = _serve_from_cache(
+                    cache, missing, store, registry
+                )
                 if status is not None and served:
                     status.note_points(served)
                     status.write("running")
@@ -352,12 +348,9 @@ def run_campaign(
             try:
                 stats: ExecutionStats = executor.run(
                     missing,
-                    on_record=on_record,
+                    on_result=on_result,
                     on_failure=on_failure,
                     interrupt_after=remaining_interrupt,
-                    on_cache_entry=(
-                        on_cache_entry if cache_plan is not None else None
-                    ),
                     on_telemetry=on_telemetry,
                 )
             except CampaignInterrupted as exc:
@@ -379,8 +372,6 @@ def run_campaign(
             session.finish(
                 state=final_state, points=completed_this_invocation
             )
-        if cache is not None and prev_cache_telemetry is not None:
-            cache.bind_telemetry(prev_cache_telemetry)
     report = build_report(
         spec, records, quarantined=failures.quarantined(records)
     )

@@ -40,6 +40,7 @@ lines of :mod:`repro.core.system` / :mod:`repro.experiments` calls, and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
 import os
@@ -92,15 +93,22 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _open_cache(args: argparse.Namespace, cache_dir: Optional[str]):
+    """A :class:`repro.cache.RunCache` that :func:`main` closes on exit."""
+    from repro.cache import RunCache
+
+    cache = RunCache(cache_dir=cache_dir)
+    args.resources.callback(cache.close)
+    return cache
+
+
 def _cache_from_args(args: argparse.Namespace):
     """Build the :class:`repro.cache.RunCache` the flags ask for (or None)."""
     if getattr(args, "no_cache", False):
         return None
     if not (getattr(args, "cache", False) or getattr(args, "cache_dir", None)):
         return None
-    from repro.cache import RunCache
-
-    return RunCache(cache_dir=args.cache_dir)
+    return _open_cache(args, args.cache_dir)
 
 
 def _print_cache_outcome(cache) -> None:
@@ -646,34 +654,28 @@ def _run_command(args: argparse.Namespace) -> int:
         from repro.verify import InvariantChecker
 
         verifier = InvariantChecker()
+    telemetry_reg = None
+    if args.telemetry:
+        # Telemetry is a write-only sink: unlike the journal it neither
+        # bypasses the cache nor changes the result.
+        from repro.telemetry.registry import MetricsRegistry
+
+        telemetry_reg = MetricsRegistry()
     cache = _cache_from_args(args)
     cache_hit = False
     if cache is not None and (journal is not None or verifier is not None):
         # A cached result cannot carry the journal/verification stream of
         # the run it would skip; count the bypass, compute cold.
-        cache.note_bypass(1, reason="observability enabled")
+        cache.note_bypass(
+            1, reason="observability enabled", telemetry=telemetry_reg
+        )
         cache = None
-    telemetry_reg = None
-    if args.telemetry:
-        # Telemetry is a write-only sink: unlike the journal it neither
-        # bypasses the cache nor changes the result.
-        from repro.telemetry import configure_telemetry
-        from repro.telemetry.registry import MetricsRegistry
-
-        telemetry_reg = MetricsRegistry()
-        configure_telemetry(telemetry_reg)
-        if cache is not None:
-            cache.bind_telemetry(telemetry_reg)
-    try:
-        if cache is not None:
-            result, cache_hit = cache.get_or_run(config)
-        else:
-            result = run_system(config, journal=journal, verifier=verifier)
-    finally:
-        if telemetry_reg is not None:
-            from repro.telemetry import configure_telemetry
-
-            configure_telemetry(None)
+    if cache is not None:
+        result, cache_hit = cache.get_or_run(config, telemetry_reg)
+    else:
+        result = run_system(
+            config, journal=journal, verifier=verifier, telemetry=telemetry_reg
+        )
     rows = [[key, value] for key, value in result.summary().items()]
     print(
         format_table(
@@ -1052,9 +1054,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
     if args.no_cache:
         cache = False
     elif args.cache_dir:
-        from repro.cache import RunCache
-
-        cache = RunCache(cache_dir=args.cache_dir)
+        cache = _open_cache(args, args.cache_dir)
     try:
         spec = DseSpec.load(args.spec) if args.spec else None
         outcome = run_search(
@@ -1080,13 +1080,13 @@ def cmd_dse(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    from repro.cache import RunCache, default_cache_dir
+    from repro.cache import default_cache_dir
 
     cache_dir = args.cache_dir or default_cache_dir()
     if args.cache_command != "stats" and not os.path.isdir(cache_dir):
         print(f"no cache at {cache_dir!r}", file=sys.stderr)
         return 2
-    cache = RunCache(cache_dir=cache_dir)
+    cache = _open_cache(args, cache_dir)
     if args.cache_command == "stats":
         stats = cache.store.stats()
         rows = [[key, value if value is not None else "-"]
@@ -1379,7 +1379,10 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    with contextlib.ExitStack() as resources:
+        # Whatever a command opens for its whole run (caches) closes here.
+        args.resources = resources
+        return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -671,6 +671,24 @@ def run_search(
     """
     spec = _prepare_search_dir(spec, search_dir)
     run_cache = _resolve_cache(cache, search_dir)
+    try:
+        return _search(
+            spec, search_dir, jobs, run_cache, interrupt_after, telemetry
+        )
+    finally:
+        if cache is None:  # the search opened its own cache
+            run_cache.close()
+
+
+def _search(
+    spec: DseSpec,
+    search_dir: str,
+    jobs: Optional[int],
+    run_cache,
+    interrupt_after: Optional[int],
+    telemetry: bool,
+) -> SearchOutcome:
+    """:func:`run_search` once its directory and run cache are ready."""
     registry = active_telemetry() if telemetry else None
     counters = {
         "proposed": 0, "cache_hits": 0, "pruned": 0,

@@ -14,7 +14,13 @@ from repro.experiments.ablations import (
     run_a8_noc_fidelity,
     run_e10_lifetime,
 )
-from repro.experiments.parallel import RunFailed, run_many
+from repro.experiments.parallel import (
+    Outcome,
+    RunFailed,
+    WorkerPool,
+    execute,
+    run_many,
+)
 from repro.experiments.result import ExperimentResult
 from repro.experiments.runners import (
     DEFAULT_CONFIG,
@@ -41,7 +47,10 @@ __all__ = [
     "E11_TYPE_GRID",
     "EXPERIMENTS",
     "ExperimentResult",
+    "Outcome",
     "RunFailed",
+    "WorkerPool",
+    "execute",
     "run_a1_criticality_weights",
     "run_a2_guard_band",
     "run_a3_test_concurrency",

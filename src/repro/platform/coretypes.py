@@ -111,6 +111,9 @@ CORE_TYPES: Dict[str, CoreType] = {
 #: Name of the degenerate identity type.
 DEFAULT_CORE_TYPE = "std"
 
+#: The catalog as shipped, before any run-time registration.
+_BUILTIN_CORE_TYPES = dict(CORE_TYPES)
+
 
 def get_core_type(name: str) -> CoreType:
     """Look up a core type by name (e.g. ``"o3"``)."""
@@ -135,6 +138,20 @@ def register_core_type(ctype: CoreType, overwrite: bool = False) -> CoreType:
         raise ValueError(f"core type {ctype.name!r} already registered")
     CORE_TYPES[ctype.name] = ctype
     return ctype
+
+
+def registered_core_types() -> Dict[str, CoreType]:
+    """The catalog entries added or overwritten at run time.
+
+    A pool worker starts from a fresh import and so knows only the
+    built-in catalog; :class:`repro.experiments.parallel.WorkerPool`
+    sends these along with every call it submits.
+    """
+    return {
+        name: ctype
+        for name, ctype in CORE_TYPES.items()
+        if _BUILTIN_CORE_TYPES.get(name) != ctype
+    }
 
 
 def core_type_names() -> List[str]:

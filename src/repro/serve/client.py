@@ -230,10 +230,8 @@ class ServeClient:
                 event = decode_line(line)
                 yield event
                 if event.get("event") == "done":
-                    # Terminal event: stop without waiting for EOF, so
-                    # a stray duplicated socket fd (e.g. held briefly by
-                    # a worker process on the server side) cannot stall
-                    # the stream's end.
+                    # Terminal event: the server closes the stream next,
+                    # so there is nothing left to wait for.
                     break
         finally:
             writer.close()

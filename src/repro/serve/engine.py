@@ -16,11 +16,13 @@ HTTP so it can be driven directly by tests.  One engine owns:
 * **fair round-robin draining** — the dispatcher cycles tenants in
   arrival order and takes one item per turn, so a tenant with a
   thousand queued points cannot starve a tenant with one;
-* **the worker fleet** — a persistent ``ProcessPoolExecutor``
-  (``jobs >= 1``) or thread pool (``jobs = 0``, handy for tests and
-  tiny deployments) executing :func:`repro.core.system.run_system`.
-  A broken process pool is rebuilt and the interrupted work retried,
-  mirroring the campaign executor's crash-tolerance.
+* **the worker fleet** — a persistent
+  :class:`~repro.experiments.parallel.WorkerPool` (``jobs >= 1``) or
+  thread pool (``jobs = 0``, handy for tests and tiny deployments),
+  both running :func:`~repro.experiments.parallel.execute`, the point
+  executor sweeps and campaigns use.  A broken process pool is rebuilt
+  once and the interrupted work retried, mirroring the campaign
+  executor's crash-tolerance.
 
 Determinism contract: every result leaving the engine is produced by
 ``run_system`` on a fully-resolved config, so its
@@ -32,19 +34,14 @@ cached or coalesced.  The engine adds routing, never arithmetic.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import time
 from collections import deque
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
-from repro.core.system import SimulationResult, SystemConfig, run_system
+from repro.core.system import SystemConfig
+from repro.experiments.parallel import Outcome, WorkerPool, execute
 from repro.obs.provenance import result_digest
 from repro.serve.protocol import SweepRequest
 from repro.telemetry.registry import MetricsRegistry
@@ -69,16 +66,6 @@ class QuotaExceeded(Exception):
 
 class ServerDraining(Exception):
     """The engine is shutting down and accepts no new work (HTTP 503)."""
-
-
-def _warmup_worker() -> bool:
-    """No-op task used to spin up pool workers before serving traffic."""
-    return True
-
-
-def _point_worker(config: SystemConfig) -> SimulationResult:
-    """Module-level single-point worker (picklable for the process pool)."""
-    return run_system(config)
 
 
 @dataclass(frozen=True)
@@ -157,7 +144,8 @@ class ServeEngine:
     ``tenant_quota`` bounds each tenant's fresh (non-coalesced,
     non-cached) points in flight; ``max_queue`` bounds the total queued
     backlog across tenants.  ``registry`` receives ``serve.*`` counters
-    and gauges.
+    and gauges, and the ``cache.*`` counters of the engine's own cache
+    traffic.
     """
 
     def __init__(
@@ -184,8 +172,7 @@ class ServeEngine:
             registry if registry is not None else MetricsRegistry(enabled=True)
         )
         self.width = jobs if jobs >= 1 else 2
-        self._pool: Optional[Executor] = None
-        self._pool_generation = 0
+        self._pool: Optional[Union[WorkerPool, ThreadPoolExecutor]] = None
         self._tenants: Dict[str, _TenantState] = {}
         self._rr: Deque[str] = deque()
         #: digest -> shared future of a point that is queued or running.
@@ -205,38 +192,20 @@ class ServeEngine:
     async def start(self) -> None:
         """Create the worker pool and start the dispatcher task.
 
-        Process pools are warmed eagerly so the forkserver/spawn helper
-        exists before the listener accepts its first connection.
+        A process pool starts its forkserver here, before the listener
+        accepts its first connection, with the point executor already
+        imported into it.
         """
-        self._make_pool()
         if self.jobs >= 1:
-            await asyncio.get_running_loop().run_in_executor(
-                self._pool, _warmup_worker
+            self._pool = WorkerPool(self.jobs)
+        else:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.width, thread_name_prefix="serve-sim"
             )
         self._slots = asyncio.Semaphore(self.width)
         self._dispatcher = asyncio.get_running_loop().create_task(
             self._dispatch_loop()
         )
-
-    def _make_pool(self) -> None:
-        if self.jobs >= 1:
-            # Never fork() the serving process directly: forked workers
-            # would inherit duplicates of accepted connection fds, and a
-            # held duplicate keeps a close-delimited stream from ever
-            # reaching EOF on the client.  A forkserver (or spawn)
-            # context forks from a clean helper process instead.
-            try:
-                ctx = multiprocessing.get_context("forkserver")
-            except ValueError:  # pragma: no cover - platform-dependent
-                ctx = multiprocessing.get_context("spawn")
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, mp_context=ctx
-            )
-        else:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.width, thread_name_prefix="serve-sim"
-            )
-        self._pool_generation += 1
 
     async def drain(self, timeout_s: Optional[float] = None) -> bool:
         """Stop admissions, wait for outstanding work, stop the fleet.
@@ -322,7 +291,7 @@ class ServeEngine:
                 plan.append((point, "coalesced", shared))
                 continue
             if self.cache is not None:
-                result = self.cache.get_result(point.digest)
+                result = self.cache.get_result(point.digest, self.registry)
                 if result is not None:
                     plan.append((point, "cached", result))
                     continue
@@ -425,35 +394,43 @@ class ServeEngine:
             self._gauge_depths()
             asyncio.get_running_loop().create_task(self._execute(work))
 
+    async def _run(self, config: SystemConfig) -> Outcome:
+        """:func:`execute` one point on the fleet; never raises.
+
+        A pool that dies under the point (e.g. a worker was OOM-killed)
+        is rebuilt once per generation and the point retried, up to
+        ``max_attempts`` times, like the campaign executor does.  Any
+        other failure to hand the point over or to bring its outcome
+        back (pickling, a fleet already stopped) fails the point.
+        """
+        pool = self._pool
+        try:
+            if not isinstance(pool, WorkerPool):
+                return await asyncio.wrap_future(pool.submit(execute, config))
+            for _attempt in range(max(self.max_attempts, 1)):
+                generation = pool.generation
+                try:
+                    return await asyncio.wrap_future(
+                        pool.submit(execute, config)
+                    )
+                except BrokenExecutor as exc:
+                    error = f"worker pool died: {exc}"
+                    if pool.rebuild(generation):
+                        self._count("pool_rebuilds")
+            return Outcome(error=error)
+        except Exception as exc:
+            return Outcome(error=f"{type(exc).__name__}: {exc}")
+
     async def _execute(self, work: _Work) -> None:
-        """Run one point; resolve its future; survive pool death."""
+        """Run one point; resolve its future."""
         assert self._slots is not None
-        loop = asyncio.get_running_loop()
         started = time.perf_counter()
         try:
-            attempts = 0
-            while True:
-                generation = self._pool_generation
-                try:
-                    result = await loop.run_in_executor(
-                        self._pool, _point_worker, work.config
-                    )
-                    break
-                except BrokenExecutor as exc:
-                    # The pool died under this point (e.g. a worker was
-                    # OOM-killed).  Rebuild once per generation and
-                    # retry the interrupted work, like the campaign
-                    # executor does.
-                    attempts += 1
-                    if generation == self._pool_generation:
-                        self._make_pool()
-                        self._count("pool_rebuilds")
-                    if attempts >= self.max_attempts:
-                        self._fail(work, f"worker pool died: {exc}")
-                        return
-                except Exception as exc:  # deterministic sim failure
-                    self._fail(work, f"{type(exc).__name__}: {exc}")
-                    return
+            outcome = await self._run(work.config)
+            if outcome.error is not None:
+                self._fail(work, outcome.error)
+                return
+            result = outcome.result
             elapsed = time.perf_counter() - started
             self._ewma_point_s += 0.2 * (elapsed - self._ewma_point_s)
             self.registry.histogram(
@@ -466,7 +443,7 @@ class ServeEngine:
             )
             if self.cache is not None:
                 try:
-                    self.cache.put_result(work.digest, result)
+                    self.cache.put_result(work.digest, result, self.registry)
                 except OSError:
                     self._count("cache_put_errors")
             self._resolve(work, payload)

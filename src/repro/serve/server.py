@@ -110,8 +110,6 @@ class ReproServer:
             cache=config.cache,
             max_active=config.max_campaigns,
         )
-        if config.cache is not None:
-            config.cache.bind_telemetry(self.registry)
         self.state = "starting"
         self.started_at = time.time()
         self._server: Optional[asyncio.base_events.Server] = None

@@ -19,11 +19,12 @@ contribute ``cache.*`` counters but no ``sim.*`` ones.
 
 Cross-process model: the supervisor owns one registry per sweep or
 campaign and opens a root trace span; each worker run executes under
-:func:`worker_telemetry`, which installs a fresh registry as the
-process-wide active one, opens a child span, and packages a *telemetry
-blob* (metric snapshot + finished spans + wall time + pid) to travel
-back with the result.  The supervisor merges blobs deterministically —
-see ``repro.telemetry.registry`` for why merged snapshots are
+:func:`worker_telemetry`, which opens a child span around a fresh
+registry — handed explicitly to ``run_system(telemetry=)``, never
+installed process-wide — and packages a *telemetry blob* (metric
+snapshot + finished spans + wall time + pid) to travel back with the
+result.  The supervisor merges blobs deterministically — see
+``repro.telemetry.registry`` for why merged snapshots are
 order-independent.
 """
 
@@ -113,24 +114,21 @@ def worker_telemetry(
 ) -> Iterator[Optional[WorkerScope]]:
     """Run a unit of work under a fresh registry and a child span.
 
-    Installs a new enabled registry as the process-wide active one for
-    the duration (restoring the previous registry even on exception),
-    opens a child span of ``ctx`` with the slot-derived deterministic
-    id, and closes it on exit.  Yields ``None`` when ``ctx`` is None —
-    telemetry off, zero work — so call sites need no branching.
+    Yields a :class:`WorkerScope` whose ``registry`` the work records
+    into (pass it to ``run_system(telemetry=)``; the process-wide
+    registry is left alone), with a child span of ``ctx`` opened under
+    the slot-derived deterministic id and closed on exit, even on
+    exception.  Yields ``None`` when ``ctx`` is None — telemetry off,
+    zero work.
     """
     if ctx is None:
         yield None
         return
-    previous = active_telemetry()
-    registry = MetricsRegistry(enabled=True)
     tracer = Tracer(trace_id=ctx.trace_id)
     span = tracer.start_child(name, ctx, slot, attrs=attrs)
-    configure_telemetry(registry)
     try:
-        yield WorkerScope(registry, tracer, span)
+        yield WorkerScope(MetricsRegistry(enabled=True), tracer, span)
     finally:
-        configure_telemetry(previous)
         tracer.finish(span)
 
 
@@ -168,9 +166,8 @@ class TelemetrySession:
         metrics = blob.get("metrics")
         if metrics:
             self.registry.merge(metrics)  # type: ignore[arg-type]
-        spans = blob.get("spans")
-        if spans:
-            self.tracer.adopt(spans)  # type: ignore[arg-type]
+        for data in blob.get("spans") or ():  # type: ignore[union-attr]
+            self.tracer.finished.append(Span.from_data(data))
         self.worker_wall_s += float(blob.get("wall_s", 0.0))  # type: ignore[arg-type]
         pid = blob.get("pid")
         if pid is not None:

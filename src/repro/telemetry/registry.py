@@ -190,7 +190,7 @@ class MetricsRegistry:
     """Named metrics with snapshot/merge semantics.
 
     One registry per *scope*: the supervisor holds one for an entire
-    sweep or campaign, each worker run gets a fresh one (installed by
+    sweep or campaign, each worker run gets a fresh one (opened by
     ``repro.telemetry.worker_telemetry``) whose snapshot travels back as
     a delta.  A disabled registry (``enabled=False``) is a pure null
     sink; :data:`NULL_TELEMETRY` is the shared process-wide instance.

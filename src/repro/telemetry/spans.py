@@ -117,7 +117,7 @@ class Tracer:
     (see :meth:`start_child`), so two tracers in different processes
     never hand out the same id.  Finished spans accumulate in
     :attr:`finished` (workers ship them back in the telemetry blob;
-    the supervisor adopts them via :meth:`adopt`).
+    the supervisor appends them to its own).
     """
 
     def __init__(self, trace_id: Optional[str] = None) -> None:
@@ -172,8 +172,3 @@ class Tracer:
             span.attrs.update(attrs)
         self.finished.append(span)
         return span
-
-    def adopt(self, spans: List[Dict[str, object]]) -> None:
-        """Take ownership of already-finished spans shipped from a worker."""
-        for data in spans:
-            self.finished.append(Span.from_data(data))

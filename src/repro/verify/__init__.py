@@ -37,7 +37,6 @@ from relations to paper claims.
 """
 
 from repro.verify.invariants import (
-    NULL_VERIFIER,
     BudgetComplianceInvariant,
     Invariant,
     InvariantChecker,
@@ -105,7 +104,6 @@ __all__ = [
     "InvariantViolation",
     "LevelDomainCoverage",
     "MetamorphicRelation",
-    "NULL_VERIFIER",
     "NoTestPolicyZeroTests",
     "NocLinkSanityInvariant",
     "PowerConservationInvariant",

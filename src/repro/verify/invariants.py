@@ -12,9 +12,7 @@ Design constraints (the no-op-sink invariant, as for the journal):
 * **Off by default and free.**  The system holds ``verifier=None``
   unless a checker is passed in; every hook site guards with
   ``if verifier is not None and verifier.enabled:``.  A run without a
-  checker is byte-identical to one before this module existed, and
-  :data:`NULL_VERIFIER` exists for call sites that want an always-valid
-  object instead of ``None``.
+  checker is byte-identical to one before this module existed.
 * **Read-only.**  Invariants may look at anything but touch nothing:
   no RNG draws, no model floats, no event scheduling.  Enabling the
   checker on a seeded run reproduces the unchecked run's summary digest
@@ -621,9 +619,3 @@ class InvariantChecker:
             leakage_w=breakdown.leakage,
             noc_w=breakdown.noc,
         )
-
-
-#: Shared disabled checker for call sites that want an always-valid
-#: object: passing it anywhere a verifier is accepted is equivalent to
-#: passing ``None`` (every hook guards on ``enabled``).
-NULL_VERIFIER = InvariantChecker(invariants=[], enabled=False)

@@ -17,15 +17,17 @@ Contract-level properties pinned here:
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import os
+import threading
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import (
-    CachePlan,
     CacheStats,
     ContentStore,
     RunCache,
@@ -33,16 +35,16 @@ from repro.cache import (
     default_salt,
     run_key,
     set_default_cache,
-    store_result_blob,
     write_blob,
 )
 from repro.cache.store import INDEX_FILE, QUARANTINE_DIR, blob_path
 from repro.campaign import CampaignSpec, run_campaign
 from repro.cli import main
 from repro.core.system import SystemConfig, run_system
-from repro.experiments.parallel import run_many
+from repro.experiments.parallel import execute, run_many
 from repro.obs import Journal, configure
 from repro.obs.provenance import config_digest, rows_digest
+from repro.telemetry import MetricsRegistry
 
 #: Small fast config: one run is ~50 ms.
 BASE = SystemConfig(width=4, height=4, horizon_us=2000.0, seed=5)
@@ -198,20 +200,11 @@ def test_gc_collects_orphans_and_compacts(tmp_path):
     root = str(tmp_path)
     store = ContentStore(root)
     store.put("k1", b"keep")
-    write_blob(root, b"orphan-blob")  # deposited but never adopted
+    write_blob(root, b"orphan-blob")  # written but never indexed
     outcome = store.gc()
     assert outcome["orphan_blobs_removed"] == 1
     assert outcome["entries"] == 1
     assert store.get("k1") == ("hit", b"keep")
-
-
-def test_adopt_requires_existing_blob(tmp_path):
-    store = ContentStore(str(tmp_path))
-    with pytest.raises(FileNotFoundError):
-        store.adopt("k1", "0" * 64, 10)
-    digest, size = write_blob(str(tmp_path), b"worker-made")
-    store.adopt("k1", digest, size)
-    assert store.get("k1") == ("hit", b"worker-made")
 
 
 # ----------------------------------------------------------------------
@@ -231,9 +224,7 @@ def test_run_cache_unpicklable_blob_is_corrupt(cache):
     key = cache.put_result(BASE_DIGEST, run_system(BASE))
     entry = cache.store._entries[key]
     # digest-valid bytes that are not a pickle
-    bogus = b"not a pickle at all"
-    digest, size = write_blob(cache.cache_dir, bogus)
-    cache.store.adopt(key, digest, size)
+    cache.store.put(key, b"not a pickle at all")
     assert cache.get_result(BASE_DIGEST) is None
     assert cache.stats.corrupt == 1
     del entry
@@ -385,7 +376,7 @@ def small_spec() -> CampaignSpec:
     )
 
 
-def _exploding_worker(payload):
+def _exploding_worker(config, timeout_s=None, span=None):
     raise AssertionError("cache should have served every point")
 
 
@@ -453,21 +444,114 @@ def test_campaign_pooled_cache_index_owned_by_supervisor(tmp_path):
         json.loads(line)
 
 
-def test_worker_blob_deposit_matches_supervisor_put(tmp_path):
-    """CachePlan deposits index identically to a supervisor-side put."""
-    plan = CachePlan(cache_dir=str(tmp_path), salt=default_salt())
-    result = run_system(BASE)
-    entry = store_result_blob(plan, BASE_DIGEST, result)
-    cache = RunCache(cache_dir=str(tmp_path))
-    cache.adopt(entry["key"], str(entry["blob"]), int(entry["size"]))
-    served = cache.get_result(BASE_DIGEST)
-    assert served is not None
-    assert summaries_digest([served]) == summaries_digest([result])
+def test_overlapping_campaigns_count_their_own_cache_traffic(tmp_path):
+    """Two campaigns share one cache; the first-started finishes first.
+
+    Each campaign's telemetry snapshot counts only its own cache
+    traffic, and a lookup made afterwards — here a served sweep, whose
+    engine registry ``/metrics`` exports — counts in its caller's
+    registry, not in one a finished campaign left behind.
+    """
+    import asyncio
+
+    from repro.serve import ServeEngine, SweepRequest
+
+    cache = RunCache(cache_dir=str(tmp_path / "cache"))
+    a_running = threading.Event()
+    b_running = threading.Event()
+    a_finished = threading.Event()
+
+    def worker_a(config, timeout_s=None, span=None):
+        a_running.set()
+        b_running.wait(60)
+        return execute(config, timeout_s, span)
+
+    def worker_b(config, timeout_s=None, span=None):
+        b_running.set()
+        a_finished.wait(60)
+        return execute(config, timeout_s, span)
+
+    def campaign(name, start, count, worker):
+        spec = CampaignSpec.from_dict(
+            {
+                "name": name,
+                "base": CAMPAIGN_BASE,
+                "grid": {},
+                "seeds": {"start": start, "count": count},
+            }
+        )
+        run_campaign(
+            str(tmp_path / name), spec=spec, cache=cache, worker=worker
+        )
+
+    a = threading.Thread(target=campaign, args=("a", 1, 2, worker_a))
+    b = threading.Thread(target=campaign, args=("b", 3, 3, worker_b))
+    a.start()
+    assert a_running.wait(60)
+    b.start()
+    a.join(120)
+    assert not a.is_alive()
+    a_finished.set()
+    b.join(120)
+    assert not b.is_alive()
+
+    def counters(name):
+        path = tmp_path / name / "telemetry.json"
+        return json.loads(path.read_text())["metrics"]["counters"]
+
+    for name, n in (("a", 2), ("b", 3)):
+        cache_counters = {
+            key: value
+            for key, value in counters(name).items()
+            if key.startswith("cache.")
+        }
+        assert cache_counters == {"cache.misses": n, "cache.puts": n}
+
+    async def served_sweep(registry):
+        engine = ServeEngine(jobs=0, cache=cache, registry=registry)
+        await engine.start()
+        try:
+            tickets = engine.submit(
+                SweepRequest.parse(
+                    {
+                        "points": [{"seed": s} for s in (1, 3, 5)],
+                        "base": CAMPAIGN_BASE,
+                    }
+                )
+            )
+            await asyncio.gather(*[t.future for t in tickets])
+            return [t.source for t in tickets]
+        finally:
+            await engine.drain(30.0)
+            await engine.stop()
+
+    registry = MetricsRegistry()
+    assert asyncio.run(served_sweep(registry)) == ["cached"] * 3
+    snapshot = registry.snapshot()["counters"]
+    assert snapshot["serve.cache_hits"] == 3
+    assert snapshot["cache.hits"] == 3
 
 
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--horizon-ms", "2"],
+        ["sweep", "tdp_w", "40,80", "--horizon-ms", "2"],
+    ],
+    ids=["run", "sweep"],
+)
+def test_cli_closes_the_caches_it_opens(tmp_path, capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(argv + ["--cache-dir", str(tmp_path / "cache")]) == 0
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaks == []
+
+
 def test_cli_sweep_warm_and_cache_commands(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
     args = [

@@ -28,14 +28,13 @@ from repro.campaign import (
     RobustExecutor,
     aggregate_digest,
     build_report,
-    default_worker,
     plan_missing,
     run_campaign,
 )
 from repro.campaign.spec import cell_label
 from repro.cli import main
 from repro.core.system import SystemConfig
-from repro.experiments.parallel import RunFailed, run_many
+from repro.experiments.parallel import Outcome, RunFailed, execute, run_many
 from repro.obs.provenance import config_digest
 
 #: Fast 4x4 base with fault injection on: one run is ~0.1-0.2 s.
@@ -250,13 +249,12 @@ def test_serial_retry_then_success():
     points = spec.fixed_points()
     attempts: dict = {}
 
-    def flaky_worker(payload):
-        point, timeout_s = payload
-        n = attempts.setdefault(point.digest, 0)
-        attempts[point.digest] = n + 1
-        if point.seed == 2 and n < 2:
-            return ("err", point.digest, "RuntimeError: injected")
-        return default_worker(payload)
+    def flaky_worker(config, timeout_s=None, span=None):
+        n = attempts.setdefault(config.seed, 0)
+        attempts[config.seed] = n + 1
+        if config.seed == 2 and n < 2:
+            return Outcome(error="RuntimeError: injected")
+        return execute(config, timeout_s, span)
 
     records = {}
     executor = RobustExecutor(
@@ -264,7 +262,7 @@ def test_serial_retry_then_success():
         worker=flaky_worker,
     )
     stats = executor.run(
-        points, on_record=lambda p, r: records.__setitem__(p.digest, r)
+        points, on_result=lambda p, r: records.__setitem__(p.digest, r)
     )
     assert stats.completed == 3
     assert stats.retried == 2
@@ -277,18 +275,17 @@ def test_serial_quarantine_keeps_completed_results():
     points = spec.fixed_points()
     bad = points[1]
 
-    def broken_worker(payload):
-        point, timeout_s = payload
-        if point.digest == bad.digest:
-            return ("err", point.digest, "RuntimeError: always broken")
-        return default_worker(payload)
+    def broken_worker(config, timeout_s=None, span=None):
+        if config_digest(config) == bad.digest:
+            return Outcome(error="RuntimeError: always broken")
+        return execute(config, timeout_s, span)
 
     records = {}
     failures = []
     executor = RobustExecutor(jobs=1, retry=NO_BACKOFF, worker=broken_worker)
     stats = executor.run(
         points,
-        on_record=lambda p, r: records.__setitem__(p.digest, r),
+        on_result=lambda p, r: records.__setitem__(p.digest, r),
         on_failure=lambda p, attempt, err, q: failures.append(
             (p.digest, attempt, err, q)
         ),
@@ -325,16 +322,14 @@ def test_retry_policy_validation():
 
 
 # Module-level workers for the pooled tests (must be picklable).
-def _fail_seed2_worker(payload):
-    point, timeout_s = payload
-    if point.seed == 2:
-        return ("err", point.digest, "RuntimeError: injected pool failure")
-    return default_worker(payload)
+def _fail_seed2_worker(config, timeout_s=None, span=None):
+    if config.seed == 2:
+        return Outcome(error="RuntimeError: injected pool failure")
+    return execute(config, timeout_s, span)
 
 
-def _exit_seed2_worker(payload):
-    point, timeout_s = payload
-    if point.seed == 2:
+def _exit_seed2_worker(config, timeout_s=None, span=None):
+    if config.seed == 2:
         # Give co-inflight healthy points time to finish first: a pool
         # break charges every in-flight point an attempt (the supervisor
         # cannot tell who crashed), so an instant exit could repeatedly
@@ -342,7 +337,7 @@ def _exit_seed2_worker(payload):
         # but rare race this test is not about.
         time.sleep(0.5)
         os._exit(17)  # hard worker death -> BrokenProcessPool
-    return default_worker(payload)
+    return execute(config, timeout_s, span)
 
 
 def test_pool_worker_exception_is_quarantined_and_attributed():
@@ -354,7 +349,7 @@ def test_pool_worker_exception_is_quarantined_and_attributed():
         jobs=2, retry=NO_BACKOFF, worker=_fail_seed2_worker
     )
     stats = executor.run(
-        points, on_record=lambda p, r: records.__setitem__(p.digest, r)
+        points, on_result=lambda p, r: records.__setitem__(p.digest, r)
     )
     assert stats.completed == 2
     assert len(records) == 2
@@ -373,7 +368,7 @@ def test_pool_survives_hard_worker_death():
         worker=_exit_seed2_worker,
     )
     stats = executor.run(
-        points, on_record=lambda p, r: records.__setitem__(p.digest, r)
+        points, on_result=lambda p, r: records.__setitem__(p.digest, r)
     )
     # The dying point quarantines; every healthy point completes even
     # though the pool it was sharing broke underneath it.
@@ -403,7 +398,7 @@ def test_pool_timeout_quarantines_slow_run():
     )
     t0 = time.monotonic()
     stats = executor.run(
-        points, on_record=lambda p, r: records.__setitem__(p.digest, r)
+        points, on_result=lambda p, r: records.__setitem__(p.digest, r)
     )
     assert time.monotonic() - t0 < 30.0
     assert len(records) == 1

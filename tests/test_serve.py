@@ -180,8 +180,8 @@ class TestFraming:
 # ----------------------------------------------------------------------
 # Engine: coalescing, quotas, draining
 # ----------------------------------------------------------------------
-async def _with_engine(body, **kwargs):
-    engine = ServeEngine(jobs=0, **kwargs)
+async def _with_engine(body, jobs=0, **kwargs):
+    engine = ServeEngine(jobs=jobs, **kwargs)
     await engine.start()
     try:
         return await body(engine)
@@ -309,6 +309,23 @@ class TestEngine:
 
         run_async(_with_engine(body))
 
+    def test_a_point_the_fleet_refuses_still_resolves(self):
+        async def body(engine):
+            # A fleet that refuses the hand-over (here: already shut
+            # down) fails the point instead of leaving it pending.
+            engine._pool.shutdown()
+            tickets = engine.submit(
+                SweepRequest.parse({"points": [{"seed": 1}], "base": SMALL})
+            )
+            with pytest.raises(RuntimeError, match="after shutdown"):
+                await asyncio.wait_for(tickets[0].future, 30.0)
+            assert await engine.drain(30.0) is True
+            return engine.stats()
+
+        stats = run_async(_with_engine(body))
+        assert stats["counters"]["serve.errors"] == 1
+        assert stats["tenants"]["default"]["in_use"] == 0
+
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
             ServeEngine(jobs=-1)
@@ -349,6 +366,9 @@ class TestServedEqualsDirect:
 
     def test_threaded_engine_matches_run_many(self):
         assert self._served_digests() == self._direct_digests()
+
+    def test_process_engine_matches_run_many(self):
+        assert self._served_digests(jobs=1) == self._direct_digests()
 
     def test_cached_engine_matches_run_many(self, tmp_path):
         cache = RunCache(cache_dir=str(tmp_path / "cache"))

@@ -278,16 +278,19 @@ def test_worker_telemetry_yields_none_without_ctx():
         assert scope is None
 
 
-def test_worker_telemetry_restores_previous_registry():
+def test_worker_telemetry_leaves_process_registry_alone():
     from repro.telemetry import active_telemetry
 
     outer = MetricsRegistry()
     configure_telemetry(outer)
-    ctx = TelemetrySession("s").ctx
-    with worker_telemetry(ctx, "0") as scope:
-        assert active_telemetry() is scope.registry
-        assert active_telemetry() is not outer
-    assert active_telemetry() is outer
+    try:
+        ctx = TelemetrySession("s").ctx
+        with worker_telemetry(ctx, "0") as scope:
+            assert active_telemetry() is outer
+            assert scope.registry is not outer
+        assert active_telemetry() is outer
+    finally:
+        configure_telemetry(None)
 
 
 # ----------------------------------------------------------------------

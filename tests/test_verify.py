@@ -27,7 +27,6 @@ from repro.obs.provenance import digest_of
 from repro.platform.core import CoreState
 from repro.power.meter import PowerBreakdown
 from repro.verify import (
-    NULL_VERIFIER,
     BudgetMonotonicThroughput,
     InvariantChecker,
     LevelDomainCoverage,
@@ -68,10 +67,11 @@ def test_verified_run_is_byte_identical_to_unverified():
 
 
 def test_null_verifier_is_a_no_op():
+    disabled = InvariantChecker(invariants=[], enabled=False)
     plain = run_system(SMALL)
-    nulled = run_system(SMALL, verifier=NULL_VERIFIER)
-    assert not NULL_VERIFIER.enabled
-    assert NULL_VERIFIER.checks_run == 0
+    nulled = run_system(SMALL, verifier=disabled)
+    assert not disabled.enabled
+    assert disabled.checks_run == 0
     assert _digest(nulled) == _digest(plain)
 
 
