@@ -17,11 +17,12 @@ byte-for-byte against the digest recorded with the pre-optimisation
 code, and — when the parallel harness is available — a ``jobs=4`` run
 must produce the identical digest as the serial run.
 
-The observability layer (``repro.obs``) rides the same gate: the sweep
-is re-run with the default journal installed (plus a debug-level
-digest cross-check), the rows must stay byte-identical, and the wall
-overhead is reported (gated at a 10% tripwire only under ``--strict``;
-single-pair ratios are noise-dominated).  The sweep runs once more
+The observability layer (``repro.obs``) rides the same gate: each of
+the sweep's 16 points is re-run with an info-level journal of its own
+(plus a debug-level cross-check), every point's ``result_digest`` must
+match its unjournaled run, and the wall overhead is reported (gated at
+a 10% tripwire only under ``--strict``; single-pair ratios are
+noise-dominated).  The sweep runs once more
 under :class:`repro.obs.Profile`: its rows must match too, and its
 overhead is printed but not gated, because the profiler is an explicit
 ~3x diagnostic, not an always-on sink.  ``--obs-artifacts DIR`` dumps a
@@ -54,9 +55,13 @@ from pathlib import Path
 
 from repro.core.system import run_system
 from repro.experiments.runners import DEFAULT_CONFIG, run_e2_throughput_penalty
+from repro.obs.provenance import result_digest
 
 #: Seeds of the default-scale E2 sweep (4 seeds x 4 policies = 16 runs).
 SEEDS = (11, 23, 47, 61)
+
+#: E2's policy axis, in the runner's order.
+E2_POLICIES = ("none", "power-aware", "unaware", "round-robin")
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
@@ -109,44 +114,62 @@ def events_per_second(horizon_us: float) -> dict:
     }
 
 
+def e2_configs(horizon_us: float):
+    """The sweep's 16 points, in the order the E2 runner runs them."""
+    return [
+        replace(
+            DEFAULT_CONFIG,
+            horizon_us=horizon_us,
+            seed=seed,
+            test_policy=policy,
+        )
+        for seed in SEEDS
+        for policy in E2_POLICIES
+    ]
+
+
+def journaled_points(configs, level):
+    """Run every point, each with its own journal at ``level`` (None: off).
+
+    Returns ``(result digests, journal events in all, wall seconds)``.
+    """
+    from repro.obs import Journal
+
+    digests = []
+    events = 0
+    t0 = time.perf_counter()
+    for config in configs:
+        journal = None if level is None else Journal(level=level)
+        digests.append(result_digest(run_system(config, journal=journal)))
+        events += 0 if journal is None else len(journal)
+    return digests, events, time.perf_counter() - t0
+
+
 def obs_overhead(horizon_us: float, pairs: int = 3) -> dict:
     """Digest identity and wall overhead of the enabled journal.
 
-    Runs ``pairs`` alternating (journal-off, journal-on) serial sweeps
-    with the *default* (info-level) journal — the configuration the
-    overhead budget applies to — and reports the median of the per-pair
-    wall ratios (single ratios are dominated by machine noise).  A final
-    debug-level sweep cross-checks the digest on the highest-volume emit
-    path (core transitions + mapping blockages, ~4x the event count),
-    whose emit cost alone is ~5% at full scale and therefore outside the
-    default budget.  The digest checks are the hard invariant either
-    way: journaling is read-only, so the E2 rows must be byte-identical.
+    Runs ``pairs`` alternating (journal-off, journal-on) serial passes
+    over the sweep's points with the *default* (info-level) journal —
+    the configuration the overhead budget applies to — and reports the
+    median of the per-pair wall ratios (single ratios are dominated by
+    machine noise).  A final debug-level pass cross-checks the digests
+    on the highest-volume emit path (core transitions + mapping
+    blockages, ~4x the event count), whose emit cost alone is ~5% at
+    full scale and therefore outside the default budget.  The digest
+    checks are the hard invariant either way: journaling is read-only,
+    so every point's ``result_digest`` must match its unjournaled run.
     """
-    from repro.obs import Journal, configure
-
-    off_digest = on_digest = None
+    configs = e2_configs(horizon_us)
     ratios = []
-    journal = None
-    try:
-        for _ in range(pairs):
-            configure()
-            results, w_off = run_e2_sweep(horizon_us)
-            off_digest = rows_digest(results)
-            journal = Journal()
-            configure(journal)
-            results, w_on = run_e2_sweep(horizon_us)
-            on_digest = rows_digest(results)
-            ratios.append(w_on / w_off if w_off > 0 else float("inf"))
-        debug_journal = Journal(level="debug")
-        configure(debug_journal)
-        results, _ = run_e2_sweep(horizon_us)
-        debug_digest = rows_digest(results)
-    finally:
-        configure()
+    for _ in range(pairs):
+        off_digests, _, w_off = journaled_points(configs, None)
+        on_digests, journal_events, w_on = journaled_points(configs, "info")
+        ratios.append(w_on / w_off if w_off > 0 else float("inf"))
+    debug_digests, debug_events, _ = journaled_points(configs, "debug")
     ratios.sort()
     median = ratios[len(ratios) // 2]
     return {
-        "digest_match": off_digest == on_digest == debug_digest,
+        "digest_match": off_digests == on_digests == debug_digests,
         "overhead_pct": (median - 1.0) * 100.0,
         # The cleanest pair is the tightest upper bound on the true
         # overhead: noise inflates a ratio far more often than it
@@ -154,8 +177,8 @@ def obs_overhead(horizon_us: float, pairs: int = 3) -> dict:
         # are added while the median stays noise-dominated.
         "best_pct": (ratios[0] - 1.0) * 100.0,
         "ratios": ratios,
-        "journal_events": len(journal) if journal is not None else 0,
-        "debug_events": len(debug_journal),
+        "journal_events": journal_events,
+        "debug_events": debug_events,
     }
 
 
@@ -302,7 +325,7 @@ def main(argv=None) -> int:
     else:
         print("baseline recorded at a different scale; skipping the comparison")
 
-    # Observability must be read-only: same rows with the journal on.
+    # Observability must be read-only: same points with the journal on.
     obs_pairs = max(args.obs_pairs, 3) if args.strict else args.obs_pairs
     obs = obs_overhead(args.horizon_us, pairs=obs_pairs)
     print(
@@ -313,9 +336,9 @@ def main(argv=None) -> int:
         f"({obs['debug_events']} at debug level)"
     )
     if not obs["digest_match"]:
-        failures.append("E2 rows differ with observability enabled")
+        failures.append("E2 points differ with observability enabled")
     else:
-        print("rows byte-identical with observability enabled: OK")
+        print("points byte-identical with observability enabled: OK")
     # Wall ratios swing +/-15% pair to pair on a noisy machine, so the
     # overhead budget (3% target, 10% tripwire) is only gated in --strict
     # runs, on the *cleanest* of >= 3 pairs — the tightest upper bound on

@@ -1,7 +1,7 @@
 """Telemetry gate: the metrics pipeline must be invisible and cheap.
 
 Runs the paper's E2 sweep (four test-scheduler policies at 16 nm) twice
-— plain, then with a process-wide telemetry registry installed — and
+— plain, then with a telemetry registry handed to ``run_many`` — and
 gates on telemetry's whole contract:
 
 * **identity** — the instrumented sweep's ``rows_digest`` over the
@@ -38,7 +38,7 @@ from dataclasses import replace
 from repro.core.system import SystemConfig, run_system
 from repro.experiments.parallel import run_many
 from repro.obs.provenance import rows_digest
-from repro.telemetry import MetricsRegistry, configure_telemetry
+from repro.telemetry import MetricsRegistry
 
 #: The 5% contract (docs/observability.md) enforced under ``--strict``.
 STRICT_MAX_OVERHEAD = 0.05
@@ -78,13 +78,9 @@ def run_gate(horizon_us: float, repeats: int, max_overhead: float) -> dict:
         plain_s = min(plain_s, time.perf_counter() - t0)
 
         candidate = MetricsRegistry()
-        configure_telemetry(candidate)
-        try:
-            t0 = time.perf_counter()
-            result = run_many(configs)
-            instrumented_s = min(instrumented_s, time.perf_counter() - t0)
-        finally:
-            configure_telemetry(None)
+        t0 = time.perf_counter()
+        result = run_many(configs, telemetry=candidate)
+        instrumented_s = min(instrumented_s, time.perf_counter() - t0)
         instrumented, registry = result, candidate
 
     plain_digest = rows_digest([r.summary() for r in plain])

@@ -32,6 +32,7 @@ import os
 import pkgutil
 import re
 import sys
+from pathlib import Path
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -72,7 +73,7 @@ def check_links() -> list:
         path = os.path.join(REPO_ROOT, rel_path)
         if not os.path.exists(path):
             continue
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
         base = os.path.dirname(path)
         for match in _LINK_RE.finditer(text):
             target = match.group(1)
@@ -98,7 +99,7 @@ def check_orphan_guides() -> list:
     index_path = os.path.join(docs_dir, "index.md")
     if not os.path.exists(index_path):
         return ["docs/index.md: missing (the landing page is mandatory)"]
-    text = open(index_path, encoding="utf-8").read()
+    text = Path(index_path).read_text(encoding="utf-8")
     linked = set()
     for match in _LINK_RE.finditer(text):
         target = match.group(1)

@@ -12,10 +12,10 @@ recomputed) and LRU eviction under an optional size cap.
 
 Integration points:
 
-* :func:`repro.experiments.run_many` accepts ``cache=`` (and falls back
-  to the process default installed by :func:`set_default_cache`) — in
-  pooled sweeps the workers return results and the *supervisor* owns
-  the cache, so there are no concurrent writers;
+* :func:`repro.experiments.run_many` accepts ``cache=``, and so do the
+  experiment runners that call it — in pooled sweeps the workers return
+  results and the *supervisor* owns the cache, so there are no
+  concurrent writers;
 * :func:`repro.campaign.run_campaign` accepts ``cache=`` — planned
   points found in the cache are checkpointed without running, and the
   supervisor stores completed runs for the next overlapping grid;
@@ -34,8 +34,8 @@ lookups.
 Correctness contract: a cache hit is byte-identical to a recompute
 (pickle round-trips preserve float bit patterns), so cold-vs-warm
 aggregate digests match exactly — pinned by ``tests/test_cache.py``
-and the ``benchmarks/bench_cache.py`` CI gate.  Runs under an enabled
-journal or invariant checker are *bypassed* (counted, never served or
+and the ``benchmarks/bench_cache.py`` CI gate.  ``repro run`` bypasses
+the cache for a journaled or verified run (counted, never served or
 stored): a cached result cannot carry the events of the run it skipped.
 A :class:`repro.obs.Profile` observes from outside and bypasses
 nothing, so profiling a cache hit shows the cache layer's own cost.
@@ -56,7 +56,6 @@ from repro.cache.keys import (
     run_key,
 )
 from repro.cache.store import ContentStore, blob_digest, write_blob
-from repro.obs.journal import NULL_JOURNAL, Journal
 from repro.obs.provenance import config_digest
 from repro.telemetry.registry import NULL_TELEMETRY, MetricsRegistry
 
@@ -113,9 +112,7 @@ class RunCache:
     ``cache_dir`` defaults to ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``;
     ``max_bytes`` bounds the store with LRU eviction (``None`` =
     unbounded, collect with :meth:`gc`); ``salt`` defaults to the
-    code-version salt (:func:`repro.cache.keys.default_salt`);
-    ``journal`` receives ``cache.*`` events (hit/miss/bypass/put/evict/
-    corrupt, at ``t=0`` — cache traffic has no simulation time).
+    code-version salt (:func:`repro.cache.keys.default_salt`).
     """
 
     def __init__(
@@ -123,19 +120,13 @@ class RunCache:
         cache_dir: Optional[str] = None,
         max_bytes: Optional[int] = None,
         salt: Optional[str] = None,
-        journal: Optional[Journal] = None,
     ) -> None:
         self.cache_dir = cache_dir or default_cache_dir()
         self.salt = salt if salt is not None else default_salt()
         self.store = ContentStore(self.cache_dir, max_bytes=max_bytes)
         self.stats = CacheStats()
-        self.journal = journal if journal is not None else NULL_JOURNAL
 
     # ------------------------------------------------------------------
-    def _emit(self, kind: str, **data: object) -> None:
-        if self.journal.enabled:
-            self.journal.emit(f"cache.{kind}", 0.0, **data)
-
     def key_for(self, digest: str) -> str:
         """The cache key of a config digest under this cache's salt."""
         return run_key(digest, self.salt)
@@ -157,11 +148,9 @@ class RunCache:
         status, data = self.store.get(key)
         if status == "corrupt":
             self.stats.corrupt += 1
-            self._emit("corrupt", key=key)
             tm.counter("cache.corrupt").inc()
         if data is None:
             self.stats.misses += 1
-            self._emit("miss", key=key)
             tm.counter("cache.misses").inc()
             return None
         try:
@@ -172,12 +161,10 @@ class RunCache:
             self.store.delete(key, reason="corrupt")
             self.stats.corrupt += 1
             self.stats.misses += 1
-            self._emit("corrupt", key=key)
             tm.counter("cache.corrupt").inc()
             tm.counter("cache.misses").inc()
             return None
         self.stats.hits += 1
-        self._emit("hit", key=key)
         tm.counter("cache.hits").inc()
         return result
 
@@ -196,25 +183,19 @@ class RunCache:
         data = pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
         _digest, evicted = self.store.put(key, data)
         self.stats.puts += 1
-        self._emit("put", key=key, size=len(data))
         tm.counter("cache.puts").inc()
         for victim in evicted:
             self.stats.evictions += 1
-            self._emit("evict", key=victim)
             tm.counter("cache.evictions").inc()
         return key
 
     def note_bypass(
-        self,
-        n: int = 1,
-        reason: str = "",
-        telemetry: Optional[MetricsRegistry] = None,
+        self, telemetry: Optional[MetricsRegistry] = None
     ) -> None:
-        """Count ``n`` lookups that were deliberately not served."""
+        """Count one lookup that was deliberately not served."""
         tm = NULL_TELEMETRY if telemetry is None else telemetry
-        self.stats.bypasses += n
-        self._emit("bypass", n=n, reason=reason)
-        tm.counter("cache.bypasses").inc(n)
+        self.stats.bypasses += 1
+        tm.counter("cache.bypasses").inc()
 
     def get_or_run(
         self, config: object, telemetry: Optional[MetricsRegistry] = None
@@ -222,7 +203,7 @@ class RunCache:
         """Serve ``config`` from cache or run it; returns (result, hit).
 
         ``telemetry`` receives the cache counters and, on a miss, the
-        run's own (``None``: the process-wide registry for the run).
+        run's own.
         """
         from repro.core.system import run_system
 
@@ -263,43 +244,16 @@ class RunCache:
         }
 
 
-# ----------------------------------------------------------------------
-# Process-wide default (mirrors repro.obs.configure): lets the CLI turn
-# caching on for experiment runners without threading a parameter
-# through every runner signature.
-# ----------------------------------------------------------------------
-_active_cache: Optional[RunCache] = None
-
-
-def set_default_cache(cache: Optional[RunCache]) -> None:
-    """Install (or with ``None`` remove) the process-wide default cache.
-
-    ``repro.experiments.run_many`` consults it when no explicit
-    ``cache=`` is passed.  The default does **not** propagate into pool
-    worker processes — workers always compute; only the supervisor
-    consults and owns the cache.
-    """
-    global _active_cache
-    _active_cache = cache
-
-
-def active_cache() -> Optional[RunCache]:
-    """The process-wide default cache (``None`` unless installed)."""
-    return _active_cache
-
-
 __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_SCHEMA",
     "CacheStats",
     "ContentStore",
     "RunCache",
-    "active_cache",
     "blob_digest",
     "code_version",
     "default_cache_dir",
     "default_salt",
     "run_key",
-    "set_default_cache",
     "write_blob",
 ]

@@ -131,7 +131,6 @@ class RobustExecutor:
         timeout_s: Optional[float] = None,
         worker: Callable[..., Outcome] = execute,
         telemetry=None,
-        telemetry_ctx=None,
     ) -> None:
         if jobs is not None and jobs < 0:
             raise ValueError(f"jobs must be non-negative, got {jobs}")
@@ -141,20 +140,14 @@ class RobustExecutor:
         self.worker = worker
         #: Supervisor-side registry for the executor's own machinery
         #: metrics (``exec.*``: retries, quarantines, queue depth) — a
-        #: no-op sink by default.
+        #: no-op sink by default.  When enabled, every point also
+        #: returns its telemetry blob, which goes to ``on_telemetry``.
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        #: Optional :class:`~repro.telemetry.spans.SpanContext`.  When
-        #: set, every point runs under a child span and its telemetry
-        #: blob goes to ``on_telemetry``.
-        self.telemetry_ctx = telemetry_ctx
         self._on_telemetry = None
 
     def _work(self, point: CampaignPoint) -> Tuple:
         """The worker's arguments for one point."""
-        span = None
-        if self.telemetry_ctx is not None:
-            span = (self.telemetry_ctx, point.digest[:12], "campaign.point")
-        return point.config, self.timeout_s, span
+        return point.config, self.timeout_s, self.telemetry.enabled
 
     # ------------------------------------------------------------------
     def run(
@@ -174,7 +167,8 @@ class RobustExecutor:
         already checkpointed by the callback; nothing is lost.
 
         ``on_telemetry`` receives the telemetry blob of every completed
-        point (requires ``telemetry_ctx``) for the supervisor to merge.
+        point (requires an enabled ``telemetry`` registry) for the
+        supervisor to merge.
         """
         stats = ExecutionStats()
         if not points:

@@ -50,7 +50,7 @@ from repro.campaign.store import (
     record_from_result,
 )
 from repro.metrics.stats import halfwidth_met
-from repro.telemetry import TelemetrySession, atomic_write_text
+from repro.telemetry import atomic_write_text
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.status import CampaignStatusWriter
 
@@ -240,9 +240,9 @@ def run_campaign(
     ``interrupt_after`` (they cost no work worth crash-testing).
 
     ``telemetry=True`` (the default) collects per-point metric deltas
-    and trace spans from the workers, merges them supervisor-side, and
-    flushes ``status.json``/``telemetry.prom``/``telemetry.json`` into
-    the campaign directory for ``repro campaign status``/``repro top``;
+    from the workers, merges them supervisor-side, and flushes
+    ``status.json``/``telemetry.prom``/``telemetry.json`` into the
+    campaign directory for ``repro campaign status``/``repro top``;
     the campaign's cache traffic lands in the same registry.  Telemetry
     is a write-only sink: checkpoint rows and the aggregate digest are
     byte-identical with it on or off.
@@ -257,14 +257,10 @@ def run_campaign(
     failures = FailureLog(os.path.join(campaign_dir, FAILURES_FILE))
     records = store.load()
     registry: Optional[MetricsRegistry] = None
-    session: Optional[TelemetrySession] = None
     status: Optional[CampaignStatusWriter] = None
     on_telemetry = None
     if telemetry:
         registry = MetricsRegistry()
-        session = TelemetrySession(
-            "campaign", registry=registry, attrs={"name": spec.name}
-        )
         status = CampaignStatusWriter(
             campaign_dir,
             spec.name,
@@ -275,7 +271,7 @@ def run_campaign(
         )
 
         def on_telemetry(blob) -> None:
-            session.merge_blob(blob)
+            registry.merge(blob["metrics"])
             status.note_worker(blob)
 
     executor_kwargs = {} if worker is None else {"worker": worker}
@@ -284,7 +280,6 @@ def run_campaign(
         retry=retry,
         timeout_s=timeout_s,
         telemetry=registry,
-        telemetry_ctx=session.ctx if session is not None else None,
         **executor_kwargs,
     )
 
@@ -368,10 +363,6 @@ def run_campaign(
         # interrupted campaign leaves a status file saying so.
         if status is not None:
             status.write(final_state, force=True)
-        if session is not None:
-            session.finish(
-                state=final_state, points=completed_this_invocation
-            )
     report = build_report(
         spec, records, quarantined=failures.quarantined(records)
     )

@@ -666,9 +666,7 @@ def _run_command(args: argparse.Namespace) -> int:
     if cache is not None and (journal is not None or verifier is not None):
         # A cached result cannot carry the journal/verification stream of
         # the run it would skip; count the bypass, compute cold.
-        cache.note_bypass(
-            1, reason="observability enabled", telemetry=telemetry_reg
-        )
+        cache.note_bypass(telemetry_reg)
         cache = None
     if cache is not None:
         result, cache_hit = cache.get_or_run(config, telemetry_reg)
@@ -787,33 +785,20 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print(f"known: {sorted(EXPERIMENTS)}", file=sys.stderr)
         return 2
     cache = _cache_from_args(args)
-    if cache is not None:
-        # Experiment runners call run_many internally; the process-wide
-        # default threads the cache through without touching their
-        # signatures.  Regenerated tables may therefore be cache-served
-        # — pass --no-cache to force a cold recompute.
-        from repro.cache import set_default_cache
-
-        set_default_cache(cache)
-    try:
-        for experiment_id in args.ids:
-            kwargs = {}
-            if args.horizon_us is not None:
-                kwargs["horizon_us"] = args.horizon_us
-            if args.jobs is not None:
-                # Ablation runners predate the parallel harness; only pass
-                # --jobs to runners that accept it.
-                runner = EXPERIMENTS[experiment_id]
-                if "jobs" in inspect.signature(runner).parameters:
-                    kwargs["jobs"] = args.jobs
-            result = run_experiment(experiment_id, **kwargs)
-            print(result.render())
-            print()
-    finally:
-        if cache is not None:
-            from repro.cache import set_default_cache
-
-            set_default_cache(None)
+    for experiment_id in args.ids:
+        # Ablation runners predate the parallel harness and the cache;
+        # pass --jobs and the cache only to runners that accept them.
+        params = inspect.signature(EXPERIMENTS[experiment_id]).parameters
+        kwargs = {}
+        if args.horizon_us is not None:
+            kwargs["horizon_us"] = args.horizon_us
+        if args.jobs is not None and "jobs" in params:
+            kwargs["jobs"] = args.jobs
+        if cache is not None and "cache" in params:
+            kwargs["cache"] = cache
+        result = run_experiment(experiment_id, **kwargs)
+        print(result.render())
+        print()
     if cache is not None:
         _print_cache_outcome(cache)
     return 0

@@ -21,6 +21,7 @@ used by the examples and every experiment.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
@@ -36,11 +37,9 @@ from repro.mapping.baselines import ContiguousMapper, RandomFreeMapper, ScatterM
 from repro.mapping.mappro import MapProMapper
 from repro.metrics.collectors import MetricsCollector
 from repro.noc.model import NocModel, NocParameters
-from repro.obs import active_journal
-from repro.obs.journal import Journal
+from repro.obs.journal import NULL_JOURNAL, Journal
 from repro.obs.provenance import RunManifest, digest_of, field_dict
-from repro.telemetry import active_telemetry
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import NULL_TELEMETRY, MetricsRegistry
 from repro.noc.queued import QueuedNocModel
 from repro.noc.topology import Mesh
 from repro.platform.chip import Chip
@@ -52,7 +51,7 @@ from repro.power.manager import PowerManager, make_power_manager
 from repro.power.meter import PowerMeter
 from repro.sim.engine import Simulator
 from repro.sim.events import PRIORITY_CONTROL
-from repro.sim.rng import StreamRegistry
+from repro.sim.rng import StreamRegistry, make_rng
 from repro.testing.runner import TestRunner, TestStats
 from repro.testing.sbst import SBSTLibrary, default_library
 from repro.testing.schedulers import (
@@ -218,11 +217,34 @@ class SimulationResult:
         }
 
 
-#: Memoized arrival traces keyed by the workload-defining config fields
-#: (see :meth:`ManycoreSystem.generate_arrivals`).  Bounded FIFO so long
-#: sweeps over workload knobs cannot grow it without limit.
-_ARRIVAL_TRACES: Dict[tuple, List[Arrival]] = {}
-_ARRIVAL_TRACES_MAX = 64
+@functools.lru_cache(maxsize=64)
+def arrival_trace(
+    bursty: bool,
+    arrival_rate_per_ms: float,
+    profile_names: Tuple[str, ...],
+    profile_weights: Tuple[float, ...],
+    seed: int,
+    horizon_us: float,
+) -> Tuple[Arrival, ...]:
+    """The arrival trace of a workload, memoized across systems.
+
+    The trace is a pure function of these six config fields: it draws
+    from the ``"workload"`` RNG stream of ``seed``, which nothing else
+    consumes, and :class:`Arrival` objects (and the
+    :class:`~repro.workload.application.ApplicationGraph` templates they
+    carry) are immutable.  So experiment sweeps that replay one seed
+    under different policies share one trace, and a tuple keeps the
+    shared trace from being mutated.  ``lru_cache`` bounds the memo and
+    is safe to call from concurrent threads (``repro serve``).
+    """
+    cls = BurstyArrivalProcess if bursty else PoissonArrivalProcess
+    process = cls(
+        arrival_rate_per_ms,
+        [PROFILE_PRESETS[name] for name in profile_names],
+        list(profile_weights),
+        rng=make_rng(seed, "workload"),
+    )
+    return tuple(process.generate(horizon_us))
 
 
 class ManycoreSystem:
@@ -236,11 +258,8 @@ class ManycoreSystem:
         telemetry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.config = config
-        # Observability sinks: explicit argument, else the process-wide
-        # default installed by repro.obs.configure /
-        # repro.telemetry.configure_telemetry (NULL_* when off).
-        self.journal = journal if journal is not None else active_journal()
-        self.telemetry = telemetry if telemetry is not None else active_telemetry()
+        self.journal = journal if journal is not None else NULL_JOURNAL
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         # Runtime invariant checker (repro.verify.InvariantChecker), or
         # None.  Kept duck-typed: repro.core must not import repro.verify
         # (the relation suite imports config/sweep machinery from here).
@@ -443,40 +462,19 @@ class ManycoreSystem:
     # ------------------------------------------------------------------
     # Workload
     # ------------------------------------------------------------------
-    def generate_arrivals(self) -> List[Arrival]:
-        """Arrival trace for this configuration (memoized across systems).
-
-        The trace is a pure function of the workload knobs and the seed:
-        the ``"workload"`` RNG stream is derived only from ``config.seed``
-        and consumed nowhere else, and :class:`Arrival` objects (and the
-        :class:`~repro.workload.application.ApplicationGraph` templates they
-        carry) are immutable, so experiment sweeps that replay the same
-        seed under different policies can share one trace.  Callers must
-        treat the returned list as read-only.
-        """
-        key = (
-            self.config.bursty,
-            self.config.arrival_rate_per_ms,
-            self.config.profile_names,
-            self.config.profile_weights,
-            self.config.seed,
-            self.config.horizon_us,
+    def generate_arrivals(self) -> Tuple[Arrival, ...]:
+        """Arrival trace for this configuration, shared (read-only) with
+        every system whose workload fields and seed match (see
+        :func:`arrival_trace`)."""
+        config = self.config
+        return arrival_trace(
+            config.bursty,
+            config.arrival_rate_per_ms,
+            config.profile_names,
+            config.profile_weights,
+            config.seed,
+            config.horizon_us,
         )
-        cached = _ARRIVAL_TRACES.get(key)
-        if cached is not None:
-            return cached
-        cls = BurstyArrivalProcess if self.config.bursty else PoissonArrivalProcess
-        process = cls(
-            self.config.arrival_rate_per_ms,
-            self.config.profiles(),
-            list(self.config.profile_weights),
-            rng=self.streams.stream("workload"),
-        )
-        trace = process.generate(self.config.horizon_us)
-        if len(_ARRIVAL_TRACES) >= _ARRIVAL_TRACES_MAX:
-            _ARRIVAL_TRACES.pop(next(iter(_ARRIVAL_TRACES)))
-        _ARRIVAL_TRACES[key] = trace
-        return trace
 
     def _on_arrival(self, arrival: Arrival) -> None:
         self._app_counter += 1

@@ -72,7 +72,7 @@ from repro.dse.space import Candidate, SearchSpace
 from repro.dse.surrogate import PolynomialSurrogate, prune_candidates
 from repro.metrics.report import format_table
 from repro.obs.provenance import digest_of
-from repro.telemetry import active_telemetry, atomic_write_text
+from repro.telemetry import atomic_write_text
 
 SPEC_FILE = "spec.json"
 FRONT_FILE = "front.json"
@@ -689,16 +689,10 @@ def _search(
     telemetry: bool,
 ) -> SearchOutcome:
     """:func:`run_search` once its directory and run cache are ready."""
-    registry = active_telemetry() if telemetry else None
     counters = {
         "proposed": 0, "cache_hits": 0, "pruned": 0,
         "evaluated": 0, "generations": 0,
     }
-
-    def count(name: str, n: int = 1) -> None:
-        counters[name] += n
-        if registry is not None:
-            registry.counter(f"dse.{name}").inc(n)
 
     archive: Dict[str, ArchiveEntry] = {}
     per_generation: List[Dict[str, object]] = []
@@ -741,10 +735,10 @@ def _search(
     for generation in range(spec.evolve.generations):
         rng = spec.generation_rng(generation)
         candidates = _propose(spec, generation, archive, rng)
-        count("proposed", len(candidates))
+        counters["proposed"] += len(candidates)
         digests = [spec.space.digest_of(c) for c in candidates]
         known_mask = [d in archive for d in digests]
-        count("cache_hits", sum(known_mask))
+        counters["cache_hits"] += sum(known_mask)
         unknown = [
             (i, c)
             for i, (c, k) in enumerate(zip(candidates, known_mask))
@@ -779,8 +773,8 @@ def _search(
                 candidates[i] for i in outcome.kept if not known_mask[i]
             ]
             pruned_digests = [digests[i] for i in outcome.pruned]
-            count("pruned", len(pruned_digests))
-        count("evaluated", len(evaluate))
+            counters["pruned"] += len(pruned_digests)
+        counters["evaluated"] += len(evaluate)
 
         if evaluate:
             cells = sorted(
@@ -836,7 +830,7 @@ def _search(
                     vector=objective_vector(spec.objectives, records),
                     generation=generation,
                 )
-        count("generations")
+        counters["generations"] += 1
         digests_set = set(archive)
         front_size = len(
             pareto_front_indices(

@@ -12,8 +12,8 @@ Every entry path runs its points through the same three pieces:
 
 * :func:`execute` runs one point and never raises;
 * :class:`Outcome` carries its result or its error string, plus the
-  worker's telemetry blob — the caller knows which point it sent and
-  attributes failures itself;
+  run's telemetry blob when asked for — the caller knows which point it
+  sent and attributes failures itself;
 * :class:`WorkerPool` is the only process pool.  Its workers start from
   a forkserver (spawn where there is none) with this module preloaded,
   so a worker inherits none of the caller's threads, sockets or signal
@@ -29,43 +29,34 @@ quarantines, and :class:`repro.serve.ServeEngine` admits asynchronously.
 ``jobs=None``/``0``/``1`` runs in-process without a pool or pickling,
 so callers can thread a ``--jobs`` flag straight through.
 
-**Memoization.**  ``run_many(cache=)`` (a :class:`repro.cache.RunCache`,
-or the process default installed by :func:`repro.cache.set_default_cache`)
+**Memoization.**  ``run_many(cache=)`` (a :class:`repro.cache.RunCache`)
 serves previously-computed points without re-running them: the
 supervisor probes the cache for every config, dispatches only the
 misses, then stores the fresh results itself — workers never touch the
 cache, so the index has exactly one writer.  Cached results are pickle
 round-trips of the originals, so a warm sweep is byte-identical to a
-cold one.  When a process-wide journal is active the whole call is
-*bypassed* (counted per config on the cache's stats): a cached result
-cannot carry the journal of the run it skipped.  A
-:class:`repro.obs.Profile` around the call does not bypass: it observes
-from outside, so profiling a cache hit shows the cache's own cost.
+cold one.  A :class:`repro.obs.Profile` around the call observes from
+outside, so profiling a cache hit shows the cache's own cost.  A
+journal is not a ``run_many`` argument: a journaled run is one
+``run_system(config, journal=)`` call.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import signal
 import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from multiprocessing import forkserver
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.system import SimulationResult, SystemConfig, run_system
 from repro.obs.provenance import config_digest
 from repro.platform.coretypes import CORE_TYPES, registered_core_types
-from repro.telemetry import (
-    TelemetrySession,
-    active_telemetry,
-    worker_telemetry,
-)
-from repro.telemetry.spans import SpanContext
-
-#: What :func:`execute` opens a worker span under: the parent context,
-#: the point's slot (unique among its siblings) and the span name.
-WorkSpan = Tuple[SpanContext, str, str]
+from repro.telemetry.registry import MetricsRegistry
 
 
 class RunFailed(RuntimeError):
@@ -85,8 +76,8 @@ class Outcome:
     """One executed point: its result or its error, plus telemetry.
 
     Exactly one of ``result`` and ``error`` is set.  ``telemetry`` is the
-    worker's blob (see :func:`repro.telemetry.worker_telemetry`) when a
-    point ran to completion under a span, else ``None``.
+    run's blob ``{metrics, wall_s, pid}`` when :func:`execute` was asked
+    for it and the point ran to completion, else ``None``.
     """
 
     result: Optional[SimulationResult] = None
@@ -122,27 +113,35 @@ def _run(config: SystemConfig, timeout_s, telemetry) -> SimulationResult:
 def execute(
     config: SystemConfig,
     timeout_s: Optional[float] = None,
-    span: Optional[WorkSpan] = None,
+    telemetry: bool = False,
 ) -> Outcome:
     """Run one point; never raises (module-level, so pools can pickle it).
 
     ``timeout_s`` bounds the run with ``SIGALRM`` where the platform has
     it and the call is on the main thread (always true in a pool
-    worker).  With ``span`` the run executes under
-    :func:`~repro.telemetry.worker_telemetry`, whose registry is handed
-    to ``run_system`` and whose blob comes back in the outcome.
+    worker).  With ``telemetry`` the run records into a fresh
+    :class:`~repro.telemetry.MetricsRegistry`, and the outcome carries
+    its snapshot with the run's wall time and the worker's pid, for the
+    caller to merge into its own registry.
     """
-    ctx, slot, name = span if span is not None else (None, "", "")
+    registry = MetricsRegistry() if telemetry else None
+    start = time.perf_counter()
     try:
-        with worker_telemetry(ctx, slot, name) as scope:
-            result = _run(
-                config, timeout_s, scope.registry if scope else None
-            )
+        result = _run(config, timeout_s, registry)
     except _PointTimeout:
         return Outcome(error=f"Timeout: run exceeded {timeout_s:g}s")
     except Exception as exc:
         return Outcome(error=f"{type(exc).__name__}: {exc}")
-    return Outcome(result=result, telemetry=scope.blob() if scope else None)
+    if registry is None:
+        return Outcome(result=result)
+    return Outcome(
+        result=result,
+        telemetry={
+            "metrics": registry.snapshot(),
+            "wall_s": time.perf_counter() - start,
+            "pid": os.getpid(),
+        },
+    )
 
 
 def _with_core_types(core_types, fn, *args):
@@ -229,52 +228,21 @@ class WorkerPool:
         self.shutdown(wait=exc_type is None, cancel_futures=True)
 
 
-def _resolve_cache(cache, n_configs: int, telemetry):
-    """Effective cache for one call: explicit arg, else process default.
-
-    Returns ``None`` (and notes a bypass per config) when a journal is
-    active: serving a memoized result would silently drop the journal
-    the caller asked for, and storing an observed run would be
-    redundant work.
-    """
-    if cache is None:
-        from repro.cache import active_cache
-
-        cache = active_cache()
-    if cache is None:
-        return None
-    from repro.obs import active_journal
-
-    if active_journal().enabled:
-        cache.note_bypass(
-            n_configs, reason="observability enabled", telemetry=telemetry
-        )
-        return None
-    return cache
-
-
 def _run_indexed(
     config_list: List[SystemConfig],
     indices: List[int],
     jobs: Optional[int],
-    session: Optional[TelemetrySession],
+    telemetry: Optional[MetricsRegistry],
 ) -> List[SimulationResult]:
     """Run the configs at ``indices``; failures keep original indices.
 
-    With a ``session``, every run (serial or pooled alike) executes
-    under a worker span and its blob is merged into the session — the
+    With ``telemetry``, every run (serial or pooled alike) records into
+    its own registry and the blobs are merged into ``telemetry`` — the
     serial path uses the same collect-then-merge semantics as the pool,
     which is what makes serial and pooled snapshots identical.
     """
-    ctx = session.ctx if session is not None else None
-    work = [
-        (
-            config_list[index],
-            None,
-            (ctx, str(index), "sweep.run") if ctx is not None else None,
-        )
-        for index in indices
-    ]
+    collect = telemetry is not None
+    work = [(config_list[index], None, collect) for index in indices]
     if not jobs or jobs == 1 or len(indices) <= 1:
         # Lazy: a failing run stops the sweep before the next one runs.
         outcomes: Iterable[Outcome] = (execute(*args) for args in work)
@@ -288,8 +256,8 @@ def _run_indexed(
             raise RunFailed(
                 index, config_digest(config_list[index]), outcome.error
             )
-        if session is not None:
-            session.merge_blob(outcome.telemetry)
+        if collect:
+            telemetry.merge(outcome.telemetry["metrics"])
         results.append(outcome.result)
     return results
 
@@ -298,6 +266,7 @@ def run_many(
     configs: Iterable[SystemConfig],
     jobs: Optional[int] = None,
     cache=None,
+    telemetry: Optional[MetricsRegistry] = None,
 ) -> List[SimulationResult]:
     """Run every config, optionally across ``jobs`` worker processes.
 
@@ -306,11 +275,15 @@ def run_many(
     run: each simulation is deterministic given its config, and the
     pooled path reassembles results by original index.
 
-    ``cache`` (a :class:`repro.cache.RunCache`; defaults to the process
-    default, if any) memoizes results by salted config digest — hits
-    are served without running, misses are computed (pooled if asked)
-    and stored by the supervisor.  Results are identical with the
-    cache on, off, warm or cold.
+    ``cache`` (a :class:`repro.cache.RunCache`) memoizes results by
+    salted config digest — hits are served without running, misses are
+    computed (pooled if asked) and stored by the supervisor.  Results
+    are identical with the cache on, off, warm or cold.
+
+    ``telemetry`` (a :class:`repro.telemetry.MetricsRegistry`) receives
+    the counters of every executed run and of every cache lookup and
+    store.  Cache hits are not simulated, so they add ``cache.*``
+    counters but no ``sim.*`` ones.
 
     Raises :class:`RunFailed` (with the failing config's index and
     digest) if any run fails; nothing is cached for a failing sweep.
@@ -330,38 +303,25 @@ def run_many(
                 f"jobs must be non-negative (0 or 1 means serial), "
                 f"got {jobs}"
             )
-    # Telemetry: with a process-active registry, the sweep becomes one
-    # session — every run collects a delta under a worker span, the
-    # supervisor merges them here.  Cache hits are *not* simulated, so
-    # they contribute cache.* counters but no sim.* ones.
-    tm = active_telemetry()
-    cache = _resolve_cache(cache, len(config_list), tm)
-    session: Optional[TelemetrySession] = None
-    if tm.enabled:
-        session = TelemetrySession(
-            "sweep", registry=tm, attrs={"n_configs": len(config_list)}
+    if telemetry is not None and not telemetry.enabled:
+        telemetry = None
+    if cache is None:
+        return _run_indexed(
+            config_list, list(range(len(config_list))), jobs, telemetry
         )
-    try:
-        if cache is None:
-            return _run_indexed(
-                config_list, list(range(len(config_list))), jobs, session
-            )
-        results: List[Optional[SimulationResult]] = [None] * len(config_list)
-        # One digest per config, shared by the probe and the store.
-        digests = [config_digest(config) for config in config_list]
-        miss_indices: List[int] = []
-        for index, digest in enumerate(digests):
-            cached = cache.get_result(digest, tm)
-            if cached is not None:
-                results[index] = cached
-            else:
-                miss_indices.append(index)
-        if miss_indices:
-            fresh = _run_indexed(config_list, miss_indices, jobs, session)
-            for index, result in zip(miss_indices, fresh):
-                cache.put_result(digests[index], result, tm)
-                results[index] = result
-        return results  # type: ignore[return-value]
-    finally:
-        if session is not None:
-            session.finish(n_configs=len(config_list))
+    results: List[Optional[SimulationResult]] = [None] * len(config_list)
+    # One digest per config, shared by the probe and the store.
+    digests = [config_digest(config) for config in config_list]
+    miss_indices: List[int] = []
+    for index, digest in enumerate(digests):
+        cached = cache.get_result(digest, telemetry)
+        if cached is not None:
+            results[index] = cached
+        else:
+            miss_indices.append(index)
+    if miss_indices:
+        fresh = _run_indexed(config_list, miss_indices, jobs, telemetry)
+        for index, result in zip(miss_indices, fresh):
+            cache.put_result(digests[index], result, telemetry)
+            results[index] = result
+    return results  # type: ignore[return-value]

@@ -10,7 +10,8 @@ All runners accept ``horizon_us``/``seeds`` so the benchmark harness can
 run them at full scale while unit tests use small horizons, plus ``jobs``
 to spread their independent simulation runs over worker processes via
 :func:`repro.experiments.parallel.run_many` (serial and parallel runs
-produce identical results; see that module's docstring).
+produce identical results; see that module's docstring) and ``cache``
+(a :class:`repro.cache.RunCache`) to memoize them.
 """
 
 from __future__ import annotations
@@ -51,7 +52,10 @@ def _grid(horizon_us: float, step_us: float) -> List[float]:
 # E1 — power trace under the budget
 # ----------------------------------------------------------------------
 def run_e1_power_trace(
-    horizon_us: float = 60_000.0, seed: int = 11, jobs: Optional[int] = None
+    horizon_us: float = 60_000.0,
+    seed: int = 11,
+    jobs: Optional[int] = None,
+    cache=None,
 ) -> ExperimentResult:
     """Chip power vs. time against the TDP for proposed vs. power-unaware."""
     base = replace(DEFAULT_CONFIG, horizon_us=horizon_us, seed=seed)
@@ -60,7 +64,9 @@ def run_e1_power_trace(
     grid = _grid(horizon_us, base.epoch_us * 5)
     policies = ("power-aware", "unaware")
     runs = run_many(
-        [replace(base, test_policy=policy) for policy in policies], jobs
+        [replace(base, test_policy=policy) for policy in policies],
+        jobs,
+        cache=cache,
     )
     for policy, result in zip(policies, runs):
         trace = result.metrics.trace
@@ -101,13 +107,18 @@ def run_e1_power_trace(
 # E2 — throughput penalty of online testing
 # ----------------------------------------------------------------------
 def run_e2_throughput_penalty(
-    horizon_us: float = 60_000.0, seed: int = 11, jobs: Optional[int] = None
+    horizon_us: float = 60_000.0,
+    seed: int = 11,
+    jobs: Optional[int] = None,
+    cache=None,
 ) -> ExperimentResult:
     """Throughput penalty per test scheduler at 16 nm (headline claim)."""
     base = replace(DEFAULT_CONFIG, horizon_us=horizon_us, seed=seed)
     policies = ("none", "power-aware", "unaware", "round-robin")
     runs = run_many(
-        [replace(base, test_policy=policy) for policy in policies], jobs
+        [replace(base, test_policy=policy) for policy in policies],
+        jobs,
+        cache=cache,
     )
     results: Dict[str, SimulationResult] = dict(zip(policies, runs))
     baseline = results["none"].throughput_ops_per_us
@@ -148,6 +159,7 @@ def run_e3_tech_nodes(
     seed: int = 11,
     nodes: Optional[Sequence[str]] = None,
     jobs: Optional[int] = None,
+    cache=None,
 ) -> ExperimentResult:
     """Penalty and dark-silicon squeeze across 45/32/22/16 nm."""
     base = replace(DEFAULT_CONFIG, horizon_us=horizon_us, seed=seed)
@@ -158,7 +170,7 @@ def run_e3_tech_nodes(
     for name in names:
         configs.append(replace(base, node_name=name, test_policy="none"))
         configs.append(replace(base, node_name=name, test_policy="power-aware"))
-    runs = run_many(configs, jobs)
+    runs = run_many(configs, jobs, cache=cache)
     for i, name in enumerate(names):
         chip = Chip.build(base.width, base.height, name, base.tdp_w)
         lit = chip.lit_fraction()
@@ -204,6 +216,7 @@ def run_e4_adaptivity(
     horizon_us: float = 60_000.0,
     seeds: Sequence[int] = (5, 11, 23),
     jobs: Optional[int] = None,
+    cache=None,
 ) -> ExperimentResult:
     """Tests per core vs. core busy time (criticality adaptivity).
 
@@ -228,7 +241,9 @@ def run_e4_adaptivity(
     quartile_busy = [[] for _ in range(4)]
     quartile_tests = [[] for _ in range(4)]
     last_series: List[float] = []
-    runs = run_many([replace(base, seed=seed) for seed in seeds], jobs)
+    runs = run_many(
+        [replace(base, seed=seed) for seed in seeds], jobs, cache=cache
+    )
     for result in runs:
         busy = result.per_core_busy_us
         tests = result.per_core_tests
@@ -278,13 +293,16 @@ def run_e5_test_power_share(
     seed: int = 11,
     rates: Sequence[float] = (2.0, 4.0, 6.0, 8.0, 10.0),
     jobs: Optional[int] = None,
+    cache=None,
 ) -> ExperimentResult:
     """Energy share dedicated to testing across offered loads."""
     base = replace(DEFAULT_CONFIG, horizon_us=horizon_us, seed=seed)
     rows = []
     shares = []
     runs = run_many(
-        [replace(base, arrival_rate_per_ms=rate) for rate in rates], jobs
+        [replace(base, arrival_rate_per_ms=rate) for rate in rates],
+        jobs,
+        cache=cache,
     )
     for rate, result in zip(rates, runs):
         share = result.test_power_share
@@ -316,7 +334,10 @@ def run_e5_test_power_share(
 # E6 — V/F-level coverage of the test campaign
 # ----------------------------------------------------------------------
 def run_e6_vf_coverage(
-    horizon_us: float = 60_000.0, seed: int = 11, jobs: Optional[int] = None
+    horizon_us: float = 60_000.0,
+    seed: int = 11,
+    jobs: Optional[int] = None,
+    cache=None,
 ) -> ExperimentResult:
     """Distribution of completed tests across DVFS levels."""
     base = replace(DEFAULT_CONFIG, horizon_us=horizon_us, seed=seed)
@@ -324,7 +345,9 @@ def run_e6_vf_coverage(
     covered = {}
     level_policies = ("rotate", "nominal")
     runs = run_many(
-        [replace(base, test_level_policy=p) for p in level_policies], jobs
+        [replace(base, test_level_policy=p) for p in level_policies],
+        jobs,
+        cache=cache,
     )
     for level_policy, result in zip(level_policies, runs):
         per_level = result.per_level_tests
@@ -355,6 +378,7 @@ def run_e7_mapping(
     seeds: Sequence[int] = (11, 23, 47),
     arrival_rate_per_ms: float = 3.0,
     jobs: Optional[int] = None,
+    cache=None,
 ) -> ExperimentResult:
     """Test-aware utilization-oriented mapping vs. baselines.
 
@@ -377,6 +401,7 @@ def run_e7_mapping(
             for seed in seeds
         ],
         jobs,
+        cache=cache,
     )
     for m, mapper in enumerate(mappers):
         aborts, max_gaps, mean_gaps, hops, thrs = [], [], [], [], []
@@ -434,6 +459,7 @@ def run_e8_detection_latency(
     hazard_per_us: float = 1e-6,
     stress_scale: float = 10.0,
     jobs: Optional[int] = None,
+    cache=None,
 ) -> ExperimentResult:
     """Detection latency of injected permanent faults per scheduler.
 
@@ -458,6 +484,7 @@ def run_e8_detection_latency(
             for seed in seeds
         ],
         jobs,
+        cache=cache,
     )
     for p, policy in enumerate(policies):
         injected = detected = 0
@@ -503,6 +530,7 @@ def run_e9_pid_ablation(
     seed: int = 11,
     tdp_w: float = 50.0,
     jobs: Optional[int] = None,
+    cache=None,
 ) -> ExperimentResult:
     """PID budgeting vs. naive TDP policies under a bursty workload."""
     base = replace(
@@ -517,7 +545,9 @@ def run_e9_pid_ablation(
     )
     policies = ("worst-case", "naive", "pid")
     runs = run_many(
-        [replace(base, power_policy=policy) for policy in policies], jobs
+        [replace(base, power_policy=policy) for policy in policies],
+        jobs,
+        cache=cache,
     )
     results = dict(zip(policies, runs))
     rows = []
@@ -576,7 +606,10 @@ def _tests_by_type(result: SimulationResult) -> Dict[str, int]:
 
 
 def run_e11_hetero(
-    horizon_us: float = 60_000.0, seed: int = 11, jobs: Optional[int] = None
+    horizon_us: float = 60_000.0,
+    seed: int = 11,
+    jobs: Optional[int] = None,
+    cache=None,
 ) -> ExperimentResult:
     """Power-aware testing on a three-type heterogeneous 4x4 floorplan.
 
@@ -607,7 +640,7 @@ def run_e11_hetero(
         replace(base, type_grid=grid, tech_model=model)
         for _, model, grid in variants
     ]
-    runs = run_many(configs, jobs)
+    runs = run_many(configs, jobs, cache=cache)
     rows = []
     for (label, model, _), config, result in zip(variants, configs, runs):
         by_type = _tests_by_type(result)
@@ -721,7 +754,9 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     """Run one experiment by id (e.g. ``"E2"``).
 
     The returned result carries a provenance dict (code version, kwargs,
-    digest over the rows) so archived tables stay attributable.
+    digest over the rows) so archived tables stay attributable.  A
+    ``cache=`` keyword reaches the runner but not the provenance: it
+    changes where results come from, never what they are.
     """
     try:
         runner = EXPERIMENTS[experiment_id]
@@ -733,6 +768,7 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     import repro
     from repro.obs.provenance import experiment_provenance
 
+    kwargs.pop("cache", None)
     result.provenance = experiment_provenance(
         experiment_id,
         getattr(repro, "__version__", "0"),

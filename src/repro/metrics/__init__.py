@@ -1,13 +1,7 @@
 """Simulation-domain metrics: collectors and report formatting.
 
-Naming note — this package vs ``repro.telemetry``: **`repro.metrics`
-is simulation-domain metrics** (per-app latency/throughput records,
-detection statistics, power traces, report tables — *results* of a
-run, the numbers experiments assert on), while **`repro.telemetry` is
-runtime telemetry** (counters/gauges/histograms about the machinery
-while it executes — events/s, launches and deferrals, cache hits,
-worker health).  Nothing is re-exported across the two packages, and
-telemetry never feeds back into the results collected here.
+How this package, ``repro.telemetry`` and ``repro.obs`` split the work:
+``docs/observability.md``.
 """
 
 from repro.metrics.collectors import AppRecord, MetricsCollector

@@ -191,8 +191,8 @@ class MetricsRegistry:
 
     One registry per *scope*: the supervisor holds one for an entire
     sweep or campaign, each worker run gets a fresh one (opened by
-    ``repro.telemetry.worker_telemetry``) whose snapshot travels back as
-    a delta.  A disabled registry (``enabled=False``) is a pure null
+    ``repro.experiments.parallel.execute``) whose snapshot travels back
+    as a delta.  A disabled registry (``enabled=False``) is a pure null
     sink; :data:`NULL_TELEMETRY` is the shared process-wide instance.
     """
 

@@ -60,3 +60,17 @@ def chip44():
 @pytest.fixture
 def chip88():
     return Chip.build(8, 8, "16nm", tdp_w=80.0)
+
+
+@pytest.fixture
+def closes():
+    """Wraps a cache or store so that it is closed when the test ends."""
+    opened = []
+
+    def track(store):
+        opened.append(store)
+        return store
+
+    yield track
+    for store in opened:
+        store.close()

@@ -22,6 +22,7 @@ import json
 import os
 import threading
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,10 +32,8 @@ from repro.cache import (
     CacheStats,
     ContentStore,
     RunCache,
-    active_cache,
     default_salt,
     run_key,
-    set_default_cache,
     write_blob,
 )
 from repro.cache.store import INDEX_FILE, QUARANTINE_DIR, blob_path
@@ -42,7 +41,6 @@ from repro.campaign import CampaignSpec, run_campaign
 from repro.cli import main
 from repro.core.system import SystemConfig, run_system
 from repro.experiments.parallel import execute, run_many
-from repro.obs import Journal, configure
 from repro.obs.provenance import config_digest, rows_digest
 from repro.telemetry import MetricsRegistry
 
@@ -57,7 +55,9 @@ def summaries_digest(results) -> str:
 
 @pytest.fixture
 def cache(tmp_path):
-    return RunCache(cache_dir=str(tmp_path / "cache"))
+    cache = RunCache(cache_dir=str(tmp_path / "cache"))
+    yield cache
+    cache.close()
 
 
 # ----------------------------------------------------------------------
@@ -78,20 +78,20 @@ def test_key_is_salt_sensitive():
 # ----------------------------------------------------------------------
 # ContentStore
 # ----------------------------------------------------------------------
-def test_store_round_trip_and_persistence(tmp_path):
+def test_store_round_trip_and_persistence(tmp_path, closes):
     root = str(tmp_path)
-    store = ContentStore(root)
+    store = closes(ContentStore(root))
     store.put("k1", b"hello")
     assert store.get("k1") == ("hit", b"hello")
     assert store.get("nope") == ("miss", None)
     # a fresh instance replays the index
-    again = ContentStore(root)
+    again = closes(ContentStore(root))
     assert again.get("k1") == ("hit", b"hello")
     assert len(again) == 1 and again.total_bytes() == 5
 
 
-def test_store_deduplicates_identical_blobs(tmp_path):
-    store = ContentStore(str(tmp_path))
+def test_store_deduplicates_identical_blobs(tmp_path, closes):
+    store = closes(ContentStore(str(tmp_path)))
     d1, _ = store.put("k1", b"same-bytes")
     d2, _ = store.put("k2", b"same-bytes")
     assert d1 == d2
@@ -102,9 +102,9 @@ def test_store_deduplicates_identical_blobs(tmp_path):
     assert not os.path.exists(blob_path(str(tmp_path), d1))
 
 
-def test_corrupt_blob_is_quarantined_and_missed(tmp_path):
+def test_corrupt_blob_is_quarantined_and_missed(tmp_path, closes):
     root = str(tmp_path)
-    store = ContentStore(root)
+    store = closes(ContentStore(root))
     digest, _ = store.put("k1", b"payload")
     with open(blob_path(root, digest), "r+b") as handle:
         handle.write(b"XX")
@@ -114,20 +114,20 @@ def test_corrupt_blob_is_quarantined_and_missed(tmp_path):
     assert os.path.exists(os.path.join(root, QUARANTINE_DIR, digest))
     assert store.counters["corrupt"] == 1
     # the deletion is durable: a reload agrees
-    assert ContentStore(root).get("k1") == ("miss", None)
+    assert closes(ContentStore(root)).get("k1") == ("miss", None)
 
 
-def test_vanished_blob_counts_as_corrupt(tmp_path):
+def test_vanished_blob_counts_as_corrupt(tmp_path, closes):
     root = str(tmp_path)
-    store = ContentStore(root)
+    store = closes(ContentStore(root))
     digest, _ = store.put("k1", b"payload")
     os.remove(blob_path(root, digest))
     assert store.get("k1") == ("corrupt", None)
 
 
-def test_verify_quarantines_and_reports(tmp_path):
+def test_verify_quarantines_and_reports(tmp_path, closes):
     root = str(tmp_path)
-    store = ContentStore(root)
+    store = closes(ContentStore(root))
     d1, _ = store.put("good", b"aaa")
     d2, _ = store.put("bad", b"bbb")
     with open(blob_path(root, d2), "wb") as handle:
@@ -139,9 +139,9 @@ def test_verify_quarantines_and_reports(tmp_path):
     assert store.get("good")[0] == "hit"
 
 
-def test_lru_eviction_order_under_tiny_cap(tmp_path):
+def test_lru_eviction_order_under_tiny_cap(tmp_path, closes):
     # Cap fits two 3-byte blobs; entries are evicted oldest-use first.
-    store = ContentStore(str(tmp_path), max_bytes=6)
+    store = closes(ContentStore(str(tmp_path), max_bytes=6))
     store.put("a", b"aa1")
     store.put("b", b"bb1")
     store.get("a")  # refresh a: b is now the LRU entry
@@ -150,55 +150,55 @@ def test_lru_eviction_order_under_tiny_cap(tmp_path):
     assert store.keys() == ["a", "c"]
     assert store.counters["evictions"] == 1
     # the sole remaining entry is never evicted on behalf of itself
-    solo = ContentStore(str(tmp_path / "solo"), max_bytes=1)
+    solo = closes(ContentStore(str(tmp_path / "solo"), max_bytes=1))
     solo.put("big", b"way-too-big")
     assert solo.keys() == ["big"]
 
 
-def test_eviction_order_survives_reload(tmp_path):
+def test_eviction_order_survives_reload(tmp_path, closes):
     root = str(tmp_path)
-    store = ContentStore(root, max_bytes=100)
+    store = closes(ContentStore(root, max_bytes=100))
     store.put("a", b"a" * 30)
     store.put("b", b"b" * 30)
     store.get("a")
-    reloaded = ContentStore(root, max_bytes=100)
+    reloaded = closes(ContentStore(root, max_bytes=100))
     evicted = reloaded.put("c", b"c" * 60)[1]
     assert evicted == ["b"]
 
 
-def test_torn_final_index_line_is_tolerated(tmp_path):
+def test_torn_final_index_line_is_tolerated(tmp_path, closes):
     root = str(tmp_path)
     store = ContentStore(root)
     store.put("k1", b"data")
     store.close()
     with open(os.path.join(root, INDEX_FILE), "a", encoding="utf-8") as f:
         f.write('{"op": "put", "key": "torn')
-    again = ContentStore(root)
+    again = closes(ContentStore(root))
     assert again.get("k1") == ("hit", b"data")
 
 
-def test_mid_file_index_corruption_self_heals(tmp_path):
+def test_mid_file_index_corruption_self_heals(tmp_path, closes):
     root = str(tmp_path)
     store = ContentStore(root)
     store.put("k1", b"one")
     store.put("k2", b"two")
     store.close()
     index = os.path.join(root, INDEX_FILE)
-    lines = open(index, encoding="utf-8").read().splitlines()
+    lines = Path(index).read_text(encoding="utf-8").splitlines()
     lines.insert(1, "GARBAGE-NOT-JSON")
     with open(index, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
-    healed = ContentStore(root)
+    healed = closes(ContentStore(root))
     assert healed.get("k1")[0] == "hit"
     assert healed.get("k2")[0] == "hit"
     # the log was compacted: every surviving line parses
-    for line in open(index, encoding="utf-8").read().splitlines():
+    for line in Path(index).read_text(encoding="utf-8").splitlines():
         json.loads(line)
 
 
-def test_gc_collects_orphans_and_compacts(tmp_path):
+def test_gc_collects_orphans_and_compacts(tmp_path, closes):
     root = str(tmp_path)
-    store = ContentStore(root)
+    store = closes(ContentStore(root))
     store.put("k1", b"keep")
     write_blob(root, b"orphan-blob")  # written but never indexed
     outcome = store.gc()
@@ -230,35 +230,8 @@ def test_run_cache_unpicklable_blob_is_corrupt(cache):
     del entry
 
 
-def test_run_cache_emits_journal_events(tmp_path):
-    journal = Journal()
-    cache = RunCache(cache_dir=str(tmp_path), journal=journal)
-    cache.get_or_run(BASE)
-    cache.get_or_run(BASE)
-    cache.note_bypass(2, reason="test")
-    counts = journal.counts()
-    assert counts["cache.miss"] == 1
-    assert counts["cache.put"] == 1
-    assert counts["cache.hit"] == 1
-    assert counts["cache.bypass"] == 1
-
-
 def test_cache_stats_empty_hit_rate():
     assert CacheStats().hit_rate() is None
-
-
-def test_default_cache_install_and_reset(cache):
-    assert active_cache() is None
-    set_default_cache(cache)
-    try:
-        assert active_cache() is cache
-        run_many([BASE])
-        assert cache.stats.misses == 1
-        run_many([BASE])
-        assert cache.stats.hits == 1
-    finally:
-        set_default_cache(None)
-    assert active_cache() is None
 
 
 # ----------------------------------------------------------------------
@@ -283,21 +256,21 @@ def test_run_many_cache_identity_serial(cache):
     assert cache.stats.misses == 4 and cache.stats.hits == 4
 
 
-def test_run_many_cache_identity_pooled_no_torn_index(tmp_path):
+def test_run_many_cache_identity_pooled_no_torn_index(tmp_path, closes):
     configs = sweep_configs(6)
     root = str(tmp_path / "cache")
-    cold = run_many(configs, 2, cache=RunCache(cache_dir=root))
+    cold = run_many(configs, 2, cache=closes(RunCache(cache_dir=root)))
     # every index line written during the pooled sweep parses cleanly
     index = os.path.join(root, INDEX_FILE)
     lines = [
         line
-        for line in open(index, encoding="utf-8").read().splitlines()
+        for line in Path(index).read_text(encoding="utf-8").splitlines()
         if line.strip()
     ]
     assert len(lines) >= 6
     for line in lines:
         assert json.loads(line)["op"] in ("put", "touch", "del")
-    warm_cache = RunCache(cache_dir=root)
+    warm_cache = closes(RunCache(cache_dir=root))
     warm = run_many(configs, 2, cache=warm_cache)
     assert warm_cache.stats.hits == 6 and warm_cache.stats.misses == 0
     assert summaries_digest(cold) == summaries_digest(warm)
@@ -310,18 +283,6 @@ def test_run_many_partial_warm(cache):
     results = run_many(configs, cache=cache)
     assert cache.stats.hits == 2 and cache.stats.misses == 2
     assert summaries_digest(results) == summaries_digest(run_many(configs))
-
-
-def test_run_many_bypasses_under_observability(cache):
-    configure(journal=Journal())
-    try:
-        results = run_many([BASE], cache=cache)
-    finally:
-        configure()
-    assert cache.stats.bypasses == 1
-    assert cache.stats.hits == 0 and cache.stats.misses == 0
-    assert len(cache.store) == 0
-    assert summaries_digest(results) == summaries_digest([run_system(BASE)])
 
 
 @settings(max_examples=6, deadline=None)
@@ -343,8 +304,11 @@ def test_property_cache_on_equals_cache_off(tmp_path_factory, tdp_w, seed, rate)
         cache_dir=str(tmp_path_factory.mktemp("prop-cache"))
     )
     off = run_many([config])
-    cold = run_many([config], cache=cache)
-    warm = run_many([config], cache=cache)
+    try:
+        cold = run_many([config], cache=cache)
+        warm = run_many([config], cache=cache)
+    finally:
+        cache.close()
     assert (
         summaries_digest(off)
         == summaries_digest(cold)
@@ -376,19 +340,21 @@ def small_spec() -> CampaignSpec:
     )
 
 
-def _exploding_worker(config, timeout_s=None, span=None):
+def _exploding_worker(config, timeout_s=None, telemetry=False):
     raise AssertionError("cache should have served every point")
 
 
-def test_campaign_warm_grid_served_without_running(tmp_path):
+def test_campaign_warm_grid_served_without_running(tmp_path, closes):
     spec = small_spec()
     cache_dir = str(tmp_path / "cache")
     cold = run_campaign(
-        str(tmp_path / "c1"), spec=spec, cache=RunCache(cache_dir=cache_dir)
+        str(tmp_path / "c1"),
+        spec=spec,
+        cache=closes(RunCache(cache_dir=cache_dir)),
     )
     # identical grid, new campaign dir, a worker that would fail loudly:
     # every point must be served from the cache.
-    warm_cache = RunCache(cache_dir=cache_dir)
+    warm_cache = closes(RunCache(cache_dir=cache_dir))
     warm = run_campaign(
         str(tmp_path / "c2"),
         spec=spec,
@@ -402,11 +368,13 @@ def test_campaign_warm_grid_served_without_running(tmp_path):
     assert plain.aggregate == cold.aggregate
 
 
-def test_campaign_overlapping_grid_partially_served(tmp_path):
+def test_campaign_overlapping_grid_partially_served(tmp_path, closes):
     spec = small_spec()
     cache_dir = str(tmp_path / "cache")
     run_campaign(
-        str(tmp_path / "c1"), spec=spec, cache=RunCache(cache_dir=cache_dir)
+        str(tmp_path / "c1"),
+        spec=spec,
+        cache=closes(RunCache(cache_dir=cache_dir)),
     )
     bigger = CampaignSpec.from_dict(
         {
@@ -416,7 +384,7 @@ def test_campaign_overlapping_grid_partially_served(tmp_path):
             "seeds": {"start": 1, "count": 2},
         }
     )
-    overlap_cache = RunCache(cache_dir=cache_dir)
+    overlap_cache = closes(RunCache(cache_dir=cache_dir))
     report = run_campaign(
         str(tmp_path / "c2"), spec=bigger, cache=overlap_cache
     )
@@ -427,24 +395,22 @@ def test_campaign_overlapping_grid_partially_served(tmp_path):
     assert report.aggregate == plain.aggregate
 
 
-def test_campaign_pooled_cache_index_owned_by_supervisor(tmp_path):
+def test_campaign_pooled_cache_index_owned_by_supervisor(tmp_path, closes):
     spec = small_spec()
     cache_dir = str(tmp_path / "cache")
     run_campaign(
         str(tmp_path / "c1"),
         spec=spec,
         jobs=2,
-        cache=RunCache(cache_dir=cache_dir),
+        cache=closes(RunCache(cache_dir=cache_dir)),
     )
-    store = ContentStore(cache_dir)
-    assert len(store) == 4
-    for line in open(
-        os.path.join(cache_dir, INDEX_FILE), encoding="utf-8"
-    ).read().splitlines():
+    assert len(closes(ContentStore(cache_dir))) == 4
+    index = Path(cache_dir, INDEX_FILE).read_text(encoding="utf-8")
+    for line in index.splitlines():
         json.loads(line)
 
 
-def test_overlapping_campaigns_count_their_own_cache_traffic(tmp_path):
+def test_overlapping_campaigns_count_their_own_cache_traffic(tmp_path, closes):
     """Two campaigns share one cache; the first-started finishes first.
 
     Each campaign's telemetry snapshot counts only its own cache
@@ -456,20 +422,20 @@ def test_overlapping_campaigns_count_their_own_cache_traffic(tmp_path):
 
     from repro.serve import ServeEngine, SweepRequest
 
-    cache = RunCache(cache_dir=str(tmp_path / "cache"))
+    cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
     a_running = threading.Event()
     b_running = threading.Event()
     a_finished = threading.Event()
 
-    def worker_a(config, timeout_s=None, span=None):
+    def worker_a(config, timeout_s=None, telemetry=False):
         a_running.set()
         b_running.wait(60)
-        return execute(config, timeout_s, span)
+        return execute(config, timeout_s, telemetry)
 
-    def worker_b(config, timeout_s=None, span=None):
+    def worker_b(config, timeout_s=None, telemetry=False):
         b_running.set()
         a_finished.wait(60)
-        return execute(config, timeout_s, span)
+        return execute(config, timeout_s, telemetry)
 
     def campaign(name, start, count, worker):
         spec = CampaignSpec.from_dict(
@@ -576,6 +542,28 @@ def test_cli_sweep_warm_and_cache_commands(tmp_path, capsys):
     capsys.readouterr()
     assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
     assert "cleared 2" in capsys.readouterr().out
+
+
+def test_cli_experiment_served_from_cache(tmp_path, capsys):
+    """``repro experiment`` hands its cache to the runners that take one:
+    a warm E2 serves all four points and renders the cold table."""
+    cache_dir = str(tmp_path / "cache")
+    args = ["experiment", "E2", "--horizon-us", "2000"]
+    assert main(args + ["--cache-dir", cache_dir]) == 0
+    cold = capsys.readouterr().out
+    assert "0 hit(s), 4 miss(es)" in cold
+    assert main(args + ["--cache-dir", cache_dir]) == 0
+    warm = capsys.readouterr().out
+    assert "4 hit(s), 0 miss(es)" in warm
+    assert main(args + ["--no-cache"]) == 0
+    plain = capsys.readouterr().out
+    table = lambda text: text.split("cache:")[0]
+    assert table(cold) == table(warm) == plain
+    # E10 and the ablations take no cache; the flag leaves them be.
+    assert main(
+        ["experiment", "A4", "--horizon-us", "2000", "--cache-dir", cache_dir]
+    ) == 0
+    assert "0 hit(s), 0 miss(es)" in capsys.readouterr().out
 
 
 def test_cli_cache_verify_flags_corruption(tmp_path, capsys):

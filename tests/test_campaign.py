@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -249,12 +250,12 @@ def test_serial_retry_then_success():
     points = spec.fixed_points()
     attempts: dict = {}
 
-    def flaky_worker(config, timeout_s=None, span=None):
+    def flaky_worker(config, timeout_s=None, telemetry=False):
         n = attempts.setdefault(config.seed, 0)
         attempts[config.seed] = n + 1
         if config.seed == 2 and n < 2:
             return Outcome(error="RuntimeError: injected")
-        return execute(config, timeout_s, span)
+        return execute(config, timeout_s, telemetry)
 
     records = {}
     executor = RobustExecutor(
@@ -275,10 +276,10 @@ def test_serial_quarantine_keeps_completed_results():
     points = spec.fixed_points()
     bad = points[1]
 
-    def broken_worker(config, timeout_s=None, span=None):
+    def broken_worker(config, timeout_s=None, telemetry=False):
         if config_digest(config) == bad.digest:
             return Outcome(error="RuntimeError: always broken")
-        return execute(config, timeout_s, span)
+        return execute(config, timeout_s, telemetry)
 
     records = {}
     failures = []
@@ -322,13 +323,13 @@ def test_retry_policy_validation():
 
 
 # Module-level workers for the pooled tests (must be picklable).
-def _fail_seed2_worker(config, timeout_s=None, span=None):
+def _fail_seed2_worker(config, timeout_s=None, telemetry=False):
     if config.seed == 2:
         return Outcome(error="RuntimeError: injected pool failure")
-    return execute(config, timeout_s, span)
+    return execute(config, timeout_s, telemetry)
 
 
-def _exit_seed2_worker(config, timeout_s=None, span=None):
+def _exit_seed2_worker(config, timeout_s=None, telemetry=False):
     if config.seed == 2:
         # Give co-inflight healthy points time to finish first: a pool
         # break charges every in-flight point an attempt (the supervisor
@@ -337,7 +338,7 @@ def _exit_seed2_worker(config, timeout_s=None, span=None):
         # but rare race this test is not about.
         time.sleep(0.5)
         os._exit(17)  # hard worker death -> BrokenProcessPool
-    return execute(config, timeout_s, span)
+    return execute(config, timeout_s, telemetry)
 
 
 def test_pool_worker_exception_is_quarantined_and_attributed():
@@ -433,9 +434,8 @@ def test_fixed_campaign_resume_identity(tmp_path):
     )
     assert resumed.aggregate == straight.aggregate
     assert resumed.n_completed == straight.n_completed == 4
-    assert json.load(
-        open(os.path.join(interrupted_dir, "manifest.json"))
-    )["aggregate_digest"] == resumed.aggregate
+    manifest = Path(interrupted_dir, "manifest.json").read_text()
+    assert json.loads(manifest)["aggregate_digest"] == resumed.aggregate
 
 
 #: Aggregate digest of an uninterrupted run of the CI campaign smoke spec.

@@ -187,11 +187,11 @@ def test_run_key_matches_golden():
     assert run_key(config_digest(config), golden["salt"]) == golden["key"]
 
 
-def test_campaign_identities_match_goldens(tmp_path):
+def test_campaign_identities_match_goldens(tmp_path, closes):
     golden = GOLDENS["campaign"]
     spec = CampaignSpec.from_dict(golden["spec"])
     assert [p.digest for p in spec.fixed_points()] == golden["point_digests"]
-    cache = RunCache(cache_dir=str(tmp_path / "cache"))
+    cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
     cold = run_campaign(
         str(tmp_path / "cold"), spec=spec, cache=cache, telemetry=False
     )
@@ -225,7 +225,9 @@ def count_calls(monkeypatch, functions):
     return counts
 
 
-def test_warm_fixed_campaign_derives_each_identity_once(tmp_path, monkeypatch):
+def test_warm_fixed_campaign_derives_each_identity_once(
+    tmp_path, monkeypatch, closes
+):
     spec = CampaignSpec.from_dict(
         {
             "name": "work-count",
@@ -235,7 +237,7 @@ def test_warm_fixed_campaign_derives_each_identity_once(tmp_path, monkeypatch):
         }
     )
     n_points = spec.n_planned_points()
-    cache = RunCache(cache_dir=str(tmp_path / "cache"))
+    cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
     run_campaign(str(tmp_path / "cold"), spec=spec, cache=cache)
     counts = count_calls(
         monkeypatch,

@@ -110,9 +110,9 @@ def test_pooled_run_many_matches_frozen_goldens(degenerate_base):
         assert result_digest(result) == _golden("g44_base", seed)
 
 
-def test_warm_cache_matches_frozen_goldens(degenerate_base, tmp_path):
+def test_warm_cache_matches_frozen_goldens(degenerate_base, tmp_path, closes):
     sweep = [replace(degenerate_base, seed=s) for s in smoke.SWEEP_SEEDS]
-    cache = RunCache(cache_dir=str(tmp_path / "cache"))
+    cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
     run_many(sweep, None, cache=cache)
     warm = run_many(sweep, None, cache=cache)
     assert cache.stats.hits >= len(sweep)

@@ -7,6 +7,7 @@ reproduces a disabled run's results bit for bit.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -18,21 +19,13 @@ from repro.obs import (
     JournalEvent,
     Profile,
     RunManifest,
-    active_journal,
     audit,
-    configure,
     digest_of,
     events_of,
     result_digest,
     rows_digest,
 )
 from repro.obs.profile import OTHER, module_of
-
-
-@pytest.fixture(autouse=True)
-def _reset_global_sinks():
-    yield
-    configure()
 
 
 # ----------------------------------------------------------------------
@@ -189,14 +182,6 @@ def test_profiled_run_is_bit_exact_and_covered():
     assert {"repro.sim.engine", "repro.core.executor"} <= set(profile.rows)
 
 
-def test_configure_and_reset_globals():
-    journal = Journal()
-    configure(journal)
-    assert active_journal() is journal
-    configure()
-    assert active_journal() is NULL_JOURNAL
-
-
 # ----------------------------------------------------------------------
 # Audit reports on synthetic journals
 # ----------------------------------------------------------------------
@@ -327,23 +312,24 @@ def test_journal_answers_the_papers_questions():
 
 
 def test_e2_digest_unchanged_with_journal_enabled():
-    """Tier-1 guard for the bench invariant: the E2 table is bit-identical
-    with full journaling enabled and the run profiled (scaled-down
-    horizon, serial path)."""
-    from repro.experiments import run_experiment
+    """Tier-1 guard for the bench invariant: every E2 point is
+    bit-identical with a debug-level journal of its own and the whole
+    set profiled (scaled-down horizon)."""
+    from repro.experiments.runners import DEFAULT_CONFIG
 
-    plain = run_experiment("E2", horizon_us=3_000.0, jobs=1)
-    configure(Journal(level="debug"))
-    try:
-        with Profile():
-            observed = run_experiment("E2", horizon_us=3_000.0, jobs=1)
-    finally:
-        configure()
-    assert plain.rows == observed.rows
-    assert (
-        plain.provenance["rows_digest"] == observed.provenance["rows_digest"]
-    )
-    assert len(active_journal()) == 0  # reset restored the null sink
+    configs = [
+        replace(DEFAULT_CONFIG, horizon_us=3_000.0, test_policy=policy)
+        for policy in ("none", "power-aware", "unaware", "round-robin")
+    ]
+    plain = [result_digest(run_system(config)) for config in configs]
+    journals = [Journal(level="debug") for _ in configs]
+    with Profile():
+        observed = [
+            result_digest(run_system(config, journal=journal))
+            for config, journal in zip(configs, journals)
+        ]
+    assert observed == plain
+    assert all(len(journal) > 0 for journal in journals)
 
 
 def test_run_manifest_provenance():

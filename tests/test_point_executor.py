@@ -28,7 +28,6 @@ from repro.core.system import SystemConfig, run_system
 from repro.experiments.parallel import Outcome, WorkerPool, execute
 from repro.obs.provenance import result_digest
 from repro.platform.coretypes import CORE_TYPES
-from repro.telemetry import TelemetrySession, active_telemetry
 from repro.verify.relations import (
     TypedZeroHazardTypedZeroFaults,
     check_relations,
@@ -45,14 +44,15 @@ def test_execute_good_point():
     assert result_digest(outcome.result) == result_digest(run_system(SMALL))
 
 
-def test_execute_under_a_span_returns_its_blob():
-    session = TelemetrySession("sweep")
-    outcome = execute(SMALL, span=(session.ctx, "0", "sweep.run"))
+def test_execute_with_telemetry_returns_its_blob():
+    outcome = execute(SMALL, telemetry=True)
     assert outcome.error is None
+    assert sorted(outcome.telemetry) == ["metrics", "pid", "wall_s"]
     assert outcome.telemetry["metrics"]["counters"]["sim.runs"] == 1
-    assert [s["name"] for s in outcome.telemetry["spans"]] == ["sweep.run"]
-    # The worker's registry went to run_system, not into the process.
-    assert not active_telemetry().enabled
+    assert outcome.telemetry["pid"] == os.getpid()
+    assert outcome.telemetry["wall_s"] > 0
+    # The run's registry is read-only to it: same result as without.
+    assert result_digest(outcome.result) == result_digest(run_system(SMALL))
 
 
 def test_execute_failing_point():

@@ -370,8 +370,8 @@ class TestServedEqualsDirect:
     def test_process_engine_matches_run_many(self):
         assert self._served_digests(jobs=1) == self._direct_digests()
 
-    def test_cached_engine_matches_run_many(self, tmp_path):
-        cache = RunCache(cache_dir=str(tmp_path / "cache"))
+    def test_cached_engine_matches_run_many(self, tmp_path, closes):
+        cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
         digests = self._served_digests(cache=cache)
         assert digests == self._direct_digests()
         # Second pass is served entirely from cache — same digests.

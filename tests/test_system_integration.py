@@ -5,10 +5,13 @@ a few seconds, but exercise every subsystem together: arrivals → mapping →
 execution → power management → test scheduling → metrics.
 """
 
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 
+from repro.core import system
 from repro.core.system import ManycoreSystem, SystemConfig, run_system
 from repro.platform.core import CoreState
 
@@ -96,6 +99,38 @@ def test_workload_identical_across_test_policies():
     b = ManycoreSystem(replace(QUICK, test_policy="unaware")).generate_arrivals()
     assert [x.time for x in a] == [x.time for x in b]
     assert [len(x.graph) for x in a] == [len(x.graph) for x in b]
+
+
+def test_arrival_memo_is_thread_safe():
+    """Threads that build systems at once (``repro serve``'s thread pool,
+    served campaigns) share the arrival memo: with a thread switch
+    forced every microsecond, 8 threads x 400 distinct seeds raise
+    nothing and leave the memo at its cap."""
+    base = SystemConfig(width=2, height=2, horizon_us=200.0)
+    errors = []
+
+    def build(first_seed):
+        for seed in range(first_seed, first_seed + 400):
+            try:
+                ManycoreSystem(replace(base, seed=seed)).generate_arrivals()
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+    threads = [
+        threading.Thread(target=build, args=(1000 * i,)) for i in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert system.arrival_trace.cache_info().currsize == 64
 
 
 # ----------------------------------------------------------------------

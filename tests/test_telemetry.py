@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from dataclasses import replace
 
 import pytest
@@ -20,17 +21,11 @@ from repro.campaign import CampaignInterrupted, CampaignSpec, run_campaign
 from repro.cli import main
 from repro.core.system import SystemConfig, run_system
 from repro.experiments.parallel import run_many
-from repro.obs import Journal, configure
 from repro.obs.provenance import result_digest
 from repro.telemetry import (
     MetricsRegistry,
     NULL_TELEMETRY,
-    SpanContext,
-    TelemetrySession,
-    Tracer,
-    configure_telemetry,
     invariant_view,
-    worker_telemetry,
 )
 from repro.telemetry.export import (
     atomic_write_text,
@@ -48,14 +43,6 @@ from repro.telemetry.status import (
     render_status,
     render_top,
 )
-
-
-@pytest.fixture(autouse=True)
-def _reset_process_globals():
-    """Every test leaves the process-wide sinks off."""
-    yield
-    configure_telemetry(None)
-    configure()
 
 
 def small_config(**overrides) -> SystemConfig:
@@ -225,75 +212,6 @@ def test_atomic_write_text(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Spans
-# ----------------------------------------------------------------------
-def test_span_child_ids_are_deterministic():
-    tracer = Tracer(trace_id="abc")
-    root = tracer.start("sweep")
-    ctx = root.context()
-    assert isinstance(ctx, SpanContext)
-    assert ctx.child_id("7") == f"{root.span_id}/7"
-    child = tracer.start_child("sweep.run", ctx, "7")
-    assert child.span_id == f"{root.span_id}/7"
-    assert child.parent_id == root.span_id
-    tracer.finish(child)
-    assert child.end_s is not None
-
-
-def test_span_data_round_trip():
-    from repro.telemetry.spans import Span
-
-    tracer = Tracer(trace_id="t1")
-    span = tracer.start("work", attrs={"k": 1})
-    tracer.finish(span, outcome="ok")
-    data = span.to_data()
-    back = Span.from_data(data)
-    assert back.name == "work"
-    assert back.attrs == {"k": 1, "outcome": "ok"}
-    assert back.trace_id == "t1"
-
-
-def test_session_spans_round_trip_through_journal(tmp_path):
-    journal = Journal()
-    configure(journal)
-    session = TelemetrySession("sweep")
-    with worker_telemetry(session.ctx, "0", "sweep.run") as scope:
-        scope.registry.counter("sim.runs").inc()
-    session.merge_blob(scope.blob())
-    session.finish()
-    configure()
-    spans = [e for e in journal.events if e.type == "trace.span"]
-    assert len(spans) == 2  # worker child + root
-    names = {e.data["name"] for e in spans}
-    assert names == {"sweep", "sweep.run"}
-    # The journal file with spans in it still loads back unchanged.
-    path = str(tmp_path / "journal.jsonl")
-    journal.write_jsonl(path)
-    events = Journal.load_jsonl(path)
-    assert [e.type for e in events] == [e.type for e in journal.events]
-
-
-def test_worker_telemetry_yields_none_without_ctx():
-    with worker_telemetry(None, "0") as scope:
-        assert scope is None
-
-
-def test_worker_telemetry_leaves_process_registry_alone():
-    from repro.telemetry import active_telemetry
-
-    outer = MetricsRegistry()
-    configure_telemetry(outer)
-    try:
-        ctx = TelemetrySession("s").ctx
-        with worker_telemetry(ctx, "0") as scope:
-            assert active_telemetry() is outer
-            assert scope.registry is not outer
-        assert active_telemetry() is outer
-    finally:
-        configure_telemetry(None)
-
-
-# ----------------------------------------------------------------------
 # Single-run instrumentation: digest identity + expected counters
 # ----------------------------------------------------------------------
 def test_run_system_digest_identical_with_telemetry():
@@ -310,14 +228,6 @@ def test_run_system_digest_identical_with_telemetry():
     assert snap["gauges"]["power.headroom_w"]["count"] > 0
 
 
-def test_run_system_picks_up_process_registry():
-    reg = MetricsRegistry()
-    configure_telemetry(reg)
-    run_system(small_config())
-    configure_telemetry(None)
-    assert reg.snapshot()["counters"]["sim.runs"] == 1
-
-
 # ----------------------------------------------------------------------
 # Sweeps: serial == pooled
 # ----------------------------------------------------------------------
@@ -328,11 +238,7 @@ def _sweep_configs():
 
 def _sweep_snapshot(**kwargs):
     reg = MetricsRegistry()
-    configure_telemetry(reg)
-    try:
-        results = run_many(_sweep_configs(), **kwargs)
-    finally:
-        configure_telemetry(None)
+    results = run_many(_sweep_configs(), telemetry=reg, **kwargs)
     return [result_digest(r) for r in results], reg.snapshot()
 
 
@@ -346,6 +252,36 @@ def test_sweep_paths_merge_to_identical_invariants():
     assert serial_view["counters"]["sim.runs"] == 4
     # Pooled-path gauge merges drop ``last``; the extrema survive.
     assert serial_snap["gauges"]["power.measured_w"]["last"] is None
+
+
+def test_concurrent_sweeps_count_into_their_own_registries():
+    """Two threads sweep disjoint configs at once, each into its own
+    registry: each snapshot counts exactly that thread's runs."""
+    configs = {
+        "a": [small_config(seed=s) for s in (11, 12, 13)],
+        "b": [small_config(seed=s) for s in (21, 22)],
+    }
+    registries = {name: MetricsRegistry() for name in configs}
+    errors = []
+
+    def sweep(name):
+        try:
+            run_many(configs[name], telemetry=registries[name])
+        except Exception as exc:  # surfaced by the assert below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=sweep, args=(name,)) for name in configs
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for name, registry in registries.items():
+        counters = registry.snapshot()["counters"]
+        assert counters["sim.runs"] == len(configs[name])
 
 
 # ----------------------------------------------------------------------
