@@ -8,7 +8,9 @@ real subprocesses of ``python -m repro serve``:
    and agree with a direct :func:`repro.experiments.run_many` oracle;
 2. submit a campaign and ``SIGKILL`` the server mid-run (after at least
    one checkpointed result, before the manifest exists) — the ugliest
-   possible death: no drain, no flush, no goodbye;
+   possible death: no drain, no flush, no goodbye.  Within 10 s no
+   descendant of the server may still run: its pool workers exit with
+   their owner, and its forkserver and resource tracker follow them;
 3. restart a server on the same state dir — startup auto-resume must
    pick the interrupted campaign up and finish it;
 4. the resumed campaign's ``aggregate_digest`` must be byte-identical
@@ -78,6 +80,9 @@ HAZARD_SPEC = {
 
 #: Longest gap allowed between a stream's ``done`` event and its EOF.
 EOF_AFTER_DONE_S = 1.0
+
+#: Longest a SIGKILLed server's descendants may outlive it.
+ORPHANS_GONE_S = 10.0
 
 
 def fail(message: str) -> int:
@@ -208,6 +213,26 @@ def alive(pid: int) -> bool:
         return False
 
 
+def descendants(pid: int) -> set:
+    """Every process below ``pid`` in the ``/proc`` parent tree."""
+    parents = {}
+    for name in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{name}/stat", encoding="ascii") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+            parents[int(name)] = int(fields[1])
+        except (OSError, ValueError):
+            continue
+    found, frontier = set(), {pid}
+    while frontier:
+        frontier = {
+            child for child, parent in parents.items()
+            if parent in frontier and child not in found
+        }
+        found |= frontier
+    return found
+
+
 async def wait_for_campaign_worker(directory: Path, timeout_s: float) -> int:
     """The pid of a live worker that already ran a point of the campaign.
 
@@ -326,10 +351,25 @@ def main() -> int:
     if not kept:
         first.stop()
         return fail("campaign produced no checkpoint within the budget")
+    family = descendants(first.process.pid)
     first.kill()
     print(f"[ok]   SIGKILLed the server after {kept} checkpoint(s)")
     if (directory / "manifest.json").exists():
         return fail("campaign finished before the kill — nothing resumed")
+    deadline = time.monotonic() + ORPHANS_GONE_S
+    while any(alive(pid) for pid in family) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    orphans = sorted(pid for pid in family if alive(pid))
+    if orphans:
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        return fail(
+            f"{len(orphans)} of the killed server's {len(family)} "
+            f"descendants outlived it by {ORPHANS_GONE_S:g}s: {orphans}"
+        )
+    print(
+        f"[ok]   all {len(family)} descendants of the killed server exited"
+    )
 
     # Phase 3: restart on the same state dir; auto-resume finishes it.
     second = LocalServer(state_dir=str(state), jobs=args.jobs)

@@ -11,8 +11,13 @@ diffed and replayed exactly:
 True
 
 Unknown keys in the input are rejected (a typo silently ignored is a
-mis-run silently produced), and nested parameter blocks are rebuilt into
-their proper dataclass types so validation in ``__post_init__`` re-runs.
+mis-run silently produced), and so are values of the wrong JSON type,
+in nested parameter blocks and tuple elements too: ``"seed": "4"``,
+``4.0`` and ``true`` would each run the simulation of ``4`` under a
+config digest of its own.  An int is accepted where a float is declared
+(``80`` and ``80.0`` are two spellings with two digests, and both are
+frozen in goldens).  Nested parameter blocks are rebuilt into their
+proper dataclass types so validation in ``__post_init__`` re-runs.
 """
 
 from __future__ import annotations
@@ -37,6 +42,45 @@ _NESTED = {
 }
 #: Tuple-typed fields (JSON arrays come back as lists).
 _TUPLES = ("profile_names", "profile_weights", "type_grid")
+#: Checks per declared scalar type (a bool is not an int here).
+_SCALARS = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: (
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+    ),
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+}
+
+
+def _check_types(cls: type, data: Dict[str, Any], prefix: str = "") -> None:
+    """Raise ``ValueError`` on a value of ``data`` whose JSON type does
+    not fit the type ``cls`` declares for it (unknown keys pass)."""
+    for fld in dataclasses.fields(cls):
+        if fld.name not in data:
+            continue
+        name, value = prefix + fld.name, data[fld.name]
+        # Field types are strings: every config module defers annotations.
+        declared = fld.type
+        if declared.startswith("Tuple[") and declared.endswith(", ...]"):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"field {name!r} must be an array, got {value!r}")
+            element = declared[len("Tuple["):-len(", ...]")]
+            for index, item in enumerate(value):
+                _check_value(f"{name}[{index}]", element, item)
+        elif fld.name in _NESTED:
+            if isinstance(value, dict):
+                _check_types(_NESTED[fld.name], value, f"{name}.")
+            elif not isinstance(value, _NESTED[fld.name]):
+                raise ValueError(f"field {name!r} must be an object, got {value!r}")
+        else:
+            _check_value(name, declared, value)
+
+
+def _check_value(name: str, declared: str, value: Any) -> None:
+    check = _SCALARS.get(declared)
+    if check is not None and not check(value):
+        raise ValueError(f"field {name!r} must be {declared}, got {value!r}")
 
 
 def config_to_dict(config: SystemConfig) -> Dict[str, Any]:
@@ -49,11 +93,16 @@ def config_to_dict(config: SystemConfig) -> Dict[str, Any]:
 
 
 def config_from_dict(data: Dict[str, Any]) -> SystemConfig:
-    """Rebuild a :class:`SystemConfig` from :func:`config_to_dict` output."""
+    """Rebuild a :class:`SystemConfig` from :func:`config_to_dict` output.
+
+    Raises ``ValueError`` on unknown keys and on values of the wrong
+    type (see the module docstring).
+    """
     known = {f.name for f in dataclasses.fields(SystemConfig)}
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    _check_types(SystemConfig, data)
     kwargs: Dict[str, Any] = {}
     for key, value in data.items():
         if key in _NESTED and isinstance(value, dict):

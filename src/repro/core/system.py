@@ -236,6 +236,11 @@ def arrival_trace(
     under different policies share one trace, and a tuple keeps the
     shared trace from being mutated.  ``lru_cache`` bounds the memo and
     is safe to call from concurrent threads (``repro serve``).
+
+    Each graph is kept as its drawn numbers until a mapper or the
+    executor first reads its structure, which happens only for apps
+    that get admitted; the build is locked, so threads sharing a trace
+    build each graph once.  A never-admitted app costs about 0.8 KB.
     """
     cls = BurstyArrivalProcess if bursty else PoissonArrivalProcess
     process = cls(

@@ -19,7 +19,8 @@ Every entry path runs its points through the same three pieces:
   so a worker inherits none of the caller's threads, sockets or signal
   wake-up fd, and a new pool does not re-import ``repro``.  A broken or
   wedged pool is rebuilt once per generation, however many callers
-  report it.
+  report it.  Its workers exit when their owner does, however it dies,
+  and the forkserver and its resource tracker follow them.
 
 The callers keep their own policies: :func:`run_many` is all-or-nothing
 (a sweep with holes is not a sweep; a failing run raises
@@ -50,6 +51,7 @@ import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from multiprocessing import forkserver
+from multiprocessing.connection import Connection
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
@@ -144,6 +146,27 @@ def execute(
     )
 
 
+def _exit_with_owner(owner: Connection) -> None:
+    """Pool initializer: end this worker as soon as its owner is gone.
+
+    ``owner`` is the read end of a pipe whose only write end the owning
+    :class:`WorkerPool` holds, so it reads EOF once the owner closes it
+    or dies, even by ``SIGKILL``.  Without this, an idle worker of a
+    killed owner waits forever on its call queue (it holds that queue's
+    write end itself), and keeps the forkserver and resource tracker
+    alive with it.
+    """
+
+    def wait() -> None:
+        try:
+            owner.recv_bytes()
+        except (EOFError, OSError):
+            pass
+        os._exit(1)
+
+    threading.Thread(target=wait, name="owner-watch", daemon=True).start()
+
+
 def _with_core_types(core_types, fn, *args):
     """``fn(*args)`` in a worker that knows the caller's core types."""
     CORE_TYPES.update(core_types)
@@ -170,6 +193,9 @@ class WorkerPool:
         self.jobs = jobs
         self.generation = 0
         self._lock = threading.Lock()
+        # Every worker, of every generation, watches the read end; only
+        # this process holds the write end (see _exit_with_owner).
+        self._watched, self._owner = multiprocessing.Pipe(duplex=False)
         self._executor = self._start()
 
     def _start(self) -> ProcessPoolExecutor:
@@ -185,7 +211,12 @@ class WorkerPool:
         else:
             ctx.set_forkserver_preload([__name__])
             forkserver.ensure_running()
-        return ProcessPoolExecutor(max_workers=self.jobs, mp_context=ctx)
+        return ProcessPoolExecutor(
+            max_workers=self.jobs,
+            mp_context=ctx,
+            initializer=_exit_with_owner,
+            initargs=(self._watched,),
+        )
 
     def submit(self, fn, *args) -> Future:
         """Run ``fn(*args)`` on a worker (``BrokenProcessPool`` if broken).
@@ -217,8 +248,12 @@ class WorkerPool:
         """Stop the pool, as :meth:`concurrent.futures.Executor.shutdown`.
 
         ``wait=True`` joins the workers, which hangs on a wedged one.
+        Then the owner pipe closes, which ends every worker still
+        running (abandoned work, a wedged worker).
         """
         self._executor.shutdown(wait=wait, cancel_futures=cancel_futures)
+        self._owner.close()
+        self._watched.close()
 
     def __enter__(self) -> "WorkerPool":
         return self

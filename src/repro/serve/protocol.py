@@ -11,15 +11,15 @@ Validation happens here, before anything touches a queue: a sweep
 request is resolved into fully-materialized
 :class:`~repro.core.system.SystemConfig` points (defaults < ``base`` <
 per-point overrides < ``seeds`` cross-product), reusing the strict
-``config_from_dict`` round-trip so unknown fields and illegal values
-are rejected with the same errors a local caller would see.  Every
-resolved point carries its :func:`~repro.obs.provenance.config_digest`
-— the identity the engine dedupes, coalesces and caches on.
+``config_from_dict`` round-trip so unknown fields, values of the wrong
+type and illegal values are rejected with the same errors a local
+caller would see.  Every resolved point carries its
+:func:`~repro.obs.provenance.config_digest` — the identity the engine
+dedupes, coalesces and caches on.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -92,37 +92,6 @@ def _validate_tenant(tenant: object) -> str:
             "'tenant' may only contain alphanumerics, '-', '_' and '.'"
         )
     return tenant
-
-
-#: Scalar field types we can check on an untrusted config document.
-#: ``config_from_dict`` validates structure (unknown keys, nested
-#: dataclasses) but not scalar types — fine for trusted local files,
-#: not for network input that ends up inside a worker process.
-_SCALAR_CHECKS = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: (
-        isinstance(v, (int, float)) and not isinstance(v, bool)
-    ),
-    "str": lambda v: isinstance(v, str),
-    "bool": lambda v: isinstance(v, bool),
-}
-
-
-def _validate_config_types(config: SystemConfig) -> None:
-    """Reject top-level scalar fields of the wrong JSON type."""
-    for fld in dataclasses.fields(SystemConfig):
-        type_name = (
-            fld.type if isinstance(fld.type, str)
-            else getattr(fld.type, "__name__", "")
-        )
-        check = _SCALAR_CHECKS.get(type_name)
-        if check is None:
-            continue
-        value = getattr(config, fld.name)
-        if not check(value):
-            raise SpecError(
-                f"field {fld.name!r} must be {type_name}, got {value!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -215,7 +184,6 @@ class SweepRequest:
                     merged_seeded = merged
                 try:
                     config = config_from_dict(merged_seeded)
-                    _validate_config_types(config)
                 except (TypeError, ValueError) as exc:
                     raise SpecError(
                         f"points[{p_index}]"

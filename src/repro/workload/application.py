@@ -2,13 +2,53 @@
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.workload.task import Edge, Task
 
+#: Serialises the lazy builds of drawn graphs: ``repro serve``'s
+#: threads share the memoized arrival traces.
+_BUILD_LOCK = threading.Lock()
+
+
+class _Structure:
+    """A structural attribute of an :class:`ApplicationGraph`.
+
+    Only a drawn graph ever reads it: reading it builds the whole
+    structure into the instance ``__dict__``, which shadows this
+    (non-data) descriptor from then on, so a built graph reads the
+    attribute as a plain one.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, graph, owner=None):
+        if graph is None:
+            return self
+        graph._build()
+        return graph.__dict__[self.name]
+
 
 class ApplicationGraph:
-    """An immutable task graph (template an application instance runs)."""
+    """An immutable task graph (template an application instance runs).
+
+    Built from tasks and edges, or by :meth:`from_draws` from a
+    generator's drawn numbers.  A drawn graph knows its ``name``,
+    ``rt_class``, ``n_tasks`` and ``n_edges`` at once, which is all
+    admission reads; it builds ``tasks``, ``edges``, the adjacency, the
+    topological order, roots and sinks the first time any of them is
+    read (see :attr:`built`), through the constructor's validating code.
+    """
+
+    tasks = _Structure()
+    edges = _Structure()
+    successors = _Structure()
+    predecessors = _Structure()
+    _topo = _Structure()
+    _roots = _Structure()
+    _sinks = _Structure()
 
     def __init__(
         self,
@@ -19,53 +59,66 @@ class ApplicationGraph:
     ) -> None:
         self.name = name
         self.rt_class = rt_class
-        self.tasks: Dict[int, Task] = {}
-        for task in tasks:
-            if task.task_id in self.tasks:
-                raise ValueError(f"duplicate task id {task.task_id} in {name}")
-            self.tasks[task.task_id] = task
-        self.edges: List[Edge] = list(edges)
-        self.successors: Dict[int, List[Edge]] = {t: [] for t in self.tasks}
-        self.predecessors: Dict[int, List[Edge]] = {t: [] for t in self.tasks}
-        for edge in self.edges:
-            if edge.src not in self.tasks or edge.dst not in self.tasks:
-                raise ValueError(f"edge {edge} references unknown task in {name}")
-            self.successors[edge.src].append(edge)
-            self.predecessors[edge.dst].append(edge)
-        self._topo = self._topological_order()
+        self.__dict__.update(_structure(name, tasks, edges))
+
+    @classmethod
+    def from_draws(
+        cls,
+        name: str,
+        n_tasks: int,
+        values: Sequence[float],
+        ends: Sequence[int],
+        rt_class: str = "best-effort",
+    ) -> "ApplicationGraph":
+        """A graph kept as drawn numbers until its structure is read.
+
+        ``values`` holds each task's ops and activity, interleaved
+        (``ops0, act0, ops1, act1, ...``), then each edge's volume;
+        ``ends`` holds each edge's source and destination (``src0, dst0,
+        src1, dst1, ...``).  Task ``i`` is named ``f"{name}.t{i}"``.
+        """
+        graph = cls.__new__(cls)
+        graph.name = name
+        graph.rt_class = rt_class
         #: Task count as a plain attribute: mappers test it on every
         #: placement attempt and ``len(graph)`` costs a Python frame.
-        self.n_tasks = len(self.tasks)
-        self.n_edges = len(self.edges)
-        # The graph is immutable, so the root/sink orderings are too;
-        # computing them here keeps admission off the sort path.
-        self._roots = sorted(t for t in self.tasks if not self.predecessors[t])
-        self._sinks = sorted(t for t in self.tasks if not self.successors[t])
+        graph.n_tasks = n_tasks
+        graph.n_edges = len(ends) // 2
+        graph._draws = (values, ends)
+        return graph
+
+    @property
+    def built(self) -> bool:
+        """True once ``tasks``, ``edges`` and the adjacency exist."""
+        return "_draws" not in self.__dict__
+
+    def _build(self) -> None:
+        """Build a drawn graph's structure (a no-op once built)."""
+        with _BUILD_LOCK:
+            draws = self.__dict__.get("_draws")
+            if draws is None:
+                return
+            values, ends = draws
+            name = self.name
+            n_tasks = self.n_tasks
+            tasks = [
+                Task(i, values[2 * i], values[2 * i + 1], f"{name}.t{i}")
+                for i in range(n_tasks)
+            ]
+            edges = [
+                Edge(ends[2 * j], ends[2 * j + 1], values[2 * n_tasks + j])
+                for j in range(self.n_edges)
+            ]
+            # Every attribute lands complete: a thread that reads one
+            # before the rest exist waits on the lock in its descriptor.
+            self.__dict__.update(_structure(name, tasks, edges))
+            del self.__dict__["_draws"]
 
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self.n_tasks
-
-    def _topological_order(self) -> List[int]:
-        indegree = {t: len(self.predecessors[t]) for t in self.tasks}
-        ready = sorted(t for t, d in indegree.items() if d == 0)
-        order: List[int] = []
-        while ready:
-            current = ready.pop(0)
-            order.append(current)
-            appended = []
-            for edge in self.successors[current]:
-                indegree[edge.dst] -= 1
-                if indegree[edge.dst] == 0:
-                    appended.append(edge.dst)
-            # Keep determinism: new ready tasks enter in sorted order.
-            for t in sorted(appended):
-                ready.append(t)
-        if len(order) != len(self.tasks):
-            raise ValueError(f"application {self.name!r} contains a cycle")
-        return order
 
     @property
     def topo_order(self) -> List[int]:
@@ -95,6 +148,68 @@ class ApplicationGraph:
             ]
             longest[task_id] = self.tasks[task_id].ops + (max(incoming) if incoming else 0.0)
         return max(longest.values()) if longest else 0.0
+
+
+def _structure(
+    name: str, tasks: Iterable[Task], edges: Iterable[Edge]
+) -> Dict[str, object]:
+    """The validated structure of a task graph, as instance attributes.
+
+    Each value is complete before it is returned; adjacency lists are
+    tuples.
+    """
+    by_id: Dict[int, Task] = {}
+    for task in tasks:
+        if task.task_id in by_id:
+            raise ValueError(f"duplicate task id {task.task_id} in {name}")
+        by_id[task.task_id] = task
+    edges = tuple(edges)
+    outgoing: Dict[int, List[Edge]] = {t: [] for t in by_id}
+    incoming: Dict[int, List[Edge]] = {t: [] for t in by_id}
+    for edge in edges:
+        if edge.src not in by_id or edge.dst not in by_id:
+            raise ValueError(f"edge {edge} references unknown task in {name}")
+        outgoing[edge.src].append(edge)
+        incoming[edge.dst].append(edge)
+    successors = {t: tuple(out) for t, out in outgoing.items()}
+    predecessors = {t: tuple(inc) for t, inc in incoming.items()}
+    return {
+        "tasks": by_id,
+        "edges": edges,
+        "successors": successors,
+        "predecessors": predecessors,
+        "n_tasks": len(by_id),
+        "n_edges": len(edges),
+        "_topo": _topological_order(name, successors, predecessors),
+        # The graph is immutable, so the root/sink orderings are too;
+        # computing them here keeps admission off the sort path.
+        "_roots": sorted(t for t in by_id if not predecessors[t]),
+        "_sinks": sorted(t for t in by_id if not successors[t]),
+    }
+
+
+def _topological_order(
+    name: str,
+    successors: Dict[int, Sequence[Edge]],
+    predecessors: Dict[int, Sequence[Edge]],
+) -> List[int]:
+    indegree = {t: len(predecessors[t]) for t in predecessors}
+    ready = sorted(t for t, d in indegree.items() if d == 0)
+    order: List[int] = []
+    while ready:
+        current = ready.pop(0)
+        order.append(current)
+        appended = []
+        for edge in successors[current]:
+            indegree[edge.dst] -= 1
+            if indegree[edge.dst] == 0:
+                appended.append(edge.dst)
+        # Keep determinism: new ready tasks enter in sorted order.
+        for t in sorted(appended):
+            ready.append(t)
+    if len(order) != len(predecessors):
+        raise ValueError(f"application {name!r} contains a cycle")
+    return order
 
 
 class ApplicationInstance:

@@ -10,14 +10,37 @@ offered load, which is what makes the <1%-penalty claim measurable at all.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from itertools import accumulate
+from math import isfinite, log
+from typing import List, Optional, Sequence, Tuple
 
 from repro.workload.application import ApplicationGraph, ApplicationInstance
 from repro.workload.generator import ApplicationProfile, TaskGraphGenerator
 
+# Both processes inline the two ``random.Random`` methods they call, as
+# CPython 3.10-3.12 define them (see also repro.workload.generator):
+#
+# * ``expovariate(lambd)`` is ``-log(1.0 - random()) / lambd``;
+# * ``choices(population, weights)[0]`` is
+#   ``population[bisect(cum, random() * total, 0, len(cum) - 1)]``, with
+#   ``cum`` and ``total`` from :func:`_cumulative_weights`.
 
-@dataclass(frozen=True)
+
+def _cumulative_weights(weights: Sequence[float]) -> Tuple[List[float], float]:
+    """``Random.choices``' cumulative weights and float total, checked
+    as it checks them (once per trace instead of once per draw)."""
+    cum = list(accumulate(weights))
+    total = cum[-1] + 0.0
+    if total <= 0.0:
+        raise ValueError("Total of weights must be greater than zero")
+    if not isfinite(total):
+        raise ValueError("Total of weights must be finite")
+    return cum, total
+
+
+@dataclass(frozen=True, slots=True)
 class Arrival:
     """One scheduled application arrival."""
 
@@ -54,14 +77,18 @@ class PoissonArrivalProcess:
         """Arrival trace on ``[0, horizon_us]`` (µs timestamps)."""
         if horizon_us <= 0:
             raise ValueError("horizon must be positive")
+        random = self.rng.random
+        cum, total = _cumulative_weights(self.weights)
+        last = len(cum) - 1
         mean_gap_us = 1000.0 / self.rate_per_ms
+        lambd = 1.0 / mean_gap_us
         arrivals: List[Arrival] = []
         t = 0.0
         while True:
-            t += self.rng.expovariate(1.0 / mean_gap_us)
+            t += -log(1.0 - random()) / lambd
             if t > horizon_us:
                 break
-            profile = self.rng.choices(self.profiles, weights=self.weights, k=1)[0]
+            profile = self.profiles[bisect(cum, random() * total, 0, last)]
             arrivals.append(Arrival(time=t, graph=self._generator.generate(profile)))
         return arrivals
 
@@ -97,6 +124,9 @@ class BurstyArrivalProcess(PoissonArrivalProcess):
     def generate(self, horizon_us: float) -> List[Arrival]:
         if horizon_us <= 0:
             raise ValueError("horizon must be positive")
+        random = self.rng.random
+        cum, total = _cumulative_weights(self.weights)
+        last = len(cum) - 1
         arrivals: List[Arrival] = []
         t = 0.0
         in_burst = False
@@ -104,7 +134,7 @@ class BurstyArrivalProcess(PoissonArrivalProcess):
         while t <= horizon_us:
             rate = self.rate_per_ms * (self.burst_factor if in_burst else 1.0)
             mean_gap_us = 1000.0 / rate
-            t += self.rng.expovariate(1.0 / mean_gap_us)
+            t += -log(1.0 - random()) / (1.0 / mean_gap_us)
             while t > phase_end:
                 in_burst = not in_burst
                 phase_end += (
@@ -112,6 +142,6 @@ class BurstyArrivalProcess(PoissonArrivalProcess):
                 )
             if t > horizon_us:
                 break
-            profile = self.rng.choices(self.profiles, weights=self.weights, k=1)[0]
+            profile = self.profiles[bisect(cum, random() * total, 0, last)]
             arrivals.append(Arrival(time=t, graph=self._generator.generate(profile)))
         return arrivals

@@ -7,16 +7,21 @@ non-root task draws 1..max_fanin predecessors from the previous layers, and
 operation counts / communication volumes / activity factors are drawn from
 profile-specified ranges.  Everything is driven by an injected RNG stream,
 so a workload is a pure function of (seed, profile).
+
+The generator keeps each graph as its drawn numbers
+(:meth:`ApplicationGraph.from_draws`): a memoized arrival trace holds
+every app that arrives, and only the admitted ones ever need their
+``Task`` and ``Edge`` objects.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.workload.application import ApplicationGraph
-from repro.workload.task import Edge, Task
 
 #: Priority order of real-time classes, most urgent first.
 RT_CLASSES = {"hard-rt": 0, "soft-rt": 1, "best-effort": 2}
@@ -82,58 +87,93 @@ PROFILE_PRESETS = {
 }
 
 
+# A 60 ms trace draws tens of thousands of numbers, and each stdlib call
+# costs up to three Python frames (``randint`` -> ``randrange`` ->
+# ``_randbelow``).  ``TaskGraphGenerator.generate`` inlines the
+# ``random.Random`` methods as CPython 3.10-3.12 define them, so it
+# consumes the stream exactly as they do:
+#
+# * ``randint(a, b)`` is ``a + _randbelow(getrandbits, b - a + 1)``;
+# * ``choice(seq)`` is ``seq[_randbelow(getrandbits, len(seq))]``;
+# * ``uniform(a, b)`` is ``a + (b - a) * random()``.
+#
+# The arrival processes inline ``expovariate`` and ``choices`` the same
+# way (``repro.workload.arrivals``).
+
+
+def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """``Random._randbelow_with_getrandbits``: an int in ``[0, n)``, n > 0."""
+    k = n.bit_length()  # not (n-1): n can be 1, and that still draws
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 class TaskGraphGenerator:
-    """Generates random :class:`ApplicationGraph` objects from a profile."""
+    """Generates random :class:`ApplicationGraph` objects from a profile.
+
+    ``rng`` is a ``random.Random``: the generator calls its ``random``
+    and ``getrandbits`` the way that class's ``randint``, ``uniform`` and
+    ``choice`` would, so a graph is the one those methods would draw.
+    """
 
     def __init__(self, rng: random.Random) -> None:
         self.rng = rng
         self._counter = 0
 
     def generate(self, profile: ApplicationProfile, name: Optional[str] = None) -> ApplicationGraph:
-        rng = self.rng
+        """Draw one graph; its structure is built when first read."""
+        random = self.rng.random
+        getrandbits = self.rng.getrandbits
         self._counter += 1
         graph_name = name or f"{profile.name}-{self._counter}"
-        n_tasks = rng.randint(*profile.n_tasks)
+        low, high = profile.n_tasks
+        n_tasks = low + _randbelow(getrandbits, high - low + 1)
 
-        # Partition tasks into layers.
-        layers: List[List[int]] = []
-        next_id = 0
-        while next_id < n_tasks:
-            width = min(rng.randint(*profile.layer_width), n_tasks - next_id)
-            layers.append(list(range(next_id, next_id + width)))
-            next_id += width
+        # Partition tasks into layers: layer k holds the ids in
+        # [starts[k], starts[k + 1]).
+        low, high = profile.layer_width
+        starts = [0]
+        while starts[-1] < n_tasks:
+            width = low + _randbelow(getrandbits, high - low + 1)
+            starts.append(starts[-1] + min(width, n_tasks - starts[-1]))
 
-        tasks = [
-            Task(
-                task_id=i,
-                ops=rng.uniform(*profile.ops),
-                activity=rng.uniform(*profile.activity),
-                name=f"{graph_name}.t{i}",
-            )
-            for i in range(n_tasks)
-        ]
+        # Per task, its ops then its activity.
+        ops_low, ops_high = profile.ops
+        ops_span = ops_high - ops_low
+        act_low, act_high = profile.activity
+        act_span = act_high - act_low
+        values: List[float] = []
+        for _ in range(n_tasks):
+            values.append(ops_low + ops_span * random())
+            values.append(act_low + act_span * random())
 
-        edges: List[Edge] = []
-        for layer_idx in range(1, len(layers)):
-            earlier = [t for layer in layers[:layer_idx] for t in layer]
-            previous_layer = layers[layer_idx - 1]
-            for dst in layers[layer_idx]:
-                fanin = rng.randint(1, min(profile.max_fanin, len(earlier)))
+        vol_low, vol_high = profile.comm_volume
+        vol_span = vol_high - vol_low
+        ends: List[int] = []
+        for layer in range(1, len(starts) - 1):
+            # ``earlier`` (every id of the previous layers) is
+            # range(first), the previous layer range(previous, first).
+            previous, first = starts[layer - 1], starts[layer]
+            max_fanin = min(profile.max_fanin, first)
+            for dst in range(first, starts[layer + 1]):
+                fanin = 1 + _randbelow(getrandbits, max_fanin)
                 # Always keep one edge from the immediately preceding layer so
                 # depth translates into pipeline structure, then sample the rest.
-                srcs = {rng.choice(previous_layer)}
+                srcs = {previous + _randbelow(getrandbits, first - previous)}
                 while len(srcs) < fanin:
-                    srcs.add(rng.choice(earlier))
+                    srcs.add(_randbelow(getrandbits, first))
                 for src in sorted(srcs):
-                    edges.append(
-                        Edge(
-                            src=src,
-                            dst=dst,
-                            volume_flits=rng.uniform(*profile.comm_volume),
-                        )
-                    )
-        return ApplicationGraph(
-            graph_name, tasks, edges, rt_class=profile.rt_class
+                    ends.append(src)
+                    ends.append(dst)
+                    values.append(vol_low + vol_span * random())
+        return ApplicationGraph.from_draws(
+            graph_name,
+            n_tasks,
+            array("d", values),
+            array("I", ends),
+            rt_class=profile.rt_class,
         )
 
     def generate_mix(

@@ -10,10 +10,10 @@ its consumer over the NoC before the consumer may start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Task:
     """One node of an application task graph."""
 
@@ -35,7 +35,7 @@ class Task:
         return self.ops / speed_ops_per_us
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """A producer → consumer data dependency."""
 

@@ -78,6 +78,71 @@ def test_non_object_json_rejected():
         config_from_json("[1, 2, 3]")
 
 
+# ----------------------------------------------------------------------
+# Field types: one spelling per config, checked for every caller
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "key, value, fragment",
+    [
+        # Each would run the simulation of seed 4 under a digest of its own.
+        ("seed", "4", "'seed' must be int, got '4'"),
+        ("seed", 4.0, "'seed' must be int, got 4.0"),
+        ("seed", True, "'seed' must be int, got True"),
+        # Accepted at load, then a TypeError inside the run.
+        ("tdp_w", "80", "'tdp_w' must be float, got '80'"),
+        ("tdp_w", False, "'tdp_w' must be float"),
+        ("bursty", 1, "'bursty' must be bool"),
+        ("node_name", 16, "'node_name' must be str"),
+        ("aging", {"base_rate": "1e-6"}, r"'aging\.base_rate' must be float"),
+        ("thermal", {"limit_c": None}, r"'thermal\.limit_c' must be float"),
+        ("aging", 3, "'aging' must be an object"),
+        ("profile_weights", ["0.4", 0.45, 0.15],
+         r"'profile_weights\[0\]' must be float"),
+        ("profile_names", ["small", 2, "large"],
+         r"'profile_names\[1\]' must be str"),
+        ("type_grid", [True], r"'type_grid\[0\]' must be str"),
+        ("type_grid", "std", "'type_grid' must be an array"),
+    ],
+)
+def test_wrong_value_types_rejected(key, value, fragment):
+    data = config_to_dict(SystemConfig())
+    data[key] = value
+    with pytest.raises(ValueError, match=fragment):
+        config_from_dict(data)
+
+
+def test_int_accepted_where_float_declared():
+    from repro.obs.provenance import config_digest
+
+    # 80 and 80.0 are two spellings with two frozen digests
+    # (tests/goldens/identity_goldens.json); neither is coerced.
+    data = config_to_dict(SystemConfig())
+    data["tdp_w"] = 80
+    data["profile_weights"] = [2, 2, 1]
+    data["aging"] = dict(data["aging"], base_rate=1)
+    config = config_from_dict(data)
+    assert type(config.tdp_w) is int
+    assert config.profile_weights == (2, 2, 1)
+    assert config_digest(config) != config_digest(
+        config_from_dict(dict(data, tdp_w=80.0))
+    )
+
+
+def test_every_entry_point_rejects_what_serve_rejects():
+    from repro.campaign import CampaignSpec
+    from repro.serve.protocol import SpecError, SweepRequest
+
+    with pytest.raises(SpecError, match="'tdp_w' must be float"):
+        SweepRequest.parse({"points": [{"tdp_w": "80"}]})
+    with pytest.raises(ValueError, match="'tdp_w' must be float"):
+        config_from_json(json.dumps({"tdp_w": "80"}))
+    spec = CampaignSpec.from_dict(
+        {"name": "typed", "grid": {"tdp_w": ["80"]}, "seeds": {"count": 1}}
+    )
+    with pytest.raises(ValueError, match="'tdp_w' must be float"):
+        spec.cell_config(spec.cells()[0])
+
+
 def test_file_roundtrip(tmp_path):
     cfg = SystemConfig(seed=123)
     path = tmp_path / "cfg.json"

@@ -9,7 +9,9 @@ Sweeps, campaigns and ``repro serve`` run every point through
   a forkserver, not as forks of the caller, so a close-delimited stream
   the caller serves still reaches EOF when the caller closes it;
 * a pool worker knows the core types its caller registered at run time;
-* callers that report the same broken generation cost one rebuild.
+* callers that report the same broken generation cost one rebuild;
+* a pool's workers, forkserver and resource tracker end soon after its
+  owner is SIGKILLed.
 """
 
 from __future__ import annotations
@@ -18,12 +20,17 @@ import dataclasses
 import os
 import signal
 import socket
+import subprocess
+import sys
+import textwrap
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro
 from repro.core.system import SystemConfig, run_system
 from repro.experiments.parallel import Outcome, WorkerPool, execute
 from repro.obs.provenance import result_digest
@@ -141,3 +148,85 @@ def test_two_reports_of_one_broken_generation_rebuild_once():
         assert pool.rebuild(generation) is False
         outcome = pool.submit(execute, SMALL).result(timeout=60)
     assert result_digest(outcome.result) == result_digest(run_system(SMALL))
+
+
+def _process_table():
+    """``{pid: (ppid, state)}`` for every process in ``/proc``."""
+    table = {}
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat", encoding="ascii") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        table[int(name)] = (int(fields[1]), fields[0])
+    return table
+
+
+def _descendants(pid):
+    table = _process_table()
+    found, frontier = set(), {pid}
+    while frontier:
+        frontier = {
+            child for child, (parent, _) in table.items()
+            if parent in frontier and child not in found
+        }
+        found |= frontier
+    return found
+
+
+def _running(pids):
+    """The pids still running (a zombie awaiting its reaper is dead)."""
+    table = _process_table()
+    return {pid for pid in pids if pid in table and table[pid][1] != "Z"}
+
+
+#: A pool owner: runs one round of points, reports, then idles.
+_OWNER = textwrap.dedent(
+    """
+    import time
+    from repro.core.system import SystemConfig
+    from repro.experiments.parallel import WorkerPool, execute
+
+    pool = WorkerPool(2)
+    small = SystemConfig(width=2, height=2, horizon_us=500.0)
+    for future in [pool.submit(execute, small) for _ in range(4)]:
+        assert future.result(timeout=60).error is None
+    print("ready", flush=True)
+    time.sleep(120)
+    """
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_pool_dies_with_its_sigkilled_owner():
+    env = dict(os.environ)
+    # The owner imports the same repro as this test does.
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    owner = subprocess.Popen(
+        [sys.executable, "-c", _OWNER], stdout=subprocess.PIPE, env=env,
+        text=True,
+    )
+    family = set()
+    try:
+        assert owner.stdout.readline().strip() == "ready"
+        family = _descendants(owner.pid)
+        # Two workers, the forkserver and its resource tracker.
+        assert len(family) >= 4, family
+        owner.kill()
+        owner.wait(timeout=10)
+        deadline = time.monotonic() + 10.0
+        while _running(family) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not _running(family), "orphans outlived their owner"
+    finally:
+        owner.kill()
+        owner.wait(timeout=10)
+        owner.stdout.close()
+        for pid in _running(family):
+            os.kill(pid, signal.SIGKILL)
