@@ -24,6 +24,18 @@ Along the way the telemetry status surface is exercised too: after the
 kill, ``campaign status`` must exit 0 and report the campaign as
 ``interrupted``; after the resume it must report ``complete``.
 
+A warm phase then exercises the run cache (``--cache-dir``):
+
+5. ``campaign run`` into a fresh directory with a fresh cache (cold),
+   then again into another one with the same cache (warm, every point
+   served from it); both aggregates must equal the straight run's, and
+   ``campaign status`` of the warm one must report ``complete``;
+6. the warm ``results.jsonl`` is cut in the middle of its fourth line
+   and its manifest deleted — what a kill inside the one append that
+   checkpoints a served wave leaves — and ``campaign resume`` with the
+   cache must finish at the same aggregate;
+7. ``cache verify`` on the cache must exit 0 (no corrupt blob).
+
 ``--artifacts DIR`` copies the resumed campaign's manifest, checkpoint
 store and telemetry exports (``status.json``/``telemetry.prom``/
 ``telemetry.json``) there for CI artifact upload.  Exit status is
@@ -72,6 +84,62 @@ def _step(name: str, proc: subprocess.CompletedProcess, want_rc: int) -> None:
 def _aggregate(campaign_dir: Path) -> str:
     manifest = json.loads((campaign_dir / "manifest.json").read_text())
     return manifest["aggregate_digest"]
+
+
+def _same_aggregate(name: str, campaign_dir: Path, want: str) -> bool:
+    got = _aggregate(campaign_dir)
+    if got != want:
+        print(
+            f"FAIL: {name} aggregate {got} differs from the straight "
+            f"run's {want}",
+            file=sys.stderr,
+        )
+        return False
+    print(f"[ok]   {name}: aggregate digest {got}")
+    return True
+
+
+def _warm_phase(workdir: Path, common: tuple, want: str) -> int:
+    """Steps 5-7: cold and warm runs through one cache, then a resume of
+    the warm campaign cut inside its served batch."""
+    cache = ("--cache-dir", str(workdir / "cache"))
+    cold, warm = workdir / "cold", workdir / "warm"
+    for name, campaign_dir in (("cold cached run", cold),
+                               ("warm run", warm)):
+        _step(
+            name,
+            _cli("campaign", "run", str(SPEC), "--dir", str(campaign_dir),
+                 *cache, *common),
+            want_rc=0,
+        )
+        if not _same_aggregate(name, campaign_dir, want):
+            return 1
+    proc = _cli("campaign", "status", str(warm))
+    _step("status of the warm run", proc, want_rc=0)
+    if "[complete]" not in proc.stdout:
+        print(
+            "FAIL: status of the warm run does not say complete:\n"
+            + proc.stdout,
+            file=sys.stderr,
+        )
+        return 1
+
+    results = warm / "results.jsonl"
+    data = results.read_bytes()
+    starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == 10]
+    cut = (starts[3] + starts[4]) // 2
+    results.write_bytes(data[:cut])
+    (warm / "manifest.json").unlink()
+    print(f"[ok]   warm checkpoint cut at byte {cut}, inside its 4th line")
+    _step(
+        "resume of the cut warm run",
+        _cli("campaign", "resume", str(warm), *cache, *common),
+        want_rc=0,
+    )
+    if not _same_aggregate("resumed warm run", warm, want):
+        return 1
+    _step("cache verify", _cli("cache", "verify", *cache), want_rc=0)
+    return 0
 
 
 def main() -> int:
@@ -147,6 +215,9 @@ def main() -> int:
         )
         return 1
     print(f"[ok]   resume identity: aggregate digest {resumed_digest}")
+
+    if _warm_phase(workdir, common, straight_digest) != 0:
+        return 1
 
     if args.artifacts:
         dest = Path(args.artifacts)

@@ -6,7 +6,8 @@ A campaign lives in a directory:
   ``run`` writes it, ``resume``/``report`` read it back, and a digest
   mismatch between an existing directory and a new spec is an error;
 * ``results.jsonl``  — the append-only checkpoint store (one record per
-  completed point, fsynced);
+  completed point; each computed point fsynced alone, the hits of a
+  cache-served wave with one fsync);
 * ``failures.jsonl`` — per-attempt failure log with quarantine marks;
 * ``manifest.json``  — the aggregate report written on completion.
 
@@ -191,17 +192,23 @@ def _serve_from_cache(
     original, so the record built from it is byte-identical to the one
     a fresh run would have produced — the aggregate digest cannot tell
     warm cells from cold ones.
+
+    The hits are checkpointed in point order with one durable append
+    (one fsync for the wave, not one per point).  A crash inside it
+    leaves whole records plus at most one torn line; resume drops that
+    line and the cache serves whatever is missing again, so the batch
+    costs a crash no simulated work.
     """
-    served = 0
+    served: List[Dict[str, object]] = []
     still_missing: List[CampaignPoint] = []
     for point in points:
         result = cache.get_result(point.digest, telemetry)
         if result is None:
             still_missing.append(point)
-            continue
-        store.append(record_from_result(point, result))
-        served += 1
-    return served, still_missing
+        else:
+            served.append(record_from_result(point, result))
+    store.extend(served)
+    return len(served), still_missing
 
 
 def run_campaign(
@@ -233,7 +240,8 @@ def run_campaign(
 
     ``cache`` (a :class:`repro.cache.RunCache`) memoizes points across
     campaigns: before each execution wave the planner's missing points
-    are probed and hits are checkpointed directly (served warm), and
+    are probed and the hits are checkpointed directly, all with one
+    durable append (served warm), and
     every completed run is stored by this supervisor before it is
     checkpointed, so a later grid with overlapping cells is served
     without re-simulating.  Cache-served records do not count toward
@@ -329,12 +337,15 @@ def run_campaign(
                 served, missing = _serve_from_cache(
                     cache, missing, store, registry
                 )
-                if status is not None and served:
+                if status is not None:
                     status.note_points(served)
-                    status.write("running")
-                if served and not missing:
+                if not missing:
+                    # Nothing left to run in this wave: the next flush
+                    # (at the latest the forced final one) reports it.
                     records = store.load()
                     continue
+                if status is not None and served:
+                    status.write("running")
             remaining_interrupt = (
                 None
                 if interrupt_after is None

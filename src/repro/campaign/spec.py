@@ -39,7 +39,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.config_io import config_from_dict, config_to_dict
+from repro.core.config_io import (
+    config_from_dict,
+    config_to_dict,
+    dataclass_from_dict,
+    unknown_fields,
+)
 from repro.core.system import SystemConfig
 from repro.metrics.stats import binomial_interval  # noqa: F401  (re-export convenience)
 from repro.obs.provenance import config_digest, digest_of
@@ -184,18 +189,18 @@ class CampaignSpec:
                 "a campaign takes either a grid or an explicit cell "
                 "list, not both"
             )
-        known = {f.name for f in dataclasses.fields(SystemConfig)}
-        for source, keys in (
-            ("base", [k for k, _ in self.base]),
-            ("grid", [k for k, _ in self.grid]),
-            ("cells", [k for cell in self.fixed_cells for k, _ in cell]),
+        cell_pairs = [pair for cell in self.fixed_cells for pair in cell]
+        for source, pairs in (
+            ("base", self.base),
+            ("grid", self.grid),
+            ("cells", cell_pairs),
         ):
-            unknown = [k for k in keys if k not in known]
+            unknown = unknown_fields(dict(pairs))
             if unknown:
                 raise ValueError(
                     f"unknown SystemConfig fields in {source}: {unknown}"
                 )
-            if "seed" in keys:
+            if any(key == "seed" for key, _ in pairs):
                 raise ValueError(
                     f"'seed' cannot appear in {source}; seeds come from "
                     f"the seed plan"
@@ -203,6 +208,20 @@ class CampaignSpec:
         for name, values in self.grid:
             if not values:
                 raise ValueError(f"grid field {name!r} has no values")
+        # Cells key dictionaries (planner, report), so their values must
+        # hash: a nested parameter block is set in base, not swept.
+        for source, pairs in (
+            ("grid", [(k, v) for k, values in self.grid for v in values]),
+            ("cells", cell_pairs),
+        ):
+            for key, value in pairs:
+                try:
+                    hash(value)
+                except TypeError:
+                    raise ValueError(
+                        f"{source} value of {key!r} must be a scalar or "
+                        f"an array of them, got {_thaw(value)!r}"
+                    ) from None
         if self.fixed_cells:
             seen = set()
             for cell in self.fixed_cells:
@@ -218,32 +237,52 @@ class CampaignSpec:
     # ------------------------------------------------------------------
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CampaignSpec":
-        """Build a spec from a plain dict (e.g. parsed spec.json)."""
+        """Build a spec from a plain dict (e.g. parsed spec.json).
+
+        Malformed input of any shape raises ``ValueError`` naming the
+        field (``seeds.count``, ``grid.tdp_w``, ...).  A config value of
+        the wrong type in ``base``, ``grid`` or ``cells`` is reported
+        when its cell is resolved (:meth:`cell_config`).
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"campaign spec must be an object, got {data!r}")
         known = {"schema", "name", "base", "grid", "cells", "seeds", "stop"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown campaign spec keys: {sorted(unknown)}")
-        base = data.get("base") or {}
-        grid = data.get("grid") or {}
-        cells = data.get("cells") or []
-        if not isinstance(base, dict) or not isinstance(grid, dict):
-            raise ValueError("'base' and 'grid' must be JSON objects")
-        if not isinstance(cells, list) or any(
-            not isinstance(cell, dict) for cell in cells
-        ):
-            raise ValueError("'cells' must be a JSON array of objects")
-        seeds_data = data.get("seeds") or {}
-        stop_data = data.get("stop")
+        name = data.get("name", "")
+        if not isinstance(name, str):
+            raise ValueError(f"field 'name' must be str, got {name!r}")
+        base = _member(data, "base", dict, {})
+        grid = _member(data, "grid", dict, {})
+        for key, values in grid.items():
+            if not isinstance(values, list):
+                raise ValueError(
+                    f"field 'grid.{key}' must be an array, got {values!r}"
+                )
+        cells = _member(data, "cells", list, [])
+        for index, cell in enumerate(cells):
+            if not isinstance(cell, dict):
+                raise ValueError(
+                    f"field 'cells[{index}]' must be an object, got {cell!r}"
+                )
+        stop = data.get("stop")
         return cls(
-            name=str(data.get("name", "")),
+            name=name,
             base=tuple((k, freeze_value(v)) for k, v in base.items()),
             grid=tuple(
                 (k, tuple(freeze_value(v) for v in values))
                 for k, values in grid.items()
             ),
             fixed_cells=tuple(freeze_cell(cell) for cell in cells),
-            seeds=SeedPlan(**seeds_data),
-            stop=StopRule(**stop_data) if stop_data else None,
+            seeds=dataclass_from_dict(
+                SeedPlan, _member(data, "seeds", dict, {}), "seeds."
+            ),
+            stop=(
+                None
+                if stop is None
+                else dataclass_from_dict(StopRule, stop, "stop.")
+            ),
         )
 
     @classmethod
@@ -365,6 +404,17 @@ class CampaignSpec:
         if self.sequential:
             return None
         return len(self.cells()) * self.seeds.count
+
+
+def _member(data: Dict[str, object], key: str, kind: type, default):
+    """``data[key]`` if it is a ``kind``, ``default`` if absent or null."""
+    value = data.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "an array"
+        raise ValueError(f"field {key!r} must be {what}, got {value!r}")
+    return value
 
 
 def freeze_value(value: object) -> object:

@@ -1,14 +1,17 @@
 """Append-only JSONL checkpoint store for campaign results.
 
 Every completed point becomes one JSON line in ``results.jsonl``, keyed
-by the point's config digest and flushed+fsynced on append, so a crash
-can lose at most the line being written — and a torn final line is
-detected and ignored on load, then cut off before the next append so
-that a resumed run never writes a record onto it.  Records are plain
-JSON (no pickles):
-the report layer recomputes every aggregate from them, which is what
-makes an interrupted-then-resumed campaign byte-identical to an
-uninterrupted one.
+by the point's config digest.  An append writes one or more lines with
+one open, one flush and one fsync: a computed point is appended alone,
+so a crash loses at most the run being checkpointed, while the records
+of a wave the cache served go in one batch, since any of them the crash
+loses the cache serves again.  A crash mid-append leaves whole records
+plus at most one torn final line; that line is ignored on load, then
+cut off before the next append so that a resumed run never writes a
+record onto it.  Records are plain JSON (no pickles): the report layer
+recomputes every aggregate from them, which is what makes an
+interrupted-then-resumed campaign byte-identical to an uninterrupted
+one.
 
 Failures get the same treatment in ``failures.jsonl``: one line per
 failed attempt, with the digest, attempt number, error string and
@@ -98,21 +101,24 @@ class _JsonlFile:
         self.path = path
         self._tail_checked = False
 
-    def _append_line(self, line: str) -> None:
-        """Append ``line`` plus a newline, flushed and fsynced.
+    def _append_lines(self, lines: Iterable[str]) -> None:
+        """Append each of ``lines`` plus a newline: one open, one fsync.
 
-        A crash mid-append leaves a final line with no newline.  Before
-        its first append, the store repairs such a torn tail (see
+        Nothing is written for no lines.  A crash mid-append leaves the
+        lines before the cut whole and a final line with no newline.
+        Before its first append, the store repairs such a torn tail (see
         :func:`_repair_torn_tail`); otherwise the next line would be
         glued onto the fragment, and that mid-file garbage would fail
         every later load.
         """
+        text = "".join(line + "\n" for line in lines)
+        if not text:
+            return
         if not self._tail_checked:
             _repair_torn_tail(self.path)
             self._tail_checked = True
         with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.write("\n")
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
 
@@ -184,12 +190,12 @@ class ResultStore(_JsonlFile):
         return records
 
     def append(self, record: Dict[str, object]) -> None:
-        """Durably append one completed-point record.
+        """Durably append one completed-point record (fsynced)."""
+        self._append_lines([record_line(record)])
 
-        The line is flushed and fsynced before this returns, one record
-        at a time, so a crash loses at most the line being written.
-        """
-        self._append_line(record_line(record))
+    def extend(self, records: Iterable[Dict[str, object]]) -> None:
+        """Durably append ``records``, in order, with one fsync."""
+        self._append_lines(record_line(record) for record in records)
 
 
 class FailureLog(_JsonlFile):
@@ -213,7 +219,7 @@ class FailureLog(_JsonlFile):
             "error": error,
             "quarantined": quarantined,
         }
-        self._append_line(json.dumps(entry, sort_keys=True))
+        self._append_lines([json.dumps(entry, sort_keys=True)])
 
     def load(self) -> List[Dict[str, object]]:
         """All failure records, in append order."""

@@ -645,7 +645,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _run_command(args: argparse.Namespace) -> int:
     from repro.obs import Journal
 
-    config = _effective_config(args)
+    try:
+        config = _effective_config(args)
+    except (OSError, ValueError) as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return 2
     if args.save_config:
         save_config(config, args.save_config)
     journal = Journal(level=args.journal_level) if args.journal else None

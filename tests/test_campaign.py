@@ -15,11 +15,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.cache import RunCache
 from repro.campaign import (
     CampaignInterrupted,
     CampaignSpec,
@@ -129,7 +131,7 @@ def test_spec_validation_rejects(mutation):
         "seeds": {"start": 1, "count": 2},
     }
     data.update(mutation)
-    with pytest.raises((ValueError, TypeError)):
+    with pytest.raises(ValueError):
         CampaignSpec.from_dict(data)
 
 
@@ -181,6 +183,18 @@ def test_store_tolerates_torn_final_line(tmp_path):
     assert set(store.load()) == {"a"}
 
 
+def _fake_failure(digest: str) -> dict:
+    return {"digest": digest, "seed": 1, "cell": [], "attempt": 1,
+            "error": "boom", "quarantined": True}
+
+
+def _loaded_digests(store) -> list:
+    loaded = store.load()  # a dict by digest, or a list of entries
+    if isinstance(loaded, dict):
+        return list(loaded)
+    return [entry["digest"] for entry in loaded]
+
+
 @pytest.mark.parametrize("kind", ["results", "failures"])
 def test_append_after_torn_tail_keeps_file_loadable(tmp_path, kind):
     # A crash mid-append leaves a fragment; the next store to append
@@ -202,6 +216,32 @@ def test_append_after_torn_tail_keeps_file_loadable(tmp_path, kind):
         log.append("c", 1, [], 1, "boom", True)
         log.append("d", 1, [], 1, "boom", True)
         assert [e["digest"] for e in log.load()] == ["a", "c", "d"]
+
+    # The same contract for a batch append cut at every byte: the cut
+    # file loads exactly the records whose JSON text is whole (a final
+    # one without its newline counts), and a fresh store appending
+    # after the cut leaves a file that loads those plus the new ones.
+    store_cls = ResultStore if kind == "results" else FailureLog
+    fake = _fake_record if kind == "results" else _fake_failure
+    whole = str(tmp_path / f"whole-{kind}.jsonl")
+    # _append_lines is the durable append both files share; it is what
+    # ResultStore.extend calls with a served wave's records.
+    store_cls(whole)._append_lines(
+        json.dumps(fake(digest), sort_keys=True) for digest in "abc"
+    )
+    with open(whole, "rb") as handle:
+        data = handle.read()
+    ends = [i for i, byte in enumerate(data) if byte == ord("\n")]
+    assert len(ends) == 3
+    for cut in range(len(data) + 1):
+        with open(path, "wb") as handle:
+            handle.write(data[:cut])
+        kept = [d for d, end in zip("abc", ends) if end <= cut]
+        assert _loaded_digests(store_cls(path)) == kept, cut
+        store_cls(path)._append_lines(
+            json.dumps(fake(digest), sort_keys=True) for digest in "xy"
+        )
+        assert _loaded_digests(store_cls(path)) == kept + ["x", "y"], cut
 
 
 def test_append_keeps_whole_final_record_missing_its_newline(tmp_path):
@@ -329,6 +369,10 @@ def _fail_seed2_worker(config, timeout_s=None, telemetry=False):
     return execute(config, timeout_s, telemetry)
 
 
+def _exploding_worker(config, timeout_s=None, telemetry=False):
+    raise AssertionError("the cache should have served every point")
+
+
 def _exit_seed2_worker(config, timeout_s=None, telemetry=False):
     if config.seed == 2:
         # Give co-inflight healthy points time to finish first: a pool
@@ -444,14 +488,18 @@ SMOKE_AGGREGATE = (
 )
 
 
+#: The CI campaign smoke spec (2 cells x 3 seeds), whose uninterrupted
+#: run ends at SMOKE_AGGREGATE.
+SMOKE_SPEC = os.path.join(
+    os.path.dirname(__file__), os.pardir, "benchmarks",
+    "campaign_smoke_spec.json",
+)
+
+
 def test_resume_after_torn_checkpoint_tail(tmp_path):
     """A kill inside ResultStore.append leaves half a record; resuming
     (twice) must still finish at the uninterrupted aggregate."""
-    spec_path = os.path.join(
-        os.path.dirname(__file__), os.pardir, "benchmarks",
-        "campaign_smoke_spec.json",
-    )
-    spec = CampaignSpec.load(spec_path)
+    spec = CampaignSpec.load(SMOKE_SPEC)
     cdir = str(tmp_path / "campaign")
     with pytest.raises(CampaignInterrupted):
         run_campaign(cdir, spec=spec, retry=NO_BACKOFF, interrupt_after=3)
@@ -466,6 +514,72 @@ def test_resume_after_torn_checkpoint_tail(tmp_path):
         report = run_campaign(cdir, resume=True, retry=NO_BACKOFF)
         assert report.aggregate == SMOKE_AGGREGATE
         assert report.n_completed == 6
+
+
+def test_resume_after_kill_inside_the_served_batch(tmp_path, closes):
+    """A warm campaign checkpoints its cache hits with one append; a
+    kill inside it leaves whole records plus at most one torn line.
+    Resuming from any such cut finishes at the uninterrupted aggregate,
+    serves the lost records from the cache again and stores nothing."""
+    spec = CampaignSpec.load(SMOKE_SPEC)
+    cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
+    run_campaign(str(tmp_path / "cold"), spec=spec, cache=cache)
+    warm = str(tmp_path / "warm")
+    assert run_campaign(warm, spec=spec, cache=cache).aggregate == (
+        SMOKE_AGGREGATE
+    )
+    with open(os.path.join(warm, "results.jsonl"), "rb") as handle:
+        data = handle.read()
+    starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == 10]
+    assert len(starts) == 7  # six records, each ending in a newline
+    mids = [(a + b) // 2 for a, b in zip(starts, starts[1:])]
+    cuts = sorted(
+        {*starts, *(s + 1 for s in starts if s < len(data)), *mids}
+    )
+    puts = cache.stats.puts
+    for cut in cuts:
+        cdir = str(tmp_path / f"cut-{cut}")
+        shutil.copytree(warm, cdir)
+        with open(os.path.join(cdir, "results.jsonl"), "wb") as handle:
+            handle.write(data[:cut])
+        os.remove(os.path.join(cdir, "manifest.json"))
+        report = run_campaign(cdir, resume=True, cache=cache)
+        assert report.aggregate == SMOKE_AGGREGATE, cut
+        assert report.n_completed == 6, cut
+    assert cache.stats.puts == puts
+    assert cache.verify()["corrupt"] == []
+
+
+def test_warm_pass_fsyncs_once_for_all_its_hits(
+    tmp_path, closes, monkeypatch
+):
+    """A fully warm pass costs the same durable writes at 4 and at 12
+    points: the served records share one fsync (spec 1, records 1,
+    final status flush 3, manifest 1)."""
+    cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
+    specs = {
+        n: small_spec(base=dict(BASE, horizon_us=1000.0),
+                      seeds={"start": 1, "count": n // 2})
+        for n in (4, 12)
+    }
+    for n, spec in specs.items():
+        run_campaign(str(tmp_path / f"cold-{n}"), spec=spec, cache=cache)
+    real_fsync = os.fsync
+    calls = []
+
+    def counting_fsync(fd):
+        calls.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    counts = {}
+    for n, spec in specs.items():
+        calls.clear()
+        report = run_campaign(str(tmp_path / f"warm-{n}"), spec=spec,
+                              cache=cache, worker=_exploding_worker)
+        assert report.n_completed == n
+        counts[n] = len(calls)
+    assert counts[4] == counts[12] == 6, counts
 
 
 def test_sequential_campaign_resume_identity(tmp_path):

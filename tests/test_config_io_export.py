@@ -102,6 +102,8 @@ def test_non_object_json_rejected():
          r"'profile_names\[1\]' must be str"),
         ("type_grid", [True], r"'type_grid\[0\]' must be str"),
         ("type_grid", "std", "'type_grid' must be an array"),
+        # Once a TypeError from AgingParameters(**value).
+        ("aging", {"bogus": 1}, r"unknown keys: \['aging\.bogus'\]"),
     ],
 )
 def test_wrong_value_types_rejected(key, value, fragment):
