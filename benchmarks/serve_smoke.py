@@ -5,7 +5,9 @@ real subprocesses of ``python -m repro serve``:
 
 1. boot a server; two clients submit **overlapping** sweeps
    concurrently — both streams must complete, agree with each other,
-   and agree with a direct :func:`repro.experiments.run_many` oracle;
+   and agree with a direct :func:`repro.experiments.run_many` oracle,
+   and ``/metrics`` must count one simulated run
+   (``repro_sim_runs_total``) per point the server computed;
 2. submit a campaign and ``SIGKILL`` the server mid-run (after at least
    one checkpointed result, before the manifest exists) — the ugliest
    possible death: no drain, no flush, no goodbye.  Within 10 s no
@@ -59,14 +61,19 @@ from repro.serve.client import LocalServer, ServeClient, sweep_request_doc
 
 BASE = {"width": 2, "height": 2, "horizon_us": 2000.0}
 
-#: The campaign is sized so the kill lands mid-run: enough points that
-#: checkpoint N exists while the manifest does not.
+#: The campaign is sized so the kill lands mid-run: 32 points of about
+#: 50 ms each leave most of a second of work at ``--jobs 2`` after the
+#: first checkpoint, many times the interval at which phase 2 polls for
+#: that checkpoint before it kills the server.
 CAMPAIGN_SPEC = {
     "name": "serve-smoke",
-    "base": dict(BASE, horizon_us=20000.0),
+    "base": {"width": 8, "height": 8, "horizon_us": 10000.0},
     "grid": {"tdp_w": [40.0, 60.0]},
-    "seeds": {"start": 1, "count": 4},
+    "seeds": {"start": 1, "count": 16},
 }
+
+#: Seconds between two looks for the first checkpoint in phase 2.
+CHECKPOINT_POLL_S = 0.01
 
 #: Phase 6: a sweep long enough to be streaming when the campaign's
 #: workers start, and a campaign that outlives the sweep by seconds.
@@ -104,7 +111,8 @@ async def overlapping_sweeps(port: int) -> dict:
         client.sweep(doc_b, max_retries=10),
     )
     status = await client.status()
-    return {"a": events_a, "b": events_b, "status": status}
+    metrics = await client.metrics_text()
+    return {"a": events_a, "b": events_b, "status": status, "metrics": metrics}
 
 
 def check_overlap(load: dict) -> int:
@@ -126,11 +134,24 @@ def check_overlap(load: dict) -> int:
         if by_seed[seed] != result_digest(result):
             return fail(f"seed {seed}: served != direct run_many")
     counters = load["status"]["engine"]["counters"]
+    computed = int(counters.get("serve.computed", 0))
     print(
         f"[ok]   overlapping sweeps agree with run_many "
-        f"({int(counters.get('serve.computed', 0))} computed, "
+        f"({computed} computed, "
         f"{int(counters.get('serve.coalesced', 0))} coalesced)"
     )
+    samples = dict(
+        line.split(" ", 1)
+        for line in load["metrics"].splitlines()
+        if line and not line.startswith("#")
+    )
+    runs = samples.get("repro_sim_runs_total")
+    if runs is None or int(runs) != computed:
+        return fail(
+            f"/metrics counts {runs} simulated run(s), the server "
+            f"computed {computed}"
+        )
+    print(f"[ok]   /metrics counts one simulated run per computed point")
     return 0
 
 
@@ -237,7 +258,7 @@ async def wait_for_campaign_worker(directory: Path, timeout_s: float) -> int:
     """The pid of a live worker that already ran a point of the campaign.
 
     Read from the campaign's ``status.json``, whose ``workers`` lists
-    every process that sent back a point's telemetry.
+    the pid of every process that ran a point.
     """
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
@@ -300,7 +321,7 @@ def wait_for_checkpoints(directory: Path, n: int, timeout_s: float) -> int:
             count = len(results.read_text().splitlines())
             if count >= n:
                 return count
-        time.sleep(0.1)
+        time.sleep(CHECKPOINT_POLL_S)
     return 0
 
 

@@ -57,7 +57,7 @@ from repro.cache.keys import (
 )
 from repro.cache.store import ContentStore, blob_digest, write_blob
 from repro.obs.provenance import config_digest
-from repro.telemetry.registry import NULL_TELEMETRY, MetricsRegistry
+from repro.telemetry.registry import NULL_TELEMETRY, MetricsRegistry, count_run
 
 #: Pickle protocol pinned for blob stability within one schema version.
 _PICKLE_PROTOCOL = 4
@@ -203,7 +203,7 @@ class RunCache:
         """Serve ``config`` from cache or run it; returns (result, hit).
 
         ``telemetry`` receives the cache counters and, on a miss, the
-        run's own.
+        run's counts (:func:`repro.telemetry.count_run`).
         """
         from repro.core.system import run_system
 
@@ -211,7 +211,8 @@ class RunCache:
         cached = self.get_result(digest, telemetry)
         if cached is not None:
             return cached, True
-        result = run_system(config, telemetry=telemetry)
+        result = run_system(config)
+        count_run(telemetry, result)
         self.put_result(digest, result, telemetry)
         return result, False
 

@@ -17,15 +17,16 @@ campaign needs:
 * a hard worker death (``BrokenProcessPool``) rebuilds the pool once
   and requeues the in-flight points — conservatively charging each an
   attempt, so a reproducibly-crashing point still quarantines;
-* completed results are delivered to the caller *as they finish* (the
+* completed points are delivered to the caller *as they finish* (the
   runner checkpoints each one), so no failure mode loses finished work.
 
 Every attempt runs through :func:`repro.experiments.parallel.execute`,
 in-process on the serial path and on a
 :class:`~repro.experiments.parallel.WorkerPool` otherwise.  The
 executor is deliberately policy-free about results: it hands each
-completed result to ``on_result`` and failure attempts to
-``on_failure`` and keeps no result state of its own.
+completed point's :class:`~repro.experiments.parallel.Outcome` to
+``on_result`` and failure attempts to ``on_failure`` and keeps no
+result state of its own.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.spec import CampaignPoint
-from repro.core.system import SimulationResult
 from repro.experiments.parallel import Outcome, WorkerPool, execute
 from repro.telemetry.registry import NULL_TELEMETRY
 
@@ -104,7 +104,7 @@ class ExecutionStats:
 
 
 #: callback signatures
-OnResult = Callable[[CampaignPoint, SimulationResult], None]
+OnResult = Callable[[CampaignPoint, Outcome], None]
 OnFailure = Callable[[CampaignPoint, int, str, bool], None]
 
 
@@ -140,14 +140,8 @@ class RobustExecutor:
         self.worker = worker
         #: Supervisor-side registry for the executor's own machinery
         #: metrics (``exec.*``: retries, quarantines, queue depth) — a
-        #: no-op sink by default.  When enabled, every point also
-        #: returns its telemetry blob, which goes to ``on_telemetry``.
+        #: no-op sink by default.
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._on_telemetry = None
-
-    def _work(self, point: CampaignPoint) -> Tuple:
-        """The worker's arguments for one point."""
-        return point.config, self.timeout_s, self.telemetry.enabled
 
     # ------------------------------------------------------------------
     def run(
@@ -156,24 +150,22 @@ class RobustExecutor:
         on_result: OnResult,
         on_failure: Optional[OnFailure] = None,
         interrupt_after: Optional[int] = None,
-        on_telemetry=None,
     ) -> ExecutionStats:
         """Run every point; deliver results/failures through callbacks.
+
+        ``on_result`` receives each completed point with its
+        :class:`~repro.experiments.parallel.Outcome` (the result, the
+        run's wall time and the worker's pid).
 
         ``interrupt_after`` raises :class:`CampaignInterrupted` once that
         many *new* results have been delivered — the deterministic
         crash-simulation hook used by the resume-identity tests and the
         CI smoke job.  Results delivered before the interrupt are
         already checkpointed by the callback; nothing is lost.
-
-        ``on_telemetry`` receives the telemetry blob of every completed
-        point (requires an enabled ``telemetry`` registry) for the
-        supervisor to merge.
         """
         stats = ExecutionStats()
         if not points:
             return stats
-        self._on_telemetry = on_telemetry
         if self.jobs <= 1 or len(points) == 1:
             self._run_serial(
                 points, stats, on_result, on_failure, interrupt_after
@@ -195,9 +187,7 @@ class RobustExecutor:
         on_result: OnResult,
         interrupt_after: Optional[int],
     ) -> None:
-        if self._on_telemetry is not None and outcome.telemetry is not None:
-            self._on_telemetry(outcome.telemetry)
-        on_result(entry.point, outcome.result)
+        on_result(entry.point, outcome)
         stats.completed += 1
         self.telemetry.counter("exec.completed").inc()
         if interrupt_after is not None and stats.completed >= interrupt_after:
@@ -256,7 +246,7 @@ class RobustExecutor:
             delay = entry.eligible_at - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            outcome = self.worker(*self._work(entry.point))
+            outcome = self.worker(entry.point.config, self.timeout_s)
             if outcome.error is None:
                 self._complete(
                     entry, outcome, stats, on_result, interrupt_after
@@ -300,7 +290,7 @@ class RobustExecutor:
                     generation = pool.generation
                     try:
                         future = pool.submit(
-                            self.worker, *self._work(entry.point)
+                            self.worker, entry.point.config, self.timeout_s
                         )
                     except BrokenProcessPool:
                         self._rebuild(pool, generation)

@@ -52,7 +52,7 @@ from repro.campaign.store import (
 )
 from repro.metrics.stats import halfwidth_met
 from repro.telemetry import atomic_write_text
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import MetricsRegistry, count_run
 from repro.telemetry.status import CampaignStatusWriter
 
 
@@ -247,13 +247,13 @@ def run_campaign(
     without re-simulating.  Cache-served records do not count toward
     ``interrupt_after`` (they cost no work worth crash-testing).
 
-    ``telemetry=True`` (the default) collects per-point metric deltas
-    from the workers, merges them supervisor-side, and flushes
-    ``status.json``/``telemetry.prom``/``telemetry.json`` into the
-    campaign directory for ``repro campaign status``/``repro top``;
-    the campaign's cache traffic lands in the same registry.  Telemetry
-    is a write-only sink: checkpoint rows and the aggregate digest are
-    byte-identical with it on or off.
+    ``telemetry=True`` (the default) counts every computed point
+    (:func:`repro.telemetry.count_run`) and the campaign's cache traffic
+    into one registry, notes each point's worker pid and wall time as a
+    heartbeat, and flushes ``status.json``/``telemetry.prom``/
+    ``telemetry.json`` into the campaign directory for ``repro campaign
+    status``/``repro top``.  Telemetry is a write-only sink: checkpoint
+    rows and the aggregate digest are byte-identical with it on or off.
     """
     if resume:
         spec = load_spec(campaign_dir)
@@ -266,7 +266,6 @@ def run_campaign(
     records = store.load()
     registry: Optional[MetricsRegistry] = None
     status: Optional[CampaignStatusWriter] = None
-    on_telemetry = None
     if telemetry:
         registry = MetricsRegistry()
         status = CampaignStatusWriter(
@@ -278,10 +277,6 @@ def run_campaign(
             cache=cache,
         )
 
-        def on_telemetry(blob) -> None:
-            registry.merge(blob["metrics"])
-            status.note_worker(blob)
-
     executor_kwargs = {} if worker is None else {"worker": worker}
     executor = RobustExecutor(
         jobs=jobs,
@@ -291,7 +286,8 @@ def run_campaign(
         **executor_kwargs,
     )
 
-    def on_result(point: CampaignPoint, result) -> None:
+    def on_result(point: CampaignPoint, outcome) -> None:
+        result = outcome.result
         # Cache before checkpointing: an interrupt raised after the
         # checkpoint must not lose a result the next overlapping grid
         # could have been served from.
@@ -302,6 +298,8 @@ def run_campaign(
                 pass  # memoization must never fail a completed run
         store.append(record_from_result(point, result))
         if status is not None:
+            count_run(registry, result)
+            status.note_worker(outcome.pid, outcome.wall_s)
             status.note_points(1)
             status.write("running")
 
@@ -357,7 +355,6 @@ def run_campaign(
                     on_result=on_result,
                     on_failure=on_failure,
                     interrupt_after=remaining_interrupt,
-                    on_telemetry=on_telemetry,
                 )
             except CampaignInterrupted as exc:
                 raise CampaignInterrupted(

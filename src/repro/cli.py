@@ -205,9 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--telemetry", action="store_true",
-        help="collect runtime telemetry (events/s, launches/deferrals, "
-             "power headroom) and print the counter summary; never "
-             "changes the simulation result",
+        help="count the run (events, epochs, test sessions, power "
+             "headroom) and print the counter summary; never changes "
+             "the simulation result",
     )
     _add_cache_flags(run_p)
 
@@ -660,9 +660,9 @@ def _run_command(args: argparse.Namespace) -> int:
         verifier = InvariantChecker()
     telemetry_reg = None
     if args.telemetry:
-        # Telemetry is a write-only sink: unlike the journal it neither
-        # bypasses the cache nor changes the result.
-        from repro.telemetry.registry import MetricsRegistry
+        # Counts are derived from the result: unlike the journal they
+        # neither bypass the cache nor change the result.
+        from repro.telemetry.registry import MetricsRegistry, count_run
 
         telemetry_reg = MetricsRegistry()
     cache = _cache_from_args(args)
@@ -675,9 +675,9 @@ def _run_command(args: argparse.Namespace) -> int:
     if cache is not None:
         result, cache_hit = cache.get_or_run(config, telemetry_reg)
     else:
-        result = run_system(
-            config, journal=journal, verifier=verifier, telemetry=telemetry_reg
-        )
+        result = run_system(config, journal=journal, verifier=verifier)
+        if telemetry_reg is not None:
+            count_run(telemetry_reg, result)
     rows = [[key, value] for key, value in result.summary().items()]
     print(
         format_table(
@@ -701,22 +701,16 @@ def _run_command(args: argparse.Namespace) -> int:
         journal.write_jsonl(args.journal)
         print(f"journal written to {args.journal} ({len(journal)} events)")
     if telemetry_reg is not None:
+        # A cache hit counts its lookup; a computed run its counts.
         snapshot = telemetry_reg.snapshot()
-        lines = [
-            f"  {name} = {value}"
-            for name, value in sorted(snapshot.get("counters", {}).items())
-        ]
-        lines += [
-            f"  {name} = {gauge['last']:g} "
-            f"(min {gauge['min']:g}, max {gauge['max']:g})"
-            for name, gauge in sorted(snapshot.get("gauges", {}).items())
-            if gauge.get("last") is not None
-        ]
-        if lines:
-            print("telemetry:")
-            print("\n".join(lines))
-        else:
-            print("telemetry: empty (a cache hit executes no simulation)")
+        print("telemetry:")
+        for name, value in snapshot["counters"].items():
+            print(f"  {name} = {value}")
+        for name, gauge in snapshot["gauges"].items():
+            print(
+                f"  {name} = {gauge['last']:g} "
+                f"(min {gauge['min']:g}, max {gauge['max']:g})"
+            )
     if cache is not None:
         print(f"cache: {'hit' if cache_hit else 'miss (stored)'}")
     if verifier is not None:

@@ -20,8 +20,8 @@ int is accepted where a float is declared (``80`` and ``80.0`` are two
 spellings with two digests, and both are frozen in goldens).  Nested
 parameter blocks are rebuilt into their proper dataclass types so
 validation in ``__post_init__`` re-runs.  :func:`dataclass_from_dict`
-is the one checker; campaign specs build their seed plan and stopping
-rule with it too.
+is the one checker; campaign and DSE specs build their parameter
+blocks with it too.
 """
 
 from __future__ import annotations
@@ -91,8 +91,9 @@ def dataclass_from_dict(cls: type, data: Any, prefix: str = "") -> Any:
     non-object, an unknown key, a missing required field or a value
     whose JSON type does not fit the declared one; ``cls``'s own
     ``__post_init__`` checks run as usual.  Declared scalar types are
-    ``int``, ``float``, ``str`` and ``bool``, tuples of them, and the
-    nested parameter blocks of :class:`SystemConfig`.
+    ``int``, ``float``, ``str`` and ``bool``, ``Optional`` ones (``null``
+    allowed), tuples of them, and the nested parameter blocks of
+    :class:`SystemConfig`.
     """
     if not isinstance(data, dict):
         what = f"field {prefix[:-1]!r}" if prefix else "config"
@@ -139,6 +140,10 @@ def _build(cls: type, data: Dict[str, Any], prefix: str) -> Any:
 
 
 def _check_value(name: str, declared: str, value: Any) -> None:
+    if declared.startswith("Optional[") and declared.endswith("]"):
+        if value is None:
+            return
+        declared = declared[len("Optional["):-1]
     check = _SCALARS.get(declared)
     if check is not None and not check(value):
         raise ValueError(f"field {name!r} must be {declared}, got {value!r}")

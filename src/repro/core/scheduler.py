@@ -120,11 +120,9 @@ class PowerAwareTestScheduler(TestSchedulerBase):
     # ------------------------------------------------------------------
     def tick(self, now: float, dt: float) -> None:
         journal = self.journal
-        tm = self.telemetry
         measured = self.meter.chip_power()
         if measured > self.budget.cap:
             aborted = self._emergency(measured)
-            tm.counter("test.emergency").inc()
             if journal.enabled:
                 journal.emit(
                     "test.emergency",
@@ -137,30 +135,25 @@ class PowerAwareTestScheduler(TestSchedulerBase):
         headroom = self.budget.guarded_cap - measured - self.reserve_w
         slots = self.max_concurrent - len(self.runner.active_sessions())
         if headroom <= 0 or slots <= 0:
-            if journal.enabled or tm.enabled:
+            if journal.enabled:
                 # Every due core is deferred this epoch; ``candidates`` is
                 # read-only, so the observe-only ranking changes nothing.
                 reason = "no-headroom" if headroom <= 0 else "max-concurrent"
-                deferred = self.candidates(now)
-                if deferred:
-                    tm.counter("test.defer." + reason).inc(len(deferred))
-                if journal.enabled:
-                    for core in deferred:
-                        journal.emit(
-                            "test.defer",
-                            now,
-                            core=core.core_id,
-                            reason=reason,
-                            headroom_w=headroom,
-                            criticality=self.criticality.value(core, now),
-                        )
+                for core in self.candidates(now):
+                    journal.emit(
+                        "test.defer",
+                        now,
+                        core=core.core_id,
+                        reason=reason,
+                        headroom_w=headroom,
+                        criticality=self.criticality.value(core, now),
+                    )
             return
         ranked = self.candidates(now)
         for position, core in enumerate(ranked):
             if slots <= 0 or headroom <= 0:
-                reason = "max-concurrent" if slots <= 0 else "no-headroom"
-                tm.counter("test.defer." + reason).inc(len(ranked) - position)
                 if journal.enabled:
+                    reason = "max-concurrent" if slots <= 0 else "no-headroom"
                     for waiting in ranked[position:]:
                         journal.emit(
                             "test.defer",
@@ -174,7 +167,6 @@ class PowerAwareTestScheduler(TestSchedulerBase):
             level = self.affordable_level(core, now, headroom)
             if level is None:
                 self.skipped_no_budget += 1
-                tm.counter("test.defer.no-level-fits").inc()
                 if journal.enabled:
                     journal.emit(
                         "test.defer",
@@ -186,22 +178,17 @@ class PowerAwareTestScheduler(TestSchedulerBase):
                     )
                 continue
             cost = self.session_cost(core, level)
-            if journal.enabled or tm.enabled:
-                downgraded = level.index != self.pick_level(core, now).index
-                tm.counter("test.launch").inc()
-                if downgraded:
-                    tm.counter("test.launch.downgraded").inc()
-                if journal.enabled:
-                    journal.emit(
-                        "test.launch",
-                        now,
-                        core=core.core_id,
-                        level=level.index,
-                        headroom_w=headroom,
-                        cost_w=cost,
-                        criticality=self.criticality.value(core, now),
-                        downgraded=downgraded,
-                    )
+            if journal.enabled:
+                journal.emit(
+                    "test.launch",
+                    now,
+                    core=core.core_id,
+                    level=level.index,
+                    headroom_w=headroom,
+                    cost_w=cost,
+                    criticality=self.criticality.value(core, now),
+                    downgraded=level.index != self.pick_level(core, now).index,
+                )
             self.runner.start(core, level)
             headroom -= cost
             slots -= 1

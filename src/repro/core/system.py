@@ -39,7 +39,6 @@ from repro.metrics.collectors import MetricsCollector
 from repro.noc.model import NocModel, NocParameters
 from repro.obs.journal import NULL_JOURNAL, Journal
 from repro.obs.provenance import RunManifest, digest_of, field_dict
-from repro.telemetry.registry import NULL_TELEMETRY, MetricsRegistry
 from repro.noc.queued import QueuedNocModel
 from repro.noc.topology import Mesh
 from repro.platform.chip import Chip
@@ -260,11 +259,9 @@ class ManycoreSystem:
         config: SystemConfig,
         journal: Optional[Journal] = None,
         verifier=None,
-        telemetry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.config = config
         self.journal = journal if journal is not None else NULL_JOURNAL
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         # Runtime invariant checker (repro.verify.InvariantChecker), or
         # None.  Kept duck-typed: repro.core must not import repro.verify
         # (the relation suite imports config/sweep machinery from here).
@@ -425,14 +422,6 @@ class ManycoreSystem:
                 # High-rate state churn: only worth the listener call when
                 # the journal would actually keep core.transition events.
                 self.chip.add_transition_listener(self._journal_core_transition)
-        tm = self.telemetry
-        if tm.enabled:
-            self.runner.telemetry = tm
-            self.test_scheduler.telemetry = tm
-            # Hot-loop metric handles, resolved once per system.
-            self._tm_epochs = tm.counter("sim.epochs")
-            self._tm_measured = tm.gauge("power.measured_w")
-            self._tm_headroom = tm.gauge("power.headroom_w")
         if self.verifier is not None and self.verifier.enabled:
             # Last so the meter and journal listeners observe transitions
             # first; the checker is read-only either way.
@@ -644,10 +633,6 @@ class ManycoreSystem:
             self.test_scheduler.tick(now, dt)
         self._try_map()
         breakdown = self.meter.breakdown()
-        if self.telemetry.enabled:
-            self._tm_epochs.inc()
-            self._tm_measured.set(breakdown.total)
-            self._tm_headroom.set(self.budget.headroom(breakdown.total))
         if self.journal.enabled and self.budget.violated(breakdown.total):
             self.journal.emit(
                 "budget.violation",
@@ -681,9 +666,6 @@ class ManycoreSystem:
             self.config.epoch_us, self._control_tick, priority=PRIORITY_CONTROL
         )
         self.sim.run(until=self.config.horizon_us)
-        if self.telemetry.enabled:
-            self.telemetry.counter("sim.runs").inc()
-            self.telemetry.counter("sim.events").inc(self.sim.events_fired)
         return self._collect_result()
 
     def _collect_result(self) -> SimulationResult:
@@ -738,18 +720,11 @@ def run_system(
     config: SystemConfig,
     journal: Optional[Journal] = None,
     verifier=None,
-    telemetry: Optional[MetricsRegistry] = None,
 ) -> SimulationResult:
     """Build and run one simulation (the one-call public entry point).
 
-    ``verifier`` accepts a :class:`repro.verify.InvariantChecker`;
-    ``telemetry`` a :class:`repro.telemetry.MetricsRegistry`.  With the
-    defaults the run is byte-identical to an unobserved one — and stays
-    byte-identical with everything enabled (the sinks are write-only).
+    ``verifier`` accepts a :class:`repro.verify.InvariantChecker`.  With
+    the defaults the run is byte-identical to an unobserved one — and
+    stays byte-identical with both enabled (the sinks are write-only).
     """
-    return ManycoreSystem(
-        config,
-        journal=journal,
-        verifier=verifier,
-        telemetry=telemetry,
-    ).run()
+    return ManycoreSystem(config, journal=journal, verifier=verifier).run()

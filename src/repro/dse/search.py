@@ -53,11 +53,12 @@ from repro.campaign.spec import (
     Cell,
     SeedPlan,
     StopRule,
+    _member,
     cell_digest,
     freeze_value,
 )
 from repro.campaign.store import RESULTS_FILE, ResultStore
-from repro.core.config_io import config_to_dict
+from repro.core.config_io import config_to_dict, dataclass_from_dict
 from repro.core.system import SystemConfig
 from repro.dse.pareto import (
     OBJECTIVES,
@@ -206,7 +207,15 @@ class DseSpec:
     # ------------------------------------------------------------------
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "DseSpec":
-        """Build a spec from a plain dict (e.g. parsed spec.json)."""
+        """Build a spec from a plain dict (e.g. parsed spec.json).
+
+        Malformed input of any shape raises ``ValueError`` naming the
+        field (``evolve.population``, ``space``, ...).  A config
+        value of the wrong type in ``base`` is reported when a
+        candidate's config is resolved, as in campaign specs.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"dse spec must be an object, got {data!r}")
         known = {
             "schema", "name", "space", "base", "objectives", "weights",
             "seeds", "stop", "evolve", "surrogate",
@@ -214,18 +223,23 @@ class DseSpec:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown dse spec keys: {sorted(unknown)}")
-        base = data.get("base") or {}
-        if not isinstance(base, dict):
-            raise ValueError("'base' must be a JSON object")
-        objectives = data.get("objectives") or list(_DEFAULT_OBJECTIVES)
-        weights = data.get("weights")
-        seeds_data = data.get("seeds") or {}
-        stop_data = data.get("stop")
-        evolve_data = data.get("evolve") or {}
-        surrogate_data = data.get("surrogate") or {}
+        name = data.get("name", "")
+        if not isinstance(name, str):
+            raise ValueError(f"field 'name' must be str, got {name!r}")
+        base = _member(data, "base", dict, {})
+        objectives = _member(data, "objectives", list, _DEFAULT_OBJECTIVES)
+        weights = _member(data, "weights", list, None)
+        if weights is not None and not all(
+            isinstance(w, (int, float)) and not isinstance(w, bool)
+            for w in weights
+        ):
+            raise ValueError(
+                f"field 'weights' must be an array of numbers, got {weights!r}"
+            )
+        stop = data.get("stop")
         return cls(
-            name=str(data.get("name", "")),
-            space=SearchSpace.from_list(data.get("space") or []),
+            name=name,
+            space=SearchSpace.from_list(_member(data, "space", list, [])),
             base=tuple(
                 (k, freeze_value(v)) for k, v in base.items()
             ),
@@ -235,10 +249,22 @@ class DseSpec:
                 if weights is not None
                 else None
             ),
-            seeds=SeedPlan(**seeds_data),
-            stop=StopRule(**stop_data) if stop_data else None,
-            evolve=EvolutionParams(**evolve_data),
-            surrogate=SurrogateParams(**surrogate_data),
+            seeds=dataclass_from_dict(
+                SeedPlan, _member(data, "seeds", dict, {}), "seeds."
+            ),
+            stop=(
+                None
+                if stop is None
+                else dataclass_from_dict(StopRule, stop, "stop.")
+            ),
+            evolve=dataclass_from_dict(
+                EvolutionParams, _member(data, "evolve", dict, {}), "evolve."
+            ),
+            surrogate=dataclass_from_dict(
+                SurrogateParams,
+                _member(data, "surrogate", dict, {}),
+                "surrogate.",
+            ),
         )
 
     @classmethod

@@ -23,6 +23,7 @@ is what makes searches replayable from their spec digest alone.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -224,8 +225,32 @@ class ChoiceParam:
 _PARAM_TYPES = ("float", "int", "choice")
 
 
+def _bounds(name: str, data: Dict[str, object], kind: type) -> List:
+    """``[low, high]`` of a numeric parameter as ``kind`` (an int passes
+    for a float, if a float can hold it)."""
+    accepted = (int, float) if kind is float else int
+    bounds = []
+    for key in ("low", "high"):
+        value = data.get(key)
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, accepted)
+            or (kind is float and abs(value) > sys.float_info.max)
+        ):
+            raise ValueError(
+                f"{name}: {key!r} must be {kind.__name__}, got {value!r}"
+            )
+        bounds.append(kind(value))
+    return bounds
+
+
 def param_from_dict(data: Dict[str, object]):
-    """Build one parameter from its JSON form (see each ``to_dict``)."""
+    """Build one parameter from its JSON form (see each ``to_dict``).
+
+    Raises ``ValueError`` for a malformed parameter of any shape: a
+    missing or non-string name, an unknown type, a bound that is not a
+    number of the parameter's type, or choices that are not an array.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"space parameter must be an object, got {data!r}")
     kind = data.get("type")
@@ -233,9 +258,9 @@ def param_from_dict(data: Dict[str, object]):
     if not isinstance(name, str) or not name:
         raise ValueError(f"space parameter needs a 'field' name: {data!r}")
     if kind == "float":
-        return FloatParam(name, float(data["low"]), float(data["high"]))
+        return FloatParam(name, *_bounds(name, data, float))
     if kind == "int":
-        return IntParam(name, int(data["low"]), int(data["high"]))
+        return IntParam(name, *_bounds(name, data, int))
     if kind == "choice":
         values = data.get("values")
         if not isinstance(values, list):

@@ -11,9 +11,10 @@ byte-identical :class:`~repro.core.system.SimulationResult` data.
 Every entry path runs its points through the same three pieces:
 
 * :func:`execute` runs one point and never raises;
-* :class:`Outcome` carries its result or its error string, plus the
-  run's telemetry blob when asked for — the caller knows which point it
-  sent and attributes failures itself;
+* :class:`Outcome` carries its result or its error string, with the
+  run's wall time and the worker's pid — the caller knows which point
+  it sent, attributes failures itself and counts results into its own
+  registry (:func:`repro.telemetry.count_run`);
 * :class:`WorkerPool` is the only process pool.  Its workers start from
   a forkserver (spawn where there is none) with this module preloaded,
   so a worker inherits none of the caller's threads, sockets or signal
@@ -53,12 +54,12 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from multiprocessing import forkserver
 from multiprocessing.connection import Connection
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.core.system import SimulationResult, SystemConfig, run_system
 from repro.obs.provenance import config_digest
 from repro.platform.coretypes import CORE_TYPES, registered_core_types
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import MetricsRegistry, count_run
 
 
 class RunFailed(RuntimeError):
@@ -75,16 +76,18 @@ class RunFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class Outcome:
-    """One executed point: its result or its error, plus telemetry.
+    """One executed point: its result or its error.
 
-    Exactly one of ``result`` and ``error`` is set.  ``telemetry`` is the
-    run's blob ``{metrics, wall_s, pid}`` when :func:`execute` was asked
-    for it and the point ran to completion, else ``None``.
+    Exactly one of ``result`` and ``error`` is set.  :func:`execute`
+    also records the run's wall time and the pid of the process that
+    ran it (campaign status heartbeats read them); an outcome a caller
+    makes up for a point that never ran keeps the zero defaults.
     """
 
     result: Optional[SimulationResult] = None
     error: Optional[str] = None
-    telemetry: Optional[Dict[str, object]] = None
+    wall_s: float = 0.0
+    pid: int = 0
 
 
 class _PointTimeout(Exception):
@@ -95,54 +98,45 @@ def _alarm_handler(signum, frame):  # pragma: no cover - fires in workers
     raise _PointTimeout()
 
 
-def _run(config: SystemConfig, timeout_s, telemetry) -> SimulationResult:
+def _run(config: SystemConfig, timeout_s) -> SimulationResult:
     """``run_system``, under a ``SIGALRM`` timeout where one can fire."""
     if (
         not timeout_s
         or not hasattr(signal, "SIGALRM")
         or threading.current_thread() is not threading.main_thread()
     ):
-        return run_system(config, telemetry=telemetry)
+        return run_system(config)
     old = signal.signal(signal.SIGALRM, _alarm_handler)
     signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
-        return run_system(config, telemetry=telemetry)
+        return run_system(config)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, old)
 
 
 def execute(
-    config: SystemConfig,
-    timeout_s: Optional[float] = None,
-    telemetry: bool = False,
+    config: SystemConfig, timeout_s: Optional[float] = None
 ) -> Outcome:
     """Run one point; never raises (module-level, so pools can pickle it).
 
     ``timeout_s`` bounds the run with ``SIGALRM`` where the platform has
     it and the call is on the main thread (always true in a pool
-    worker).  With ``telemetry`` the run records into a fresh
-    :class:`~repro.telemetry.MetricsRegistry`, and the outcome carries
-    its snapshot with the run's wall time and the worker's pid, for the
-    caller to merge into its own registry.
+    worker).
     """
-    registry = MetricsRegistry() if telemetry else None
     start = time.perf_counter()
+    result = error = None
     try:
-        result = _run(config, timeout_s, registry)
+        result = _run(config, timeout_s)
     except _PointTimeout:
-        return Outcome(error=f"Timeout: run exceeded {timeout_s:g}s")
+        error = f"Timeout: run exceeded {timeout_s:g}s"
     except Exception as exc:
-        return Outcome(error=f"{type(exc).__name__}: {exc}")
-    if registry is None:
-        return Outcome(result=result)
+        error = f"{type(exc).__name__}: {exc}"
     return Outcome(
         result=result,
-        telemetry={
-            "metrics": registry.snapshot(),
-            "wall_s": time.perf_counter() - start,
-            "pid": os.getpid(),
-        },
+        error=error,
+        wall_s=time.perf_counter() - start,
+        pid=os.getpid(),
     )
 
 
@@ -271,19 +265,16 @@ def _run_indexed(
 ) -> List[SimulationResult]:
     """Run the configs at ``indices``; failures keep original indices.
 
-    With ``telemetry``, every run (serial or pooled alike) records into
-    its own registry and the blobs are merged into ``telemetry`` — the
-    serial path uses the same collect-then-merge semantics as the pool,
-    which is what makes serial and pooled snapshots identical.
+    Every result is counted into ``telemetry`` in index order, serial
+    and pooled alike, which is what makes their snapshots identical.
     """
-    collect = telemetry is not None
-    work = [(config_list[index], None, collect) for index in indices]
+    work = [config_list[index] for index in indices]
     if not jobs or jobs == 1 or len(indices) <= 1:
         # Lazy: a failing run stops the sweep before the next one runs.
-        outcomes: Iterable[Outcome] = (execute(*args) for args in work)
+        outcomes: Iterable[Outcome] = (execute(config) for config in work)
     else:
         with WorkerPool(min(jobs, len(indices))) as pool:
-            futures = [pool.submit(execute, *args) for args in work]
+            futures = [pool.submit(execute, config) for config in work]
             outcomes = [future.result() for future in futures]
     results = []
     for index, outcome in zip(indices, outcomes):
@@ -291,8 +282,7 @@ def _run_indexed(
             raise RunFailed(
                 index, config_digest(config_list[index]), outcome.error
             )
-        if collect:
-            telemetry.merge(outcome.telemetry["metrics"])
+        count_run(telemetry, outcome.result)
         results.append(outcome.result)
     return results
 
@@ -315,10 +305,10 @@ def run_many(
     computed (pooled if asked) and stored by the supervisor.  Results
     are identical with the cache on, off, warm or cold.
 
-    ``telemetry`` (a :class:`repro.telemetry.MetricsRegistry`) receives
-    the counters of every executed run and of every cache lookup and
-    store.  Cache hits are not simulated, so they add ``cache.*``
-    counters but no ``sim.*`` ones.
+    ``telemetry`` (a :class:`repro.telemetry.MetricsRegistry`) counts
+    every computed run (:func:`repro.telemetry.count_run`, in index
+    order) and every cache lookup and store.  Cache hits are not
+    simulated, so they add ``cache.*`` counters but no ``sim.*`` ones.
 
     Raises :class:`RunFailed` (with the failing config's index and
     digest) if any run fails; nothing is cached for a failing sweep.
@@ -338,8 +328,6 @@ def run_many(
                 f"jobs must be non-negative (0 or 1 means serial), "
                 f"got {jobs}"
             )
-    if telemetry is not None and not telemetry.enabled:
-        telemetry = None
     if cache is None:
         return _run_indexed(
             config_list, list(range(len(config_list))), jobs, telemetry

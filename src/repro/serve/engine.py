@@ -44,7 +44,7 @@ from repro.core.system import SystemConfig
 from repro.experiments.parallel import Outcome, WorkerPool, execute
 from repro.obs.provenance import result_digest
 from repro.serve.protocol import SweepRequest
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import MetricsRegistry, count_run
 
 __all__ = [
     "PointPayload",
@@ -144,8 +144,9 @@ class ServeEngine:
     ``tenant_quota`` bounds each tenant's fresh (non-coalesced,
     non-cached) points in flight; ``max_queue`` bounds the total queued
     backlog across tenants.  ``registry`` receives ``serve.*`` counters
-    and gauges, and the ``cache.*`` counters of the engine's own cache
-    traffic.
+    and gauges, the counts of every point the engine computes
+    (:func:`repro.telemetry.count_run`: ``sim.*``, ``test.*``,
+    ``power.*``) and the ``cache.*`` counters of its own cache traffic.
     """
 
     def __init__(
@@ -431,6 +432,7 @@ class ServeEngine:
                 self._fail(work, outcome.error)
                 return
             result = outcome.result
+            count_run(self.registry, result)
             elapsed = time.perf_counter() - started
             self._ewma_point_s += 0.2 * (elapsed - self._ewma_point_s)
             self.registry.histogram(

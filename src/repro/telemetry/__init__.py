@@ -3,22 +3,15 @@
 How this package, ``repro.metrics`` and ``repro.obs`` split the work:
 ``docs/observability.md``.
 
-Like the journal (``repro.obs``), telemetry obeys the no-op-sink
-invariant: every instrumentation site defaults to the disabled
-:data:`NULL_TELEMETRY` registry and enabling telemetry never changes
-what a run computes — registries are written to, never read from, by
-instrumented code.  A registry is always an argument
-(``run_system(telemetry=)``, ``run_many(telemetry=)``, the cache calls),
-never a process-wide default, and telemetry composes with the run
-cache: its counters describe *executed* work, so cached hits contribute
-``cache.*`` counters but no ``sim.*`` ones.
-
-Cross-process model: the supervisor owns one registry per sweep or
-campaign; each run executed for it records into a fresh registry
-(``repro.experiments.parallel.execute(telemetry=True)``) whose snapshot
-travels back with the result, and the supervisor merges it — see
-``repro.telemetry.registry`` for why merged snapshots are
-order-independent.
+No registry enters a simulation.  A run is counted from its finished
+:class:`~repro.core.system.SimulationResult` by :func:`count_run`, in
+the caller's process, wherever a computed result lands: ``run_many``,
+a campaign, ``repro serve``, ``RunCache.get_or_run`` and ``repro run
+--telemetry``.  So counting cannot change what a run computes, and
+every path counts the same run the same way.  A registry is always an
+argument (``run_many(telemetry=)``, the cache calls), never a
+process-wide default.  Its counters describe *computed* work: a cache
+hit adds ``cache.*`` counters but no ``sim.*`` ones.
 """
 
 from __future__ import annotations
@@ -35,6 +28,7 @@ from repro.telemetry.registry import (
     Histogram,
     MetricsRegistry,
     NULL_TELEMETRY,
+    count_run,
     invariant_view,
 )
 
@@ -46,6 +40,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TELEMETRY",
     "atomic_write_text",
+    "count_run",
     "invariant_view",
     "prometheus_text",
     "snapshot_json",

@@ -2,23 +2,19 @@
 
 Design constraints, in order of importance:
 
-1. **No-op null sink.**  Instrumentation sites hold a reference to a
-   registry that is usually :data:`NULL_TELEMETRY`; a disabled registry
-   hands out shared null metric objects whose mutators do nothing, so an
-   uninstrumented run pays one attribute read per site and — like the
-   journal — *enabling* telemetry must never change
-   what a run computes (telemetry is read-only by contract).
-2. **Deterministic, order-independent merge.**  Worker processes return
-   metric deltas with their results and the supervisor merges them in
-   whatever order work completes.  Every merged field is therefore an
-   exact commutative/associative reduction: counters and histogram
-   buckets are integer sums, gauges and histograms track only
-   ``min``/``max``/``count`` (no float accumulators, whose addition
-   order would leak the execution schedule into the snapshot), and a
-   gauge's ``last`` field — inherently completion-order-dependent — is
-   dropped by :meth:`MetricsRegistry.merge`.  Serial and pooled
-   execution of the same work merge to identical snapshots (over the
-   invariant namespaces, see :func:`invariant_view`).
+1. **No-op null sink.**  A disabled registry (:data:`NULL_TELEMETRY`)
+   hands out shared null metric objects whose mutators do nothing.  No
+   registry ever enters a simulation, so counting cannot change what a
+   run computes.
+2. **One counting rule.**  A run is counted from its finished
+   :class:`~repro.core.system.SimulationResult` by :func:`count_run`,
+   in the caller's process, wherever the result lands.  Every field is
+   an exact order-independent reduction: counters are integer sums, and
+   gauges and histograms keep ``min``/``max``/``count`` (no float
+   accumulators, whose addition order would leak the execution schedule
+   into the snapshot).  Only a gauge's ``last`` depends on the order
+   results arrive in, and :func:`invariant_view` drops it, so serial and
+   pooled execution of the same work give identical views.
 3. **Fixed memory.**  Histograms are bounded: a fixed bucket ladder is
    chosen at creation and observations only bump integer bucket counts,
    so a billion observations cost the same bytes as ten.
@@ -36,6 +32,7 @@ __all__ = [
     "INVARIANT_PREFIXES",
     "MetricsRegistry",
     "NULL_TELEMETRY",
+    "count_run",
     "invariant_view",
 ]
 
@@ -56,8 +53,8 @@ class Counter:
 class Gauge:
     """Point-in-time measurement with order-independent min/max/count.
 
-    ``last`` is the most recent value — meaningful within one process,
-    dropped on cross-process merge (completion order is not data).
+    ``last`` is the most recent value; it depends on the order values
+    arrive in, so :func:`invariant_view` drops it.
     """
 
     __slots__ = ("last", "min", "max", "count")
@@ -99,8 +96,8 @@ class Histogram:
 
     ``bounds`` are upper bucket edges (inclusive, ascending); one
     implicit overflow bucket catches everything above the last edge.
-    Only integer bucket counts and float min/max are kept — both merge
-    exactly regardless of order.
+    Only integer bucket counts and float min/max are kept, so the
+    result does not depend on the order of observations.
     """
 
     __slots__ = ("bounds", "counts", "count", "min", "max")
@@ -169,7 +166,8 @@ def invariant_view(snapshot: Mapping[str, object]) -> Dict[str, object]:
 
     The serial == pooled identity contract is asserted on this view:
     machinery metrics (retries, queue depths) are execution-schedule
-    facts, not simulation facts.
+    facts, not simulation facts, and so is a gauge's ``last`` (which
+    run finished last), so gauges keep only ``min``/``max``/``count``.
     """
 
     def keep(section: Mapping[str, object]) -> Dict[str, object]:
@@ -179,21 +177,24 @@ def invariant_view(snapshot: Mapping[str, object]) -> Dict[str, object]:
             if name.startswith(INVARIANT_PREFIXES)
         }
 
+    gauges = keep(snapshot.get("gauges", {}))  # type: ignore[arg-type]
     return {
         "counters": keep(snapshot.get("counters", {})),  # type: ignore[arg-type]
-        "gauges": keep(snapshot.get("gauges", {})),  # type: ignore[arg-type]
+        "gauges": {
+            name: {k: v for k, v in gauge.items() if k != "last"}  # type: ignore[union-attr]
+            for name, gauge in gauges.items()
+        },
         "histograms": keep(snapshot.get("histograms", {})),  # type: ignore[arg-type]
     }
 
 
 class MetricsRegistry:
-    """Named metrics with snapshot/merge semantics.
+    """Named metrics with snapshot semantics.
 
-    One registry per *scope*: the supervisor holds one for an entire
-    sweep or campaign, each worker run gets a fresh one (opened by
-    ``repro.experiments.parallel.execute``) whose snapshot travels back
-    as a delta.  A disabled registry (``enabled=False``) is a pure null
-    sink; :data:`NULL_TELEMETRY` is the shared process-wide instance.
+    One registry per *scope*: a sweep, a campaign or a server holds one,
+    and every run it computes is counted into it by :func:`count_run`.
+    A disabled registry (``enabled=False``) is a pure null sink;
+    :data:`NULL_TELEMETRY` is the shared instance.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -235,7 +236,7 @@ class MetricsRegistry:
         return metric
 
     # ------------------------------------------------------------------
-    # Snapshot / merge
+    # Snapshot
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """Plain-data view of every *touched* metric, keys sorted.
@@ -277,56 +278,6 @@ class MetricsRegistry:
             "histograms": histograms,
         }
 
-    def merge(self, snapshot: Mapping[str, object]) -> None:
-        """Fold a worker's snapshot into this registry, order-independently.
-
-        Counters add; gauges combine min/max/count and *drop* ``last``
-        (which worker finished most recently is scheduling noise, and
-        keeping it would make merged snapshots depend on completion
-        order); histograms require identical bounds and add bucket
-        counts.
-        """
-        for name, value in snapshot.get("counters", {}).items():  # type: ignore[union-attr]
-            self.counter(name).inc(int(value))
-        for name, data in snapshot.get("gauges", {}).items():  # type: ignore[union-attr]
-            gauge = self.gauge(name)
-            if gauge is _NULL_GAUGE:
-                continue
-            count = int(data["count"])
-            if count <= 0:
-                continue
-            if gauge.count == 0:
-                gauge.min, gauge.max = data["min"], data["max"]
-            else:
-                if data["min"] < gauge.min:  # type: ignore[operator]
-                    gauge.min = data["min"]
-                if data["max"] > gauge.max:  # type: ignore[operator]
-                    gauge.max = data["max"]
-            gauge.count += count
-            gauge.last = None  # completion order is not data
-        for name, data in snapshot.get("histograms", {}).items():  # type: ignore[union-attr]
-            bounds = tuple(float(b) for b in data["bounds"])
-            hist = self.histogram(name, bounds)
-            if hist is _NULL_HISTOGRAM:
-                continue
-            if hist.bounds != bounds:
-                raise ValueError(
-                    f"histogram {name!r}: cannot merge bounds {bounds} "
-                    f"into existing {hist.bounds}"
-                )
-            for i, n in enumerate(data["counts"]):
-                hist.counts[i] += int(n)
-            count = int(data["count"])
-            if count:
-                if hist.count == 0:
-                    hist.min, hist.max = data["min"], data["max"]
-                else:
-                    if data["min"] < hist.min:  # type: ignore[operator]
-                        hist.min = data["min"]
-                    if data["max"] > hist.max:  # type: ignore[operator]
-                        hist.max = data["max"]
-                hist.count += count
-
     def clear(self) -> None:
         """Drop every metric (the registry stays enabled/disabled as-is)."""
         self._counters.clear()
@@ -334,5 +285,42 @@ class MetricsRegistry:
         self._histograms.clear()
 
 
-#: The shared disabled registry every instrumentation site defaults to.
+#: The shared disabled registry that counting sites default to.
 NULL_TELEMETRY = MetricsRegistry(enabled=False)
+
+
+def count_run(registry: Optional[MetricsRegistry], result) -> None:
+    """Count one computed run into ``registry`` (``None``: nothing).
+
+    Every value comes from the :class:`~repro.core.system.SimulationResult`:
+    ``sim.runs``, ``sim.events``, ``sim.epochs`` (control epochs),
+    ``test.sessions.{started,completed,aborted,resumed}``,
+    ``test.detections`` and ``test.defer.no-level-fits`` (sessions the
+    power-aware scheduler skipped because no V/F level fit), plus the
+    gauges ``power.measured_w`` and ``power.headroom_w``, set once per
+    epoch from the ``power.total`` trace.  Callers count computed runs
+    only: a cache hit simulated nothing and adds no ``sim.*`` counts.
+    """
+    if registry is None or not registry.enabled:
+        return
+    stats = result.test_stats
+    audit = result.metrics.audit
+    for name, n in (
+        ("sim.runs", 1),
+        ("sim.events", result.events_fired),
+        ("sim.epochs", audit.samples),
+        ("test.sessions.started", stats.started),
+        ("test.sessions.completed", stats.completed),
+        ("test.sessions.aborted", stats.aborted),
+        ("test.sessions.resumed", stats.resumed),
+        ("test.detections", stats.detections),
+        ("test.defer.no-level-fits", result.skipped_no_budget),
+    ):
+        registry.counter(name).inc(n)
+    if not audit.samples:
+        return
+    measured = registry.gauge("power.measured_w")
+    headroom = registry.gauge("power.headroom_w")
+    for watts in result.metrics.trace.series("power.total")[1]:
+        measured.set(watts)
+        headroom.set(audit.budget.headroom(watts))

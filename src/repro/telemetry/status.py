@@ -4,9 +4,10 @@ A running campaign periodically flushes three files into its campaign
 directory, each written atomically so readers in other processes never
 see a torn document:
 
-* ``status.json``     — progress, ETA, worker health, cache hit rate;
-* ``telemetry.prom``  — the merged registry in Prometheus text format;
-* ``telemetry.json``  — the merged registry as a JSON snapshot.
+* ``status.json``     — progress, ETA, worker health, the cache store's
+  state, and the campaign's registry snapshot;
+* ``telemetry.prom``  — the registry in Prometheus text format;
+* ``telemetry.json``  — the registry as a JSON snapshot.
 
 ``repro campaign status <dir>`` and ``repro top`` read these files
 read-only.  For a campaign directory created before the telemetry
@@ -94,17 +95,11 @@ class CampaignStatusWriter:
         """Count ``n`` points as quarantined in this invocation."""
         self.quarantined += n
 
-    def note_worker(self, blob: Optional[Dict[str, object]]) -> None:
-        """Record a heartbeat from the worker that produced ``blob``."""
-        if not blob:
-            return
-        pid = blob.get("pid")
-        if pid is None:
-            return
-        pid = int(pid)  # type: ignore[arg-type]
+    def note_worker(self, pid: int, wall_s: float) -> None:
+        """Record a heartbeat: worker ``pid`` ran a point in ``wall_s``."""
         entry = self.workers.setdefault(pid, {"completed": 0, "wall_s": 0.0})
         entry["completed"] = int(entry["completed"]) + 1
-        entry["wall_s"] = float(entry["wall_s"]) + float(blob.get("wall_s", 0.0))  # type: ignore[arg-type]
+        entry["wall_s"] = float(entry["wall_s"]) + wall_s  # type: ignore[arg-type]
         entry["last_seen"] = time.time()
 
     # ------------------------------------------------------------------
@@ -123,7 +118,12 @@ class CampaignStatusWriter:
         events = snapshot.get("counters", {}).get("sim.events", 0)  # type: ignore[union-attr]
         cache_info: Optional[Dict[str, object]] = None
         if self.cache is not None:
+            # The store's on-disk state.  The cache object's own session
+            # counters span every campaign that shared it (all of a
+            # server's); this campaign's lookups are its ``cache.*``
+            # counters in ``metrics``.
             cache_info = self.cache.stats_dict()
+            del cache_info["session"]
         return {
             "schema": "repro.campaign.status/1",
             "name": self.name,
@@ -266,15 +266,12 @@ def render_status(status: Dict[str, object]) -> str:
     events = status.get("events_per_s")
     if events is not None:
         lines.append(f"sim        {float(events):,.0f} events/s")  # type: ignore[arg-type]
-    cache = status.get("cache")
-    if isinstance(cache, dict):
-        # RunCache.stats_dict() nests the session counters.
-        session = cache.get("session")
-        if isinstance(session, dict):
-            cache = session
-        hits = int(cache.get("hits", 0))
-        misses = int(cache.get("misses", 0))
-        total = hits + misses
+    metrics = status.get("metrics")
+    if isinstance(metrics, dict):
+        # This campaign's own lookups, not the shared cache's lifetime.
+        counters = metrics.get("counters", {})
+        hits = int(counters.get("cache.hits", 0))
+        total = hits + int(counters.get("cache.misses", 0))
         if total:
             lines.append(
                 f"cache      {hits}/{total} hits ({100.0 * hits / total:.0f}%)"

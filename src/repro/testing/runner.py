@@ -23,7 +23,6 @@ from typing import Callable, Dict, List, Optional
 from repro.aging.faults import FaultInjector
 from repro.aging.model import AgingModel
 from repro.obs.journal import NULL_JOURNAL
-from repro.telemetry.registry import NULL_TELEMETRY
 from repro.platform.chip import Chip
 from repro.platform.core import Core, CoreState
 from repro.platform.coretypes import DEFAULT_CORE_TYPE, get_core_type
@@ -124,8 +123,6 @@ class TestRunner:
         self.on_detect: List[Callable[[Core, TestSession], None]] = []
         #: Observability sink (no-op by default; installed by the system).
         self.journal = NULL_JOURNAL
-        #: Telemetry registry (no-op by default; installed by the system).
-        self.telemetry = NULL_TELEMETRY
 
     # ------------------------------------------------------------------
     # Queries
@@ -198,7 +195,6 @@ class TestRunner:
             resumed_offset = min(checkpoint[1], duration)
             duration -= resumed_offset
             self.stats.resumed += 1
-            self.telemetry.counter("test.sessions.resumed").inc()
         core.state = CoreState.TESTING
         core.level = level
         core.testing_until = now + duration
@@ -209,7 +205,6 @@ class TestRunner:
         )
         self._sessions[core.core_id] = session
         self.stats.started += 1
-        self.telemetry.counter("test.sessions.started").inc()
         if self.journal.enabled:
             self.journal.emit(
                 "test.start",
@@ -238,7 +233,6 @@ class TestRunner:
             )
         self.stats.aborted += 1
         self.stats.test_time_us += elapsed
-        self.telemetry.counter("test.sessions.aborted").inc()
         core.test_time_total += elapsed
         if self.journal.enabled:
             self.journal.emit(
@@ -273,11 +267,6 @@ class TestRunner:
         self.stats.per_level_completed[session.level.index] = (
             self.stats.per_level_completed.get(session.level.index, 0) + 1
         )
-        if self.telemetry.enabled:
-            self.telemetry.counter("test.sessions.completed").inc()
-            self.telemetry.histogram("test.session_us").observe(
-                session.duration_us
-            )
 
         detected = None
         if self.injector is not None:
@@ -289,7 +278,6 @@ class TestRunner:
             )
         if detected is not None:
             self.stats.detections += 1
-            self.telemetry.counter("test.detections").inc()
             self._retire(core)
             for hook in self.on_detect:
                 hook(core, session)

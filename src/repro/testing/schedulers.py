@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.obs.journal import NULL_JOURNAL
-from repro.telemetry.registry import NULL_TELEMETRY
 from repro.platform.chip import Chip
 from repro.platform.core import Core
 from repro.platform.dvfs import VFLevel
@@ -59,8 +58,6 @@ class TestSchedulerBase:
         #: Observability sink (no-op by default; the system installs the
         #: run's journal when journaling is enabled).
         self.journal = NULL_JOURNAL
-        #: Telemetry registry (no-op by default; installed by the system).
-        self.telemetry = NULL_TELEMETRY
 
     # ------------------------------------------------------------------
     # Helpers

@@ -340,7 +340,7 @@ def small_spec() -> CampaignSpec:
     )
 
 
-def _exploding_worker(config, timeout_s=None, telemetry=False):
+def _exploding_worker(config, timeout_s=None):
     raise AssertionError("cache should have served every point")
 
 
@@ -427,15 +427,15 @@ def test_overlapping_campaigns_count_their_own_cache_traffic(tmp_path, closes):
     b_running = threading.Event()
     a_finished = threading.Event()
 
-    def worker_a(config, timeout_s=None, telemetry=False):
+    def worker_a(config, timeout_s=None):
         a_running.set()
         b_running.wait(60)
-        return execute(config, timeout_s, telemetry)
+        return execute(config, timeout_s)
 
-    def worker_b(config, timeout_s=None, telemetry=False):
+    def worker_b(config, timeout_s=None):
         b_running.set()
         a_finished.wait(60)
-        return execute(config, timeout_s, telemetry)
+        return execute(config, timeout_s)
 
     def campaign(name, start, count, worker):
         spec = CampaignSpec.from_dict(

@@ -290,12 +290,12 @@ def test_serial_retry_then_success():
     points = spec.fixed_points()
     attempts: dict = {}
 
-    def flaky_worker(config, timeout_s=None, telemetry=False):
+    def flaky_worker(config, timeout_s=None):
         n = attempts.setdefault(config.seed, 0)
         attempts[config.seed] = n + 1
         if config.seed == 2 and n < 2:
             return Outcome(error="RuntimeError: injected")
-        return execute(config, timeout_s, telemetry)
+        return execute(config, timeout_s)
 
     records = {}
     executor = RobustExecutor(
@@ -316,10 +316,10 @@ def test_serial_quarantine_keeps_completed_results():
     points = spec.fixed_points()
     bad = points[1]
 
-    def broken_worker(config, timeout_s=None, telemetry=False):
+    def broken_worker(config, timeout_s=None):
         if config_digest(config) == bad.digest:
             return Outcome(error="RuntimeError: always broken")
-        return execute(config, timeout_s, telemetry)
+        return execute(config, timeout_s)
 
     records = {}
     failures = []
@@ -363,17 +363,17 @@ def test_retry_policy_validation():
 
 
 # Module-level workers for the pooled tests (must be picklable).
-def _fail_seed2_worker(config, timeout_s=None, telemetry=False):
+def _fail_seed2_worker(config, timeout_s=None):
     if config.seed == 2:
         return Outcome(error="RuntimeError: injected pool failure")
-    return execute(config, timeout_s, telemetry)
+    return execute(config, timeout_s)
 
 
-def _exploding_worker(config, timeout_s=None, telemetry=False):
+def _exploding_worker(config, timeout_s=None):
     raise AssertionError("the cache should have served every point")
 
 
-def _exit_seed2_worker(config, timeout_s=None, telemetry=False):
+def _exit_seed2_worker(config, timeout_s=None):
     if config.seed == 2:
         # Give co-inflight healthy points time to finish first: a pool
         # break charges every in-flight point an attempt (the supervisor
@@ -382,7 +382,7 @@ def _exit_seed2_worker(config, timeout_s=None, telemetry=False):
         # but rare race this test is not about.
         time.sleep(0.5)
         os._exit(17)  # hard worker death -> BrokenProcessPool
-    return execute(config, timeout_s, telemetry)
+    return execute(config, timeout_s)
 
 
 def test_pool_worker_exception_is_quarantined_and_attributed():

@@ -47,25 +47,22 @@ SMALL = SystemConfig(width=4, height=4, horizon_us=2000.0, seed=3)
 def test_execute_good_point():
     outcome = execute(SMALL)
     assert isinstance(outcome, Outcome)
-    assert outcome.error is None and outcome.telemetry is None
+    assert outcome.error is None
     assert result_digest(outcome.result) == result_digest(run_system(SMALL))
 
 
 def test_execute_with_telemetry_returns_its_blob():
-    outcome = execute(SMALL, telemetry=True)
-    assert outcome.error is None
-    assert sorted(outcome.telemetry) == ["metrics", "pid", "wall_s"]
-    assert outcome.telemetry["metrics"]["counters"]["sim.runs"] == 1
-    assert outcome.telemetry["pid"] == os.getpid()
-    assert outcome.telemetry["wall_s"] > 0
-    # The run's registry is read-only to it: same result as without.
-    assert result_digest(outcome.result) == result_digest(run_system(SMALL))
+    # What campaign heartbeats read: who ran the point, and for how long.
+    outcome = execute(SMALL)
+    assert outcome.pid == os.getpid()
+    assert outcome.wall_s > 0
 
 
 def test_execute_failing_point():
     outcome = execute(dataclasses.replace(SMALL, noc_mode="bogus"))
-    assert outcome.result is None and outcome.telemetry is None
+    assert outcome.result is None
     assert outcome.error == "ValueError: unknown noc_mode 'bogus'"
+    assert outcome.pid == os.getpid()
 
 
 @pytest.mark.skipif(

@@ -223,6 +223,24 @@ class TestEngine:
         stats = run_async(_with_engine(body))
         assert stats["counters"]["serve.computed"] == 1
 
+    def test_engine_counts_each_computed_point_once(self, tmp_path, closes):
+        """A repeated point coalesces and a cached one is served; only
+        the points the engine computes add ``sim.*`` counts."""
+        cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
+        doc = {"points": [{"seed": s} for s in (1, 2, 1)], "base": SMALL}
+
+        async def body(engine):
+            for _ in range(2):  # cold, then every point a cache hit
+                tickets = engine.submit(SweepRequest.parse(doc))
+                await asyncio.gather(*[t.future for t in tickets])
+            return engine.registry.snapshot()["counters"]
+
+        counters = run_async(_with_engine(body, cache=cache))
+        assert counters["serve.computed"] == 2
+        assert counters["serve.coalesced"] == 1
+        assert counters["serve.cache_hits"] == 3
+        assert counters["sim.runs"] == counters["serve.computed"]
+
     def test_tenant_quota_rejects_whole_request(self):
         async def body(engine):
             big = SweepRequest.parse(

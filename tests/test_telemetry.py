@@ -2,9 +2,10 @@
 
 The contract pinned here is the null-sink/digest-identity guarantee:
 telemetry is write-only, so enabling it never changes what a run, a
-sweep or a campaign computes — and merged snapshots are deterministic,
-so serial and pooled execution of the same work agree on every
-invariant (``sim.*``/``power.*``/``test.*``/``cache.*``) counter.
+sweep or a campaign computes — and every path counts each computed run
+the same way (:func:`repro.telemetry.count_run`), so serial and pooled
+execution of the same work agree on every invariant
+(``sim.*``/``power.*``/``test.*``/``cache.*``) counter.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.obs.provenance import result_digest
 from repro.telemetry import (
     MetricsRegistry,
     NULL_TELEMETRY,
+    count_run,
     invariant_view,
 )
 from repro.telemetry.export import (
@@ -126,41 +128,6 @@ def test_null_registry_is_inert():
     assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
 
 
-def test_merge_is_order_independent():
-    def make(seed_values):
-        reg = MetricsRegistry()
-        for v in seed_values:
-            reg.counter("n").inc(v)
-            reg.gauge("g").set(float(v))
-            reg.histogram("h").observe(float(v))
-        return reg.snapshot()
-
-    parts = [make([1, 2]), make([30]), make([4, 5, 6])]
-    merged_fwd = MetricsRegistry()
-    for part in parts:
-        merged_fwd.merge(part)
-    merged_rev = MetricsRegistry()
-    for part in reversed(parts):
-        merged_rev.merge(part)
-    assert merged_fwd.snapshot() == merged_rev.snapshot()
-    snap = merged_fwd.snapshot()
-    assert snap["counters"]["n"] == 48
-    # Merge drops gauge ``last``: completion order is not data.
-    gauge = snap["gauges"]["g"]
-    assert gauge["last"] is None
-    assert (gauge["min"], gauge["max"], gauge["count"]) == (1.0, 30.0, 6)
-    assert snap["histograms"]["h"]["count"] == 6
-
-
-def test_merge_rejects_mismatched_histogram_bounds():
-    a = MetricsRegistry()
-    a.histogram("h", bounds=(1.0, 2.0)).observe(1.5)
-    b = MetricsRegistry()
-    b.histogram("h", bounds=(1.0, 3.0)).observe(1.5)
-    with pytest.raises(ValueError, match="bounds"):
-        b.merge(a.snapshot())
-
-
 def test_invariant_view_filters_machinery_namespaces():
     reg = MetricsRegistry()
     reg.counter("sim.events").inc(10)
@@ -172,7 +139,10 @@ def test_invariant_view_filters_machinery_namespaces():
     reg.counter("campaign.points").inc(4)
     view = invariant_view(reg.snapshot())
     assert set(view["counters"]) == {"sim.events", "test.launch", "cache.hits"}
-    assert set(view["gauges"]) == {"power.headroom_w"}
+    # A gauge's ``last`` is which value arrived last, not data.
+    assert view["gauges"] == {
+        "power.headroom_w": {"min": 5.0, "max": 5.0, "count": 1}
+    }
 
 
 # ----------------------------------------------------------------------
@@ -218,8 +188,9 @@ def test_run_system_digest_identical_with_telemetry():
     config = small_config()
     baseline = result_digest(run_system(config))
     reg = MetricsRegistry()
-    observed = result_digest(run_system(config, telemetry=reg))
-    assert observed == baseline
+    result = run_system(config)
+    count_run(reg, result)
+    assert result_digest(result) == baseline
     snap = reg.snapshot()
     assert snap["counters"]["sim.runs"] == 1
     assert snap["counters"]["sim.events"] > 0
@@ -250,8 +221,6 @@ def test_sweep_paths_merge_to_identical_invariants():
     serial_view = invariant_view(serial_snap)
     assert serial_view == invariant_view(pooled_snap)
     assert serial_view["counters"]["sim.runs"] == 4
-    # Pooled-path gauge merges drop ``last``; the extrema survive.
-    assert serial_snap["gauges"]["power.measured_w"]["last"] is None
 
 
 def test_concurrent_sweeps_count_into_their_own_registries():
@@ -330,6 +299,23 @@ def test_campaign_paths_merge_to_identical_invariants(tmp_path):
     serial = snapshot_for("serial")
     pooled = snapshot_for("pooled", jobs=2)
     assert invariant_view(serial) == invariant_view(pooled)
+
+
+def test_campaign_status_counts_only_its_own_cache_traffic(tmp_path, closes):
+    """One cache serves a cold pass and two warm ones (as under ``repro
+    serve``): the last pass's status reports its own 4 hits, not the
+    cache object's lifetime lookups."""
+    from repro.cache import RunCache
+
+    cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
+    for name in ("cold", "warm1", "warm2"):
+        run_campaign(str(tmp_path / name), spec=small_spec(), cache=cache)
+    status = read_status(str(tmp_path / "warm2"))
+    assert status["metrics"]["counters"]["cache.hits"] == 4
+    assert "cache.misses" not in status["metrics"]["counters"]
+    assert "session" not in status["cache"]
+    assert status["cache"]["entries"] == 4
+    assert "cache      4/4 hits (100%)" in render_status(status).splitlines()
 
 
 def test_degraded_status_for_pre_telemetry_dir(tmp_path):

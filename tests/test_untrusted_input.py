@@ -1,16 +1,19 @@
-"""Malformed config and campaign-spec documents end in ``ValueError``.
+"""Malformed config, campaign-spec and DSE-spec documents end in
+``ValueError``.
 
-``config_from_dict`` and ``CampaignSpec.from_dict`` read documents from
-files, the CLI and ``repro serve``.  Whatever one node of a valid
-document is replaced with, loading either raises ``ValueError`` naming
-the field or accepts a document that round-trips to the same digest;
-a ``TypeError`` (or anything else) is a bug.
+``config_from_dict``, ``CampaignSpec.from_dict`` and
+``DseSpec.from_dict`` read documents from files, the CLI and ``repro
+serve``.  Whatever one node of a valid document is replaced with,
+loading either raises ``ValueError`` naming the field or accepts a
+document that round-trips to the same digest; a ``TypeError`` (or
+anything else) is a bug.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from repro.campaign.spec import SeedPlan, StopRule
 from repro.cli import main
 from repro.core.config_io import config_from_dict, config_to_dict
 from repro.core.system import SystemConfig
+from repro.dse.search import DseSpec, EvolutionParams, SurrogateParams
 from repro.obs.provenance import config_digest
 
 #: Names a replacement object draws its keys from, besides free text,
@@ -29,9 +33,17 @@ from repro.obs.provenance import config_digest
 _NAMES = sorted(
     {
         fld.name
-        for cls in (SystemConfig, AgingParameters, SeedPlan, StopRule)
+        for cls in (
+            SystemConfig,
+            AgingParameters,
+            SeedPlan,
+            StopRule,
+            EvolutionParams,
+            SurrogateParams,
+        )
         for fld in dataclasses.fields(cls)
     }
+    | {"field", "type", "low", "high", "values"}
 )
 
 JSON = st.recursive(
@@ -66,6 +78,14 @@ VALID_SPECS = [
         "stop": None,
     },
 ]
+
+
+#: The DSE smoke search, whose space has int and choice parameters.
+VALID_DSE = json.loads(
+    (
+        Path(__file__).resolve().parents[1] / "benchmarks" / "dse_smoke_spec.json"
+    ).read_text(encoding="utf-8")
+)
 
 
 def _paths(node, prefix=()):
@@ -125,6 +145,17 @@ def test_spec_is_rejected_or_round_trips(document):
     assert again.spec_digest() == spec.spec_digest()
 
 
+@FUZZ
+@given(_one_node_replaced(VALID_DSE))
+def test_dse_spec_is_rejected_or_round_trips(document):
+    try:
+        spec = DseSpec.from_dict(document)
+    except ValueError:
+        return
+    again = DseSpec.from_dict(_via_json(spec.to_dict()))
+    assert again.spec_digest() == spec.spec_digest()
+
+
 @pytest.mark.parametrize("document", VALID_SPECS)
 def test_fuzzed_specs_start_valid(document):
     spec = CampaignSpec.from_dict(document)
@@ -173,3 +204,55 @@ def test_cli_reports_a_malformed_config_or_spec(tmp_path, capsys):
     argv = ["campaign", "run", str(spec), "--dir", str(tmp_path / "c")]
     assert main(argv) == 2
     assert "'seeds' must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "document, fragment",
+    [
+        (dict(VALID_DSE, seeds="abc"), "'seeds' must be an object"),
+        (dict(VALID_DSE, stop="x"), "'stop' must be an object"),
+        (
+            dict(VALID_DSE, evolve={"population": "3"}),
+            r"'evolve\.population' must be int",
+        ),
+        (dict(VALID_DSE, evolve={"bogus": 1}), r"evolve\.bogus"),
+        (dict(VALID_DSE, seeds={"bogus": 1}), r"seeds\.bogus"),
+        (dict(VALID_DSE, surrogate={"bogus": 1}), r"surrogate\.bogus"),
+        (
+            dict(VALID_DSE, surrogate={"threshold": "x"}),
+            r"'surrogate\.threshold' must be float",
+        ),
+        (dict(VALID_DSE, objectives=5), "'objectives' must be an array"),
+        (dict(VALID_DSE, weights=5), "'weights' must be an array"),
+        (
+            dict(VALID_DSE, weights=[1, 1, 1, None]),
+            "'weights' must be an array of numbers",
+        ),
+        (dict(VALID_DSE, space={"field": "x"}), "'space' must be an array"),
+        (
+            dict(
+                VALID_DSE,
+                space=[dict(VALID_DSE["space"][0], low=None)]
+                + VALID_DSE["space"][1:],
+            ),
+            "max_concurrent_tests: 'low' must be int",
+        ),
+        (
+            dict(
+                VALID_DSE,
+                space=[{"field": "tdp_w", "type": "float", "low": 10**400,
+                        "high": 10**401}],
+            ),
+            "tdp_w: 'low' must be float",
+        ),
+        (5, "dse spec must be an object"),
+    ],
+)
+def test_malformed_dse_spec_names_the_field(document, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        DseSpec.from_dict(document)
+
+
+def test_dse_threshold_may_be_null():
+    spec = DseSpec.from_dict(dict(VALID_DSE, surrogate={"threshold": None}))
+    assert spec.surrogate.threshold is None
