@@ -9,32 +9,23 @@ Public API (the pieces a downstream user composes):
 True
 """
 
-from repro.core import (
-    CriticalityParameters,
-    ManycoreSystem,
-    PowerAwareTestScheduler,
-    SimulationResult,
-    SystemConfig,
-    TestAwareUtilizationMapper,
-    TestCriticality,
-    run_system,
-)
-from repro.platform import Chip, CoreState, get_node, node_names
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Chip",
-    "CoreState",
-    "CriticalityParameters",
-    "ManycoreSystem",
-    "PowerAwareTestScheduler",
-    "SimulationResult",
-    "SystemConfig",
-    "TestAwareUtilizationMapper",
-    "TestCriticality",
-    "get_node",
-    "node_names",
-    "run_system",
-    "__version__",
-]
+_EXPORTS = {
+    "Chip": "platform",
+    "CoreState": "platform",
+    "CriticalityParameters": "core",
+    "ManycoreSystem": "core",
+    "PowerAwareTestScheduler": "core",
+    "SimulationResult": "core",
+    "SystemConfig": "core",
+    "TestAwareUtilizationMapper": "core",
+    "TestCriticality": "core",
+    "get_node": "platform",
+    "node_names": "platform",
+    "run_system": "core",
+}
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -28,11 +28,12 @@ from repro.campaign.spec import CampaignPoint
 from repro.core.config_io import config_to_dict
 from repro.core.system import SimulationResult
 from repro.obs.provenance import digest_of
-
-RESULTS_FILE = "results.jsonl"
-FAILURES_FILE = "failures.jsonl"
-SPEC_FILE = "spec.json"
-MANIFEST_FILE = "manifest.json"
+from repro.telemetry.status import (  # noqa: F401  (the directory layout)
+    FAILURES_FILE,
+    MANIFEST_FILE,
+    RESULTS_FILE,
+    SPEC_FILE,
+)
 
 _RECORD_SCHEMA = 1
 

@@ -34,7 +34,9 @@ where project config or scripts turn caching on).
 
 The CLI is a thin shell over the library: everything it does is a few
 lines of :mod:`repro.core.system` / :mod:`repro.experiments` calls, and
-``main(argv)`` returns an exit code so it is unit-testable.
+``main(argv)`` returns an exit code so it is unit-testable.  Its top
+level imports only what building the parser needs; each command imports
+the library it runs, so ``repro --help`` loads no simulator.
 """
 
 from __future__ import annotations
@@ -45,16 +47,15 @@ import dataclasses
 import inspect
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.core.config_io import load_config, save_config
-from repro.core.system import SystemConfig, run_system
-from repro.experiments import EXPERIMENTS, run_experiment
-from repro.experiments.parallel import run_many
-from repro.metrics.export import trace_to_csv, write_text
 from repro.metrics.report import format_table
 from repro.platform.technology import node_names
 from repro.workload.scenarios import SCENARIOS, scenario_config_kwargs
+
+if TYPE_CHECKING:
+    from repro.core.system import SystemConfig
+
 
 def _jobs_arg(raw: str) -> int:
     """argparse type for ``--jobs``: friendly rejection at parse time.
@@ -602,6 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
 # Command implementations
 # ----------------------------------------------------------------------
 def _effective_config(args: argparse.Namespace) -> SystemConfig:
+    from repro.core.config_io import load_config
+    from repro.core.system import SystemConfig
+
     config = load_config(args.config) if args.config else SystemConfig()
     updates = {}
     if args.scenario:
@@ -643,6 +647,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _run_command(args: argparse.Namespace) -> int:
+    from repro.core.config_io import save_config
+    from repro.core.system import run_system
+    from repro.metrics.export import trace_to_csv, write_text
     from repro.obs import Journal
 
     try:
@@ -777,6 +784,8 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments import EXPERIMENTS, run_experiment
+
     unknown = [i for i in args.ids if i not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment ids: {unknown}", file=sys.stderr)
@@ -803,6 +812,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.core.system import SystemConfig
+    from repro.experiments.parallel import run_many
+
     field_names = {f.name: f for f in dataclasses.fields(SystemConfig)}
     if args.field not in field_names:
         print(f"unknown config field {args.field!r}", file=sys.stderr)
@@ -1337,6 +1349,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
+    from repro.experiments import EXPERIMENTS
+
     print("experiments:", ", ".join(sorted(EXPERIMENTS)))
     print("scenarios:  ", ", ".join(sorted(SCENARIOS)))
     print("nodes:      ", ", ".join(node_names()))

@@ -16,8 +16,9 @@ silently produced), and so are values of the wrong JSON type, in nested
 parameter blocks and tuple elements too (``aging.bogus``,
 ``profile_weights[0]``): ``"seed": "4"``, ``4.0`` and ``true`` would
 each run the simulation of ``4`` under a config digest of its own.  An
-int is accepted where a float is declared (``80`` and ``80.0`` are two
-spellings with two digests, and both are frozen in goldens).  Nested
+int is accepted where a float is declared if a float can hold it
+(``80`` and ``80.0`` are two spellings with two digests, and both are
+frozen in goldens; ``10**400`` is rejected).  Nested
 parameter blocks are rebuilt into their proper dataclass types so
 validation in ``__post_init__`` re-runs.  :func:`dataclass_from_dict`
 is the one checker; campaign and DSE specs build their parameter
@@ -29,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import sys
 from typing import Any, Dict, List
 
 from repro.aging.model import AgingParameters
@@ -51,8 +53,9 @@ _NESTED = {
 #: Checks per declared scalar type (a bool is not an int here).
 _SCALARS = {
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: (
-        isinstance(v, (int, float)) and not isinstance(v, bool)
+    "float": lambda v: isinstance(v, float) or (
+        isinstance(v, int) and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max  # an int float() can hold
     ),
     "str": lambda v: isinstance(v, str),
     "bool": lambda v: isinstance(v, bool),

@@ -25,8 +25,8 @@ from typing import Dict, List, Sequence
 from repro.aging.lifetime import LifetimeAnalyzer, LifetimeParameters
 from repro.core.criticality import CriticalityParameters
 from repro.core.system import SystemConfig, run_system
-from repro.experiments.result import ExperimentResult
-from repro.experiments.runners import DEFAULT_CONFIG, _penalty_pct
+from repro.experiments.result import DEFAULT_CONFIG, ExperimentResult, _penalty_pct
+from repro.platform.thermal import ThermalParameters
 from repro.workload.scenarios import scenario_config_kwargs
 
 
@@ -262,6 +262,12 @@ def run_a4_preemption(
 # ----------------------------------------------------------------------
 # A5 — thermal guard margin (RC thermal model enabled)
 # ----------------------------------------------------------------------
+#: A5's thermally tight package (higher self resistance, 72 °C limit).
+TIGHT_PACKAGE = ThermalParameters(
+    r_self_c_per_w=18.0, r_lateral_c_per_w=10.0, limit_c=72.0
+)
+
+
 def run_a5_thermal_guard(
     horizon_us: float = 60_000.0,
     seed: int = 11,
@@ -274,17 +280,12 @@ def run_a5_thermal_guard(
     with the roomy default package the guard never binds and the ablation
     would be vacuous.
     """
-    from repro.platform.thermal import ThermalParameters
-
-    tight_package = ThermalParameters(
-        r_self_c_per_w=18.0, r_lateral_c_per_w=10.0, limit_c=72.0
-    )
     base = replace(
         DEFAULT_CONFIG,
         horizon_us=horizon_us,
         seed=seed,
         thermal_enabled=True,
-        thermal=tight_package,
+        thermal=TIGHT_PACKAGE,
     )
     rows = []
     for margin in margins:

@@ -1,11 +1,29 @@
-"""Experiment result container shared by all E1..E9 runners."""
+"""What every experiment runner shares: the result container, the
+baseline configuration and the throughput-penalty helper."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+from repro.core.system import SystemConfig
 from repro.metrics.report import format_table, sparkline
+
+#: Baseline workload used by most experiments (16 nm, saturating load).
+DEFAULT_CONFIG = SystemConfig(
+    node_name="16nm",
+    tdp_w=80.0,
+    horizon_us=60_000.0,
+    arrival_rate_per_ms=8.0,
+    seed=11,
+)
+
+
+def _penalty_pct(baseline: float, measured: float) -> float:
+    """Throughput penalty (%) of ``measured`` against ``baseline``."""
+    if baseline <= 0:
+        return 0.0
+    return 100.0 * (1.0 - measured / baseline)
 
 
 @dataclass

@@ -21,27 +21,11 @@ from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.system import SimulationResult, SystemConfig
+from repro.experiments.ablations import ABLATIONS, TIGHT_PACKAGE
 from repro.experiments.parallel import run_many
-from repro.experiments.result import ExperimentResult
+from repro.experiments.result import DEFAULT_CONFIG, ExperimentResult, _penalty_pct
 from repro.platform.chip import Chip
 from repro.platform.technology import node_names
-
-#: Baseline workload used by most experiments (16 nm, saturating load).
-DEFAULT_CONFIG = SystemConfig(
-    node_name="16nm",
-    tdp_w=80.0,
-    horizon_us=60_000.0,
-    arrival_rate_per_ms=8.0,
-    seed=11,
-)
-
-
-def _penalty_pct(baseline: float, measured: float) -> float:
-    """Throughput penalty (%) of ``measured`` against ``baseline``."""
-    if baseline <= 0:
-        return 0.0
-    return 100.0 * (1.0 - measured / baseline)
-
 
 def _grid(horizon_us: float, step_us: float) -> List[float]:
     n = int(horizon_us / step_us)
@@ -688,7 +672,8 @@ def run_e11_hetero(
 def experiment_configs(
     horizon_us: float = 60_000.0, seed: int = 11
 ) -> Dict[str, SystemConfig]:
-    """One representative *proposed-policy* config per experiment E1–E9.
+    """One representative *proposed-policy* config per experiment E1–E9,
+    E11, and A5 on its tight package at the default 5 °C test margin.
 
     These are the configurations the invariant checker certifies (see
     :mod:`repro.verify`): each experiment's proposed-method variant —
@@ -732,10 +717,12 @@ def experiment_configs(
             type_grid=E11_TYPE_GRID,
             tech_model="cmos",
         ),
+        "A5": replace(base, thermal_enabled=True, thermal=TIGHT_PACKAGE),
     }
 
 
-#: Registry used by the benchmark harness and the CLI example.
+#: Registry used by the benchmark harness and the CLI: E1–E9 and E11
+#: from this module, E10 and A1–A8 from :mod:`repro.experiments.ablations`.
 EXPERIMENTS = {
     "E1": run_e1_power_trace,
     "E2": run_e2_throughput_penalty,
@@ -747,6 +734,7 @@ EXPERIMENTS = {
     "E8": run_e8_detection_latency,
     "E9": run_e9_pid_ablation,
     "E11": run_e11_hetero,
+    **ABLATIONS,
 }
 
 

@@ -4,13 +4,14 @@ How this package, ``repro.telemetry`` and ``repro.obs`` split the work:
 ``docs/observability.md``.
 """
 
-from repro.metrics.collectors import AppRecord, MetricsCollector
-from repro.metrics.report import format_series, format_table, sparkline
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AppRecord",
-    "MetricsCollector",
-    "format_series",
-    "format_table",
-    "sparkline",
-]
+_EXPORTS = {
+    "AppRecord": "collectors",
+    "MetricsCollector": "collectors",
+    "format_series": "report",
+    "format_table": "report",
+    "sparkline": "report",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -4,11 +4,13 @@
 service: many clients submit sweep points and campaign specs over HTTP,
 a shared worker fleet executes them, and results stream back as JSONL
 events the moment each point finishes.  The subsystem is stdlib-only
-and built from five small layers:
+and built from six small layers:
 
-* :mod:`repro.serve.protocol` — request validation and JSONL framing;
-  sweeps resolve into fully-materialized ``SystemConfig`` points, each
-  carrying its ``config_digest``;
+* :mod:`repro.serve.jsonl` — the JSONL line codec and ``SpecError``,
+  which import nothing of the simulator;
+* :mod:`repro.serve.protocol` — request validation; sweeps resolve
+  into fully-materialized ``SystemConfig`` points, each carrying its
+  ``config_digest``;
 * :mod:`repro.serve.engine` — the scheduler: per-tenant bounded queues
   with fair round-robin draining, quota/backpressure rejection
   (429 + Retry-After), in-flight **coalescing** (N concurrent requests
@@ -21,7 +23,9 @@ and built from five small layers:
   to a byte-identical aggregate;
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the wired-up
   server (``repro serve``) and the client library / subprocess harness
-  used by tests, benchmarks and ``repro top --url``.
+  used by tests, benchmarks and ``repro top --url``.  The client
+  imports only the standard library and the codec, and each name below
+  is imported from its layer on first use.
 
 The determinism contract is the whole point: a result obtained through
 the server — queued, coalesced or cached — has the same
@@ -29,66 +33,39 @@ the server — queued, coalesced or cached — has the same
 :func:`repro.experiments.run_many`.
 """
 
-from repro.serve.campaigns import CampaignJob, CampaignManager
-from repro.serve.client import (
-    BusyError,
-    LocalServer,
-    QuotaError,
-    ServeClient,
-    ServerError,
-    fetch_json,
-    fetch_status,
-    sweep_request_doc,
-)
-from repro.serve.engine import (
-    PointPayload,
-    QuotaExceeded,
-    ServeEngine,
-    ServerDraining,
-    Ticket,
-)
-from repro.serve.http import HttpError, Request, ResponseWriter, read_request
-from repro.serve.protocol import (
-    MAX_POINTS_PER_REQUEST,
-    PROTOCOL_SCHEMA,
-    CampaignRequest,
-    SpecError,
-    SweepPoint,
-    SweepRequest,
-    decode_line,
-    encode_line,
-)
-from repro.serve.server import ReproServer, ServeConfig, serve_main
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MAX_POINTS_PER_REQUEST",
-    "PROTOCOL_SCHEMA",
-    "BusyError",
-    "CampaignJob",
-    "CampaignManager",
-    "CampaignRequest",
-    "HttpError",
-    "LocalServer",
-    "PointPayload",
-    "QuotaError",
-    "QuotaExceeded",
-    "ReproServer",
-    "Request",
-    "ResponseWriter",
-    "ServeClient",
-    "ServeConfig",
-    "ServeEngine",
-    "ServerDraining",
-    "ServerError",
-    "SpecError",
-    "SweepPoint",
-    "SweepRequest",
-    "Ticket",
-    "decode_line",
-    "encode_line",
-    "fetch_json",
-    "fetch_status",
-    "read_request",
-    "serve_main",
-    "sweep_request_doc",
-]
+_EXPORTS = {
+    "MAX_POINTS_PER_REQUEST": "protocol",
+    "PROTOCOL_SCHEMA": "protocol",
+    "BusyError": "client",
+    "CampaignJob": "campaigns",
+    "CampaignManager": "campaigns",
+    "CampaignRequest": "protocol",
+    "HttpError": "http",
+    "LocalServer": "client",
+    "PointPayload": "engine",
+    "QuotaError": "client",
+    "QuotaExceeded": "engine",
+    "ReproServer": "server",
+    "Request": "http",
+    "ResponseWriter": "http",
+    "ServeClient": "client",
+    "ServeConfig": "server",
+    "ServeEngine": "engine",
+    "ServerDraining": "engine",
+    "ServerError": "client",
+    "SpecError": "jsonl",
+    "SweepPoint": "protocol",
+    "SweepRequest": "protocol",
+    "Ticket": "engine",
+    "decode_line": "jsonl",
+    "encode_line": "jsonl",
+    "fetch_json": "client",
+    "fetch_status": "client",
+    "read_request": "http",
+    "serve_main": "server",
+    "sweep_request_doc": "client",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -16,6 +16,10 @@ spec resumes (a no-op that rebuilds the report) rather than erroring.
 Execution happens on daemon threads — ``run_campaign`` is synchronous
 and checkpoint-driven, so abandoning a thread at process exit loses at
 most the in-flight points, which a later resume re-runs.
+
+The campaign stack (:mod:`repro.campaign`) is imported on first use: a
+campaign request, or a startup resume that finds an unfinished
+campaign directory.  A server that only serves sweeps never loads it.
 """
 
 from __future__ import annotations
@@ -23,11 +27,17 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.campaign import CampaignSpec
-from repro.campaign.store import MANIFEST_FILE, RESULTS_FILE, SPEC_FILE
-from repro.telemetry.status import load_status
+from repro.telemetry.status import (
+    MANIFEST_FILE,
+    RESULTS_FILE,
+    SPEC_FILE,
+    load_status,
+)
+
+if TYPE_CHECKING:
+    from repro.campaign import CampaignSpec
 
 __all__ = ["CampaignJob", "CampaignManager"]
 
@@ -177,6 +187,8 @@ class CampaignManager:
                 continue  # finished cleanly
             if len(self.active()) >= self.max_active:
                 break
+            from repro.campaign import CampaignSpec
+
             try:
                 spec = CampaignSpec.load(spec_path)
             except (OSError, ValueError):

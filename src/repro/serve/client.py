@@ -24,11 +24,9 @@ import signal
 import subprocess
 import sys
 import time
-import urllib.error
-import urllib.request
 from typing import AsyncIterator, Dict, List, Optional, Sequence
 
-from repro.serve.protocol import decode_line
+from repro.serve.jsonl import decode_line
 
 __all__ = [
     "BusyError",
@@ -72,6 +70,8 @@ class BusyError(ServerError):
 # ----------------------------------------------------------------------
 def fetch_json(url: str, timeout_s: float = 10.0) -> Dict[str, object]:
     """GET ``url`` and parse the JSON body (raises on HTTP errors)."""
+    import urllib.request  # only the one-shot helpers need it
+
     request = urllib.request.Request(url, method="GET")
     with urllib.request.urlopen(request, timeout=timeout_s) as reply:
         data = json.loads(reply.read().decode("utf-8"))
@@ -386,7 +386,7 @@ class LocalServer:
                     return self
             except (OSError, ValueError):
                 pass
-            time.sleep(0.05)
+            time.sleep(0.01)
         raise TimeoutError(
             f"server did not write {self._port_file} within "
             f"{self.startup_timeout_s}s"

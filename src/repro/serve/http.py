@@ -27,7 +27,7 @@ from http import HTTPStatus
 from typing import Dict, Optional
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.serve.protocol import SpecError, encode_line
+from repro.serve.jsonl import SpecError, encode_line
 
 __all__ = [
     "MAX_BODY_BYTES",
@@ -105,7 +105,10 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     method, target, _version = parts
     if method not in _SUPPORTED_METHODS:
         raise HttpError(405, f"method {method} not supported")
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:  # e.g. an unbalanced "[" in the host part
+        raise HttpError(400, f"malformed request target: {target!r}") from exc
     headers: Dict[str, str] = {}
     for line in lines[1:]:
         if not line:

@@ -15,18 +15,20 @@ per-point overrides < ``seeds`` cross-product), reusing the strict
 type and illegal values are rejected with the same errors a local
 caller would see.  Every resolved point carries its
 :func:`~repro.obs.provenance.config_digest` — the identity the engine
-dedupes, coalesces and caches on.
+dedupes, coalesces and caches on.  The line codec and
+:class:`SpecError` live in :mod:`repro.serve.jsonl`, which a client
+imports without the simulator.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config_io import config_from_dict, config_to_dict
 from repro.core.system import SystemConfig
 from repro.obs.provenance import config_digest
+from repro.serve.jsonl import SpecError, decode_line, encode_line
 
 __all__ = [
     "MAX_POINTS_PER_REQUEST",
@@ -46,35 +48,6 @@ PROTOCOL_SCHEMA = "repro.serve/1"
 MAX_POINTS_PER_REQUEST = 4096
 
 _TENANT_MAX_LEN = 64
-
-
-class SpecError(ValueError):
-    """A request document that fails validation (HTTP 400)."""
-
-
-# ----------------------------------------------------------------------
-# JSONL framing
-# ----------------------------------------------------------------------
-def encode_line(obj: Dict[str, object]) -> bytes:
-    """One event dict -> one compact, key-sorted JSONL line (bytes).
-
-    Compact separators keep frames small; sorted keys make streams
-    deterministic so tests can pin byte-identical payloads.
-    """
-    return (
-        json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n"
-    ).encode("utf-8")
-
-
-def decode_line(data: bytes) -> Dict[str, object]:
-    """One JSONL line (bytes, with or without trailing newline) -> dict."""
-    try:
-        obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise SpecError(f"undecodable JSONL line: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise SpecError("JSONL line must encode a JSON object")
-    return obj
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +115,7 @@ class SweepRequest:
             not isinstance(request_id, str) or len(request_id) > 128
         ):
             raise SpecError("'request_id' must be a string of <= 128 chars")
-        base = data.get("base") or {}
+        base = {} if data.get("base") is None else data["base"]
         if not isinstance(base, dict):
             raise SpecError("'base' must be a JSON object")
         raw_points = data.get("points")
@@ -222,9 +195,10 @@ class CampaignRequest:
         """Validate a campaign document into a spec + execution options.
 
         The ``spec`` object is handed to
-        :meth:`repro.campaign.CampaignSpec.from_dict`, so the server
-        rejects exactly what the CLI would reject.  ``jobs`` overrides
-        the server default for this campaign only.
+        :meth:`repro.campaign.CampaignSpec.from_dict` and every cell is
+        resolved, so the server rejects at once what the CLI would reject
+        when it plans the campaign.  ``jobs`` overrides the server
+        default for this campaign only.
         """
         from repro.campaign import CampaignSpec
 
@@ -239,6 +213,8 @@ class CampaignRequest:
             raise SpecError("'spec' must be a campaign spec JSON object")
         try:
             spec = CampaignSpec.from_dict(spec_data)
+            for cell in spec.cells():
+                spec.cell_config(cell)  # a bad cell is a 400, not a failed job
         except (TypeError, ValueError) as exc:
             raise SpecError(f"invalid campaign spec: {exc}") from exc
         jobs = data.get("jobs")

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import repro
-from repro.campaign.store import MANIFEST_FILE
 from repro.serve.campaigns import CampaignManager
 from repro.serve.engine import QuotaExceeded, ServeEngine, ServerDraining, Ticket
 from repro.serve.http import (
@@ -57,7 +56,7 @@ from repro.telemetry.export import (
     snapshot_json,
 )
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.status import read_status
+from repro.telemetry.status import MANIFEST_FILE, read_status
 
 __all__ = ["ServeConfig", "ReproServer", "serve_main"]
 

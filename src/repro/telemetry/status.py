@@ -43,6 +43,13 @@ __all__ = [
     "render_top",
 ]
 
+#: The campaign directory's checkpoint files (written by
+#: :mod:`repro.campaign.store`), named here so that readers such as
+#: ``repro serve`` can find campaigns without importing the campaign stack.
+RESULTS_FILE = "results.jsonl"
+FAILURES_FILE = "failures.jsonl"
+SPEC_FILE = "spec.json"
+MANIFEST_FILE = "manifest.json"
 STATUS_FILE = "status.json"
 PROM_FILE = "telemetry.prom"
 SNAPSHOT_FILE = "telemetry.json"
@@ -192,7 +199,7 @@ def degraded_status(campaign_dir: str) -> Dict[str, object]:
     Raises ``OSError`` if the directory is not a campaign dir at all.
     """
     from repro.campaign.runner import load_spec
-    from repro.campaign.store import RESULTS_FILE, ResultStore
+    from repro.campaign.store import ResultStore
 
     spec = load_spec(campaign_dir)
     store = ResultStore(os.path.join(campaign_dir, RESULTS_FILE))

@@ -45,6 +45,7 @@ from repro.verify.invariants import (
     PowerConservationInvariant,
     StateLegalityInvariant,
     TestNonIntrusivenessInvariant,
+    ThermalSafetyInvariant,
     TimeMonotonicityInvariant,
     VerificationError,
     default_invariants,
@@ -115,6 +116,7 @@ __all__ = [
     "SeedPermutationInvariance",
     "StateLegalityInvariant",
     "TestNonIntrusivenessInvariant",
+    "ThermalSafetyInvariant",
     "TimeMonotonicityInvariant",
     "TypePermutationDarkInvariance",
     "TypedZeroHazardTypedZeroFaults",

@@ -308,6 +308,51 @@ class NocLinkSanityInvariant(Invariant):
         return problems
 
 
+class ThermalSafetyInvariant(Invariant):
+    """No SBST session starts on a core hotter than the thermal guard.
+
+    A test schedule is thermal-safe when no session takes a core over
+    its limit (Rosinger et al.); the system admits a session only while
+    every core is ``thermal_test_margin_c`` below ``thermal.limit_c``.
+    Sessions start only in the control tick's scheduler step, after the
+    thermal model steps, so the temperatures read here are the ones
+    each start saw.  A session pre-empted in the tick it started in has
+    left the active set; the hottest core stands in for its core.
+    """
+
+    name = "thermal-safety"
+
+    def __init__(self) -> None:
+        self._started = 0
+
+    def on_tick(self, system, now, breakdown):
+        thermal = system.thermal
+        if thermal is None:
+            return None
+        started = system.runner.stats.started
+        new, self._started = started - self._started, started
+        if not new:
+            return None
+        cores = [
+            session.core.core_id
+            for session in system.runner.active_sessions()
+            if session.started_at == now
+        ]
+        if len(cores) < new:
+            cores.append(thermal.hottest_core_id())
+        guard_c = thermal.params.limit_c - system.config.thermal_test_margin_c
+        temps = {core_id: thermal.temperature(core_id) for core_id in cores}
+        return [
+            (
+                f"SBST session started on core {core_id} at {temp:.3f} C, "
+                f"over the {guard_c:g} C guard",
+                {"core": core_id, "temperature_c": temp, "guard_c": guard_c},
+            )
+            for core_id, temp in temps.items()
+            if temp > guard_c
+        ]
+
+
 def default_invariants() -> List[Invariant]:
     """Fresh instances of the full invariant catalog."""
     return [
@@ -317,6 +362,7 @@ def default_invariants() -> List[Invariant]:
         TestNonIntrusivenessInvariant(),
         TimeMonotonicityInvariant(),
         NocLinkSanityInvariant(),
+        ThermalSafetyInvariant(),
     ]
 
 

@@ -1,16 +1,21 @@
 """Malformed config, campaign-spec and DSE-spec documents end in
-``ValueError``.
+``ValueError``, and malformed serve requests in a 4xx.
 
 ``config_from_dict``, ``CampaignSpec.from_dict`` and
 ``DseSpec.from_dict`` read documents from files, the CLI and ``repro
 serve``.  Whatever one node of a valid document is replaced with,
 loading either raises ``ValueError`` naming the field or accepts a
 document that round-trips to the same digest; a ``TypeError`` (or
-anything else) is a bug.
+anything else) is a bug.  The same holds one layer up for ``repro
+serve``: any bytes on a connection end in a request, a clean EOF or an
+``HttpError``, and a sweep or campaign request either raises
+``SpecError`` (HTTP 400) or resolves to points that reload to the same
+config digests.
 """
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import json
 from pathlib import Path
@@ -27,6 +32,9 @@ from repro.core.config_io import config_from_dict, config_to_dict
 from repro.core.system import SystemConfig
 from repro.dse.search import DseSpec, EvolutionParams, SurrogateParams
 from repro.obs.provenance import config_digest
+from repro.serve.http import HttpError, Request, read_request
+from repro.serve.protocol import CampaignRequest, SpecError, SweepRequest
+from repro.serve.server import ReproServer, ServeConfig
 
 #: Names a replacement object draws its keys from, besides free text,
 #: so that nested replacements often hit declared fields.
@@ -256,3 +264,143 @@ def test_malformed_dse_spec_names_the_field(document, fragment):
 def test_dse_threshold_may_be_null():
     spec = DseSpec.from_dict(dict(VALID_DSE, surrogate={"threshold": None}))
     assert spec.surrogate.threshold is None
+
+
+# ----------------------------------------------------------------------
+# Ints no float can hold
+# ----------------------------------------------------------------------
+HUGE = 10**400
+
+
+def test_config_rejects_an_int_too_large_for_a_float():
+    with pytest.raises(ValueError, match="'tdp_w' must be float"):
+        config_from_dict({"tdp_w": HUGE})
+    # An int that fits still passes where a float is declared.
+    assert config_from_dict({"tdp_w": 80}).tdp_w == 80
+
+
+def test_campaign_cell_rejects_an_int_too_large_for_a_float():
+    spec = CampaignSpec.from_dict({"name": "huge", "cells": [{"tdp_w": HUGE}]})
+    with pytest.raises(ValueError, match="'tdp_w' must be float"):
+        spec.cell_config(spec.cells()[0])
+    with pytest.raises(SpecError, match="'tdp_w' must be float"):
+        CampaignRequest.parse({"spec": {"name": "huge", "cells": [{"tdp_w": HUGE}]}})
+
+
+def test_sweep_point_rejects_an_int_too_large_for_a_float():
+    with pytest.raises(SpecError, match=r"points\[0\]: field 'tdp_w' must be float"):
+        SweepRequest.parse({"points": [{"tdp_w": HUGE}]})
+
+
+# ----------------------------------------------------------------------
+# Serve requests: every input ends in a 4xx
+# ----------------------------------------------------------------------
+async def _read(data):
+    reader = asyncio.StreamReader()
+    reader.feed_data(data)
+    reader.feed_eof()
+    return await read_request(reader)
+
+
+def test_unparseable_request_target_is_a_400():
+    with pytest.raises(HttpError) as err:
+        asyncio.run(_read(b"GET //[ HTTP/1.1\r\n\r\n"))
+    assert err.value.status == 400
+
+
+def test_server_answers_an_unparseable_request_target(tmp_path):
+    async def exchange():
+        server = ReproServer(ServeConfig(state_dir=str(tmp_path)))
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(b"GET //[ HTTP/1.1\r\n\r\n")
+            await writer.drain()
+            reply = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return reply
+        finally:
+            server.request_shutdown()
+            await server.shutdown()
+
+    assert asyncio.run(exchange()).startswith(b"HTTP/1.1 400 ")
+
+
+@pytest.mark.parametrize("base", [0, "", [], False, 5, "x", [{}]])
+def test_sweep_base_must_be_an_object(base):
+    with pytest.raises(SpecError, match="'base' must be a JSON object"):
+        SweepRequest.parse({"points": [{}], "base": base})
+
+
+def test_sweep_base_may_be_absent_or_null():
+    absent = SweepRequest.parse({"points": [{}]})
+    null = SweepRequest.parse({"points": [{}], "base": None})
+    assert absent.points[0].digest == null.points[0].digest
+
+
+_LATIN1 = st.characters(max_codepoint=255)
+_REQUEST_HEAD = st.builds(
+    lambda method, target, headers: (
+        f"{method} {target} HTTP/1.1\r\n{headers}\r\n\r\n".encode("latin-1")
+    ),
+    st.sampled_from(["GET", "HEAD", "POST", "PUT"]),
+    st.text(_LATIN1, max_size=12),
+    st.text(_LATIN1, max_size=40)
+    | st.integers(-5, 10**6).map(lambda n: f"Content-Length: {n}"),
+)
+_REQUEST_BYTES = st.binary(max_size=200) | st.builds(
+    lambda head, body: head + body, _REQUEST_HEAD, st.binary(max_size=40)
+)
+
+
+@FUZZ
+@given(_REQUEST_BYTES)
+def test_any_bytes_end_in_a_request_none_or_an_http_error(data):
+    try:
+        request = asyncio.run(_read(data))
+    except HttpError as exc:
+        assert 400 <= exc.status < 500
+        return
+    assert request is None or isinstance(request, Request)
+
+
+VALID_SWEEP = {
+    "tenant": "fuzz",
+    "request_id": "r1",
+    "base": {"width": 4, "height": 4, "horizon_us": 1000.0,
+             "aging": {"base_rate": 0.125}},
+    "points": [{"tdp_w": 20}, {"tdp_w": 25.0, "mapper": "nn"}],
+    "seeds": [1, 2],
+}
+
+VALID_CAMPAIGN_REQUEST = {"tenant": "fuzz", "spec": VALID_SPECS[0], "jobs": 2}
+
+
+def _reloads_to_the_same_digest(config):
+    again = config_from_dict(_via_json(config_to_dict(config)))
+    return config_digest(again) == config_digest(config)
+
+
+@FUZZ
+@given(_one_node_replaced(VALID_SWEEP))
+def test_sweep_request_is_rejected_or_its_points_reload(document):
+    try:
+        sweep = SweepRequest.parse(document)
+    except SpecError:
+        return
+    for point in sweep.points:
+        assert point.digest == config_digest(point.config)
+        assert _reloads_to_the_same_digest(point.config)
+
+
+@FUZZ
+@given(_one_node_replaced(VALID_CAMPAIGN_REQUEST))
+def test_campaign_request_is_rejected_or_its_points_reload(document):
+    try:
+        request = CampaignRequest.parse(document)
+    except SpecError:
+        return
+    spec = request.spec
+    for cell in spec.cells():
+        assert _reloads_to_the_same_digest(spec.cell_config(cell))

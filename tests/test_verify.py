@@ -3,8 +3,8 @@
 Three layers, mirroring the package:
 
 * the inline invariant checker is read-only (verified runs are
-  byte-identical to unverified ones), certifies every E1–E9 proposed
-  config violation-free, and each invariant has a negative test proving
+  byte-identical to unverified ones), certifies every E1–E9 and E11
+  proposed config and A5's tight package violation-free, and each invariant has a negative test proving
   it fires on an injected violation;
 * each metamorphic relation holds on the real simulator and its pure
   ``check`` flags doctored samples (hypothesis property tests) and a
@@ -92,7 +92,7 @@ def test_verified_run_with_journal_is_byte_identical():
     "experiment_id", sorted(experiment_configs(horizon_us=1.0))
 )
 def test_no_violations_on_experiment_configs(experiment_id):
-    """The paper's proposed-method configs are invariant-clean (E1–E9)."""
+    """The paper's proposed-method configs are invariant-clean."""
     config = experiment_configs(horizon_us=5_000.0)[experiment_id]
     result, checker = verify_config(config)
     assert checker.ok, [v.message for v in checker.violations[:3]]
@@ -238,6 +238,56 @@ def test_noc_sanity_invariant_fires_on_negative_noc_power():
     doctored = dataclasses.replace(real, noc=-1.0)
     checker.on_control_tick(system, 100.0, doctored)
     assert "noc-link-sanity" in _names(checker)
+
+
+def _hot_start(abort=False):
+    """Start one session on core 2 after heating it past the guard."""
+    system, checker = _fresh(replace(SMALL, thermal_enabled=True))
+    guard = system.config.thermal.limit_c - system.config.thermal_test_margin_c
+    system.thermal._temps[2] = guard + 1.0
+    core = system.chip.core(2)
+    system.runner.start(core, system.chip.vf_table.min_level)
+    if abort:  # pre-empted within the tick it started in
+        system.runner.abort(core)
+    checker.on_control_tick(system, system.sim.now, system.meter.breakdown())
+    return checker, guard
+
+
+def test_thermal_safety_invariant_fires_on_a_start_over_the_guard():
+    checker, guard = _hot_start()
+    assert _names(checker) == {"thermal-safety"}
+    assert checker.violations[0].details == {
+        "core": 2, "temperature_c": guard + 1.0, "guard_c": guard
+    }
+
+
+def test_thermal_safety_sees_a_start_pre_empted_in_its_tick():
+    checker, _guard = _hot_start(abort=True)
+    assert _names(checker) == {"thermal-safety"}
+    assert checker.violations[0].details["core"] == 2
+
+
+def test_thermal_safety_passes_cool_starts_and_thermal_off_runs():
+    system, checker = _fresh(replace(SMALL, thermal_enabled=True))
+    system.runner.start(system.chip.core(2), system.chip.vf_table.min_level)
+    checker.on_control_tick(system, system.sim.now, system.meter.breakdown())
+    assert checker.ok
+    system, checker = _fresh()
+    assert system.thermal is None
+    system.runner.start(system.chip.core(2), system.chip.vf_table.min_level)
+    checker.on_control_tick(system, system.sim.now, system.meter.breakdown())
+    assert checker.ok
+
+
+def test_a5_guard_binds_and_stays_thermal_safe():
+    """At a 15 C margin A5's guard defers tests; no start breaks it."""
+    config = replace(
+        experiment_configs(horizon_us=30_000.0)["A5"], thermal_test_margin_c=15.0
+    )
+    result, checker = verify_config(config)
+    assert checker.ok, [v.message for v in checker.violations[:3]]
+    unguarded = run_system(replace(config, thermal_test_margin_c=0.0))
+    assert result.tests_completed < unguarded.tests_completed
 
 
 def test_fused_and_generic_transition_paths_agree():
