@@ -32,8 +32,10 @@ A warm phase then exercises the run cache (``--cache-dir``):
    ``campaign status`` of the warm one must report ``complete``;
 6. the warm ``results.jsonl`` is cut in the middle of its fourth line
    and its manifest deleted — what a kill inside the one append that
-   checkpoints a served wave leaves — and ``campaign resume`` with the
-   cache must finish at the same aggregate;
+   checkpoints a served wave leaves — and the cache's pack is cut in
+   the middle of its last put's blob — what a kill inside the write of
+   a stored result leaves; ``campaign resume`` with the cache must
+   finish at the same aggregate;
 7. ``cache verify`` on the cache must exit 0 (no corrupt blob).
 
 ``--artifacts DIR`` copies the resumed campaign's manifest, checkpoint
@@ -56,6 +58,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from repro.cache.store import PACK_FILE
 
 SPEC = Path(__file__).resolve().parent / "campaign_smoke_spec.json"
 
@@ -99,9 +103,26 @@ def _same_aggregate(name: str, campaign_dir: Path, want: str) -> bool:
     return True
 
 
+def _cut_last_put(pack: Path) -> int:
+    """Cut ``pack`` in the middle of its last put's blob; returns the cut."""
+    data = pack.read_bytes()
+    pos = blob_start = blob_size = 0
+    while pos < len(data):
+        end = data.index(b"\n", pos) + 1
+        op = json.loads(data[pos:end])
+        if op["op"] == "put":
+            blob_start, blob_size = end, op["size"]
+            end += op["size"] + 1
+        pos = end
+    cut = blob_start + blob_size // 2
+    pack.write_bytes(data[:cut])
+    return cut
+
+
 def _warm_phase(workdir: Path, common: tuple, want: str) -> int:
     """Steps 5-7: cold and warm runs through one cache, then a resume of
-    the warm campaign cut inside its served batch."""
+    the warm campaign cut inside its served batch, from a cache cut
+    inside its last stored result."""
     cache = ("--cache-dir", str(workdir / "cache"))
     cold, warm = workdir / "cold", workdir / "warm"
     for name, campaign_dir in (("cold cached run", cold),
@@ -131,6 +152,8 @@ def _warm_phase(workdir: Path, common: tuple, want: str) -> int:
     results.write_bytes(data[:cut])
     (warm / "manifest.json").unlink()
     print(f"[ok]   warm checkpoint cut at byte {cut}, inside its 4th line")
+    cut = _cut_last_put(workdir / "cache" / PACK_FILE)
+    print(f"[ok]   cache pack cut at byte {cut}, inside its last put's blob")
     _step(
         "resume of the cut warm run",
         _cli("campaign", "resume", str(warm), *cache, *common),

@@ -4,11 +4,11 @@ Every run is a pure function of its
 :class:`~repro.core.system.SystemConfig`, and PR 2/3 gave every run a
 stable content digest — so re-simulating an identical (config, seed)
 point is pure waste.  :class:`RunCache` turns that repeated cost into a
-lookup: results are pickled into a content-addressed blob store
+lookup: results are pickled into an append-only pack file
 (:class:`~repro.cache.store.ContentStore`) keyed by the salted config
-digest (:mod:`repro.cache.keys`), with durable index appends, integrity
-rechecks on read (corrupt blobs are quarantined and transparently
-recomputed) and LRU eviction under an optional size cap.
+digest (:mod:`repro.cache.keys`), with one durable append per stored
+result, integrity rechecks on read (corrupt entries are deleted and
+transparently recomputed) and LRU eviction under an optional size cap.
 
 Integration points:
 
@@ -55,7 +55,7 @@ from repro.cache.keys import (
     default_salt,
     run_key,
 )
-from repro.cache.store import ContentStore, blob_digest, write_blob
+from repro.cache.store import ContentStore, blob_digest
 from repro.obs.provenance import config_digest
 from repro.telemetry.registry import NULL_TELEMETRY, MetricsRegistry, count_run
 
@@ -139,8 +139,8 @@ class RunCache:
         ``digest`` is the config's
         :func:`~repro.obs.provenance.config_digest`; the lookup counts as
         ``cache.*`` counters in ``telemetry`` (the caller's registry).
-        Integrity failures (blob digest mismatch, unreadable blob,
-        unpicklable payload) quarantine the entry and report a miss so
+        Integrity failures (blob digest mismatch, short read,
+        unpicklable payload) delete the entry and report a miss so
         the caller transparently recomputes.
         """
         tm = NULL_TELEMETRY if telemetry is None else telemetry
@@ -157,7 +157,7 @@ class RunCache:
             result = pickle.loads(data)
         except Exception:
             # Digest-valid bytes that do not unpickle: written by an
-            # incompatible writer.  Quarantine exactly like bit rot.
+            # incompatible writer.  Delete them exactly like bit rot.
             self.store.delete(key, reason="corrupt")
             self.stats.corrupt += 1
             self.stats.misses += 1
@@ -217,18 +217,18 @@ class RunCache:
         return result, False
 
     def close(self) -> None:
-        """Close the index handle (the cache stays usable; it reopens)."""
+        """Close the pack descriptor (the cache stays usable; it reopens)."""
         self.store.close()
 
     # ------------------------------------------------------------------
     # Maintenance passthrough
     # ------------------------------------------------------------------
     def verify(self) -> Dict[str, object]:
-        """Re-hash every blob, quarantining failures (see store)."""
+        """Re-hash every entry, deleting failures (see store)."""
         return self.store.verify()
 
     def gc(self, max_bytes: Optional[int] = None) -> Dict[str, object]:
-        """Evict to a cap, drop orphans, compact the index (see store)."""
+        """Evict to a cap and compact the pack (see store)."""
         return self.store.gc(max_bytes=max_bytes)
 
     def clear(self) -> int:
@@ -256,5 +256,4 @@ __all__ = [
     "default_cache_dir",
     "default_salt",
     "run_key",
-    "write_blob",
 ]

@@ -13,9 +13,9 @@ A simulation is a pure function of its
   what a config computes) or the blob format silently invalidates every
   old entry instead of serving stale numbers.
 
-Keys are plain sha256 hex strings; the blob they point at is stored
-content-addressed (named by the digest of its own bytes), so key
-integrity and blob integrity are verified independently.
+Keys are plain sha256 hex strings; the blob a key points at is stored
+with the digest of its own bytes, so key integrity and blob integrity
+are verified independently.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ A campaign lives in a directory:
   ``run`` writes it, ``resume``/``report`` read it back, and a digest
   mismatch between an existing directory and a new spec is an error;
 * ``results.jsonl``  — the append-only checkpoint store (one record per
-  completed point; each computed point fsynced alone, the hits of a
-  cache-served wave with one fsync);
+  completed point; the hits of a cache-served wave share one fsync, the
+  computed points of a wave that the cache stored durably share one
+  when the wave ends, and a computed point with no cached copy is
+  fsynced alone);
 * ``failures.jsonl`` — per-attempt failure log with quarantine marks;
 * ``manifest.json``  — the aggregate report written on completion.
 
@@ -244,8 +246,11 @@ def run_campaign(
     durable append (served warm), and
     every completed run is stored by this supervisor before it is
     checkpointed, so a later grid with overlapping cells is served
-    without re-simulating.  Cache-served records do not count toward
-    ``interrupt_after`` (they cost no work worth crash-testing).
+    without re-simulating.  A run the cache stored is checkpointed
+    without an fsync of its own; the checkpoint file is fsynced once
+    when the wave ends, and any line a crash loses before then is
+    served from the cache on resume.  Cache-served records do not count
+    toward ``interrupt_after`` (they cost no work worth crash-testing).
 
     ``telemetry=True`` (the default) counts every computed point
     (:func:`repro.telemetry.count_run`) and the campaign's cache traffic
@@ -291,12 +296,16 @@ def run_campaign(
         # Cache before checkpointing: an interrupt raised after the
         # checkpoint must not lose a result the next overlapping grid
         # could have been served from.
+        stored = False
         if cache is not None:
             try:
                 cache.put_result(point.digest, result, registry)
+                stored = True
             except OSError:
                 pass  # memoization must never fail a completed run
-        store.append(record_from_result(point, result))
+        # The cache holds a stored result durably, so its checkpoint
+        # line waits for the fsync that ends the wave.
+        store.append(record_from_result(point, result), sync=not stored)
         if status is not None:
             count_run(registry, result)
             status.note_worker(outcome.pid, outcome.wall_s)
@@ -360,6 +369,8 @@ def run_campaign(
                 raise CampaignInterrupted(
                     completed_this_invocation + exc.completed
                 ) from None
+            finally:
+                store.sync()
             completed_this_invocation += stats.completed
             quarantined_digests.update(
                 failure.digest for failure in stats.quarantined

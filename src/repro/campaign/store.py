@@ -2,13 +2,16 @@
 
 Every completed point becomes one JSON line in ``results.jsonl``, keyed
 by the point's config digest.  An append writes one or more lines with
-one open, one flush and one fsync: a computed point is appended alone,
-so a crash loses at most the run being checkpointed, while the records
-of a wave the cache served go in one batch, since any of them the crash
-loses the cache serves again.  A crash mid-append leaves whole records
-plus at most one torn final line; that line is ignored on load, then
-cut off before the next append so that a resumed run never writes a
-record onto it.  Records are plain JSON (no pickles): the report layer
+one open and one flush, and usually one fsync: the records of a wave
+the cache served go in one batch with one fsync, and a computed point
+whose result the run cache already holds durably is appended without
+one (the runner fsyncs the file once its wave ends), since any record
+a crash loses the cache serves again.  A computed point with no cached
+copy is appended alone and fsynced, so a crash loses at most the run
+being checkpointed.  A crash mid-append leaves whole records plus at
+most one torn final line; that line is ignored on load, then cut off
+before the next append so that a resumed run never writes a record
+onto it.  Records are plain JSON (no pickles): the report layer
 recomputes every aggregate from them, which is what makes an
 interrupted-then-resumed campaign byte-identical to an uninterrupted
 one.
@@ -101,9 +104,11 @@ class _JsonlFile:
     def __init__(self, path: str) -> None:
         self.path = path
         self._tail_checked = False
+        self._unsynced = False
 
-    def _append_lines(self, lines: Iterable[str]) -> None:
-        """Append each of ``lines`` plus a newline: one open, one fsync.
+    def _append_lines(self, lines: Iterable[str], sync: bool = True) -> None:
+        """Append each of ``lines`` plus a newline: one open, one fsync
+        (none when ``sync`` is false; :meth:`sync` makes them durable).
 
         Nothing is written for no lines.  A crash mid-append leaves the
         lines before the cut whole and a final line with no newline.
@@ -121,7 +126,16 @@ class _JsonlFile:
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(text)
             handle.flush()
-            os.fsync(handle.fileno())
+            if sync:
+                os.fsync(handle.fileno())
+        self._unsynced = not sync
+
+    def sync(self) -> None:
+        """Fsync the lines appended without one, if there are any."""
+        if self._unsynced:
+            with open(self.path, "ab") as handle:
+                os.fsync(handle.fileno())
+            self._unsynced = False
 
 
 def _repair_torn_tail(path: str) -> None:
@@ -190,9 +204,10 @@ class ResultStore(_JsonlFile):
             records.setdefault(digest, record)
         return records
 
-    def append(self, record: Dict[str, object]) -> None:
-        """Durably append one completed-point record (fsynced)."""
-        self._append_lines([record_line(record)])
+    def append(self, record: Dict[str, object], sync: bool = True) -> None:
+        """Append one completed-point record, fsynced unless ``sync`` is
+        false (then a later :meth:`sync` makes it durable)."""
+        self._append_lines([record_line(record)], sync)
 
     def extend(self, records: Iterable[Dict[str, object]]) -> None:
         """Durably append ``records``, in order, with one fsync."""

@@ -517,20 +517,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache_verify = cache_sub.add_parser(
         "verify",
-        help="re-hash every blob; quarantine corrupt ones (exit 1 if any)",
+        help="re-hash every entry; delete corrupt ones (exit 1 if any)",
     )
     _cache_dir_arg(cache_verify)
 
     cache_gc = cache_sub.add_parser(
         "gc",
-        help="evict LRU entries to a size cap, drop orphan blobs, "
-             "compact the index",
+        help="evict LRU entries to a size cap, compact the pack",
     )
     _cache_dir_arg(cache_gc)
     cache_gc.add_argument(
         "--max-mb", type=float, default=None, metavar="MB",
-        help="size cap to evict down to (omit to only collect "
-             "orphans and compact)",
+        help="size cap to evict down to (omit to only compact)",
     )
 
     cache_clear = cache_sub.add_parser(
@@ -1107,7 +1105,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
             f"{len(report['corrupt'])} corrupt"
         )
         for key in report["corrupt"]:
-            print(f"  quarantined {key}")
+            print(f"  corrupt {key}")
         return 1 if report["corrupt"] else 0
     if args.cache_command == "gc":
         max_bytes = (
@@ -1115,8 +1113,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
         )
         outcome = cache.gc(max_bytes=max_bytes)
         print(
-            f"evicted {len(outcome['evicted'])} entr(ies), removed "
-            f"{outcome['orphan_blobs_removed']} orphan blob(s); "
+            f"evicted {len(outcome['evicted'])} entr(ies), reclaimed "
+            f"{outcome['reclaimed_bytes']} byte(s); "
             f"{outcome['entries']} entr(ies) / {outcome['bytes']} bytes kept"
         )
         return 0

@@ -7,10 +7,11 @@ Contract-level properties pinned here:
   ``run_many`` (serial and pooled) and for campaigns (including a warm
   re-run grid served without executing a single point);
 * **integrity** — a corrupt blob (bit rot, truncation, unpicklable
-  payload) is quarantined and transparently recomputed, never served;
-* **durability** — the index survives torn final lines, self-heals
-  mid-file corruption, and is never torn by pooled sweeps (the
-  supervisor is the only index writer);
+  payload) is deleted and transparently recomputed, never served;
+* **durability** — the pack survives a torn final record cut at any
+  byte, self-heals mid-file corruption, and is never torn by pooled
+  sweeps or threads sharing one store (the supervisor is the only
+  writer, and one lock serializes its threads);
 * **boundedness** — a size cap evicts in LRU order, refreshed by hits.
 """
 
@@ -18,8 +19,10 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import json
 import os
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -34,9 +37,8 @@ from repro.cache import (
     RunCache,
     default_salt,
     run_key,
-    write_blob,
 )
-from repro.cache.store import INDEX_FILE, QUARANTINE_DIR, blob_path
+from repro.cache.store import LEGACY_DIRS, LEGACY_INDEX, PACK_FILE
 from repro.campaign import CampaignSpec, run_campaign
 from repro.cli import main
 from repro.core.system import SystemConfig, run_system
@@ -51,6 +53,30 @@ BASE_DIGEST = config_digest(BASE)
 
 def summaries_digest(results) -> str:
     return rows_digest([r.summary() for r in results])
+
+
+def pack_ops(root):
+    """Every op in the pack under ``root``, in order, each put with its
+    blob; fails on a torn or damaged record."""
+    data = Path(root, PACK_FILE).read_bytes()
+    ops, pos = [], 0
+    while pos < len(data):
+        end = data.index(b"\n", pos) + 1
+        op = json.loads(data[pos:end])
+        pos = end
+        if op["op"] == "put":
+            op["data"] = data[pos:pos + op["size"]]
+            assert data[pos + op["size"]:pos + op["size"] + 1] == b"\n"
+            pos += op["size"] + 1
+        ops.append(op)
+    return ops
+
+
+def tamper(store, key, data=b"XX"):
+    """Overwrite the start of ``key``'s bytes in the pack."""
+    with open(store.path, "r+b") as handle:
+        handle.seek(store._entries[key].offset)
+        handle.write(data)
 
 
 @pytest.fixture
@@ -91,51 +117,58 @@ def test_store_round_trip_and_persistence(tmp_path, closes):
 
 
 def test_store_deduplicates_identical_blobs(tmp_path, closes):
-    store = closes(ContentStore(str(tmp_path)))
+    """Two keys with equal bytes are two records: deleting one keeps
+    the other, and gc reclaims the deleted key's bytes."""
+    root = str(tmp_path)
+    store = closes(ContentStore(root))
     d1, _ = store.put("k1", b"same-bytes")
     d2, _ = store.put("k2", b"same-bytes")
     assert d1 == d2
-    # deleting one key keeps the shared blob alive for the other
     store.delete("k1")
     assert store.get("k2") == ("hit", b"same-bytes")
-    store.delete("k2")
-    assert not os.path.exists(blob_path(str(tmp_path), d1))
+    outcome = store.gc()
+    assert outcome["reclaimed_bytes"] > len(b"same-bytes")
+    assert [(op["key"], op["data"]) for op in pack_ops(root)] == [
+        ("k2", b"same-bytes")
+    ]
 
 
 def test_corrupt_blob_is_quarantined_and_missed(tmp_path, closes):
+    """Bytes that fail their digest are deleted, counted and missed."""
     root = str(tmp_path)
     store = closes(ContentStore(root))
-    digest, _ = store.put("k1", b"payload")
-    with open(blob_path(root, digest), "r+b") as handle:
-        handle.write(b"XX")
+    store.put("k1", b"payload")
+    tamper(store, "k1")
     status, data = store.get("k1")
     assert status == "corrupt" and data is None
     assert "k1" not in store
-    assert os.path.exists(os.path.join(root, QUARANTINE_DIR, digest))
     assert store.counters["corrupt"] == 1
     # the deletion is durable: a reload agrees
     assert closes(ContentStore(root)).get("k1") == ("miss", None)
 
 
 def test_vanished_blob_counts_as_corrupt(tmp_path, closes):
+    """A pack truncated under an entry yields a short read: corrupt."""
     root = str(tmp_path)
     store = closes(ContentStore(root))
-    digest, _ = store.put("k1", b"payload")
-    os.remove(blob_path(root, digest))
+    store.put("k0", b"kept")
+    store.put("k1", b"payload")
+    os.truncate(store.path, store._entries["k1"].offset + 3)
     assert store.get("k1") == ("corrupt", None)
+    assert store.get("k0") == ("hit", b"kept")
 
 
 def test_verify_quarantines_and_reports(tmp_path, closes):
     root = str(tmp_path)
     store = closes(ContentStore(root))
-    d1, _ = store.put("good", b"aaa")
-    d2, _ = store.put("bad", b"bbb")
-    with open(blob_path(root, d2), "wb") as handle:
-        handle.write(b"tampered")
+    store.put("good", b"aaa")
+    store.put("bad", b"bbb")
+    tamper(store, "bad", b"x")
     report = store.verify()
     assert report["checked"] == 2
     assert report["ok"] == 1
     assert report["corrupt"] == ["bad"]
+    assert "bad" not in store
     assert store.get("good")[0] == "hit"
 
 
@@ -171,40 +204,126 @@ def test_torn_final_index_line_is_tolerated(tmp_path, closes):
     store = ContentStore(root)
     store.put("k1", b"data")
     store.close()
-    with open(os.path.join(root, INDEX_FILE), "a", encoding="utf-8") as f:
-        f.write('{"op": "put", "key": "torn')
+    with open(os.path.join(root, PACK_FILE), "ab") as f:
+        f.write(b'{"op": "put", "key": "torn')
     again = closes(ContentStore(root))
     assert again.get("k1") == ("hit", b"data")
 
 
+def test_pack_cut_at_every_byte_of_its_last_put(tmp_path, closes):
+    """A crash inside the last put leaves a torn record, whichever byte
+    it stopped at: header, blob or newline.  A reader serves exactly the
+    earlier entries and leaves the bytes alone; a writer cuts the tail
+    off, and its put lands whole and reloads with them."""
+    root = str(tmp_path / "whole")
+    store = closes(ContentStore(root))
+    earlier = {"k1": b"one\nwith newlines\n", "k2": b"two"}
+    for key, data in earlier.items():
+        store.put(key, data)
+    last = os.path.getsize(store.path)
+    store.put("k3", b"three\n3")
+    store.close()
+    data = Path(root, PACK_FILE).read_bytes()
+    for cut in range(last, len(data)):
+        cdir = str(tmp_path / f"cut-{cut}")
+        os.makedirs(cdir)
+        Path(cdir, PACK_FILE).write_bytes(data[:cut])
+        reader = ContentStore(cdir)
+        assert sorted(reader.keys()) == ["k1", "k2"], cut
+        assert reader.verify()["corrupt"] == [], cut
+        reader.close()
+        assert Path(cdir, PACK_FILE).read_bytes() == data[:cut], cut
+        writer = closes(ContentStore(cdir))
+        assert all(writer.get(k) == ("hit", v) for k, v in earlier.items())
+        writer.put("k4", b"four")
+        writer.close()
+        assert [op["op"] for op in pack_ops(cdir)] == [
+            "put", "put", "touch", "touch", "put"
+        ], cut
+        again = closes(ContentStore(cdir))
+        assert sorted(again.keys()) == ["k1", "k2", "k4"], cut
+        assert again.get("k4") == ("hit", b"four"), cut
+
+
 def test_mid_file_index_corruption_self_heals(tmp_path, closes):
+    """A garbage line between two records costs neither entry; a reader
+    leaves it be, and the next writer compacts it away."""
     root = str(tmp_path)
     store = ContentStore(root)
     store.put("k1", b"one")
+    boundary = os.path.getsize(store.path)
     store.put("k2", b"two")
     store.close()
-    index = os.path.join(root, INDEX_FILE)
-    lines = Path(index).read_text(encoding="utf-8").splitlines()
-    lines.insert(1, "GARBAGE-NOT-JSON")
-    with open(index, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    data = Path(root, PACK_FILE).read_bytes()
+    damaged = data[:boundary] + b"GARBAGE-NOT-JSON\n" + data[boundary:]
+    Path(root, PACK_FILE).write_bytes(damaged)
+    reader = closes(ContentStore(root))
+    assert sorted(reader.keys()) == ["k1", "k2"]
+    reader.close()
+    assert Path(root, PACK_FILE).read_bytes() == damaged
     healed = closes(ContentStore(root))
-    assert healed.get("k1")[0] == "hit"
-    assert healed.get("k2")[0] == "hit"
-    # the log was compacted: every surviving line parses
-    for line in Path(index).read_text(encoding="utf-8").splitlines():
-        json.loads(line)
+    assert healed.get("k1") == ("hit", b"one")
+    assert healed.get("k2") == ("hit", b"two")
+    # the pack was compacted: every record parses
+    assert [op["key"] for op in pack_ops(root)] == ["k1", "k2", "k1", "k2"]
 
 
 def test_gc_collects_orphans_and_compacts(tmp_path, closes):
+    """gc shrinks the pack to its live records and reports the bytes."""
     root = str(tmp_path)
     store = closes(ContentStore(root))
     store.put("k1", b"keep")
-    write_blob(root, b"orphan-blob")  # written but never indexed
+    store.put("k2", b"drop")
+    store.delete("k2")
+    store.get("k1")
+    before = os.path.getsize(store.path)
     outcome = store.gc()
-    assert outcome["orphan_blobs_removed"] == 1
     assert outcome["entries"] == 1
+    assert outcome["reclaimed_bytes"] == before - os.path.getsize(store.path)
+    assert [(op["op"], op["key"]) for op in pack_ops(root)] == [
+        ("put", "k1")
+    ]
     assert store.get("k1") == ("hit", b"keep")
+
+
+def test_threads_share_one_store(tmp_path, closes):
+    """Eight threads put (and read back) distinct keys into one store:
+    every entry reloads whole and none fails its digest."""
+    root = str(tmp_path)
+    store = closes(ContentStore(root))
+    errors = []
+
+    def writer(t):
+        try:
+            for i in range(12):
+                key = f"t{t}-{i}"
+                store.put(key, key.encode() * (i + 1))
+                assert store.get(key) == ("hit", key.encode() * (i + 1))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=writer, args=(t,)) for t in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    store.close()
+    again = closes(ContentStore(root))
+    assert len(again) == 96
+    for t in range(8):
+        for i in range(12):
+            key = f"t{t}-{i}"
+            assert again.get(key) == ("hit", key.encode() * (i + 1))
+    assert again.verify()["corrupt"] == []
 
 
 # ----------------------------------------------------------------------
@@ -260,16 +379,10 @@ def test_run_many_cache_identity_pooled_no_torn_index(tmp_path, closes):
     configs = sweep_configs(6)
     root = str(tmp_path / "cache")
     cold = run_many(configs, 2, cache=closes(RunCache(cache_dir=root)))
-    # every index line written during the pooled sweep parses cleanly
-    index = os.path.join(root, INDEX_FILE)
-    lines = [
-        line
-        for line in Path(index).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
-    assert len(lines) >= 6
-    for line in lines:
-        assert json.loads(line)["op"] in ("put", "touch", "del")
+    # every record written during the pooled sweep is whole
+    ops = pack_ops(root)
+    assert len(ops) >= 6
+    assert {op["op"] for op in ops} <= {"put", "touch", "del"}
     warm_cache = closes(RunCache(cache_dir=root))
     warm = run_many(configs, 2, cache=warm_cache)
     assert warm_cache.stats.hits == 6 and warm_cache.stats.misses == 0
@@ -405,9 +518,7 @@ def test_campaign_pooled_cache_index_owned_by_supervisor(tmp_path, closes):
         cache=closes(RunCache(cache_dir=cache_dir)),
     )
     assert len(closes(ContentStore(cache_dir))) == 4
-    index = Path(cache_dir, INDEX_FILE).read_text(encoding="utf-8")
-    for line in index.splitlines():
-        json.loads(line)
+    assert len(pack_ops(cache_dir)) == 4
 
 
 def test_overlapping_campaigns_count_their_own_cache_traffic(tmp_path, closes):
@@ -570,12 +681,41 @@ def test_cli_cache_verify_flags_corruption(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
     cache = RunCache(cache_dir=cache_dir)
     key = cache.put_result(BASE_DIGEST, run_system(BASE))
-    blob = cache.store._entries[key].blob
-    with open(blob_path(cache_dir, blob), "r+b") as handle:
-        handle.write(b"XX")
-    cache.store.close()
+    tamper(cache.store, key)
+    cache.close()
     assert main(["cache", "verify", "--cache-dir", cache_dir]) == 1
-    assert "1 corrupt" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "1 corrupt" in out and f"corrupt {key}" in out
+    assert main(["cache", "verify", "--cache-dir", cache_dir]) == 0
+
+
+@pytest.mark.parametrize("command", ["gc", "clear"])
+def test_cli_cache_deletes_the_old_layout(tmp_path, capsys, closes, command):
+    """A directory of the blob-per-file layout reads as an empty cache,
+    and ``cache gc``/``clear`` delete what that layout left."""
+    cache_dir = tmp_path / "cache"
+    blob = b"an old blob"
+    digest = hashlib.sha256(blob).hexdigest()
+    (cache_dir / "blobs" / digest[:2]).mkdir(parents=True)
+    (cache_dir / "blobs" / digest[:2] / digest).write_bytes(blob)
+    (cache_dir / "tmp").mkdir()
+    (cache_dir / "tmp" / "index.123").write_text("staged")
+    (cache_dir / "quarantine").mkdir()
+    (cache_dir / "quarantine" / "bad").write_bytes(b"rot")
+    (cache_dir / LEGACY_INDEX).write_text(json.dumps(
+        {"op": "put", "key": "k", "blob": digest, "size": len(blob),
+         "seq": 1}
+    ) + "\n")
+    legacy = sum(p.stat().st_size for p in cache_dir.rglob("*")
+                 if p.is_file())
+    assert len(closes(RunCache(cache_dir=str(cache_dir))).store) == 0
+    assert main(["cache", command, "--cache-dir", str(cache_dir)]) == 0
+    out = capsys.readouterr().out
+    if command == "gc":
+        assert f"reclaimed {legacy} byte(s)" in out
+    for name in (LEGACY_INDEX, *LEGACY_DIRS):
+        assert not (cache_dir / name).exists(), name
+    assert sorted(os.listdir(cache_dir)) == [PACK_FILE]
 
 
 def test_cli_run_journal_bypasses_cache(tmp_path, capsys):
@@ -588,7 +728,7 @@ def test_cli_run_journal_bypasses_cache(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "journal written" in out
     assert "cache:" not in out  # bypassed: no hit/miss line
-    assert not os.path.exists(os.path.join(cache_dir, INDEX_FILE))
+    assert not os.path.exists(os.path.join(cache_dir, PACK_FILE))
 
 
 def test_cli_run_profile_serves_from_cache(tmp_path, capsys):

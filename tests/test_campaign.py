@@ -13,10 +13,14 @@ The two contract-level properties pinned here:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
+import random
 import shutil
+import signal
 import time
+import traceback
 from pathlib import Path
 
 import pytest
@@ -550,6 +554,18 @@ def test_resume_after_kill_inside_the_served_batch(tmp_path, closes):
     assert cache.verify()["corrupt"] == []
 
 
+def _counting_fsyncs(monkeypatch):
+    real_fsync = os.fsync
+    calls = []
+
+    def counting_fsync(fd):
+        calls.append(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    return calls
+
+
 def test_warm_pass_fsyncs_once_for_all_its_hits(
     tmp_path, closes, monkeypatch
 ):
@@ -564,14 +580,7 @@ def test_warm_pass_fsyncs_once_for_all_its_hits(
     }
     for n, spec in specs.items():
         run_campaign(str(tmp_path / f"cold-{n}"), spec=spec, cache=cache)
-    real_fsync = os.fsync
-    calls = []
-
-    def counting_fsync(fd):
-        calls.append(fd)
-        real_fsync(fd)
-
-    monkeypatch.setattr(os, "fsync", counting_fsync)
+    calls = _counting_fsyncs(monkeypatch)
     counts = {}
     for n, spec in specs.items():
         calls.clear()
@@ -580,6 +589,111 @@ def test_warm_pass_fsyncs_once_for_all_its_hits(
         assert report.n_completed == n
         counts[n] = len(calls)
     assert counts[4] == counts[12] == 6, counts
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+def test_cold_pass_fsyncs_once_per_computed_point(
+    tmp_path, closes, monkeypatch, cached
+):
+    """A cold pass costs one fsync per computed point: the cache's put,
+    whose checkpoint line waits for the one fsync that ends the wave,
+    or without a cache the checkpoint line itself.  (Telemetry is off:
+    its status flushes are paced by the clock.)"""
+    calls = _counting_fsyncs(monkeypatch)
+    counts = {}
+    for n in (4, 12):
+        spec = small_spec(base=dict(BASE, horizon_us=1000.0),
+                          seeds={"start": 1, "count": n // 2})
+        cache = (closes(RunCache(cache_dir=str(tmp_path / f"cache-{n}")))
+                 if cached else None)
+        calls.clear()
+        cdir = tmp_path / f"cold-{n}"
+        report = run_campaign(str(cdir), spec=spec, cache=cache,
+                              telemetry=False)
+        assert report.n_completed == n
+        counts[n] = len(calls)
+        results = os.stat(cdir / "results.jsonl").st_ino
+        assert calls.count(results) == (1 if cached else n)
+    assert counts[12] - counts[4] == 8, counts
+
+
+#: Exit status of a child killed at its chosen fsync.
+KILLED = 17
+
+
+def _run_killed(campaign_dir, cache_dir, spec, k, tear):
+    """Run ``spec`` cold into a fresh cache in a forked child that exits
+    just before its k-th fsync, after cutting the file being synced to a
+    random length no shorter than at its previous fsync if ``tear``.
+    Returns the child's exit status: KILLED, or 0 if the run finished
+    first."""
+    pid = os.fork()
+    if pid == 0:  # the child never returns into pytest
+        code = 1
+        try:
+            real_fsync, rng, synced = os.fsync, random.Random(k), {}
+            calls = []
+
+            def fsync(fd):
+                calls.append(fd)
+                st = os.fstat(fd)
+                inode = (st.st_dev, st.st_ino)
+                if len(calls) == k:
+                    if tear:
+                        floor = min(synced.get(inode, 0), st.st_size)
+                        os.ftruncate(fd, rng.randint(floor, st.st_size))
+                    os._exit(KILLED)
+                real_fsync(fd)
+                synced[inode] = st.st_size
+
+            os.fsync = fsync
+            run_campaign(campaign_dir, spec=spec, retry=NO_BACKOFF,
+                         cache=RunCache(cache_dir=cache_dir))
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 120
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise AssertionError(f"child killed at fsync {k} hung")
+        time.sleep(0.002)
+
+
+def test_kill_at_every_fsync_of_a_cold_cached_campaign(tmp_path, closes):
+    """Kill a cold cached campaign just before each of its fsyncs in
+    turn (a second pass also tears the file being synced), then resume
+    it with the same cache: the aggregate is the uninterrupted one, the
+    cache holds nothing corrupt, and the resume computes exactly the
+    points the reopened cache lacks, so no completed put runs again."""
+    spec = CampaignSpec.load(SMOKE_SPEC)
+    keys = None
+    for tear in (False, True):
+        for k in itertools.count(1):
+            work = tmp_path / f"{'tear' if tear else 'kill'}-{k}"
+            cdir, cache_dir = str(work / "campaign"), str(work / "cache")
+            code = _run_killed(cdir, cache_dir, spec, k, tear)
+            if code == 0:
+                assert k > 10, k  # the run makes more fsyncs than this
+                break
+            assert code == KILLED, (tear, k, code)
+            cache = closes(RunCache(cache_dir=cache_dir))
+            if keys is None:
+                keys = {cache.key_for(p.digest) for p in spec.fixed_points()}
+            lost = keys - set(cache.store.keys())
+            resume = os.path.exists(os.path.join(cdir, "spec.json"))
+            report = run_campaign(cdir, spec=None if resume else spec,
+                                  resume=resume, cache=cache,
+                                  retry=NO_BACKOFF)
+            assert report.aggregate == SMOKE_AGGREGATE, (tear, k)
+            assert cache.verify()["corrupt"] == [], (tear, k)
+            assert cache.stats.puts == len(lost), (tear, k)
 
 
 def test_sequential_campaign_resume_identity(tmp_path):
