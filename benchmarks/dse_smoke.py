@@ -135,8 +135,20 @@ def main() -> int:
         help="directory to copy front.json and report.json into",
     )
     args = parser.parse_args()
-
     workdir = Path(tempfile.mkdtemp(prefix="dse-smoke-"))
+    rc = 1
+    try:
+        rc = smoke(args, workdir)
+    finally:
+        if rc == 0:
+            shutil.rmtree(workdir)
+        else:
+            print(f"work directory kept: {workdir}", file=sys.stderr)
+    return rc
+
+
+def smoke(args: argparse.Namespace, workdir: Path) -> int:
+    """Every phase, run in ``workdir``: 0 when all pass."""
     interrupted = workdir / "interrupted"
     straight = workdir / "straight"
 

@@ -352,8 +352,20 @@ def main() -> int:
              "manifest into",
     )
     args = parser.parse_args()
-
     workdir = Path(tempfile.mkdtemp(prefix="serve-smoke-"))
+    rc = 1
+    try:
+        rc = smoke(args, workdir)
+    finally:
+        if rc == 0:
+            shutil.rmtree(workdir)
+        else:
+            print(f"work directory kept: {workdir}", file=sys.stderr)
+    return rc
+
+
+def smoke(args: argparse.Namespace, workdir: Path) -> int:
+    """Every phase, run in ``workdir``: 0 when all pass."""
     state = workdir / "state"
 
     # Phase 1: overlapping sweeps against a live server.

@@ -1,10 +1,11 @@
 """Campaign aggregation: per-cell statistics, report and manifest.
 
 The report is a *pure function of the checkpoint store*: it is computed
-from the JSONL records alone (never from in-memory results), sorted by
-point digest, so the same set of completed points produces the same
-bytes whether the campaign ran straight through, crashed and resumed,
-or ran with a different worker count.  ``aggregate_digest`` pins that.
+from the JSONL records alone (the ones the store wrote or loaded, never
+from in-memory results), sorted by point digest, so the same set of
+completed points produces the same bytes whether the campaign ran
+straight through, crashed and resumed, or ran with a different worker
+count.  ``aggregate_digest`` pins that.
 
 Per grid cell it reports the paper's campaign-grade robustness numbers:
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.campaign.spec import CampaignSpec, Cell, cell_label, freeze_value
-from repro.campaign.store import aggregate_digest
+from repro.campaign.store import ResultStore
 from repro.metrics.report import format_table
 from repro.metrics.stats import BinomialEstimate, binomial_interval
 
@@ -209,10 +210,12 @@ def summarize_cells(
 
 def build_report(
     spec: CampaignSpec,
-    records: Dict[str, Dict[str, object]],
+    store: ResultStore,
     quarantined: Optional[List[Dict[str, object]]] = None,
 ) -> CampaignReport:
-    """Build the campaign report from the checkpoint store's records."""
+    """Build the campaign report from a checkpoint store's records (the
+    ones it keeps; see :class:`~repro.campaign.store.ResultStore`)."""
+    records = store.records
     method = spec.stop.method if spec.stop else "wilson"
     # Deterministic record order: sorted by point digest (see store).
     ordered = [records[d] for d in sorted(records)]
@@ -246,7 +249,7 @@ def build_report(
     return CampaignReport(
         name=spec.name,
         spec_digest=spec.spec_digest(),
-        aggregate=aggregate_digest(ordered),
+        aggregate=store.aggregate(),
         headers=_HEADERS,
         rows=rows,
         n_completed=len(ordered),

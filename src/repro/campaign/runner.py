@@ -268,7 +268,9 @@ def run_campaign(
         _prepare_dir(spec, campaign_dir)
     store = ResultStore(os.path.join(campaign_dir, RESULTS_FILE))
     failures = FailureLog(os.path.join(campaign_dir, FAILURES_FILE))
-    records = store.load()
+    # The store keeps what it loads here and every record appended
+    # below: the waves plan from it, and the report is built from it.
+    records = store.records
     registry: Optional[MetricsRegistry] = None
     status: Optional[CampaignStatusWriter] = None
     if telemetry:
@@ -349,7 +351,6 @@ def run_campaign(
                 if not missing:
                     # Nothing left to run in this wave: the next flush
                     # (at the latest the forced final one) reports it.
-                    records = store.load()
                     continue
                 if status is not None and served:
                     status.write("running")
@@ -375,7 +376,6 @@ def run_campaign(
             quarantined_digests.update(
                 failure.digest for failure in stats.quarantined
             )
-            records = store.load()
         final_state = "complete"
     finally:
         # The forced final flush makes kill-and-resume inspectable: an
@@ -383,7 +383,7 @@ def run_campaign(
         if status is not None:
             status.write(final_state, force=True)
     report = build_report(
-        spec, records, quarantined=failures.quarantined(records)
+        spec, store, quarantined=failures.quarantined(records)
     )
     _write_manifest(campaign_dir, report)
     return report
@@ -396,7 +396,7 @@ def report_campaign(campaign_dir: str) -> CampaignReport:
     failures = FailureLog(os.path.join(campaign_dir, FAILURES_FILE))
     records = store.load()
     report = build_report(
-        spec, records, quarantined=failures.quarantined(records)
+        spec, store, quarantined=failures.quarantined(records)
     )
     _write_manifest(campaign_dir, report)
     return report

@@ -47,7 +47,7 @@ from repro.core.config_io import (
 )
 from repro.core.system import SystemConfig
 from repro.metrics.stats import binomial_interval  # noqa: F401  (re-export convenience)
-from repro.obs.provenance import config_digest, digest_of
+from repro.obs.provenance import digest_of, seed_digests
 from repro.telemetry.export import atomic_write_text
 
 #: One grid cell: the (field, value) overrides that define it, in the
@@ -165,6 +165,10 @@ class CampaignPoint:
     cell: Cell
     seed: int
     config: SystemConfig
+    #: ``config_to_dict(config)`` in JSON types (arrays as lists): the
+    #: checkpoint record's ``config``.  The points of a cell share its
+    #: nested blocks, so it is read-only.
+    config_dict: Dict[str, object] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -361,11 +365,8 @@ class CampaignSpec:
         unknown keys are rejected and every ``__post_init__`` check
         runs.  The seed is the default one; points replace it.
         """
-        data = config_to_dict(SystemConfig())
-        for key, value in self.base:
-            data[key] = _thaw(value)
-        for key, value in cell:
-            data[key] = _thaw(value)
+        data = {key: _thaw(value) for key, value in self.base}
+        data.update((key, _thaw(value)) for key, value in cell)
         return config_from_dict(data)
 
     def cell_points(
@@ -373,23 +374,26 @@ class CampaignSpec:
     ) -> List[CampaignPoint]:
         """The points of one cell for ``seeds``, indexed from ``start``.
 
-        Resolves the cell's config once; each seed's config is a
-        ``dataclasses.replace`` of it.
+        Resolves and walks the cell's config once: each seed's config is
+        a ``dataclasses.replace`` of it, its digest comes from
+        :func:`~repro.obs.provenance.seed_digests`, and its
+        ``config_dict`` is the cell's with the seed set.
         """
         config = self.cell_config(cell)
-        points: List[CampaignPoint] = []
-        for seed in seeds:
-            seeded = dataclasses.replace(config, seed=seed)
-            points.append(
-                CampaignPoint(
-                    index=start + len(points),
-                    digest=config_digest(seeded),
-                    cell=cell,
-                    seed=seed,
-                    config=seeded,
-                )
+        data = _thaw(config_to_dict(config))
+        return [
+            CampaignPoint(
+                index=start + i,
+                digest=digest,
+                cell=cell,
+                seed=seed,
+                config=dataclasses.replace(config, seed=seed),
+                config_dict=dict(data, seed=seed),
             )
-        return points
+            for i, (seed, digest) in enumerate(
+                zip(seeds, seed_digests(config, seeds))
+            )
+        ]
 
     def fixed_points(self) -> List[CampaignPoint]:
         """Every point of a fixed-mode campaign, in deterministic order."""
@@ -433,7 +437,10 @@ def freeze_cell(overrides: Dict[str, object]) -> Cell:
 
 
 def _thaw(value: object) -> object:
-    """Spec value -> the form ``config_from_dict`` expects."""
+    """Spec or config value -> JSON types (tuples become lists): the
+    form ``config_from_dict`` expects and ``json.loads`` returns."""
     if isinstance(value, tuple):
         return [_thaw(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _thaw(v) for k, v in value.items()}
     return value

@@ -14,7 +14,10 @@ before the next append so that a resumed run never writes a record
 onto it.  Records are plain JSON (no pickles): the report layer
 recomputes every aggregate from them, which is what makes an
 interrupted-then-resumed campaign byte-identical to an uninterrupted
-one.
+one.  A :class:`ResultStore` keeps the records it loaded or appended,
+each with its canonical line, so a running campaign never reads its
+file back: it plans each wave from the kept records and digests its
+report from the kept lines.
 
 Failures get the same treatment in ``failures.jsonl``: one line per
 failed attempt, with the digest, attempt number, error string and
@@ -28,7 +31,6 @@ import os
 from typing import Dict, Iterable, List, Optional
 
 from repro.campaign.spec import CampaignPoint
-from repro.core.config_io import config_to_dict
 from repro.core.system import SimulationResult
 from repro.obs.provenance import digest_of
 from repro.telemetry.status import (  # noqa: F401  (the directory layout)
@@ -48,14 +50,19 @@ def record_from_result(
 
     The record carries everything the campaign report needs — scalar
     summary, per-fault lifecycle, per-level test counts — so reports
-    never have to re-run or unpickle anything.
+    never have to re-run or unpickle anything.  It holds JSON types
+    only, so it equals the record ``ResultStore.load`` parses back.
     """
     return {
         "schema": _RECORD_SCHEMA,
         "digest": point.digest,
-        "cell": [[name, value] for name, value in point.cell],
+        # A cell's values are scalars or flat tuples; arrays are lists.
+        "cell": [
+            [name, list(value) if isinstance(value, tuple) else value]
+            for name, value in point.cell
+        ],
         "seed": point.seed,
-        "config": config_to_dict(point.config),
+        "config": point.config_dict,
         "summary": result.summary(),
         "faults": [
             {
@@ -170,21 +177,48 @@ def _repair_torn_tail(path: str) -> None:
 
 
 class ResultStore(_JsonlFile):
-    """The ``results.jsonl`` checkpoint file of one campaign directory."""
+    """The ``results.jsonl`` checkpoint file of one campaign directory.
+
+    The store keeps the records it loaded or appended, each with the
+    canonical line it stands for (first record per digest wins, as in
+    :meth:`load`), so a running campaign plans its next wave and
+    digests its report without reading the file back.
+    """
+
+    def __init__(self, path: str) -> None:
+        super().__init__(path)
+        self._records: Optional[Dict[str, Dict[str, object]]] = None
+        self._lines: Dict[str, str] = {}
+
+    @property
+    def records(self) -> Dict[str, Dict[str, object]]:
+        """The checkpointed records by point digest, as :meth:`load`
+        returns them; the file is read on first use.  Read-only."""
+        if self._records is None:
+            self.load()
+        return self._records
+
+    def aggregate(self) -> str:
+        """:func:`aggregate_digest` of :attr:`records`, taken over their
+        kept lines (no record is encoded again)."""
+        records = self.records
+        return digest_of(self._lines[digest] for digest in sorted(records))
 
     def load(self) -> Dict[str, Dict[str, object]]:
-        """All checkpointed records, keyed by point digest (first wins).
+        """Read back all checkpointed records, keyed by point digest
+        (first wins); the store then keeps them (:attr:`records`).
 
         Tolerates exactly one torn line at the end of the file — the
         signature of a crash mid-append.  Corruption anywhere else is an
         error: that is not a crash artefact, and silently dropping good
         results would break resume identity.
         """
-        if not os.path.exists(self.path):
-            return {}
         records: Dict[str, Dict[str, object]] = {}
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        kept_lines: Dict[str, str] = {}
+        lines: List[str] = []
+        if os.path.exists(self.path):
+            with open(self.path, "r", encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
@@ -201,17 +235,34 @@ class ResultStore(_JsonlFile):
                 raise ValueError(
                     f"{self.path}:{lineno}: record has no digest"
                 )
-            records.setdefault(digest, record)
-        return records
+            if digest not in records:
+                records[digest] = record
+                # Re-encoded: a line written some other way digests as
+                # its record's canonical line.
+                kept_lines[digest] = record_line(record)
+        self._records, self._lines = records, kept_lines
+        return dict(records)
 
     def append(self, record: Dict[str, object], sync: bool = True) -> None:
         """Append one completed-point record, fsynced unless ``sync`` is
         false (then a later :meth:`sync` makes it durable)."""
-        self._append_lines([record_line(record)], sync)
+        self._write([record], sync)
 
     def extend(self, records: Iterable[Dict[str, object]]) -> None:
         """Durably append ``records``, in order, with one fsync."""
-        self._append_lines(record_line(record) for record in records)
+        self._write(list(records))
+
+    def _write(
+        self, records: List[Dict[str, object]], sync: bool = True
+    ) -> None:
+        kept = self.records  # the file's records, before the first append
+        lines = [record_line(record) for record in records]
+        self._append_lines(lines, sync)
+        for record, line in zip(records, lines):
+            digest = record["digest"]
+            if digest not in kept:
+                kept[digest] = record
+                self._lines[digest] = line
 
 
 class FailureLog(_JsonlFile):

@@ -838,11 +838,12 @@ def _search(
                 completed_runs += max(0, len(store.load()) - before)
                 flush(complete=False)
                 raise SearchInterrupted(completed_runs) from None
-            new_runs = len(store.load()) - before
+            checkpoint = store.load()
+            new_runs = len(checkpoint) - before
             completed_runs += new_runs
             if remaining is not None:
                 remaining -= new_runs
-            by_cell = _records_by_cell(store.load())
+            by_cell = _records_by_cell(checkpoint)
             for candidate in evaluate:
                 cell = spec.space.cell_of(candidate)
                 records = by_cell.get(cell, [])

@@ -36,11 +36,13 @@ from repro.campaign import (
     aggregate_digest,
     build_report,
     plan_missing,
+    record_from_result,
+    report_campaign,
     run_campaign,
 )
 from repro.campaign.spec import cell_label
 from repro.cli import main
-from repro.core.system import SystemConfig
+from repro.core.system import SystemConfig, run_system
 from repro.experiments.parallel import Outcome, RunFailed, execute, run_many
 from repro.obs.provenance import config_digest
 
@@ -270,6 +272,68 @@ def test_store_rejects_mid_file_corruption(tmp_path):
         store.load()
 
 
+def _assert_store_matches_file(store):
+    """The records ``store`` kept are what its file loads, and their
+    kept lines digest as the loaded records do."""
+    fresh = ResultStore(store.path)
+    assert store.records == fresh.load()
+    assert store.aggregate() == aggregate_digest(fresh.records.values())
+    assert store.aggregate() == fresh.aggregate()
+
+
+def test_store_keeps_the_records_its_file_holds(tmp_path):
+    path = tmp_path / "results.jsonl"
+    store = ResultStore(str(path))
+    store.append(_fake_record("a"))
+    store.extend([_fake_record("b"), _fake_record("a", seed=2),
+                  _fake_record("c")])
+    store.append(_fake_record("b", seed=3), sync=False)
+    store.sync()
+    store.extend([])
+    _assert_store_matches_file(store)
+    assert list(store.records) == ["a", "b", "c"]
+    assert store.records["a"]["seed"] == store.records["b"]["seed"] == 1
+
+    # A torn tail, repaired by the first append of a store that loaded
+    # the file first, and of one that did not.
+    for loaded in (True, False):
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"digest": "d", "trunc')
+        resumed = ResultStore(str(path))
+        if loaded:
+            assert list(resumed.load()) == ["a", "b", "c"]
+        resumed.extend([_fake_record("c", seed=4), _fake_record("d")])
+        _assert_store_matches_file(resumed)
+        assert list(resumed.records) == ["a", "b", "c", "d"]
+
+    # A whole final record that lost its newline is kept.
+    path.write_text(path.read_text().rstrip("\n"), encoding="utf-8")
+    resumed = ResultStore(str(path))
+    resumed.append(_fake_record("e"))
+    _assert_store_matches_file(resumed)
+    assert list(resumed.records) == ["a", "b", "c", "d", "e"]
+
+    # A line written some other way digests as its canonical line.
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(_fake_record("f"), separators=(",", ":")))
+    _assert_store_matches_file(ResultStore(str(path)))
+
+
+def test_records_hold_json_types_only(tmp_path):
+    # Tuples in a cell and in the config included: what a store keeps
+    # from its appends is what a resume loads from its file.
+    spec = small_spec(
+        base=dict(BASE, horizon_us=1000.0),
+        grid={"type_grid": [["std"], ["o3"]]},
+        seeds={"start": 1, "count": 2},
+    )
+    store = ResultStore(str(tmp_path / "results.jsonl"))
+    for point in spec.fixed_points():
+        store.append(record_from_result(point, run_system(point.config)))
+    assert len(store.records) == 4
+    _assert_store_matches_file(store)
+
+
 def test_aggregate_digest_order_independent():
     a, b = _fake_record("a"), _fake_record("b", seed=2)
     assert aggregate_digest([a, b]) == aggregate_digest([b, a])
@@ -486,6 +550,14 @@ def test_fixed_campaign_resume_identity(tmp_path):
     assert json.loads(manifest)["aggregate_digest"] == resumed.aggregate
 
 
+def _assert_report_from_dir(report, campaign_dir):
+    """``run_campaign`` builds its report from the records its store
+    kept; ``report_campaign`` re-reads the directory.  They agree."""
+    again = report_campaign(campaign_dir)
+    assert again.manifest_json("v") == report.manifest_json("v")
+    assert again.render() == report.render()
+
+
 #: Aggregate digest of an uninterrupted run of the CI campaign smoke spec.
 SMOKE_AGGREGATE = (
     "d20c60170598b42223bbe4dd532bd141d34e7f2ceda817711819a5daac77f7e8"
@@ -518,6 +590,7 @@ def test_resume_after_torn_checkpoint_tail(tmp_path):
         report = run_campaign(cdir, resume=True, retry=NO_BACKOFF)
         assert report.aggregate == SMOKE_AGGREGATE
         assert report.n_completed == 6
+        _assert_report_from_dir(report, cdir)
 
 
 def test_resume_after_kill_inside_the_served_batch(tmp_path, closes):
@@ -527,11 +600,11 @@ def test_resume_after_kill_inside_the_served_batch(tmp_path, closes):
     serves the lost records from the cache again and stores nothing."""
     spec = CampaignSpec.load(SMOKE_SPEC)
     cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
-    run_campaign(str(tmp_path / "cold"), spec=spec, cache=cache)
+    for label in ("cold", "warm"):
+        report = run_campaign(str(tmp_path / label), spec=spec, cache=cache)
+        assert report.aggregate == SMOKE_AGGREGATE, label
+        _assert_report_from_dir(report, str(tmp_path / label))
     warm = str(tmp_path / "warm")
-    assert run_campaign(warm, spec=spec, cache=cache).aggregate == (
-        SMOKE_AGGREGATE
-    )
     with open(os.path.join(warm, "results.jsonl"), "rb") as handle:
         data = handle.read()
     starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == 10]
@@ -550,6 +623,7 @@ def test_resume_after_kill_inside_the_served_batch(tmp_path, closes):
         report = run_campaign(cdir, resume=True, cache=cache)
         assert report.aggregate == SMOKE_AGGREGATE, cut
         assert report.n_completed == 6, cut
+        _assert_report_from_dir(report, cdir)
     assert cache.stats.puts == puts
     assert cache.verify()["corrupt"] == []
 
@@ -622,7 +696,8 @@ KILLED = 17
 
 
 def _run_killed(campaign_dir, cache_dir, spec, k, tear):
-    """Run ``spec`` cold into a fresh cache in a forked child that exits
+    """Run ``spec`` with the cache in ``cache_dir`` (cold into a fresh
+    one, warm from one a cold pass filled) in a forked child that exits
     just before its k-th fsync, after cutting the file being synced to a
     random length no shorter than at its previous fsync if ``tear``.
     Returns the child's exit status: KILLED, or 0 if the run finished
@@ -667,33 +742,47 @@ def _run_killed(campaign_dir, cache_dir, spec, k, tear):
 
 
 def test_kill_at_every_fsync_of_a_cold_cached_campaign(tmp_path, closes):
-    """Kill a cold cached campaign just before each of its fsyncs in
-    turn (a second pass also tears the file being synced), then resume
-    it with the same cache: the aggregate is the uninterrupted one, the
-    cache holds nothing corrupt, and the resume computes exactly the
-    points the reopened cache lacks, so no completed put runs again."""
+    """Kill a cached campaign just before each of its fsyncs in turn (a
+    second pass also tears the file being synced), then resume it with
+    the same cache: the aggregate is the uninterrupted one, the cache
+    holds nothing corrupt, and the resume computes exactly the points
+    the reopened cache lacks, so no completed put runs again.  The cold
+    case starts from an empty cache.  The warm case starts from a copy
+    of one a cold pass filled: its six fsyncs are the spec, the served
+    batch, the three status and telemetry exports and the manifest, and
+    its resume stores nothing."""
     spec = CampaignSpec.load(SMOKE_SPEC)
-    keys = None
-    for tear in (False, True):
+    filled = str(tmp_path / "filled")
+    fill = RunCache(cache_dir=filled)
+    run_campaign(str(tmp_path / "fill"), spec=spec, cache=fill)
+    keys = {fill.key_for(p.digest) for p in spec.fixed_points()}
+    fill.close()
+    for warm, tear in itertools.product((False, True), repeat=2):
         for k in itertools.count(1):
-            work = tmp_path / f"{'tear' if tear else 'kill'}-{k}"
+            work = tmp_path / (
+                f"{'warm' if warm else 'cold'}-{'tear' if tear else 'kill'}"
+                f"-{k}"
+            )
             cdir, cache_dir = str(work / "campaign"), str(work / "cache")
+            if warm:
+                shutil.copytree(filled, cache_dir)
             code = _run_killed(cdir, cache_dir, spec, k, tear)
             if code == 0:
-                assert k > 10, k  # the run makes more fsyncs than this
+                # The run finished before its k-th fsync.
+                assert (k == 7) if warm else (k > 10), (warm, k)
                 break
-            assert code == KILLED, (tear, k, code)
+            assert code == KILLED, (warm, tear, k, code)
             cache = closes(RunCache(cache_dir=cache_dir))
-            if keys is None:
-                keys = {cache.key_for(p.digest) for p in spec.fixed_points()}
             lost = keys - set(cache.store.keys())
+            assert not (warm and lost), (tear, k)
             resume = os.path.exists(os.path.join(cdir, "spec.json"))
             report = run_campaign(cdir, spec=None if resume else spec,
                                   resume=resume, cache=cache,
                                   retry=NO_BACKOFF)
-            assert report.aggregate == SMOKE_AGGREGATE, (tear, k)
-            assert cache.verify()["corrupt"] == [], (tear, k)
-            assert cache.stats.puts == len(lost), (tear, k)
+            assert report.aggregate == SMOKE_AGGREGATE, (warm, tear, k)
+            _assert_report_from_dir(report, cdir)
+            assert cache.verify()["corrupt"] == [], (warm, tear, k)
+            assert cache.stats.puts == len(lost), (warm, tear, k)
 
 
 def test_sequential_campaign_resume_identity(tmp_path):
@@ -719,6 +808,8 @@ def test_sequential_campaign_resume_identity(tmp_path):
     )
     assert resumed.aggregate == straight.aggregate
     assert resumed.n_completed == straight.n_completed
+    _assert_report_from_dir(resumed, interrupted_dir)
+    _assert_report_from_dir(straight, straight_dir)
 
 
 def test_sequential_stopping_rule_bounds_runs(tmp_path):
@@ -787,7 +878,7 @@ def test_plan_missing_is_pure_and_shrinks(tmp_path):
 
 def test_report_rows_full_grid_even_when_partial(tmp_path):
     spec = small_spec()
-    report = build_report(spec, {})
+    report = build_report(spec, ResultStore(str(tmp_path / "none.jsonl")))
     # 2 cells + ALL row, all zero-run
     assert len(report.rows) == 3
     assert all(row[1] == 0 for row in report.rows)

@@ -15,10 +15,12 @@ here:
   or hit.  ``tdp_w=80`` and ``tdp_w=80.0`` compare equal and hash
   alike yet have different digests, so a memo keyed by config
   equality fails here;
-* **identities are derived once** — a warm fixed-mode campaign of N
-  points computes N config digests and resolves each cell's config
-  once, counted by patching the module-level names every ``repro``
-  module binds.
+* **identities are derived once per cell** — a warm fixed-mode
+  campaign resolves and walks each cell's config once and derives all
+  its points' digests from that walk
+  (:func:`~repro.obs.provenance.seed_digests`, which must equal
+  ``config_digest`` of each seeded config), counted by patching the
+  module-level names every ``repro`` module binds.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import os
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.aging.model import AgingParameters
@@ -41,7 +43,12 @@ from repro.core.criticality import CriticalityParameters
 from repro.core.system import SystemConfig, run_system
 from repro.experiments.runners import DEFAULT_CONFIG, experiment_configs
 from repro.obs import provenance
-from repro.obs.provenance import config_digest, digest_of, field_dict
+from repro.obs.provenance import (
+    config_digest,
+    digest_of,
+    field_dict,
+    seed_digests,
+)
 from repro.platform.technology import TECHNOLOGY_MODELS, TECHNOLOGY_NODES
 from repro.platform.thermal import ThermalParameters
 from repro.platform.variation import VariationParameters
@@ -136,6 +143,20 @@ def test_field_walk_matches_asdict(config):
     assert repr(manifest.config) == repr(reference)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    system_configs(),
+    st.lists(st.integers(min_value=0, max_value=2**80), max_size=4),
+)
+@example(SystemConfig(tdp_w=80), [SystemConfig().seed, 2**63, 10**30])
+@example(SystemConfig(tdp_w=80.0), [SystemConfig().seed, 2**63, 10**30])
+def test_seed_digests_match_config_digest_of_each_seed(config, seeds):
+    assert seed_digests(config, seeds) == [
+        config_digest(dataclasses.replace(config, seed=seed))
+        for seed in seeds
+    ]
+
+
 def test_field_walk_copies_nested_blocks():
     config = SystemConfig()
     data = config_to_dict(config)
@@ -181,6 +202,15 @@ def test_equal_configs_with_int_and_float_fields_keep_distinct_digests():
     assert config_digest(as_int) == GOLDENS["config_digest"]["tdp_w=80"]
 
 
+def test_seed_digests_match_goldens():
+    default_seed = SystemConfig().seed
+    for name in ("tdp_w=80", "tdp_w=80.0"):
+        config = golden_configs()[name]
+        assert seed_digests(config, [default_seed]) == [
+            GOLDENS["config_digest"][name]
+        ]
+
+
 def test_run_key_matches_golden():
     golden = GOLDENS["run_key"]
     config = golden_configs()[golden["config"]]
@@ -203,7 +233,7 @@ def test_campaign_identities_match_goldens(tmp_path, closes):
 
 
 # ----------------------------------------------------------------------
-# Work counts: each identity derived once per warm pass
+# Work counts: each cell's identities derived once per warm pass
 # ----------------------------------------------------------------------
 def count_calls(monkeypatch, functions):
     """Patch every ``repro`` module's binding of each function; count."""
@@ -243,13 +273,18 @@ def test_warm_fixed_campaign_derives_each_identity_once(
         monkeypatch,
         {
             "config_digest": provenance.config_digest,
+            "seed_digests": provenance.seed_digests,
             "config_from_dict": config_io.config_from_dict,
+            "config_to_dict": config_io.config_to_dict,
         },
     )
     report = run_campaign(str(tmp_path / "warm"), spec=spec, cache=cache)
     assert report.n_completed == n_points
     assert cache.stats.hits == n_points
+    n_cells = len(spec.cells())
     assert counts == {
-        "config_digest": n_points,
-        "config_from_dict": len(spec.cells()),
+        "config_digest": 0,
+        "seed_digests": n_cells,
+        "config_from_dict": n_cells,
+        "config_to_dict": n_cells,
     }
