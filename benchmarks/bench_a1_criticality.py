@@ -7,11 +7,9 @@ correlation); the time term is what bounds staleness on idle cores
 
 from conftest import run_once
 
-from repro.experiments import run_a1_criticality_weights
-
 
 def test_a1_criticality_weights(benchmark):
-    result = run_once(benchmark, run_a1_criticality_weights, horizon_us=60_000.0)
+    result = run_once(benchmark, "A1", horizon_us=60_000.0)
     assert result.scalars["corr[stress-only]"] > result.scalars["corr[time-only]"]
     rows = {r[0]: r for r in result.rows}
     assert rows["time-only"][1] > rows["stress-only"][1]

@@ -2,11 +2,9 @@
 
 from conftest import run_once
 
-from repro.experiments import run_a2_guard_band
-
 
 def test_a2_guard_band(benchmark):
-    result = run_once(benchmark, run_a2_guard_band, horizon_us=60_000.0)
+    result = run_once(benchmark, "A2", horizon_us=60_000.0)
     rows = result.rows
     # The default 2% guard keeps the hard cap clean.
     assert result.scalars["violations_at_default_guard"] == 0.0

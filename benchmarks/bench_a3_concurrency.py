@@ -2,11 +2,9 @@
 
 from conftest import run_once
 
-from repro.experiments import run_a3_test_concurrency
-
 
 def test_a3_test_concurrency(benchmark):
-    result = run_once(benchmark, run_a3_test_concurrency, horizon_us=60_000.0)
+    result = run_once(benchmark, "A3", horizon_us=60_000.0)
     rows = {r[0]: r for r in result.rows}
     assert rows[16][1] >= rows[1][1]          # more slots, more tests
     assert all(row[3] < 1.0 for row in result.rows)  # penalty stays < 1%

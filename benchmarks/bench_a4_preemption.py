@@ -2,11 +2,9 @@
 
 from conftest import run_once
 
-from repro.experiments import run_a4_preemption
-
 
 def test_a4_preemption(benchmark):
-    result = run_once(benchmark, run_a4_preemption, horizon_us=60_000.0)
+    result = run_once(benchmark, "A4", horizon_us=60_000.0)
     assert result.scalars["abort_penalty_pct"] < 0.5
     assert (
         result.scalars["reserve_penalty_pct"]

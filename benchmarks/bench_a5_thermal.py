@@ -2,11 +2,9 @@
 
 from conftest import run_once
 
-from repro.experiments import run_a5_thermal_guard
-
 
 def test_a5_thermal_guard(benchmark):
-    result = run_once(benchmark, run_a5_thermal_guard, horizon_us=60_000.0)
+    result = run_once(benchmark, "A5", horizon_us=60_000.0)
     rows = result.rows
     assert all(row[1] > 45.0 for row in rows)       # the die actually heats
     assert rows[-1][2] <= rows[0][2]                # big margin defers tests

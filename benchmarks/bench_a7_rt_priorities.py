@@ -2,11 +2,9 @@
 
 from conftest import run_once
 
-from repro.experiments import run_a7_rt_priorities
-
 
 def test_a7_rt_priorities(benchmark):
-    result = run_once(benchmark, run_a7_rt_priorities, horizon_us=60_000.0)
+    result = run_once(benchmark, "A7", horizon_us=60_000.0)
     rows = {(r[0], r[1]): r for r in result.rows}
     fifo_hard = rows[("fifo", "hard-rt")][2]
     prio_hard = rows[("priorities", "hard-rt")][2]

@@ -2,11 +2,9 @@
 
 from conftest import run_once
 
-from repro.experiments import run_a8_noc_fidelity
-
 
 def test_a8_noc_fidelity(benchmark):
-    result = run_once(benchmark, run_a8_noc_fidelity, horizon_us=60_000.0)
+    result = run_once(benchmark, "A8", horizon_us=60_000.0)
     # The headline throughput must agree within 2% between NoC models.
     assert result.scalars["throughput_delta_pct"] < 2.0
     assert all(row[5] == 0.0 for row in result.rows)

@@ -6,11 +6,9 @@ is what sets the chip's expected time-to-first-failure.
 
 from conftest import run_once
 
-from repro.experiments import run_e10_lifetime
-
 
 def test_e10_lifetime(benchmark):
-    result = run_once(benchmark, run_e10_lifetime, horizon_us=60_000.0)
+    result = run_once(benchmark, "E10", horizon_us=60_000.0)
     rows = {r[0]: r for r in result.rows}
     # The proposed mapper levels wear at least as well as contiguous...
     assert rows["test-aware"][2] <= rows["contiguous"][2] + 0.05

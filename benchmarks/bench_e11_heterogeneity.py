@@ -9,11 +9,9 @@ still; under all three, no power sample exceeds the budget.
 
 from conftest import run_once
 
-from repro.experiments import run_e11_hetero
-
 
 def test_e11_heterogeneity(benchmark):
-    result = run_once(benchmark, run_e11_hetero, horizon_us=60_000.0)
+    result = run_once(benchmark, "E11", horizon_us=60_000.0)
     rows = {(r[0], r[1]): r for r in result.rows}
     dark = [
         rows[("homogeneous", "cmos")][2],

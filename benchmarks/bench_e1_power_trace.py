@@ -7,11 +7,9 @@ baseline violates it.
 
 from conftest import run_once
 
-from repro.experiments import run_e1_power_trace
-
 
 def test_e1_power_trace(benchmark):
-    result = run_once(benchmark, run_e1_power_trace, horizon_us=60_000.0)
+    result = run_once(benchmark, "E1", horizon_us=60_000.0)
     rows = {r[0]: r for r in result.rows}
     # Proposed: peak power at or under the cap, zero violations.
     assert rows["power-aware"][3] == 0.0

@@ -6,11 +6,9 @@ less than 1% penalty on system throughput at the 16 nm node.
 
 from conftest import run_once
 
-from repro.experiments import run_e2_throughput_penalty
-
 
 def test_e2_throughput_penalty(benchmark):
-    result = run_once(benchmark, run_e2_throughput_penalty, horizon_us=60_000.0)
+    result = run_once(benchmark, "E2", horizon_us=60_000.0)
     assert result.scalars["proposed_penalty_pct"] < 1.0
     rows = {r[0]: r for r in result.rows}
     # The power-unaware baseline costs measurably more throughput.

@@ -7,11 +7,9 @@ negligible at every node.
 
 from conftest import run_once
 
-from repro.experiments import run_e3_tech_nodes
-
 
 def test_e3_tech_nodes(benchmark):
-    result = run_once(benchmark, run_e3_tech_nodes, horizon_us=60_000.0)
+    result = run_once(benchmark, "E3", horizon_us=60_000.0)
     lits = [row[1] for row in result.rows]
     assert lits == sorted(lits, reverse=True)  # 45nm most lit ... 16nm least
     assert result.scalars["worst_penalty_pct"] < 1.5

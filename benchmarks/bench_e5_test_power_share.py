@@ -6,10 +6,8 @@ of consumed energy to SBST sessions.
 
 from conftest import run_once
 
-from repro.experiments import run_e5_test_power_share
-
 
 def test_e5_test_power_share(benchmark):
-    result = run_once(benchmark, run_e5_test_power_share, horizon_us=60_000.0)
+    result = run_once(benchmark, "E5", horizon_us=60_000.0)
     assert 0.0 < result.scalars["mean_share"] < 0.05
     assert result.scalars["max_share"] < 0.08

@@ -6,11 +6,9 @@ the campaign; the nominal-only policy leaves low-voltage corners dark.
 
 from conftest import run_once
 
-from repro.experiments import run_e6_vf_coverage
-
 
 def test_e6_vf_coverage(benchmark):
-    result = run_once(benchmark, run_e6_vf_coverage, horizon_us=60_000.0)
+    result = run_once(benchmark, "E6", horizon_us=60_000.0)
     assert result.scalars["levels_covered_rotate"] == 8.0
     assert (
         result.scalars["levels_covered_rotate"]

@@ -7,11 +7,9 @@ baseline (random placement gets freshness too, but wrecks locality).
 
 from conftest import run_once
 
-from repro.experiments import run_e7_mapping
-
 
 def test_e7_mapping(benchmark):
-    result = run_once(benchmark, run_e7_mapping, horizon_us=60_000.0)
+    result = run_once(benchmark, "E7", horizon_us=60_000.0)
     rows = {r[0]: r for r in result.rows}
     # Locality: test-aware ~ contiguous, both far better than random.
     assert result.scalars["hops_overhead_vs_contiguous"] < 0.5

@@ -8,13 +8,9 @@ import math
 
 from conftest import run_once
 
-from repro.experiments import run_e8_detection_latency
-
 
 def test_e8_detection_latency(benchmark):
-    result = run_once(
-        benchmark, run_e8_detection_latency, horizon_us=60_000.0
-    )
+    result = run_once(benchmark, "E8", horizon_us=60_000.0)
     rows = {r[0]: r for r in result.rows}
     assert rows["none"][2] == 0              # no tests, no detections
     assert rows["power-aware"][2] > 0        # proposed detects faults

@@ -6,11 +6,9 @@ worst-case "naive TDP" core-count policy by well over the paper's 43%.
 
 from conftest import run_once
 
-from repro.experiments import run_e9_pid_ablation
-
 
 def test_e9_pid_ablation(benchmark):
-    result = run_once(benchmark, run_e9_pid_ablation, horizon_us=60_000.0)
+    result = run_once(benchmark, "E9", horizon_us=60_000.0)
     assert result.scalars["pid_boost_over_worst_case_pct"] > 43.0
     rows = {r[0]: r for r in result.rows}
     assert rows["pid"][3] == 0.0   # PID honours the cap

@@ -5,7 +5,7 @@ This is the performance kernel smoke for the simulation fast path
 It measures two things on the default-scale E2 workload (8x8 mesh at
 16 nm, 60 ms horizon):
 
-* **wall clock** of the E2 throughput-penalty runner across four seeds
+* **wall clock** of the E2 throughput-penalty experiment across four seeds
   (16 simulations), compared against the pre-optimisation baseline
   recorded in ``BENCH_perf.json``;
 * **events/sec** of a single E2-style power-aware run (``events_fired``
@@ -14,8 +14,8 @@ It measures two things on the default-scale E2 workload (8x8 mesh at
 It also guards *correctness*: the fast path must be an exact refactor,
 so the E2 result rows are hashed (full-precision ``repr``) and compared
 byte-for-byte against the digest recorded with the pre-optimisation
-code, and — when the parallel harness is available — a ``jobs=4`` run
-must produce the identical digest as the serial run.
+code, and a ``jobs=4`` run must produce the identical digest as the
+serial run.
 
 The observability layer (``repro.obs``) rides the same gate: each of
 the sweep's 16 points is re-run with an info-level journal of its own
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import json
 import sys
 import time
@@ -54,14 +53,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.core.system import run_system
-from repro.experiments.runners import DEFAULT_CONFIG, run_e2_throughput_penalty
+from repro.experiments.runners import DEFAULT_CONFIG, EXPERIMENTS, run_experiment
 from repro.obs.provenance import result_digest
 
 #: Seeds of the default-scale E2 sweep (4 seeds x 4 policies = 16 runs).
 SEEDS = (11, 23, 47, 61)
-
-#: E2's policy axis, in the runner's order.
-E2_POLICIES = ("none", "power-aware", "unaware", "round-robin")
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
@@ -80,22 +76,11 @@ def rows_digest(results) -> str:
     return h.hexdigest()
 
 
-def _e2_kwargs(horizon_us: float, seed: int, jobs) -> dict:
-    kwargs = {"horizon_us": horizon_us, "seed": seed}
-    # The ``jobs`` parameter only exists once the parallel harness is in;
-    # tolerate its absence so the same script records the pre-PR baseline.
-    if jobs is not None and "jobs" in inspect.signature(
-        run_e2_throughput_penalty
-    ).parameters:
-        kwargs["jobs"] = jobs
-    return kwargs
-
-
 def run_e2_sweep(horizon_us: float, jobs=None):
-    """Run the E2 runner over all benchmark seeds; return (results, wall_s)."""
+    """Run E2 over all benchmark seeds; return (results, wall_s)."""
     t0 = time.perf_counter()
     results = [
-        run_e2_throughput_penalty(**_e2_kwargs(horizon_us, seed, jobs))
+        run_experiment("E2", horizon_us=horizon_us, seed=seed, jobs=jobs)
         for seed in SEEDS
     ]
     return results, time.perf_counter() - t0
@@ -115,16 +100,11 @@ def events_per_second(horizon_us: float) -> dict:
 
 
 def e2_configs(horizon_us: float):
-    """The sweep's 16 points, in the order the E2 runner runs them."""
+    """The sweep's 16 points, in the order the E2 sweep runs them."""
     return [
-        replace(
-            DEFAULT_CONFIG,
-            horizon_us=horizon_us,
-            seed=seed,
-            test_policy=policy,
-        )
+        point
         for seed in SEEDS
-        for policy in E2_POLICIES
+        for point in EXPERIMENTS["E2"](horizon_us=horizon_us, seed=seed).points()
     ]
 
 
@@ -288,17 +268,14 @@ def main(argv=None) -> int:
 
     failures = []
 
-    # Serial vs. parallel identity (post-fast-path only).
-    if "jobs" in inspect.signature(run_e2_throughput_penalty).parameters:
-        par_results, par_wall = run_e2_sweep(args.horizon_us, jobs=args.jobs)
-        par_digest = rows_digest(par_results)
-        print(f"--jobs {args.jobs} wall: {par_wall:.2f} s   digest: {par_digest[:16]}...")
-        if par_digest != digest:
-            failures.append("serial and parallel E2 rows differ")
-        else:
-            print("serial == parallel rows: OK")
+    # Serial vs. parallel identity.
+    par_results, par_wall = run_e2_sweep(args.horizon_us, jobs=args.jobs)
+    par_digest = rows_digest(par_results)
+    print(f"--jobs {args.jobs} wall: {par_wall:.2f} s   digest: {par_digest[:16]}...")
+    if par_digest != digest:
+        failures.append("serial and parallel E2 rows differ")
     else:
-        print("parallel harness not present; skipping jobs cross-check")
+        print("serial == parallel rows: OK")
 
     if not BASELINE_PATH.exists():
         print(f"no baseline at {BASELINE_PATH}; run with --write-baseline first")

@@ -109,6 +109,15 @@ ROWS_CELLS = {
 }
 
 
+def e11_certified(horizon_us: float, seed: int) -> SystemConfig:
+    """The E11 config its declaration certifies: the three-type floorplan
+    under ``cmos``."""
+    from repro.experiments.runners import EXPERIMENTS
+
+    [config] = EXPERIMENTS["E11"](horizon_us=horizon_us).certified_configs(seed)
+    return config
+
+
 def nondegenerate_configs():
     """Name -> :class:`SystemConfig` for the heterogeneous / ``ntv`` cells.
 
@@ -116,9 +125,7 @@ def nondegenerate_configs():
     three-type floorplan under ``cmos`` and under ``ntv``) and
     ``g44_base`` under the ``ntv`` model.
     """
-    from repro.experiments.runners import experiment_configs
-
-    e11 = experiment_configs(**ROWS_CELLS["E11"])["E11"]
+    e11 = e11_certified(**ROWS_CELLS["E11"])
     return {
         "e11_homogeneous_cmos": replace(e11, type_grid=()),
         "e11_hetero3_cmos": e11,
@@ -282,7 +289,7 @@ def relations_gate(
     see the ``canary`` core type the zero-hazard relation registers in
     this process.
     """
-    from repro.experiments.runners import experiment_configs, run_experiment
+    from repro.experiments.runners import run_experiment
     from repro.verify import check_relations, hetero_relations, verify_config
 
     failures = []
@@ -291,7 +298,7 @@ def relations_gate(
     if not all(0.0 <= dark <= 1.0 for dark in darks):
         failures.append(f"E11 dark fractions escaped [0, 1]: {darks}")
 
-    config = experiment_configs(horizon_us=horizon_us, seed=seed)["E11"]
+    config = e11_certified(horizon_us=horizon_us, seed=seed)
     _, checker = verify_config(config)
     if not checker.ok:
         failures.append(

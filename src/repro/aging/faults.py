@@ -34,6 +34,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro._sum import lsum
 from repro.platform.chip import Chip
 from repro.platform.core import Core
 
@@ -188,4 +189,4 @@ class FaultInjector:
         latencies = [r.detection_latency() for r in self.detected_records()]
         if not latencies:
             return None
-        return sum(latencies) / len(latencies)
+        return lsum(latencies) / len(latencies)

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro._sum import lsum
 from repro.platform.chip import Chip
 
 
@@ -109,7 +110,7 @@ class LifetimeAnalyzer:
             raise ValueError("need at least one core")
         stresses = [max(0.0, s) for s in per_core_stress.values()]
         reliabilities = [self.reliability(s) for s in stresses]
-        mean_stress = sum(stresses) / len(stresses)
+        mean_stress = lsum(stresses) / len(stresses)
         max_stress = max(stresses)
         failure_times = sorted(
             self.expected_failure_time_us(s, horizon_us) for s in stresses
@@ -118,7 +119,7 @@ class LifetimeAnalyzer:
         return LifetimeReport(
             horizon_us=horizon_us,
             min_reliability=min(reliabilities),
-            mean_reliability=sum(reliabilities) / len(reliabilities),
+            mean_reliability=lsum(reliabilities) / len(reliabilities),
             stress_mean=mean_stress,
             stress_max=max_stress,
             wear_imbalance=(max_stress / mean_stress) if mean_stress > 0 else 1.0,

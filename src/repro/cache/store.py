@@ -45,6 +45,8 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro._sum import lsum
+
 PACK_FILE = "cache.pack"
 
 #: What a store directory of the earlier blob-per-file layout held;
@@ -89,7 +91,7 @@ def _layout_bytes(root: str) -> int:
     for name in LEGACY_DIRS:
         for dirpath, _dirnames, names in os.walk(os.path.join(root, name)):
             paths.extend(os.path.join(dirpath, n) for n in names)
-    return sum(os.path.getsize(p) for p in paths if os.path.isfile(p))
+    return lsum(os.path.getsize(p) for p in paths if os.path.isfile(p))
 
 
 @dataclass
@@ -412,7 +414,7 @@ class ContentStore:
     def total_bytes(self) -> int:
         """Sum of live entry sizes."""
         with self._lock:
-            return sum(entry.size for entry in self._entries.values())
+            return lsum(entry.size for entry in self._entries.values())
 
     def stats(self) -> Dict[str, object]:
         """Store-level stats: live state plus lifetime op counters."""

@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro._sum import lsum
 from repro.campaign.spec import CampaignSpec, Cell, cell_label, freeze_value
 from repro.campaign.store import ResultStore
 from repro.metrics.report import format_table
@@ -85,7 +86,7 @@ class CellSummary:
         est = self.interval(method)
         latencies = sorted(self.latencies)
         mean = (
-            sum(latencies) / len(latencies) if latencies else float("nan")
+            lsum(latencies) / len(latencies) if latencies else float("nan")
         )
         return [
             cell_label(self.cell),

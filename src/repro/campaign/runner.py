@@ -35,6 +35,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro._sum import lsum
 from repro.campaign.executor import (
     CampaignInterrupted,
     ExecutionStats,
@@ -115,7 +116,7 @@ def _records_by_cell_seed(
 def _cell_trials(record: Dict[str, object]) -> Tuple[int, int]:
     """(detected, injected) Bernoulli counts of one record."""
     faults = record.get("faults", [])
-    detected = sum(1 for f in faults if f.get("detected_at") is not None)
+    detected = lsum(1 for f in faults if f.get("detected_at") is not None)
     return detected, len(faults)
 
 

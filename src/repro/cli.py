@@ -5,7 +5,7 @@ Commands:
 * ``run``        — run one simulation and print its summary
   (``--journal PATH`` writes a JSONL event journal, ``--profile`` prints
   self time per ``repro`` module)
-* ``experiment`` — run experiment(s) by id (E1..E10, A1..A6)
+* ``experiment`` — run experiment(s) by id (E1..E11, A1..A8)
 * ``sweep``      — sweep one config field over values, print a row per run
 * ``obs``        — summarize/filter a JSONL run journal
 * ``campaign``   — fault-injection campaigns: ``run``/``resume``/``report``
@@ -44,7 +44,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import inspect
 import os
 import sys
 from typing import TYPE_CHECKING, List, Optional, Sequence
@@ -790,18 +789,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print(f"known: {sorted(EXPERIMENTS)}", file=sys.stderr)
         return 2
     cache = _cache_from_args(args)
+    params = {}
+    if args.horizon_us is not None:
+        params["horizon_us"] = args.horizon_us
     for experiment_id in args.ids:
-        # Ablation runners predate the parallel harness and the cache;
-        # pass --jobs and the cache only to runners that accept them.
-        params = inspect.signature(EXPERIMENTS[experiment_id]).parameters
-        kwargs = {}
-        if args.horizon_us is not None:
-            kwargs["horizon_us"] = args.horizon_us
-        if args.jobs is not None and "jobs" in params:
-            kwargs["jobs"] = args.jobs
-        if cache is not None and "cache" in params:
-            kwargs["cache"] = cache
-        result = run_experiment(experiment_id, **kwargs)
+        result = run_experiment(
+            experiment_id, jobs=args.jobs, cache=cache, **params
+        )
         print(result.render())
         print()
     if cache is not None:
@@ -1198,41 +1192,43 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 0 if report.ok else 1
 
-    # invariants
-    from repro.experiments.runners import experiment_configs
+    # invariants: the configs each experiment's declaration certifies
+    from repro.experiments import EXPERIMENTS
 
-    configs = experiment_configs(
-        horizon_us=args.horizon_ms * 1000.0, seed=args.seed
-    )
-    wanted = args.experiments or sorted(configs)
-    unknown = [i for i in wanted if i not in configs]
+    certified = {}
+    for experiment_id, factory in EXPERIMENTS.items():
+        spec = factory(horizon_us=args.horizon_ms * 1000.0)
+        if spec.certified:
+            certified[experiment_id] = spec.certified_configs(args.seed)
+    wanted = args.experiments or sorted(certified)
+    unknown = [i for i in wanted if i not in certified]
     if unknown:
         print(f"unknown experiment ids: {unknown}", file=sys.stderr)
-        print(f"known: {sorted(configs)}", file=sys.stderr)
+        print(f"known: {sorted(certified)}", file=sys.stderr)
         return 2
     rows = []
     failed = False
     first_bad = None
     for experiment_id in wanted:
-        config = configs[experiment_id]
-        _result, checker = verify_config(config)
-        summary = checker.summary()
-        rows.append(
-            [
-                experiment_id,
-                config.node_name,
-                config.test_policy,
-                config.power_policy,
-                summary["ticks_checked"],
-                summary["checks_run"],
-                summary["violations"],
-                "ok" if checker.ok else "FAIL",
-            ]
-        )
-        if not checker.ok:
-            failed = True
-            if first_bad is None:
-                first_bad = (experiment_id, checker)
+        for config in certified[experiment_id]:
+            _result, checker = verify_config(config)
+            summary = checker.summary()
+            rows.append(
+                [
+                    experiment_id,
+                    config.node_name,
+                    config.test_policy,
+                    config.power_policy,
+                    summary["ticks_checked"],
+                    summary["checks_run"],
+                    summary["violations"],
+                    "ok" if checker.ok else "FAIL",
+                ]
+            )
+            if not checker.ok:
+                failed = True
+                if first_bad is None:
+                    first_bad = (experiment_id, checker)
     print(
         format_table(
             [

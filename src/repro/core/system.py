@@ -26,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
+from repro._sum import lsum
 from repro.aging.faults import FaultInjector, FaultParameters, FaultRecord
 from repro.aging.model import AgingModel, AgingParameters
 from repro.core.criticality import CriticalityParameters, TestCriticality
@@ -194,7 +195,7 @@ class SimulationResult:
         ]
         if not latencies:
             return None
-        return sum(latencies) / len(latencies)
+        return lsum(latencies) / len(latencies)
 
     def summary(self) -> Dict[str, float]:
         """Flat scalar summary (the rows experiments print)."""
@@ -211,7 +212,7 @@ class SimulationResult:
             "test_power_share": self.test_power_share,
             "faults_injected": float(len(self.fault_records)),
             "faults_detected": float(
-                sum(1 for r in self.fault_records if r.detected)
+                lsum(1 for r in self.fault_records if r.detected)
             ),
         }
 
@@ -268,15 +269,7 @@ class ManycoreSystem:
         self.verifier = verifier
         self.sim = Simulator()
         self.streams = StreamRegistry(config.seed)
-        self.chip = Chip.build(
-            config.width,
-            config.height,
-            config.node_name,
-            tdp_w=config.tdp_w,
-            n_vf_levels=config.n_vf_levels,
-            type_grid=config.type_grid,
-            tech_model=config.tech_model,
-        )
+        self.chip = Chip.from_config(config)
         self.mesh = Mesh(config.width, config.height)
         if config.noc_mode == "analytic":
             self.noc = NocModel(self.mesh, NocParameters())

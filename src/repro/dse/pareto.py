@@ -28,13 +28,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro._sum import lsum
+
 #: Optimisation sense of one objective.
 MAXIMIZE = "max"
 MINIMIZE = "min"
 
 
 def _mean(values: Sequence[float]) -> Optional[float]:
-    return sum(values) / len(values) if values else None
+    return lsum(values) / len(values) if values else None
 
 
 def _summaries(records: Sequence[Dict[str, object]]) -> List[Dict[str, float]]:
@@ -258,12 +260,12 @@ def weighted_sum_scores(
         raise ValueError(
             f"{len(weights)} weight(s) for {len(senses)} objective(s)"
         )
-    total = float(sum(weights))
+    total = float(lsum(weights))
     if total <= 0:
         raise ValueError("weights must sum to a positive value")
     rows = normalize_columns(vectors, senses)
     return [
-        sum(w * x for w, x in zip(weights, row)) / total for row in rows
+        lsum(w * x for w, x in zip(weights, row)) / total for row in rows
     ]
 
 

@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro._sum import lsum
 from repro.campaign.executor import CampaignInterrupted
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import (
@@ -549,7 +550,7 @@ class SearchOutcome:
                     continue
             if not dominates(vec, base_vec, senses):
                 continue
-            better = sum(
+            better = lsum(
                 1
                 for n, a, b in zip(names, vec, base_vec)
                 if a is not None and b is not None
@@ -764,7 +765,7 @@ def _search(
         counters["proposed"] += len(candidates)
         digests = [spec.space.digest_of(c) for c in candidates]
         known_mask = [d in archive for d in digests]
-        counters["cache_hits"] += sum(known_mask)
+        counters["cache_hits"] += lsum(known_mask)
         unknown = [
             (i, c)
             for i, (c, k) in enumerate(zip(candidates, known_mask))
@@ -869,7 +870,7 @@ def _search(
             {
                 "generation": generation,
                 "proposed": len(candidates),
-                "cache_hits": sum(known_mask),
+                "cache_hits": lsum(known_mask),
                 "pruned": len(pruned_digests),
                 "evaluated": len(evaluate),
                 "archive": len(archive),

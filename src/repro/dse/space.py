@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro._sum import lsum
 from repro.campaign.spec import Cell, cell_digest, freeze_cell
 from repro.core.system import SystemConfig
 
@@ -390,7 +391,7 @@ class SearchSpace:
     @property
     def encoded_width(self) -> int:
         """Total feature-vector length."""
-        return sum(param.width for param in self.params)
+        return lsum(param.width for param in self.params)
 
     def exhaustive_size(self) -> Optional[int]:
         """Points in the full grid (None when any parameter is continuous).

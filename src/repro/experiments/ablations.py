@@ -1,7 +1,9 @@
-"""Extension experiment (E10) and design-choice ablations (A1..A6).
+"""Extension experiment (E10) and design-choice ablations (A1..A8).
 
 DESIGN.md calls out the design choices of the reproduction; each ablation
-here isolates one of them:
+here isolates one of them.  Each is declared as an
+:class:`~repro.experiments.result.ExperimentSpec` and run by
+:func:`repro.experiments.run_experiment`, like E1..E9:
 
 * **E10** — lifetime extension from utilization-oriented mapping (the
   DATE'16 companion claim: wear-levelled mapping prolongs system life).
@@ -14,18 +16,26 @@ here isolates one of them:
 * **A5** — thermal guard margin (with the RC thermal model enabled).
 * **A6** — process variation on/off: robustness of the scheduling claims
   on a non-uniform die.
+* **A7** — hard/soft/no real-time priorities vs. FIFO service.
+* **A8** — analytic vs. queued NoC: what the NoC substitution costs.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import replace
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
+from repro._sum import lsum
 from repro.aging.lifetime import LifetimeAnalyzer, LifetimeParameters
 from repro.core.criticality import CriticalityParameters
-from repro.core.system import SystemConfig, run_system
-from repro.experiments.result import DEFAULT_CONFIG, ExperimentResult, _penalty_pct
+from repro.experiments.result import (
+    DEFAULT_CONFIG,
+    ExperimentResult,
+    ExperimentSpec,
+    _cells,
+    _penalty_pct,
+)
 from repro.platform.thermal import ThermalParameters
 from repro.workload.scenarios import scenario_config_kwargs
 
@@ -33,11 +43,11 @@ from repro.workload.scenarios import scenario_config_kwargs
 # ----------------------------------------------------------------------
 # E10 — lifetime extension from wear-levelling mapping (DATE'16 claim)
 # ----------------------------------------------------------------------
-def run_e10_lifetime(
+def e10_lifetime(
     horizon_us: float = 60_000.0,
     seeds: Sequence[int] = (11, 23, 47),
     scenario: str = "moderate",
-) -> ExperimentResult:
+) -> ExperimentSpec:
     """Expected chip lifetime under contiguous vs. utilization-oriented
     mapping.
 
@@ -49,20 +59,23 @@ def run_e10_lifetime(
     base = replace(
         DEFAULT_CONFIG, horizon_us=horizon_us, **scenario_config_kwargs(scenario)
     )
+    cells = _cells("mapper", ("contiguous", "scatter", "test-aware"))
+    return ExperimentSpec(base, cells, tuple(seeds), _e10_table)
+
+
+def _e10_table(spec, runs) -> ExperimentResult:
     analyzer = LifetimeAnalyzer(LifetimeParameters())
     rows = []
-    reports: Dict[str, List] = {}
-    for mapper in ("contiguous", "scatter", "test-aware"):
-        per_seed = []
-        for seed in seeds:
-            result = run_system(replace(base, mapper=mapper, seed=seed))
-            per_seed.append(
-                analyzer.analyze(result.per_core_age_stress, horizon_us)
-            )
-        reports[mapper] = per_seed
+    reports = {}
+    for cell, cell_runs in zip(spec.cells, spec.per_cell(runs)):
+        per_seed = [
+            analyzer.analyze(result.per_core_age_stress, spec.base.horizon_us)
+            for result in cell_runs
+        ]
+        reports[cell["mapper"]] = per_seed
         rows.append(
             [
-                mapper,
+                cell["mapper"],
                 statistics.mean(r.stress_max for r in per_seed),
                 statistics.mean(r.wear_imbalance for r in per_seed),
                 statistics.mean(r.min_reliability for r in per_seed),
@@ -89,29 +102,36 @@ def run_e10_lifetime(
 # ----------------------------------------------------------------------
 # A1 — criticality metric composition
 # ----------------------------------------------------------------------
-def run_a1_criticality_weights(
+#: A1's criticality variants, in row order.
+A1_VARIANTS: Dict[str, CriticalityParameters] = {
+    "stress-only": CriticalityParameters(
+        stress_weight=1.0, time_weight=0.0,
+        stress_reference=4.0, time_reference_us=3000.0,
+    ),
+    "balanced": CriticalityParameters(),
+    "time-only": CriticalityParameters(
+        stress_weight=0.0, time_weight=1.0,
+        stress_reference=4.0, time_reference_us=3000.0,
+    ),
+}
+
+
+def a1_criticality_weights(
     horizon_us: float = 60_000.0, seed: int = 11
-) -> ExperimentResult:
+) -> ExperimentSpec:
     """Stress-only vs. balanced vs. time-only criticality."""
-    variants = {
-        "stress-only": CriticalityParameters(
-            stress_weight=1.0, time_weight=0.0,
-            stress_reference=4.0, time_reference_us=3000.0,
-        ),
-        "balanced": CriticalityParameters(),
-        "time-only": CriticalityParameters(
-            stress_weight=0.0, time_weight=1.0,
-            stress_reference=4.0, time_reference_us=3000.0,
-        ),
-    }
     base = replace(
-        DEFAULT_CONFIG, horizon_us=horizon_us, seed=seed,
+        DEFAULT_CONFIG, horizon_us=horizon_us,
         fault_hazard_per_us=1e-6, fault_stress_scale=10.0,
     )
+    cells = _cells("criticality", A1_VARIANTS.values())
+    return ExperimentSpec(base, cells, (seed,), _a1_table)
+
+
+def _a1_table(spec, runs) -> ExperimentResult:
     rows = []
     corr_by_variant = {}
-    for name, criticality in variants.items():
-        result = run_system(replace(base, criticality=criticality))
+    for name, result in zip(A1_VARIANTS, runs):
         busy = result.per_core_busy_us
         tests = result.per_core_tests
         ids = sorted(busy)
@@ -123,7 +143,7 @@ def run_a1_criticality_weights(
             else 0.0
         )
         corr_by_variant[name] = corr
-        detected = sum(1 for r in result.fault_records if r.detected)
+        detected = lsum(1 for r in result.fault_records if r.detected)
         rows.append(
             [
                 name,
@@ -150,25 +170,28 @@ def run_a1_criticality_weights(
 # ----------------------------------------------------------------------
 # A2 — guard band sweep
 # ----------------------------------------------------------------------
-def run_a2_guard_band(
+def a2_guard_band(
     horizon_us: float = 60_000.0,
     seed: int = 11,
     fractions: Sequence[float] = (0.0, 0.02, 0.05, 0.10),
-) -> ExperimentResult:
+) -> ExperimentSpec:
     """TDP guard band: safety margin vs. throughput given away."""
-    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us, seed=seed)
-    rows = []
-    for fraction in fractions:
-        result = run_system(replace(base, guard_fraction=fraction))
-        rows.append(
-            [
-                fraction,
-                result.throughput_ops_per_us,
-                result.metrics.average_power(horizon_us),
-                result.metrics.audit.violation_rate,
-                result.tests_completed,
-            ]
-        )
+    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us)
+    cells = _cells("guard_fraction", fractions)
+    return ExperimentSpec(base, cells, (seed,), _a2_table)
+
+
+def _a2_table(spec, runs) -> ExperimentResult:
+    rows = [
+        [
+            cell["guard_fraction"],
+            result.throughput_ops_per_us,
+            result.metrics.average_power(spec.base.horizon_us),
+            result.metrics.audit.violation_rate,
+            result.tests_completed,
+        ]
+        for cell, result in zip(spec.cells, runs)
+    ]
     return ExperimentResult(
         experiment_id="A2",
         title="Ablation: TDP guard band",
@@ -188,29 +211,36 @@ def run_a2_guard_band(
 # ----------------------------------------------------------------------
 # A3 — concurrent-test cap
 # ----------------------------------------------------------------------
-def run_a3_test_concurrency(
+def a3_test_concurrency(
     horizon_us: float = 60_000.0,
     seed: int = 11,
     caps: Sequence[int] = (1, 2, 4, 8, 16),
-) -> ExperimentResult:
-    """How many simultaneous SBST sessions the chip should allow."""
-    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us, seed=seed)
-    off = run_system(replace(base, test_policy="none"))
-    rows = []
-    for cap in caps:
-        result = run_system(replace(base, max_concurrent_tests=cap))
-        rows.append(
-            [
-                cap,
-                result.tests_completed,
-                result.test_stats.mean_gap_us(),
-                _penalty_pct(
-                    off.throughput_ops_per_us, result.throughput_ops_per_us
-                ),
-                result.test_power_share,
-                result.metrics.audit.violation_rate,
-            ]
-        )
+) -> ExperimentSpec:
+    """How many simultaneous SBST sessions the chip should allow.
+
+    The first cell runs without testing: the throughput baseline.
+    """
+    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us)
+    off = {"test_policy": "none"}
+    cells = (off,) + _cells("max_concurrent_tests", caps)
+    return ExperimentSpec(base, cells, (seed,), _a3_table)
+
+
+def _a3_table(spec, runs) -> ExperimentResult:
+    off = runs[0]
+    rows = [
+        [
+            cell["max_concurrent_tests"],
+            result.tests_completed,
+            result.test_stats.mean_gap_us(),
+            _penalty_pct(
+                off.throughput_ops_per_us, result.throughput_ops_per_us
+            ),
+            result.test_power_share,
+            result.metrics.audit.violation_rate,
+        ]
+        for cell, result in zip(spec.cells[1:], runs[1:])
+    ]
     return ExperimentResult(
         experiment_id="A3",
         title="Ablation: concurrent test sessions cap",
@@ -226,26 +256,33 @@ def run_a3_test_concurrency(
 # ----------------------------------------------------------------------
 # A4 — preemption policy
 # ----------------------------------------------------------------------
-def run_a4_preemption(
+def a4_preemption(
     horizon_us: float = 60_000.0, seed: int = 11
-) -> ExperimentResult:
-    """Abort-on-demand vs. reserved sessions for the proposed scheduler."""
-    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us, seed=seed)
-    off = run_system(replace(base, test_policy="none"))
-    rows = []
-    for policy in ("abort", "reserve"):
-        result = run_system(replace(base, test_preemption=policy))
-        rows.append(
-            [
-                policy,
-                _penalty_pct(
-                    off.throughput_ops_per_us, result.throughput_ops_per_us
-                ),
-                result.tests_completed,
-                result.test_stats.aborted,
-                result.metrics.mean_waiting_time() or 0.0,
-            ]
-        )
+) -> ExperimentSpec:
+    """Abort-on-demand vs. reserved sessions for the proposed scheduler.
+
+    The first cell runs without testing: the throughput baseline.
+    """
+    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us)
+    off = {"test_policy": "none"}
+    cells = (off,) + _cells("test_preemption", ("abort", "reserve"))
+    return ExperimentSpec(base, cells, (seed,), _a4_table)
+
+
+def _a4_table(spec, runs) -> ExperimentResult:
+    off = runs[0]
+    rows = [
+        [
+            cell["test_preemption"],
+            _penalty_pct(
+                off.throughput_ops_per_us, result.throughput_ops_per_us
+            ),
+            result.tests_completed,
+            result.test_stats.aborted,
+            result.metrics.mean_waiting_time() or 0.0,
+        ]
+        for cell, result in zip(spec.cells[1:], runs[1:])
+    ]
     return ExperimentResult(
         experiment_id="A4",
         title="Ablation: test preemption (abort vs. reserve)",
@@ -268,36 +305,39 @@ TIGHT_PACKAGE = ThermalParameters(
 )
 
 
-def run_a5_thermal_guard(
+def a5_thermal_guard(
     horizon_us: float = 60_000.0,
     seed: int = 11,
     margins: Sequence[float] = (0.0, 5.0, 15.0),
-) -> ExperimentResult:
+) -> ExperimentSpec:
     """Defer tests when the die is within ``margin`` °C of the limit.
 
     Uses a thermally tight package (higher self resistance, 72 °C limit)
     so the saturating workload genuinely approaches the junction limit —
     with the roomy default package the guard never binds and the ablation
-    would be vacuous.
+    would be vacuous.  The certified config is the tight package at the
+    default 5 °C margin.
     """
     base = replace(
         DEFAULT_CONFIG,
         horizon_us=horizon_us,
-        seed=seed,
         thermal_enabled=True,
         thermal=TIGHT_PACKAGE,
     )
-    rows = []
-    for margin in margins:
-        result = run_system(replace(base, thermal_test_margin_c=margin))
-        rows.append(
-            [
-                margin,
-                result.peak_temperature_c,
-                result.tests_completed,
-                result.throughput_ops_per_us,
-            ]
-        )
+    cells = _cells("thermal_test_margin_c", margins)
+    return ExperimentSpec(base, cells, (seed,), _a5_table, certified=({},))
+
+
+def _a5_table(spec, runs) -> ExperimentResult:
+    rows = [
+        [
+            cell["thermal_test_margin_c"],
+            result.peak_temperature_c,
+            result.tests_completed,
+            result.throughput_ops_per_us,
+        ]
+        for cell, result in zip(spec.cells, runs)
+    ]
     return ExperimentResult(
         experiment_id="A5",
         title="Ablation: thermal guard margin for test admission",
@@ -311,25 +351,33 @@ def run_a5_thermal_guard(
 # ----------------------------------------------------------------------
 # A6 — process variation on/off
 # ----------------------------------------------------------------------
-def run_a6_variation(
+def a6_variation(
     horizon_us: float = 60_000.0, seed: int = 11
-) -> ExperimentResult:
-    """Do the headline claims survive a non-uniform die?"""
+) -> ExperimentSpec:
+    """Do the headline claims survive a non-uniform die?
+
+    Per die, a run without testing (the baseline) and one with.
+    """
+    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us)
+    cells = tuple(
+        cell
+        for enabled in (False, True)
+        for cell in (
+            {"variation_enabled": enabled, "test_policy": "none"},
+            {"variation_enabled": enabled},
+        )
+    )
+    return ExperimentSpec(base, cells, (seed,), _a6_table)
+
+
+def _a6_table(spec, runs) -> ExperimentResult:
     rows = []
     penalties = {}
-    for enabled in (False, True):
-        base = replace(
-            DEFAULT_CONFIG,
-            horizon_us=horizon_us,
-            seed=seed,
-            variation_enabled=enabled,
-        )
-        off = run_system(replace(base, test_policy="none"))
-        on = run_system(base)
+    for off, on in zip(runs[0::2], runs[1::2]):
         penalty = _penalty_pct(
             off.throughput_ops_per_us, on.throughput_ops_per_us
         )
-        label = "varied-die" if enabled else "uniform-die"
+        label = "varied-die" if on.config.variation_enabled else "uniform-die"
         penalties[label] = penalty
         rows.append(
             [
@@ -356,9 +404,9 @@ def run_a6_variation(
 # ----------------------------------------------------------------------
 # A7 — mixed-criticality priorities (ICCD'14 workload model)
 # ----------------------------------------------------------------------
-def run_a7_rt_priorities(
+def a7_rt_priorities(
     horizon_us: float = 60_000.0, seed: int = 11
-) -> ExperimentResult:
+) -> ExperimentSpec:
     """Hard/soft/no real-time priorities vs. plain FIFO service.
 
     The ICCD'14 substrate "distinguishes applications with hard Real-Time,
@@ -369,16 +417,19 @@ def run_a7_rt_priorities(
     base = replace(
         DEFAULT_CONFIG,
         horizon_us=horizon_us,
-        seed=seed,
         profile_names=("hard-rt-small", "soft-rt-medium", "large"),
         profile_weights=(0.3, 0.4, 0.3),
     )
+    cells = _cells("rt_priorities", (False, True))
+    return ExperimentSpec(base, cells, (seed,), _a7_table)
+
+
+def _a7_table(spec, runs) -> ExperimentResult:
     rows = []
     waits: Dict[str, Dict[str, float]] = {}
-    for enabled in (False, True):
-        result = run_system(replace(base, rt_priorities=enabled))
+    for cell, result in zip(spec.cells, runs):
         by_class = result.metrics.mean_waiting_by_class()
-        label = "priorities" if enabled else "fifo"
+        label = "priorities" if cell["rt_priorities"] else "fifo"
         waits[label] = by_class
         for rt_class in ("hard-rt", "soft-rt", "best-effort"):
             rows.append(
@@ -412,9 +463,9 @@ def run_a7_rt_priorities(
 # ----------------------------------------------------------------------
 # A8 — NoC model fidelity (substitution validation)
 # ----------------------------------------------------------------------
-def run_a8_noc_fidelity(
+def a8_noc_fidelity(
     horizon_us: float = 60_000.0, seed: int = 11
-) -> ExperimentResult:
+) -> ExperimentSpec:
     """Analytic vs. queued (store-and-forward) NoC under the same workload.
 
     DESIGN.md substitutes the authors' cycle-level NoC with an analytic
@@ -422,11 +473,16 @@ def run_a8_noc_fidelity(
     re-running the headline configuration with explicit temporal link
     queueing.  Small deltas justify the substitution.
     """
-    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us, seed=seed)
+    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us)
+    cells = _cells("noc_mode", ("analytic", "queued"))
+    return ExperimentSpec(base, cells, (seed,), _a8_table)
+
+
+def _a8_table(spec, runs) -> ExperimentResult:
     rows = []
     thr = {}
-    for mode in ("analytic", "queued"):
-        result = run_system(replace(base, noc_mode=mode))
+    for cell, result in zip(spec.cells, runs):
+        mode = cell["noc_mode"]
         thr[mode] = result.throughput_ops_per_us
         rows.append(
             [
@@ -454,14 +510,15 @@ def run_a8_noc_fidelity(
     )
 
 
+#: E10 and A1–A8: id -> spec factory (merged into ``EXPERIMENTS``).
 ABLATIONS = {
-    "E10": run_e10_lifetime,
-    "A1": run_a1_criticality_weights,
-    "A2": run_a2_guard_band,
-    "A3": run_a3_test_concurrency,
-    "A4": run_a4_preemption,
-    "A5": run_a5_thermal_guard,
-    "A6": run_a6_variation,
-    "A7": run_a7_rt_priorities,
-    "A8": run_a8_noc_fidelity,
+    "E10": e10_lifetime,
+    "A1": a1_criticality_weights,
+    "A2": a2_guard_band,
+    "A3": a3_test_concurrency,
+    "A4": a4_preemption,
+    "A5": a5_thermal_guard,
+    "A6": a6_variation,
+    "A7": a7_rt_priorities,
+    "A8": a8_noc_fidelity,
 }

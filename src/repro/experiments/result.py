@@ -1,12 +1,12 @@
-"""What every experiment runner shares: the result container, the
+"""What every experiment shares: its declaration, its result, the
 baseline configuration and the throughput-penalty helper."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.system import SystemConfig
+from repro.core.system import SimulationResult, SystemConfig
 from repro.metrics.report import format_table, sparkline
 
 #: Baseline workload used by most experiments (16 nm, saturating load).
@@ -26,9 +26,53 @@ def _penalty_pct(baseline: float, measured: float) -> float:
     return 100.0 * (1.0 - measured / baseline)
 
 
+def _cells(field: str, values: Sequence[object]) -> Tuple[dict, ...]:
+    """One cell per value of ``field``, in order."""
+    return tuple({field: value} for value in values)
+
+
+@dataclass
+class ExperimentSpec:
+    """One experiment as data: the points it runs and how they reduce.
+
+    Its points are ``replace(base, **cell, seed=seed)`` for each cell in
+    order and, within a cell, each seed.
+    :func:`~repro.experiments.run_experiment` runs them with one
+    ``run_many`` call and hands the results, in that order, to the pure
+    ``reduce(spec, results)``.  ``certified`` holds the cells, as
+    overrides over ``base``, that ``repro verify invariants`` certifies;
+    they need not be cells the experiment runs.
+    """
+
+    base: SystemConfig
+    cells: Tuple[Mapping[str, object], ...]
+    seeds: Tuple[int, ...]
+    reduce: Callable[..., "ExperimentResult"]
+    certified: Tuple[Mapping[str, object], ...] = ()
+
+    def points(self) -> List[SystemConfig]:
+        """Every point, cell-major, in the order ``reduce`` reads them."""
+        return [
+            replace(self.base, **cell, seed=seed)
+            for cell in self.cells
+            for seed in self.seeds
+        ]
+
+    def per_cell(self, results) -> List[Sequence[SimulationResult]]:
+        """``results`` split into one run per seed for each cell."""
+        n = len(self.seeds)
+        return [results[i * n:(i + 1) * n] for i in range(len(self.cells))]
+
+    def certified_configs(self, seed: int) -> List[SystemConfig]:
+        """The configs ``repro verify invariants`` certifies, at ``seed``."""
+        return [
+            replace(self.base, **cell, seed=seed) for cell in self.certified
+        ]
+
+
 @dataclass
 class ExperimentResult:
-    """Table + optional series produced by one experiment runner."""
+    """Table + optional series that one experiment reduces to."""
 
     experiment_id: str
     title: str

@@ -1,65 +1,66 @@
-"""Experiment runners E1..E9 — one per reconstructed table/figure.
+"""Experiments E1..E9 and E11, the registry, and :func:`run_experiment`.
 
-Each runner builds the system configurations it needs, runs them on the
-*same* workload trace (shared seed ⇒ bit-identical arrivals), and returns
-an :class:`~repro.experiments.result.ExperimentResult` whose rows mirror
-the figure/table the paper reported.  See DESIGN.md for the experiment
-index and EXPERIMENTS.md for paper-claim vs. measured numbers.
-
-All runners accept ``horizon_us``/``seeds`` so the benchmark harness can
-run them at full scale while unit tests use small horizons, plus ``jobs``
-to spread their independent simulation runs over worker processes via
-:func:`repro.experiments.parallel.run_many` (serial and parallel runs
-produce identical results; see that module's docstring) and ``cache``
-(a :class:`repro.cache.RunCache`) to memoize them.
+Each experiment is one :class:`~repro.experiments.result.ExperimentSpec`
+from a factory that takes its parameters (``horizon_us``, ``seed`` or
+``seeds``, ...): the points it runs (points sharing a seed share the
+workload trace), the cells ``repro verify invariants`` certifies, and
+a pure reducer to the paper's table or figure.  ``EXPERIMENTS`` maps
+each id to its factory, E10 and A1..A8 coming from
+:mod:`repro.experiments.ablations`; DESIGN.md indexes them and
+EXPERIMENTS.md holds paper-claim vs. measured numbers.
+:func:`run_experiment` runs any of them through one
+:func:`~repro.experiments.parallel.run_many` call, so ``jobs`` pools
+its points and ``cache`` memoizes them, with identical rows either way.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.system import SimulationResult, SystemConfig
-from repro.experiments.ablations import ABLATIONS, TIGHT_PACKAGE
+from repro._sum import lsum
+from repro.core.criticality import CriticalityParameters
+from repro.experiments.ablations import ABLATIONS
 from repro.experiments.parallel import run_many
-from repro.experiments.result import DEFAULT_CONFIG, ExperimentResult, _penalty_pct
+from repro.experiments.result import (
+    DEFAULT_CONFIG,
+    ExperimentResult,
+    ExperimentSpec,
+    _cells,
+    _penalty_pct,
+)
 from repro.platform.chip import Chip
 from repro.platform.technology import node_names
-
-def _grid(horizon_us: float, step_us: float) -> List[float]:
-    n = int(horizon_us / step_us)
-    return [i * step_us for i in range(n + 1)]
 
 
 # ----------------------------------------------------------------------
 # E1 — power trace under the budget
 # ----------------------------------------------------------------------
-def run_e1_power_trace(
-    horizon_us: float = 60_000.0,
-    seed: int = 11,
-    jobs: Optional[int] = None,
-    cache=None,
-) -> ExperimentResult:
+def e1_power_trace(
+    horizon_us: float = 60_000.0, seed: int = 11
+) -> ExperimentSpec:
     """Chip power vs. time against the TDP for proposed vs. power-unaware."""
-    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us, seed=seed)
+    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us)
+    cells = _cells("test_policy", ("power-aware", "unaware"))
+    return ExperimentSpec(base, cells, (seed,), _e1_table, certified=({},))
+
+
+def _e1_table(spec, runs) -> ExperimentResult:
+    base = spec.base
     rows = []
     series: Dict[str, List[float]] = {}
-    grid = _grid(horizon_us, base.epoch_us * 5)
-    policies = ("power-aware", "unaware")
-    runs = run_many(
-        [replace(base, test_policy=policy) for policy in policies],
-        jobs,
-        cache=cache,
-    )
-    for policy, result in zip(policies, runs):
+    step = base.epoch_us * 5
+    grid = [i * step for i in range(int(base.horizon_us / step) + 1)]
+    for cell, result in zip(spec.cells, runs):
+        policy = cell["test_policy"]
         trace = result.metrics.trace
         series[f"power.total[{policy}]"] = trace.resample("power.total", grid)
         series[f"power.test[{policy}]"] = trace.resample("power.test", grid)
         rows.append(
             [
                 policy,
-                result.metrics.average_power(horizon_us),
+                result.metrics.average_power(base.horizon_us),
                 trace.maximum("power.total"),
                 result.metrics.audit.violation_rate,
                 result.tests_completed,
@@ -90,21 +91,21 @@ def run_e1_power_trace(
 # ----------------------------------------------------------------------
 # E2 — throughput penalty of online testing
 # ----------------------------------------------------------------------
-def run_e2_throughput_penalty(
-    horizon_us: float = 60_000.0,
-    seed: int = 11,
-    jobs: Optional[int] = None,
-    cache=None,
-) -> ExperimentResult:
+def e2_throughput_penalty(
+    horizon_us: float = 60_000.0, seed: int = 11
+) -> ExperimentSpec:
     """Throughput penalty per test scheduler at 16 nm (headline claim)."""
-    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us, seed=seed)
-    policies = ("none", "power-aware", "unaware", "round-robin")
-    runs = run_many(
-        [replace(base, test_policy=policy) for policy in policies],
-        jobs,
-        cache=cache,
+    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us)
+    cells = _cells(
+        "test_policy", ("none", "power-aware", "unaware", "round-robin")
     )
-    results: Dict[str, SimulationResult] = dict(zip(policies, runs))
+    return ExperimentSpec(base, cells, (seed,), _e2_table, certified=({},))
+
+
+def _e2_table(spec, runs) -> ExperimentResult:
+    results = {
+        cell["test_policy"]: result for cell, result in zip(spec.cells, runs)
+    }
     baseline = results["none"].throughput_ops_per_us
     rows = []
     for policy, result in results.items():
@@ -138,35 +139,34 @@ def run_e2_throughput_penalty(
 # ----------------------------------------------------------------------
 # E3 — technology-node sweep
 # ----------------------------------------------------------------------
-def run_e3_tech_nodes(
+def e3_tech_nodes(
     horizon_us: float = 60_000.0,
     seed: int = 11,
     nodes: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
-    cache=None,
-) -> ExperimentResult:
+) -> ExperimentSpec:
     """Penalty and dark-silicon squeeze across 45/32/22/16 nm."""
-    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us, seed=seed)
+    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us)
+    cells = tuple(
+        {"node_name": name, "test_policy": policy}
+        for name in (nodes or node_names())
+        for policy in ("none", "power-aware")
+    )
+    certified = ({"node_name": "45nm"},)
+    return ExperimentSpec(base, cells, (seed,), _e3_table, certified)
+
+
+def _e3_table(spec, runs) -> ExperimentResult:
     rows = []
     worst_penalty = 0.0
-    names = list(nodes or node_names())
-    configs = []
-    for name in names:
-        configs.append(replace(base, node_name=name, test_policy="none"))
-        configs.append(replace(base, node_name=name, test_policy="power-aware"))
-    runs = run_many(configs, jobs, cache=cache)
-    for i, name in enumerate(names):
-        chip = Chip.build(base.width, base.height, name, base.tdp_w)
-        lit = chip.lit_fraction()
-        off = runs[2 * i]
-        on = runs[2 * i + 1]
+    for off, on in zip(runs[0::2], runs[1::2]):
+        lit = Chip.from_config(on.config).lit_fraction()
         penalty = _penalty_pct(
             off.throughput_ops_per_us, on.throughput_ops_per_us
         )
         worst_penalty = max(worst_penalty, penalty)
         rows.append(
             [
-                name,
+                on.config.node_name,
                 lit,
                 1.0 - lit,
                 off.throughput_ops_per_us,
@@ -196,12 +196,9 @@ def run_e3_tech_nodes(
 # ----------------------------------------------------------------------
 # E4 — test-frequency adaptivity to core stress
 # ----------------------------------------------------------------------
-def run_e4_adaptivity(
-    horizon_us: float = 60_000.0,
-    seeds: Sequence[int] = (5, 11, 23),
-    jobs: Optional[int] = None,
-    cache=None,
-) -> ExperimentResult:
+def e4_adaptivity(
+    horizon_us: float = 60_000.0, seeds: Sequence[int] = (5, 11, 23)
+) -> ExperimentSpec:
     """Tests per core vs. core busy time (criticality adaptivity).
 
     Uses a stress-dominant criticality configuration (the mechanism this
@@ -209,8 +206,6 @@ def run_e4_adaptivity(
     re-screening of idle cores equalises test counts and hides the
     adaptivity the stress term provides.
     """
-    from repro.core.criticality import CriticalityParameters
-
     stress_dominant = CriticalityParameters(
         stress_weight=0.85, time_weight=0.15,
         stress_reference=4.0, time_reference_us=3000.0,
@@ -221,13 +216,16 @@ def run_e4_adaptivity(
         mapper="contiguous",
         criticality=stress_dominant,
     )
+    cells = ({},)
+    certified = ({},)
+    return ExperimentSpec(base, cells, tuple(seeds), _e4_table, certified)
+
+
+def _e4_table(spec, runs) -> ExperimentResult:
     correlations = []
     quartile_busy = [[] for _ in range(4)]
     quartile_tests = [[] for _ in range(4)]
     last_series: List[float] = []
-    runs = run_many(
-        [replace(base, seed=seed) for seed in seeds], jobs, cache=cache
-    )
     for result in runs:
         busy = result.per_core_busy_us
         tests = result.per_core_tests
@@ -263,7 +261,7 @@ def run_e4_adaptivity(
         scalars={"pearson_busy_vs_tests": corr},
         series={"tests_by_core_busy_rank": last_series},
         notes=[
-            f"mean Pearson over {len(seeds)} seeds; stress-dominant "
+            f"mean Pearson over {len(spec.seeds)} seeds; stress-dominant "
             "criticality (w_s=0.85) isolates the adaptivity mechanism",
         ],
     )
@@ -272,29 +270,28 @@ def run_e4_adaptivity(
 # ----------------------------------------------------------------------
 # E5 — test power share across load
 # ----------------------------------------------------------------------
-def run_e5_test_power_share(
+def e5_test_power_share(
     horizon_us: float = 60_000.0,
     seed: int = 11,
     rates: Sequence[float] = (2.0, 4.0, 6.0, 8.0, 10.0),
-    jobs: Optional[int] = None,
-    cache=None,
-) -> ExperimentResult:
+) -> ExperimentSpec:
     """Energy share dedicated to testing across offered loads."""
-    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us, seed=seed)
+    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us)
+    cells = _cells("arrival_rate_per_ms", rates)
+    certified = ({"arrival_rate_per_ms": 4.0},)
+    return ExperimentSpec(base, cells, (seed,), _e5_table, certified)
+
+
+def _e5_table(spec, runs) -> ExperimentResult:
     rows = []
     shares = []
-    runs = run_many(
-        [replace(base, arrival_rate_per_ms=rate) for rate in rates],
-        jobs,
-        cache=cache,
-    )
-    for rate, result in zip(rates, runs):
+    for cell, result in zip(spec.cells, runs):
         share = result.test_power_share
         shares.append(share)
         rows.append(
             [
-                rate,
-                result.metrics.average_power(horizon_us),
+                cell["arrival_rate_per_ms"],
+                result.metrics.average_power(spec.base.horizon_us),
                 share,
                 result.tests_completed,
                 result.metrics.audit.violation_rate,
@@ -317,26 +314,24 @@ def run_e5_test_power_share(
 # ----------------------------------------------------------------------
 # E6 — V/F-level coverage of the test campaign
 # ----------------------------------------------------------------------
-def run_e6_vf_coverage(
-    horizon_us: float = 60_000.0,
-    seed: int = 11,
-    jobs: Optional[int] = None,
-    cache=None,
-) -> ExperimentResult:
+def e6_vf_coverage(
+    horizon_us: float = 60_000.0, seed: int = 11
+) -> ExperimentSpec:
     """Distribution of completed tests across DVFS levels."""
-    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us, seed=seed)
+    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us)
+    cells = _cells("test_level_policy", ("rotate", "nominal"))
+    certified = ({"test_level_policy": "nominal"},)
+    return ExperimentSpec(base, cells, (seed,), _e6_table, certified)
+
+
+def _e6_table(spec, runs) -> ExperimentResult:
     rows = []
     covered = {}
-    level_policies = ("rotate", "nominal")
-    runs = run_many(
-        [replace(base, test_level_policy=p) for p in level_policies],
-        jobs,
-        cache=cache,
-    )
-    for level_policy, result in zip(level_policies, runs):
+    n_levels = spec.base.n_vf_levels
+    for cell, result in zip(spec.cells, runs):
+        level_policy = cell["test_level_policy"]
         per_level = result.per_level_tests
-        n_levels = base.n_vf_levels
-        covered[level_policy] = sum(
+        covered[level_policy] = lsum(
             1 for i in range(n_levels) if per_level.get(i, 0) > 0
         )
         for index in range(n_levels):
@@ -357,13 +352,11 @@ def run_e6_vf_coverage(
 # ----------------------------------------------------------------------
 # E7 — runtime-mapping comparison
 # ----------------------------------------------------------------------
-def run_e7_mapping(
+def e7_mapping(
     horizon_us: float = 60_000.0,
     seeds: Sequence[int] = (11, 23, 47),
     arrival_rate_per_ms: float = 3.0,
-    jobs: Optional[int] = None,
-    cache=None,
-) -> ExperimentResult:
+) -> ExperimentSpec:
     """Test-aware utilization-oriented mapping vs. baselines.
 
     Moderate load: the mapper has freedom in *which* cores it leaves idle,
@@ -375,40 +368,30 @@ def run_e7_mapping(
         horizon_us=horizon_us,
         arrival_rate_per_ms=arrival_rate_per_ms,
     )
-    rows = []
-    per_mapper: Dict[str, Dict[str, float]] = {}
-    mappers = ("contiguous", "scatter", "random", "mappro", "test-aware")
-    runs = run_many(
-        [
-            replace(base, mapper=mapper, seed=seed)
-            for mapper in mappers
-            for seed in seeds
-        ],
-        jobs,
-        cache=cache,
+    cells = _cells(
+        "mapper",
+        ("contiguous", "scatter", "random", "mappro", "test-aware"),
     )
-    for m, mapper in enumerate(mappers):
-        aborts, max_gaps, mean_gaps, hops, thrs = [], [], [], [], []
-        for result in runs[m * len(seeds):(m + 1) * len(seeds)]:
-            aborts.append(result.test_stats.aborted)
-            max_gaps.append(result.test_stats.max_gap_us())
-            mean_gaps.append(result.test_stats.mean_gap_us())
-            hops.append(result.noc_avg_hops)
-            thrs.append(result.throughput_ops_per_us)
-        row = {
-            "aborted": statistics.mean(aborts),
-            "max_gap_us": statistics.mean(max_gaps),
-            "mean_gap_us": statistics.mean(mean_gaps),
-            "avg_hops": statistics.mean(hops),
-            "throughput": statistics.mean(thrs),
-        }
-        per_mapper[mapper] = row
+    certified = ({"mapper": "test-aware"},)
+    return ExperimentSpec(base, cells, tuple(seeds), _e7_table, certified)
+
+
+def _e7_table(spec, runs) -> ExperimentResult:
+    rows = []
+    for cell, cell_runs in zip(spec.cells, spec.per_cell(runs)):
+        stats = [result.test_stats for result in cell_runs]
         rows.append(
             [
-                mapper, row["throughput"], row["avg_hops"],
-                row["mean_gap_us"], row["max_gap_us"], row["aborted"],
+                cell["mapper"],
+                statistics.mean(r.throughput_ops_per_us for r in cell_runs),
+                statistics.mean(r.noc_avg_hops for r in cell_runs),
+                statistics.mean(s.mean_gap_us() for s in stats),
+                statistics.mean(s.max_gap_us() for s in stats),
+                statistics.mean(s.aborted for s in stats),
             ]
         )
+    by_mapper = {row[0]: row for row in rows}
+    contiguous, test_aware = by_mapper["contiguous"], by_mapper["test-aware"]
     return ExperimentResult(
         experiment_id="E7",
         title="Runtime mapping: test-aware utilization-oriented vs. baselines",
@@ -422,14 +405,8 @@ def run_e7_mapping(
         ],
         rows=rows,
         scalars={
-            "abort_reduction_vs_contiguous": (
-                per_mapper["contiguous"]["aborted"]
-                - per_mapper["test-aware"]["aborted"]
-            ),
-            "hops_overhead_vs_contiguous": (
-                per_mapper["test-aware"]["avg_hops"]
-                - per_mapper["contiguous"]["avg_hops"]
-            ),
+            "abort_reduction_vs_contiguous": contiguous[5] - test_aware[5],
+            "hops_overhead_vs_contiguous": test_aware[2] - contiguous[2],
         },
     )
 
@@ -437,14 +414,12 @@ def run_e7_mapping(
 # ----------------------------------------------------------------------
 # E8 — fault-detection latency
 # ----------------------------------------------------------------------
-def run_e8_detection_latency(
+def e8_detection_latency(
     horizon_us: float = 60_000.0,
     seeds: Sequence[int] = (3, 7, 13, 29),
     hazard_per_us: float = 1e-6,
     stress_scale: float = 10.0,
-    jobs: Optional[int] = None,
-    cache=None,
-) -> ExperimentResult:
+) -> ExperimentSpec:
     """Detection latency of injected permanent faults per scheduler.
 
     ``stress_scale`` is deliberately tight (10 stress units double the
@@ -454,31 +429,25 @@ def run_e8_detection_latency(
     """
     base = replace(
         DEFAULT_CONFIG,
+        horizon_us=horizon_us,
         fault_hazard_per_us=hazard_per_us,
         fault_stress_scale=stress_scale,
     )
-    base = replace(base, horizon_us=horizon_us)
+    cells = _cells(
+        "test_policy", ("power-aware", "round-robin", "unaware", "none")
+    )
+    certified = ({},)
+    return ExperimentSpec(base, cells, tuple(seeds), _e8_table, certified)
+
+
+def _e8_table(spec, runs) -> ExperimentResult:
     rows = []
     mean_latency: Dict[str, float] = {}
-    policies = ("power-aware", "round-robin", "unaware", "none")
-    runs = run_many(
-        [
-            replace(base, test_policy=policy, seed=seed)
-            for policy in policies
-            for seed in seeds
-        ],
-        jobs,
-        cache=cache,
-    )
-    for p, policy in enumerate(policies):
-        injected = detected = 0
-        latencies: List[float] = []
-        for result in runs[p * len(seeds):(p + 1) * len(seeds)]:
-            injected += len(result.fault_records)
-            for record in result.fault_records:
-                if record.detected:
-                    detected += 1
-                    latencies.append(record.detection_latency())
+    for cell, cell_runs in zip(spec.cells, spec.per_cell(runs)):
+        policy = cell["test_policy"]
+        records = [r for result in cell_runs for r in result.fault_records]
+        latencies = [r.detection_latency() for r in records if r.detected]
+        injected, detected = len(records), len(latencies)
         rows.append(
             [
                 policy,
@@ -509,38 +478,39 @@ def run_e8_detection_latency(
 # ----------------------------------------------------------------------
 # E9 — PID power budgeting ablation (ICCD'14 substrate)
 # ----------------------------------------------------------------------
-def run_e9_pid_ablation(
-    horizon_us: float = 60_000.0,
-    seed: int = 11,
-    tdp_w: float = 50.0,
-    jobs: Optional[int] = None,
-    cache=None,
-) -> ExperimentResult:
-    """PID budgeting vs. naive TDP policies under a bursty workload."""
+def e9_pid_ablation(
+    horizon_us: float = 60_000.0, seed: int = 11, tdp_w: float = 50.0
+) -> ExperimentSpec:
+    """PID budgeting vs. naive TDP policies under a bursty workload.
+
+    The rows run without testing; the certified config is the proposed
+    method on the same bursty base: power-aware testing under PID.
+    """
     base = replace(
         DEFAULT_CONFIG,
         horizon_us=horizon_us,
-        seed=seed,
         tdp_w=tdp_w,
         bursty=True,
         test_policy="none",
         profile_names=("small", "medium"),
         profile_weights=(0.5, 0.5),
     )
-    policies = ("worst-case", "naive", "pid")
-    runs = run_many(
-        [replace(base, power_policy=policy) for policy in policies],
-        jobs,
-        cache=cache,
-    )
-    results = dict(zip(policies, runs))
+    cells = _cells("power_policy", ("worst-case", "naive", "pid"))
+    certified = ({"test_policy": "power-aware"},)
+    return ExperimentSpec(base, cells, (seed,), _e9_table, certified)
+
+
+def _e9_table(spec, runs) -> ExperimentResult:
+    results = {
+        cell["power_policy"]: result for cell, result in zip(spec.cells, runs)
+    }
     rows = []
     for policy, result in results.items():
         rows.append(
             [
                 policy,
                 result.throughput_ops_per_us,
-                result.metrics.average_power(horizon_us),
+                result.metrics.average_power(spec.base.horizon_us),
                 result.metrics.audit.violation_rate,
                 result.apps_completed,
             ]
@@ -577,24 +547,7 @@ E11_TYPE_GRID: Tuple[str, ...] = (
 )
 
 
-def _tests_by_type(result: SimulationResult) -> Dict[str, int]:
-    """Completed test sessions per tile type (from the per-core counts)."""
-    from repro.verify.relations import _resolved_type_names
-
-    names = _resolved_type_names(result.config)
-    counts: Dict[str, int] = {}
-    for core_id, tests in result.per_core_tests.items():
-        name = names[core_id]
-        counts[name] = counts.get(name, 0) + tests
-    return counts
-
-
-def run_e11_hetero(
-    horizon_us: float = 60_000.0,
-    seed: int = 11,
-    jobs: Optional[int] = None,
-    cache=None,
-) -> ExperimentResult:
+def e11_hetero(horizon_us: float = 60_000.0, seed: int = 11) -> ExperimentSpec:
     """Power-aware testing on a three-type heterogeneous 4x4 floorplan.
 
     Extends the paper's homogeneous study (this table has no DATE'15
@@ -603,36 +556,34 @@ def run_e11_hetero(
     near-threshold variant, against the homogeneous-std control.  The
     dark fraction is the *derived* quantity of the type catalog — it
     reacts to the tile mix and the technology model while the scheduler
-    keeps the budget honest (violation rate stays zero).
+    keeps the budget honest (violation rate stays zero).  The certified
+    config is the three-type floorplan under ``cmos``.
     """
-    from repro.verify.relations import _dark_fraction_of
-
     base = replace(
-        DEFAULT_CONFIG,
-        width=4,
-        height=4,
-        tdp_w=25.0,
-        horizon_us=horizon_us,
-        seed=seed,
+        DEFAULT_CONFIG, width=4, height=4, tdp_w=25.0, horizon_us=horizon_us
     )
-    variants = [
-        ("homogeneous", "cmos", ()),
-        ("hetero-3type", "cmos", E11_TYPE_GRID),
-        ("hetero-3type", "ntv", E11_TYPE_GRID),
-    ]
-    configs = [
-        replace(base, type_grid=grid, tech_model=model)
-        for _, model, grid in variants
-    ]
-    runs = run_many(configs, jobs, cache=cache)
+    cells = (
+        {"type_grid": (), "tech_model": "cmos"},
+        {"type_grid": E11_TYPE_GRID, "tech_model": "cmos"},
+        {"type_grid": E11_TYPE_GRID, "tech_model": "ntv"},
+    )
+    certified = cells[1:2]
+    return ExperimentSpec(base, cells, (seed,), _e11_table, certified)
+
+
+def _e11_table(spec, runs) -> ExperimentResult:
     rows = []
-    for (label, model, _), config, result in zip(variants, configs, runs):
-        by_type = _tests_by_type(result)
+    for cell, result in zip(spec.cells, runs):
+        chip = Chip.from_config(result.config)
+        by_type: Dict[str, int] = {}
+        for core_id, tests in result.per_core_tests.items():
+            name = chip.core(core_id).core_type.name
+            by_type[name] = by_type.get(name, 0) + tests
         rows.append(
             [
-                label,
-                model,
-                _dark_fraction_of(config),
+                "hetero-3type" if cell["type_grid"] else "homogeneous",
+                cell["tech_model"],
+                chip.dark_fraction(),
                 result.throughput_ops_per_us,
                 result.tests_completed,
                 by_type.get("std", 0),
@@ -642,10 +593,6 @@ def run_e11_hetero(
                 result.metrics.audit.violation_rate,
             ]
         )
-    dark_by_variant = {
-        f"dark_fraction[{label}/{model}]": row[2]
-        for (label, model, _), row in zip(variants, rows)
-    }
     return ExperimentResult(
         experiment_id="E11",
         title="Heterogeneous tile mixes under the TDP budget (4x4, 25 W)",
@@ -661,7 +608,7 @@ def run_e11_hetero(
             "violation_rate",
         ],
         rows=rows,
-        scalars=dark_by_variant,
+        scalars={f"dark_fraction[{row[0]}/{row[1]}]": row[2] for row in rows},
         notes=[
             "repo extension (no DATE'15 counterpart): certifies the "
             "pluggable core-type / technology-model layer end-to-end",
@@ -669,98 +616,52 @@ def run_e11_hetero(
     )
 
 
-def experiment_configs(
-    horizon_us: float = 60_000.0, seed: int = 11
-) -> Dict[str, SystemConfig]:
-    """One representative *proposed-policy* config per experiment E1–E9,
-    E11, and A5 on its tight package at the default 5 °C test margin.
-
-    These are the configurations the invariant checker certifies (see
-    :mod:`repro.verify`): each experiment's proposed-method variant —
-    power-aware testing under PID budgeting — which the paper claims
-    never violates the budget.  Baseline variants (power-unaware
-    testing, naive TDP policies) violate by design and are exercised as
-    the *negative* cases in ``tests/test_verify.py``.
-    """
-    from repro.core.criticality import CriticalityParameters
-
-    base = replace(DEFAULT_CONFIG, horizon_us=horizon_us, seed=seed)
-    return {
-        "E1": base,
-        "E2": base,
-        "E3": replace(base, node_name="45nm"),
-        "E4": replace(
-            base,
-            criticality=CriticalityParameters(
-                stress_weight=0.85, time_weight=0.15,
-                stress_reference=4.0, time_reference_us=3000.0,
-            ),
-        ),
-        "E5": replace(base, arrival_rate_per_ms=4.0),
-        "E6": replace(base, test_level_policy="nominal"),
-        "E7": replace(base, mapper="test-aware", arrival_rate_per_ms=3.0),
-        "E8": replace(
-            base, fault_hazard_per_us=1e-6, fault_stress_scale=10.0
-        ),
-        "E9": replace(
-            base,
-            tdp_w=50.0,
-            bursty=True,
-            profile_names=("small", "medium"),
-            profile_weights=(0.5, 0.5),
-        ),
-        "E11": replace(
-            base,
-            width=4,
-            height=4,
-            tdp_w=25.0,
-            type_grid=E11_TYPE_GRID,
-            tech_model="cmos",
-        ),
-        "A5": replace(base, thermal_enabled=True, thermal=TIGHT_PACKAGE),
-    }
-
-
-#: Registry used by the benchmark harness and the CLI: E1–E9 and E11
-#: from this module, E10 and A1–A8 from :mod:`repro.experiments.ablations`.
+#: Experiment id -> spec factory: E1–E9 and E11 from this module, E10
+#: and A1–A8 from :mod:`repro.experiments.ablations`.
 EXPERIMENTS = {
-    "E1": run_e1_power_trace,
-    "E2": run_e2_throughput_penalty,
-    "E3": run_e3_tech_nodes,
-    "E4": run_e4_adaptivity,
-    "E5": run_e5_test_power_share,
-    "E6": run_e6_vf_coverage,
-    "E7": run_e7_mapping,
-    "E8": run_e8_detection_latency,
-    "E9": run_e9_pid_ablation,
-    "E11": run_e11_hetero,
+    "E1": e1_power_trace,
+    "E2": e2_throughput_penalty,
+    "E3": e3_tech_nodes,
+    "E4": e4_adaptivity,
+    "E5": e5_test_power_share,
+    "E6": e6_vf_coverage,
+    "E7": e7_mapping,
+    "E8": e8_detection_latency,
+    "E9": e9_pid_ablation,
+    "E11": e11_hetero,
     **ABLATIONS,
 }
 
 
-def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
+def run_experiment(
+    experiment_id: str, jobs: Optional[int] = None, cache=None, **params
+) -> ExperimentResult:
     """Run one experiment by id (e.g. ``"E2"``).
 
-    The returned result carries a provenance dict (code version, kwargs,
-    digest over the rows) so archived tables stay attributable.  A
-    ``cache=`` keyword reaches the runner but not the provenance: it
+    ``params`` go to the experiment's factory; its points run through
+    one :func:`~repro.experiments.parallel.run_many` call with ``jobs``
+    and ``cache``.  The returned result carries a provenance dict (code
+    version, parameters and ``jobs`` if given, digest over the rows) so
+    archived tables stay attributable.  ``cache`` is not recorded: it
     changes where results come from, never what they are.
     """
     try:
-        runner = EXPERIMENTS[experiment_id]
+        factory = EXPERIMENTS[experiment_id]
     except KeyError:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; known: {sorted(EXPERIMENTS)}"
         ) from None
-    result = runner(**kwargs)
+    spec = factory(**params)
+    result = spec.reduce(spec, run_many(spec.points(), jobs, cache=cache))
     import repro
     from repro.obs.provenance import experiment_provenance
 
-    kwargs.pop("cache", None)
+    if jobs is not None:
+        params["jobs"] = jobs
     result.provenance = experiment_provenance(
         experiment_id,
         getattr(repro, "__version__", "0"),
         result.rows,
-        kwargs,
+        params,
     )
     return result

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro._sum import lsum
 from repro.power.budget import BudgetAudit, PowerBudget
 from repro.power.meter import PowerBreakdown
 from repro.sim.trace import Trace
@@ -133,13 +134,13 @@ class MetricsCollector:
         records = self.completed_records()
         if not records:
             return None
-        return sum(r.waiting_time for r in records) / len(records)
+        return lsum(r.waiting_time for r in records) / len(records)
 
     def mean_turnaround(self) -> Optional[float]:
         records = self.completed_records()
         if not records:
             return None
-        return sum(r.turnaround for r in records) / len(records)
+        return lsum(r.turnaround for r in records) / len(records)
 
     def mean_waiting_by_class(self) -> Dict[str, float]:
         """Mean queueing delay per real-time class (completed apps)."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro._sum import lsum
 from repro.obs.journal import JournalEvent, events_of
 
 
@@ -187,7 +188,7 @@ def format_summary(journal, n_levels: Optional[int] = None) -> str:
                 [
                     core,
                     len(intervals[core]),
-                    sum(core_gaps) / len(core_gaps),
+                    lsum(core_gaps) / len(core_gaps),
                     max(core_gaps),
                     ",".join(str(level) for level in coverage.get(core, [])),
                 ]

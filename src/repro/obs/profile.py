@@ -24,6 +24,8 @@ import os
 import time
 from typing import Dict
 
+from repro._sum import lsum
+
 #: Row that collects the self time of functions defined outside ``repro``.
 OTHER = "(other)"
 
@@ -79,7 +81,7 @@ class Profile:
     @property
     def self_s(self) -> float:
         """Sum of every row's self time, in seconds."""
-        return sum(row["self_s"] for row in self.rows.values())
+        return lsum(row["self_s"] for row in self.rows.values())
 
     @property
     def coverage(self) -> float:

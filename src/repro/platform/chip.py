@@ -152,6 +152,15 @@ class Chip:
             tech_model=tech_model,
         )
 
+    @classmethod
+    def from_config(cls, config) -> "Chip":
+        """The chip a :class:`~repro.core.system.SystemConfig` describes
+        (read by field name: this module imports nothing of repro.core)."""
+        return cls.build(
+            config.width, config.height, config.node_name, config.tdp_w,
+            config.n_vf_levels, config.type_grid, config.tech_model,
+        )
+
     # ------------------------------------------------------------------
     # Transition tracking
     # ------------------------------------------------------------------

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro._sum import lsum
 from repro.platform.chip import Chip
 from repro.platform.core import Core, CoreState
 from repro.platform.dvfs import VFLevel
@@ -207,16 +208,17 @@ class PowerMeter:
         """
         if self._dirty_cores:
             self._flush_dirty()
-        # ``sum`` adds left-to-right from int 0 exactly like the explicit
-        # accumulation loop did, so the floats are unchanged.
+        # ``lsum`` adds left-to-right from int 0 exactly like the explicit
+        # accumulation loop did, so the floats are unchanged.  (Builtin
+        # ``sum`` does not: since Python 3.12 it compensates float sums.)
         if self._workload_stale:
-            self._workload_w = sum(self._busy_w) if self._busy_ids else 0
+            self._workload_w = lsum(self._busy_w) if self._busy_ids else 0
             self._workload_stale = False
         if self._test_stale:
-            self._test_w = sum(self._testing_w) if self._testing_ids else 0
+            self._test_w = lsum(self._testing_w) if self._testing_ids else 0
             self._test_stale = False
         if self._leak_stale:
-            self._leakage_w = sum(self._leak_w)
+            self._leakage_w = lsum(self._leak_w)
             self._leak_stale = False
         self._sums_dirty = False
 

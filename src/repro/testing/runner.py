@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro._sum import lsum
 from repro.aging.faults import FaultInjector
 from repro.aging.model import AgingModel
 from repro.obs.journal import NULL_JOURNAL
@@ -69,7 +70,7 @@ class TestStats:
     def mean_gap_us(self) -> float:
         if not self.test_gaps_us:
             return 0.0
-        return sum(self.test_gaps_us) / len(self.test_gaps_us)
+        return lsum(self.test_gaps_us) / len(self.test_gaps_us)
 
     def max_gap_us(self) -> float:
         if not self.test_gaps_us:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+from repro._sum import lsum
 from repro.platform.coretypes import CoreType
 from repro.platform.dvfs import VFLevel
 from repro.platform.technology import TechnologyModel, TechnologyNode
@@ -71,7 +72,7 @@ class SBSTLibrary:
 
     @property
     def total_cycles(self) -> float:
-        return sum(r.cycles for r in self.routines)
+        return lsum(r.cycles for r in self.routines)
 
     def session_duration(self, level: VFLevel) -> float:
         """Duration (µs) of the full suite at ``level``."""
@@ -80,7 +81,7 @@ class SBSTLibrary:
     def session_power_factor(self) -> float:
         """Cycle-weighted mean power factor of the suite."""
         return (
-            sum(r.cycles * r.power_factor for r in self.routines)
+            lsum(r.cycles * r.power_factor for r in self.routines)
             / self.total_cycles
         )
 

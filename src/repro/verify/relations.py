@@ -31,7 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro._sum import lsum
 from repro.obs.provenance import digest_of
+from repro.platform.chip import Chip
 
 
 class MetamorphicRelation:
@@ -286,37 +288,6 @@ class NoTestPolicyZeroTests(MetamorphicRelation):
 # ----------------------------------------------------------------------
 # Heterogeneous-platform relations (E11 family)
 # ----------------------------------------------------------------------
-def _resolved_type_names(config) -> List[str]:
-    """Per-core type names of a config, resolved like :class:`Chip` does.
-
-    Empty ``type_grid`` means all-default, a single entry broadcasts to
-    the whole mesh, and a full-length grid is taken verbatim.
-    """
-    from repro.platform.coretypes import DEFAULT_CORE_TYPE
-
-    n_cores = config.width * config.height
-    grid = tuple(config.type_grid)
-    if not grid:
-        return [DEFAULT_CORE_TYPE] * n_cores
-    if len(grid) == 1:
-        return list(grid) * n_cores
-    return list(grid)
-
-
-def _dark_fraction_of(config) -> float:
-    """Analytic dark fraction of a config (placement-free)."""
-    from repro.platform.coretypes import get_core_type
-    from repro.platform.technology import get_node, get_tech_model
-
-    model = get_tech_model(config.tech_model)
-    node = get_node(config.node_name)
-    counts: Dict[object, int] = {}
-    for name in _resolved_type_names(config):
-        ctype = get_core_type(name)
-        counts[ctype] = counts.get(ctype, 0) + 1
-    return model.dark_fraction(node, counts, config.tdp_w)
-
-
 class TypePermutationDarkInvariance(MetamorphicRelation):
     """Shuffling tile placement cannot move the dark-silicon ratio.
 
@@ -341,7 +312,7 @@ class TypePermutationDarkInvariance(MetamorphicRelation):
     )
 
     def configs(self, base):
-        names = _resolved_type_names(base)
+        names = [core.core_type.name for core in Chip.from_config(base)]
         if len(set(names)) == 1:
             # A homogeneous base is uninformative; mix the catalog over
             # the mesh deterministically so permutations can differ.
@@ -357,15 +328,9 @@ class TypePermutationDarkInvariance(MetamorphicRelation):
         return [replace(base, type_grid=tuple(g)) for g in grids]
 
     def observe(self, result):
-        config = result.config
-        names = _resolved_type_names(config)
-        counts: Dict[str, int] = {}
-        for name in names:
-            counts[name] = counts.get(name, 0) + 1
-        return {
-            "counts": tuple(sorted(counts.items())),
-            "dark": _dark_fraction_of(config),
-        }
+        chip = Chip.from_config(result.config)
+        counts = ((ctype.name, n) for ctype, n in chip.type_counts().items())
+        return {"counts": tuple(sorted(counts)), "dark": chip.dark_fraction()}
 
     def check(self, samples):
         failures = []
@@ -414,10 +379,10 @@ class AccelCountDarkMonotonic(MetamorphicRelation):
         return [replace(base, type_grid=grid) for grid in grids]
 
     def observe(self, result):
-        config = result.config
+        chip = Chip.from_config(result.config)
         return {
-            "n_accel": _resolved_type_names(config).count("accel"),
-            "dark": _dark_fraction_of(config),
+            "n_accel": [c.core_type.name for c in chip].count("accel"),
+            "dark": chip.dark_fraction(),
         }
 
     def check(self, samples):
@@ -497,11 +462,11 @@ class TypedZeroHazardTypedZeroFaults(MetamorphicRelation):
         ]
 
     def observe(self, result):
-        names = _resolved_type_names(result.config)
+        chip = Chip.from_config(result.config)
         canary_faults = sorted(
             record.core_id
             for record in result.fault_records
-            if names[record.core_id] == "canary"
+            if chip.core(record.core_id).core_type.name == "canary"
         )
         return {
             "seed": result.config.seed,
@@ -591,7 +556,7 @@ class RelationReport:
     @property
     def n_runs(self) -> int:
         """Total simulation runs the suite consumed."""
-        return sum(outcome.n_runs for outcome in self.outcomes)
+        return lsum(outcome.n_runs for outcome in self.outcomes)
 
     def failures(self) -> List[str]:
         """Every failure message, prefixed with its relation name."""

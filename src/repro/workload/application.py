@@ -5,6 +5,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro._sum import lsum
 from repro.workload.task import Edge, Task
 
 #: Serialises the lazy builds of drawn graphs: ``repro serve``'s
@@ -134,10 +135,10 @@ class ApplicationGraph:
         return self._sinks
 
     def total_ops(self) -> float:
-        return sum(task.ops for task in self.tasks.values())
+        return lsum(task.ops for task in self.tasks.values())
 
     def total_comm_volume(self) -> float:
-        return sum(edge.volume_flits for edge in self.edges)
+        return lsum(edge.volume_flits for edge in self.edges)
 
     def critical_path_ops(self) -> float:
         """Longest chain of operations through the DAG (ignores comm)."""

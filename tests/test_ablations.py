@@ -1,28 +1,24 @@
-"""Tests for the extension experiment (E10) and ablations (A1..A6)."""
+"""Tests for the extension experiment (E10) and ablations (A1..A8).
 
-import pytest
+Runs at default parameters come from the session's shared 12 ms runs
+(``tests.conftest.experiment_12ms``), which the experiment goldens read
+too.
+"""
 
-from repro.experiments import (
-    run_a1_criticality_weights,
-    run_a2_guard_band,
-    run_a3_test_concurrency,
-    run_a4_preemption,
-    run_a5_thermal_guard,
-    run_a6_variation,
-    run_e10_lifetime,
-    run_experiment,
-)
+from repro.experiments import run_experiment
+
+from tests.conftest import experiment_12ms
 
 H = 12_000.0
 
 
 def test_dispatch_reaches_ablations():
-    result = run_experiment("A4", horizon_us=H)
+    result = experiment_12ms("A4")
     assert result.experiment_id == "A4"
 
 
 def test_e10_lifetime_structure():
-    result = run_e10_lifetime(horizon_us=H, seeds=(11,))
+    result = experiment_12ms("E10")
     mappers = [row[0] for row in result.rows]
     assert mappers == ["contiguous", "scatter", "test-aware"]
     for row in result.rows:
@@ -34,14 +30,14 @@ def test_e10_lifetime_structure():
 
 
 def test_e10_scatter_wears_worst():
-    result = run_e10_lifetime(horizon_us=H, seeds=(11,))
+    result = experiment_12ms("E10")
     rows = {r[0]: r for r in result.rows}
     # Scatter concentrates stress (low-id cores always chosen first).
     assert rows["scatter"][2] > rows["test-aware"][2]
 
 
 def test_a1_variants_present_and_gating_orders_test_counts():
-    result = run_a1_criticality_weights(horizon_us=H)
+    result = experiment_12ms("A1")
     rows = {r[0]: r for r in result.rows}
     assert set(rows) == {"stress-only", "balanced", "time-only"}
     # Stress gating admits the fewest tests, time-only the most; the
@@ -53,20 +49,21 @@ def test_a1_variants_present_and_gating_orders_test_counts():
 
 
 def test_a2_guard_band_monotone_tendencies():
-    result = run_a2_guard_band(horizon_us=H, fractions=(0.0, 0.1))
+    result = experiment_12ms("A2")
     rows = result.rows
+    assert [row[0] for row in rows] == [0.0, 0.02, 0.05, 0.10]
     # A bigger guard band cannot raise average power.
-    assert rows[1][2] <= rows[0][2] + 1e-6
+    assert rows[-1][2] <= rows[0][2] + 1e-6
 
 
 def test_a3_more_slots_more_tests():
-    result = run_a3_test_concurrency(horizon_us=H, caps=(1, 8))
+    result = experiment_12ms("A3")
     rows = {r[0]: r for r in result.rows}
     assert rows[8][1] >= rows[1][1]
 
 
 def test_a4_abort_cheaper_than_reserve():
-    result = run_a4_preemption(horizon_us=H)
+    result = experiment_12ms("A4")
     assert (
         result.scalars["abort_penalty_pct"]
         <= result.scalars["reserve_penalty_pct"] + 1e-9
@@ -77,7 +74,7 @@ def test_a4_abort_cheaper_than_reserve():
 
 
 def test_a5_thermal_guard_defers_tests():
-    result = run_a5_thermal_guard(horizon_us=H, margins=(0.0, 40.0))
+    result = run_experiment("A5", horizon_us=H, margins=(0.0, 40.0))
     rows = result.rows
     # A huge margin (40 C of 50 C headroom) must suppress some tests.
     assert rows[1][2] <= rows[0][2]
@@ -85,7 +82,7 @@ def test_a5_thermal_guard_defers_tests():
 
 
 def test_a6_variation_claims_hold():
-    result = run_a6_variation(horizon_us=H)
+    result = experiment_12ms("A6")
     rows = {r[0]: r for r in result.rows}
     assert set(rows) == {"uniform-die", "varied-die"}
     # Headline safety claim survives variation.
@@ -94,16 +91,14 @@ def test_a6_variation_claims_hold():
 
 
 def test_ablations_render():
-    for runner in (run_a2_guard_band, run_a3_test_concurrency):
-        result = runner(horizon_us=H)
+    for experiment_id in ("A2", "A3"):
+        result = experiment_12ms(experiment_id)
         text = result.render()
         assert result.experiment_id in text
 
 
 def test_a7_priorities_cut_hard_rt_waiting():
-    from repro.experiments import run_a7_rt_priorities
-
-    result = run_a7_rt_priorities(horizon_us=20_000.0)
+    result = run_experiment("A7", horizon_us=20_000.0)
     rows = {(r[0], r[1]): r for r in result.rows}
     assert set(r[0] for r in result.rows) == {"fifo", "priorities"}
     assert (
@@ -113,8 +108,6 @@ def test_a7_priorities_cut_hard_rt_waiting():
 
 
 def test_a8_noc_models_agree():
-    from repro.experiments import run_a8_noc_fidelity
-
-    result = run_a8_noc_fidelity(horizon_us=H)
+    result = experiment_12ms("A8")
     assert result.scalars["throughput_delta_pct"] < 5.0
     assert {r[0] for r in result.rows} == {"analytic", "queued"}

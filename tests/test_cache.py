@@ -656,8 +656,8 @@ def test_cli_sweep_warm_and_cache_commands(tmp_path, capsys):
 
 
 def test_cli_experiment_served_from_cache(tmp_path, capsys):
-    """``repro experiment`` hands its cache to the runners that take one:
-    a warm E2 serves all four points and renders the cold table."""
+    """``repro experiment`` hands its cache to every experiment: a warm
+    E2 serves all four points and renders the cold table."""
     cache_dir = str(tmp_path / "cache")
     args = ["experiment", "E2", "--horizon-us", "2000"]
     assert main(args + ["--cache-dir", cache_dir]) == 0
@@ -670,11 +670,28 @@ def test_cli_experiment_served_from_cache(tmp_path, capsys):
     plain = capsys.readouterr().out
     table = lambda text: text.split("cache:")[0]
     assert table(cold) == table(warm) == plain
-    # E10 and the ablations take no cache; the flag leaves them be.
+    # An ablation shares the cache: A4's no-test baseline is E2's "none"
+    # point; its abort and reserve points are new.
     assert main(
         ["experiment", "A4", "--horizon-us", "2000", "--cache-dir", cache_dir]
     ) == 0
-    assert "0 hit(s), 0 miss(es)" in capsys.readouterr().out
+    assert "1 hit(s), 2 miss(es)" in capsys.readouterr().out
+
+
+def test_cli_experiment_pools_and_caches_every_id(tmp_path, capsys):
+    """``--jobs`` and the cache reach ablations too: a warm A3 + E2 run
+    serves all ten points and renders the cold tables."""
+    args = [
+        "experiment", "A3", "E2", "--horizon-us", "2000", "--jobs", "2",
+        "--cache-dir", str(tmp_path / "cache"),
+    ]
+    assert main(args) == 0
+    cold = capsys.readouterr().out
+    assert main(args) == 0
+    warm = capsys.readouterr().out
+    assert "10 hit(s), 0 miss(es)" in warm
+    table = lambda text: text.split("cache:")[0]
+    assert table(cold) == table(warm)
 
 
 def test_cli_cache_verify_flags_corruption(tmp_path, capsys):

@@ -41,7 +41,7 @@ from repro.core import config_io
 from repro.core.config_io import config_to_dict
 from repro.core.criticality import CriticalityParameters
 from repro.core.system import SystemConfig, run_system
-from repro.experiments.runners import DEFAULT_CONFIG, experiment_configs
+from repro.experiments.runners import DEFAULT_CONFIG, EXPERIMENTS
 from repro.obs import provenance
 from repro.obs.provenance import (
     config_digest,
@@ -181,7 +181,7 @@ def golden_configs():
     return {
         "SystemConfig()": SystemConfig(),
         "DEFAULT_CONFIG": DEFAULT_CONFIG,
-        "E11": experiment_configs()["E11"],
+        "E11": EXPERIMENTS["E11"]().certified_configs(11)[0],
         "tdp_w=80": SystemConfig(tdp_w=80),
         "tdp_w=80.0": SystemConfig(tdp_w=80.0),
     }

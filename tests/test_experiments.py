@@ -1,25 +1,18 @@
-"""Tests for the experiment runners (E1..E9) at reduced horizons."""
+"""Tests for the experiments E1..E9 at reduced horizons.
+
+Runs at default parameters come from the session's shared 12 ms runs
+(``tests.conftest.experiment_12ms``), which the experiment goldens read
+too.
+"""
 
 import math
 
 import pytest
 
-from repro.experiments import (
-    EXPERIMENTS,
-    run_e1_power_trace,
-    run_e2_throughput_penalty,
-    run_e3_tech_nodes,
-    run_e4_adaptivity,
-    run_e5_test_power_share,
-    run_e6_vf_coverage,
-    run_e7_mapping,
-    run_e8_detection_latency,
-    run_e9_pid_ablation,
-    run_experiment,
-)
+from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.result import ExperimentResult
 
-H = 15_000.0  # short horizon for CI-speed experiment smoke runs
+from tests.conftest import experiment_12ms
 
 
 def check_shape(result: ExperimentResult, experiment_id: str):
@@ -38,8 +31,18 @@ def test_registry_contains_all_experiments():
 
 
 def test_run_experiment_dispatch():
-    result = run_experiment("E2", horizon_us=H)
+    result = experiment_12ms("E2")
     assert result.experiment_id == "E2"
+    assert result.provenance["kwargs"] == {"horizon_us": 12_000.0}
+
+
+def test_factories_pass_their_parameters_to_the_points():
+    e3 = EXPERIMENTS["E3"](nodes=("45nm", "16nm")).points()
+    assert [p.node_name for p in e3] == ["45nm", "45nm", "16nm", "16nm"]
+    e5 = EXPERIMENTS["E5"](rates=(4.0, 8.0)).points()
+    assert [p.arrival_rate_per_ms for p in e5] == [4.0, 8.0]
+    e7 = EXPERIMENTS["E7"](seeds=(11,)).points()
+    assert [p.seed for p in e7] == [11] * 5
 
 
 def test_run_experiment_unknown():
@@ -48,7 +51,7 @@ def test_run_experiment_unknown():
 
 
 def test_e1_shape_and_budget_honoured():
-    result = run_e1_power_trace(horizon_us=H)
+    result = experiment_12ms("E1")
     check_shape(result, "E1")
     rows = {r[0]: r for r in result.rows}
     # power-aware violation rate must be zero; series present for both.
@@ -58,7 +61,7 @@ def test_e1_shape_and_budget_honoured():
 
 
 def test_e2_proposed_penalty_small():
-    result = run_e2_throughput_penalty(horizon_us=H)
+    result = experiment_12ms("E2")
     check_shape(result, "E2")
     assert result.scalars["proposed_penalty_pct"] < 1.0
     rows = {r[0]: r for r in result.rows}
@@ -68,7 +71,7 @@ def test_e2_proposed_penalty_small():
 
 
 def test_e3_dark_fraction_monotonic():
-    result = run_e3_tech_nodes(horizon_us=H, nodes=("45nm", "16nm"))
+    result = experiment_12ms("E3")
     check_shape(result, "E3")
     rows = {r[0]: r for r in result.rows}
     assert rows["45nm"][1] > rows["16nm"][1]  # lit fraction shrinks
@@ -76,7 +79,7 @@ def test_e3_dark_fraction_monotonic():
 
 
 def test_e4_positive_adaptivity():
-    result = run_e4_adaptivity(horizon_us=30_000.0)
+    result = experiment_12ms("E4")
     check_shape(result, "E4")
     assert result.scalars["pearson_busy_vs_tests"] > 0.2
     # Q4 (busiest quartile) is tested at least as often as Q1.
@@ -85,13 +88,13 @@ def test_e4_positive_adaptivity():
 
 
 def test_e5_share_small():
-    result = run_e5_test_power_share(horizon_us=H, rates=(4.0, 8.0))
+    result = experiment_12ms("E5")
     check_shape(result, "E5")
     assert 0.0 < result.scalars["max_share"] < 0.10
 
 
 def test_e6_rotate_covers_more_levels():
-    result = run_e6_vf_coverage(horizon_us=H)
+    result = experiment_12ms("E6")
     check_shape(result, "E6")
     assert (
         result.scalars["levels_covered_rotate"]
@@ -100,7 +103,7 @@ def test_e6_rotate_covers_more_levels():
 
 
 def test_e7_mapping_rows():
-    result = run_e7_mapping(horizon_us=H, seeds=(11,))
+    result = experiment_12ms("E7")
     check_shape(result, "E7")
     mappers = {r[0] for r in result.rows}
     assert mappers == {"contiguous", "scatter", "random", "mappro", "test-aware"}
@@ -110,8 +113,8 @@ def test_e7_mapping_rows():
 
 
 def test_e8_detection_ordering():
-    result = run_e8_detection_latency(
-        horizon_us=30_000.0, seeds=(3, 7), hazard_per_us=5e-6
+    result = run_experiment(
+        "E8", horizon_us=30_000.0, seeds=(3, 7), hazard_per_us=5e-6
     )
     check_shape(result, "E8")
     rows = {r[0]: r for r in result.rows}
@@ -123,7 +126,7 @@ def test_e8_detection_ordering():
 
 
 def test_e9_pid_beats_worst_case():
-    result = run_e9_pid_ablation(horizon_us=H)
+    result = experiment_12ms("E9")
     check_shape(result, "E9")
     assert result.scalars["pid_boost_over_worst_case_pct"] > 43.0
     rows = {r[0]: r for r in result.rows}
@@ -131,14 +134,14 @@ def test_e9_pid_beats_worst_case():
 
 
 def test_result_row_dicts():
-    result = run_e2_throughput_penalty(horizon_us=H)
+    result = experiment_12ms("E2")
     dicts = result.row_dicts()
     assert len(dicts) == len(result.rows)
     assert all(set(d) == set(result.headers) for d in dicts)
 
 
 def test_result_to_csv():
-    result = run_e2_throughput_penalty(horizon_us=H)
+    result = experiment_12ms("E2")
     text = result.to_csv()
     lines = text.strip().splitlines()
     assert lines[0].startswith("scheduler,")
@@ -146,7 +149,7 @@ def test_result_to_csv():
 
 
 def test_result_series_csv():
-    result = run_e1_power_trace(horizon_us=H)
+    result = experiment_12ms("E1")
     text = result.series_csv()
     assert "power.total[power-aware]" in text.splitlines()[0]
 

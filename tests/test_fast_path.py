@@ -323,10 +323,10 @@ def test_start_level_bisect_matches_linear_scan():
 # Parallel sweep executor == serial loop
 # ----------------------------------------------------------------------
 def test_run_many_parallel_rows_identical_to_serial():
-    from repro.experiments.runners import run_e2_throughput_penalty
+    from repro.experiments.runners import run_experiment
 
-    serial = run_e2_throughput_penalty(horizon_us=2_000.0, seed=11, jobs=None)
-    parallel = run_e2_throughput_penalty(horizon_us=2_000.0, seed=11, jobs=2)
+    serial = run_experiment("E2", horizon_us=2_000.0, seed=11, jobs=None)
+    parallel = run_experiment("E2", horizon_us=2_000.0, seed=11, jobs=2)
     assert repr(serial.rows) == repr(parallel.rows)
     assert serial.scalars == parallel.scalars
 

@@ -22,6 +22,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._sum import lsum
 from repro.core.config_io import config_from_json, config_to_json
 from repro.core.system import SystemConfig
 from repro.obs.provenance import config_digest
@@ -108,7 +109,7 @@ def test_dark_fraction_valid_and_monotone_in_tdp(
     dark_hi = m.dark_fraction(n, counts, hi)
     assert 0.0 <= dark_hi <= dark_lo <= 1.0
     # A budget covering the whole catalog's peak demand lights the chip.
-    demand = sum(
+    demand = lsum(
         count * m.peak_core_power(n, ctype)
         for ctype, count in counts.items()
     )

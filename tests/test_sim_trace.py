@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro._sum import lsum
 from repro.sim.trace import Trace
 
 
@@ -170,7 +171,7 @@ def _merge_reference(trace, names, out):
     )
     merged = []
     for t in grid:
-        merged.append((t, sum(trace.value_at(n, t) for n in names)))
+        merged.append((t, lsum(trace.value_at(n, t) for n in names)))
     return merged
 
 

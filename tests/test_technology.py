@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.system import run_system
-from repro.experiments.runners import experiment_configs
+from repro.experiments.runners import EXPERIMENTS
 from repro.platform.chip import Chip
 from repro.platform.coretypes import (
     CORE_TYPES,
@@ -193,7 +193,7 @@ def test_overwritten_core_type_changes_its_watts():
 
 def test_run_leaves_shared_catalogs_untouched():
     config = replace(
-        experiment_configs(horizon_us=4_000.0, seed=11)["E11"],
+        EXPERIMENTS["E11"](horizon_us=4_000.0).certified_configs(11)[0],
         tech_model="ntv",
     )
     models = dict(TECHNOLOGY_MODELS)

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.system import ManycoreSystem, SystemConfig, run_system
-from repro.experiments.runners import DEFAULT_CONFIG, experiment_configs
+from repro.experiments.runners import DEFAULT_CONFIG, EXPERIMENTS
 from repro.obs.journal import Journal, JournalEvent
 from repro.obs.provenance import digest_of
 from repro.platform.core import CoreState
@@ -88,12 +88,20 @@ def test_verified_run_with_journal_is_byte_identical():
     assert "verify.violation" not in counts
 
 
+def certified_config(experiment_id, horizon_us):
+    """The one config ``experiment_id``'s spec certifies, at seed 11."""
+    spec = EXPERIMENTS[experiment_id](horizon_us=horizon_us)
+    [config] = spec.certified_configs(11)
+    return config
+
+
 @pytest.mark.parametrize(
-    "experiment_id", sorted(experiment_configs(horizon_us=1.0))
+    "experiment_id",
+    sorted(i for i, factory in EXPERIMENTS.items() if factory().certified),
 )
 def test_no_violations_on_experiment_configs(experiment_id):
     """The paper's proposed-method configs are invariant-clean."""
-    config = experiment_configs(horizon_us=5_000.0)[experiment_id]
+    config = certified_config(experiment_id, 5_000.0)
     result, checker = verify_config(config)
     assert checker.ok, [v.message for v in checker.violations[:3]]
     assert checker.ticks_checked > 0
@@ -282,7 +290,7 @@ def test_thermal_safety_passes_cool_starts_and_thermal_off_runs():
 def test_a5_guard_binds_and_stays_thermal_safe():
     """At a 15 C margin A5's guard defers tests; no start breaks it."""
     config = replace(
-        experiment_configs(horizon_us=30_000.0)["A5"], thermal_test_margin_c=15.0
+        certified_config("A5", 30_000.0), thermal_test_margin_c=15.0
     )
     result, checker = verify_config(config)
     assert checker.ok, [v.message for v in checker.violations[:3]]
