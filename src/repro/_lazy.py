@@ -8,7 +8,8 @@ import sys
 
 def lazy_exports(package, table):
     """``(__getattr__, __dir__)`` for ``package``; ``table`` maps each
-    exported name to its submodule (``{"SystemConfig": "core"}``)."""
+    exported name to its submodule (``{"SystemConfig": "core"}``; a
+    leading dot climbs to the parent: ``".metrics.collectors"``)."""
 
     def __getattr__(name):
         if name not in table:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro._sum import lsum
+from repro.metrics.collectors import FaultRecord
 from repro.platform.chip import Chip
 from repro.platform.core import Core
 
@@ -57,36 +58,6 @@ class FaultParameters:
             raise ValueError("max_manifest_fraction must be in (0, 1]")
         if not 0.0 <= self.low_corner_fraction <= 1.0:
             raise ValueError("low_corner_fraction must be in [0, 1]")
-
-
-@dataclass
-class FaultRecord:
-    """Lifecycle of one injected fault."""
-
-    core_id: int
-    injected_at: float
-    manifest_level: int
-    kind: str = "high"                 # "high" | "low" corner direction
-    detected_at: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("high", "low"):
-            raise ValueError(f"unknown fault kind {self.kind!r}")
-
-    @property
-    def detected(self) -> bool:
-        return self.detected_at is not None
-
-    def manifests_at(self, level_index: int) -> bool:
-        """Does the fault misbehave at the given DVFS level?"""
-        if self.kind == "high":
-            return level_index >= self.manifest_level
-        return level_index <= self.manifest_level
-
-    def detection_latency(self) -> Optional[float]:
-        if self.detected_at is None:
-            return None
-        return self.detected_at - self.injected_at
 
 
 @dataclass

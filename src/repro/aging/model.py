@@ -21,26 +21,11 @@ Accrued stress feeds two sinks on the core record:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from repro.core.config_io import AgingParameters
 from repro.platform.core import Core
 from repro.platform.dvfs import VFLevel
 from repro.platform.technology import TechnologyNode
-
-
-@dataclass(frozen=True)
-class AgingParameters:
-    """Coefficients of the stress-accrual law."""
-
-    base_rate: float = 1.0 / 1000.0   # stress units per µs busy at nominal V
-    voltage_acceleration: float = 4.0  # k in exp(k * (V - Vnom))
-    test_stress_fraction: float = 0.5  # tests stress the core too, but less
-
-    def __post_init__(self) -> None:
-        if self.base_rate <= 0:
-            raise ValueError("base_rate must be positive")
-        if not 0.0 <= self.test_stress_fraction <= 1.0:
-            raise ValueError("test_stress_fraction must be in [0, 1]")
 
 
 class AgingModel:

@@ -53,7 +53,7 @@ from repro.platform.technology import node_names
 from repro.workload.scenarios import SCENARIOS, scenario_config_kwargs
 
 if TYPE_CHECKING:
-    from repro.core.system import SystemConfig
+    from repro.core.config_io import SystemConfig
 
 
 def _jobs_arg(raw: str) -> int:
@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver_inv.add_argument(
         "--experiments", nargs="+", default=None, metavar="ID",
-        help="experiment ids to certify (default: E1..E9)",
+        help="experiment ids to certify (default: E1-E9, E11, A5)",
     )
     ver_inv.add_argument(
         "--horizon-ms", type=float, default=20.0, metavar="MS",
@@ -600,8 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Command implementations
 # ----------------------------------------------------------------------
 def _effective_config(args: argparse.Namespace) -> SystemConfig:
-    from repro.core.config_io import load_config
-    from repro.core.system import SystemConfig
+    from repro.core.config_io import SystemConfig, load_config
 
     config = load_config(args.config) if args.config else SystemConfig()
     updates = {}

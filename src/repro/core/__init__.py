@@ -1,26 +1,19 @@
 """The paper's contribution: criticality metric, power-aware test
 scheduler, test-aware mapper, execution engine and the integrated system."""
 
-from repro.core.criticality import CriticalityParameters, TestCriticality
-from repro.core.executor import ExecutionEngine, TaskExecution
-from repro.core.mapping import TestAwareUtilizationMapper
-from repro.core.scheduler import PowerAwareTestScheduler
-from repro.core.system import (
-    ManycoreSystem,
-    SimulationResult,
-    SystemConfig,
-    run_system,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CriticalityParameters",
-    "ExecutionEngine",
-    "ManycoreSystem",
-    "PowerAwareTestScheduler",
-    "SimulationResult",
-    "SystemConfig",
-    "TaskExecution",
-    "TestAwareUtilizationMapper",
-    "TestCriticality",
-    "run_system",
-]
+_EXPORTS = {
+    "CriticalityParameters": "config_io",
+    "ExecutionEngine": "executor",
+    "ManycoreSystem": "system",
+    "PowerAwareTestScheduler": "scheduler",
+    "SimulationResult": ".metrics.collectors",
+    "SystemConfig": "config_io",
+    "TaskExecution": "executor",
+    "TestAwareUtilizationMapper": "mapping",
+    "TestCriticality": "criticality",
+    "run_system": "system",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

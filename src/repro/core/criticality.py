@@ -21,31 +21,10 @@ which is the adaptivity experiment E4 measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List
 
+from repro.core.config_io import CriticalityParameters
 from repro.platform.core import Core
-
-
-@dataclass(frozen=True)
-class CriticalityParameters:
-    """Weights and normalisation of the criticality metric."""
-
-    stress_weight: float = 0.6
-    time_weight: float = 0.4
-    stress_reference: float = 4.0      # stress units for one criticality unit
-    time_reference_us: float = 3000.0  # µs since last test for one unit
-    threshold: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.stress_weight < 0 or self.time_weight < 0:
-            raise ValueError("weights must be non-negative")
-        if self.stress_weight + self.time_weight <= 0:
-            raise ValueError("at least one weight must be positive")
-        if self.stress_reference <= 0 or self.time_reference_us <= 0:
-            raise ValueError("references must be positive")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
 
 
 class TestCriticality:

@@ -15,28 +15,28 @@ test scheduler → mapping attempt → metric sampling.  Arrivals and core
 releases additionally trigger mapping attempts immediately, so mapping
 latency is not quantised to the epoch.
 
-:func:`build_system`/:meth:`ManycoreSystem.run` is the public entry point
-used by the examples and every experiment.
+:func:`run_system` (build a :class:`ManycoreSystem`, run it) is the
+public entry point used by the examples and every experiment.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
-from repro._sum import lsum
-from repro.aging.faults import FaultInjector, FaultParameters, FaultRecord
-from repro.aging.model import AgingModel, AgingParameters
-from repro.core.criticality import CriticalityParameters, TestCriticality
+import repro
+from repro.aging.faults import FaultInjector, FaultParameters
+from repro.aging.model import AgingModel
+from repro.core.config_io import SystemConfig
+from repro.core.criticality import TestCriticality
 from repro.core.executor import ExecutionEngine
 from repro.core.mapping import TestAwareUtilizationMapper
 from repro.core.scheduler import PowerAwareTestScheduler
 from repro.mapping.base import MappingContext, RuntimeMapper
 from repro.mapping.baselines import ContiguousMapper, RandomFreeMapper, ScatterMapper
 from repro.mapping.mappro import MapProMapper
-from repro.metrics.collectors import MetricsCollector
+from repro.metrics.collectors import MetricsCollector, SimulationResult
 from repro.noc.model import NocModel, NocParameters
 from repro.obs.journal import NULL_JOURNAL, Journal
 from repro.obs.provenance import RunManifest, digest_of, field_dict
@@ -44,15 +44,15 @@ from repro.noc.queued import QueuedNocModel
 from repro.noc.topology import Mesh
 from repro.platform.chip import Chip
 from repro.platform.core import CoreState
-from repro.platform.thermal import ThermalModel, ThermalParameters
-from repro.platform.variation import VariationModel, VariationParameters
+from repro.platform.thermal import ThermalModel
+from repro.platform.variation import VariationModel
 from repro.power.budget import PowerBudget
 from repro.power.manager import PowerManager, make_power_manager
 from repro.power.meter import PowerMeter
 from repro.sim.engine import Simulator
 from repro.sim.events import PRIORITY_CONTROL
 from repro.sim.rng import StreamRegistry, make_rng
-from repro.testing.runner import TestRunner, TestStats
+from repro.testing.runner import TestRunner
 from repro.testing.sbst import SBSTLibrary, default_library
 from repro.testing.schedulers import (
     NoTestScheduler,
@@ -66,155 +66,7 @@ from repro.workload.arrivals import (
     BurstyArrivalProcess,
     PoissonArrivalProcess,
 )
-from repro.workload.generator import PROFILE_PRESETS, ApplicationProfile
-
-
-@dataclass(frozen=True)
-class SystemConfig:
-    """Everything that defines one simulation run."""
-
-    # Platform
-    width: int = 8
-    height: int = 8
-    node_name: str = "16nm"
-    tdp_w: float = 80.0
-    n_vf_levels: int = 8
-    guard_fraction: float = 0.02
-    #: Per-tile core-type names, row-major.  Empty means homogeneous
-    #: ``std`` (the degenerate pre-heterogeneity platform); one entry
-    #: means a homogeneous grid of that type; otherwise exactly
-    #: ``width * height`` entries.
-    type_grid: Tuple[str, ...] = ()
-    #: Technology-model registry name (``cmos`` baseline or ``ntv``).
-    tech_model: str = "cmos"
-    # Control
-    epoch_us: float = 100.0
-    dvfs_transition_us: float = 0.0
-    noc_mode: str = "analytic"          # analytic | queued
-    horizon_us: float = 100_000.0
-    seed: int = 1
-    # Workload
-    arrival_rate_per_ms: float = 6.0
-    profile_names: Tuple[str, ...] = ("small", "medium", "large")
-    profile_weights: Tuple[float, ...] = (0.40, 0.45, 0.15)
-    bursty: bool = False
-    # Policies
-    mapper: str = "contiguous"          # contiguous | scatter | random | mappro | test-aware
-    #: Mixed-criticality scheduling (ICCD'14): serve the queue in
-    #: real-time-class priority order and bias DVFS towards RT cores.
-    rt_priorities: bool = False
-    power_policy: str = "pid"           # pid | tsp | naive | worst-case | none
-    test_policy: str = "power-aware"    # power-aware | none | unaware | round-robin
-    test_preemption: str = "auto"       # auto | abort | reserve
-    # Testing knobs
-    min_test_interval_us: float = 2500.0
-    test_level_policy: str = "rotate"   # rotate | nominal
-    max_concurrent_tests: int = 8
-    sbst_scale: float = 1.0
-    #: Resume aborted SBST sessions from a checkpoint (same core + level)
-    #: instead of restarting the suite from scratch.
-    test_checkpointing: bool = False
-    criticality: CriticalityParameters = field(default_factory=CriticalityParameters)
-    # Mapper knobs (test-aware)
-    utilization_weight: float = 2.0
-    criticality_weight: float = 2.0
-    utilization_window_us: float = 2000.0
-    # Reliability knobs
-    aging: AgingParameters = field(default_factory=AgingParameters)
-    fault_hazard_per_us: float = 0.0
-    fault_stress_scale: float = 50.0
-    # Platform realism knobs (off by default: the baseline evaluation)
-    thermal_enabled: bool = False
-    thermal: ThermalParameters = field(default_factory=ThermalParameters)
-    thermal_test_margin_c: float = 5.0
-    variation_enabled: bool = False
-    variation: VariationParameters = field(default_factory=VariationParameters)
-
-    def __post_init__(self) -> None:
-        if self.epoch_us <= 0 or self.horizon_us <= 0:
-            raise ValueError("epoch and horizon must be positive")
-        if len(self.profile_names) != len(self.profile_weights):
-            raise ValueError("profile names and weights must align")
-        if self.test_preemption not in ("auto", "abort", "reserve"):
-            raise ValueError(f"unknown preemption policy {self.test_preemption!r}")
-        n_cores = self.width * self.height
-        if len(self.type_grid) not in (0, 1, n_cores):
-            raise ValueError(
-                f"type_grid must have 0, 1 or {n_cores} entries for a "
-                f"{self.width}x{self.height} mesh, got {len(self.type_grid)}"
-            )
-
-    def profiles(self) -> List[ApplicationProfile]:
-        return [PROFILE_PRESETS[name] for name in self.profile_names]
-
-
-@dataclass
-class SimulationResult:
-    """Bundle of everything a finished run produced."""
-
-    config: SystemConfig
-    horizon_us: float
-    metrics: MetricsCollector
-    test_stats: TestStats
-    fault_records: List[FaultRecord]
-    scheduler_name: str
-    mapper_name: str
-    power_policy_name: str
-    per_core_busy_us: Dict[int, float]
-    per_core_age_stress: Dict[int, float]
-    per_core_tests: Dict[int, int]
-    peak_temperature_c: Optional[float]
-    per_level_tests: Dict[int, int]
-    noc_avg_hops: float
-    events_fired: int
-    emergency_aborts: int = 0
-    skipped_no_budget: int = 0
-    #: Provenance manifest (config, seed, version, summary digest).
-    manifest: Optional[RunManifest] = None
-
-    # ------------------------------------------------------------------
-    @property
-    def throughput_ops_per_us(self) -> float:
-        return self.metrics.throughput_ops_per_us(self.horizon_us)
-
-    @property
-    def apps_completed(self) -> int:
-        return self.metrics.apps_completed
-
-    @property
-    def tests_completed(self) -> int:
-        return self.test_stats.completed
-
-    @property
-    def test_power_share(self) -> float:
-        return self.metrics.test_power_share(self.horizon_us)
-
-    def mean_detection_latency_us(self) -> Optional[float]:
-        latencies = [
-            r.detection_latency() for r in self.fault_records if r.detected
-        ]
-        if not latencies:
-            return None
-        return lsum(latencies) / len(latencies)
-
-    def summary(self) -> Dict[str, float]:
-        """Flat scalar summary (the rows experiments print)."""
-        waiting = self.metrics.mean_waiting_time()
-        return {
-            "apps_completed": float(self.metrics.apps_completed),
-            "tasks_completed": float(self.metrics.tasks_completed),
-            "throughput_ops_per_us": self.throughput_ops_per_us,
-            "mean_waiting_us": waiting if waiting is not None else 0.0,
-            "avg_power_w": self.metrics.average_power(self.horizon_us),
-            "budget_violation_rate": self.metrics.audit.violation_rate,
-            "tests_completed": float(self.test_stats.completed),
-            "tests_aborted": float(self.test_stats.aborted),
-            "test_power_share": self.test_power_share,
-            "faults_injected": float(len(self.fault_records)),
-            "faults_detected": float(
-                lsum(1 for r in self.fault_records if r.detected)
-            ),
-        }
+from repro.workload.generator import PROFILE_PRESETS, RT_CLASSES
 
 
 @functools.lru_cache(maxsize=64)
@@ -344,8 +196,6 @@ class ManycoreSystem:
 
     def _rt_rank_of_core(self, core) -> int:
         """Priority rank of the work on ``core`` (0 = hard-rt)."""
-        from repro.workload.generator import RT_CLASSES
-
         execution = self.executor.execution_on(core)
         if execution is None:
             return RT_CLASSES["best-effort"]
@@ -517,8 +367,6 @@ class ManycoreSystem:
             return None
         if not self.config.rt_priorities:
             return self.queue[0]
-        from repro.workload.generator import RT_CLASSES
-
         return min(
             self.queue,
             key=lambda app: (
@@ -694,10 +542,6 @@ class ManycoreSystem:
         return result
 
     def _build_manifest(self, result: SimulationResult) -> RunManifest:
-        # Imported lazily: repro (the package root) imports repro.core, so
-        # a top-level import here would be a cycle.
-        import repro
-
         return RunManifest(
             version=getattr(repro, "__version__", "0"),
             seed=self.config.seed,

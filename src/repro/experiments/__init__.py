@@ -12,10 +12,10 @@ _EXPORTS = {
     "EXPERIMENTS": "runners",
     "ExperimentResult": "result",
     "ExperimentSpec": "result",
-    "Outcome": "parallel",
+    "Outcome": "pool",
     "RunFailed": "parallel",
-    "WorkerPool": "parallel",
-    "execute": "parallel",
+    "WorkerPool": "pool",
+    "execute": "pool",
     "run_experiment": "runners",
     "run_many": "parallel",
 }

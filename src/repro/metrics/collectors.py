@@ -1,4 +1,4 @@
-"""Metric collection during a simulation run.
+"""Metric collection during a simulation run, and the result it returns.
 
 The collector is a passive sink: the execution engine and the system's
 control loop push events into it (application admitted / finished, task
@@ -6,18 +6,25 @@ finished, power sampled) and it maintains the counters and time series the
 experiments report.  All rates are computed against the run horizon at
 summary time, so partially-finished work at the horizon is counted the
 same way for every policy being compared.
+
+The result plane: importing this module imports every class a pickled
+:class:`SimulationResult` holds, and no model code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro._sum import lsum
+from repro.core.config_io import SystemConfig
+from repro.obs.provenance import RunManifest
 from repro.power.budget import BudgetAudit, PowerBudget
-from repro.power.meter import PowerBreakdown
 from repro.sim.trace import Trace
-from repro.workload.application import ApplicationInstance
+
+if TYPE_CHECKING:
+    from repro.power.meter import PowerBreakdown
+    from repro.workload.application import ApplicationInstance
 
 
 @dataclass(frozen=True)
@@ -164,3 +171,138 @@ class MetricsCollector:
 
     def average_power(self, horizon_us: float) -> float:
         return self.trace.time_average("power.total", 0.0, horizon_us)
+
+
+@dataclass
+class TestStats:
+    """Aggregate test-campaign statistics."""
+
+    started: int = 0
+    completed: int = 0
+    aborted: int = 0
+    resumed: int = 0
+    detections: int = 0
+    test_time_us: float = 0.0
+    per_core_completed: Dict[int, int] = field(default_factory=dict)
+    per_level_completed: Dict[int, int] = field(default_factory=dict)
+    #: Gaps (µs) between successive completed tests of the same core —
+    #: the staleness a mapper/scheduler pair leaves on the die.
+    test_gaps_us: List[float] = field(default_factory=list)
+
+    def mean_gap_us(self) -> float:
+        if not self.test_gaps_us:
+            return 0.0
+        return lsum(self.test_gaps_us) / len(self.test_gaps_us)
+
+    def max_gap_us(self) -> float:
+        if not self.test_gaps_us:
+            return 0.0
+        return max(self.test_gaps_us)
+
+
+@dataclass
+class FaultRecord:
+    """Lifecycle of one injected fault."""
+
+    core_id: int
+    injected_at: float
+    manifest_level: int
+    kind: str = "high"                 # "high" | "low" corner direction
+    detected_at: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("high", "low"):
+            raise ValueError(f"unknown fault kind {self.kind!r}")
+
+    @property
+    def detected(self) -> bool:
+        return self.detected_at is not None
+
+    def manifests_at(self, level_index: int) -> bool:
+        """Does the fault misbehave at the given DVFS level?"""
+        if self.kind == "high":
+            return level_index >= self.manifest_level
+        return level_index <= self.manifest_level
+
+    def detection_latency(self) -> Optional[float]:
+        if self.detected_at is None:
+            return None
+        return self.detected_at - self.injected_at
+
+
+@dataclass
+class SimulationResult:
+    """Bundle of everything a finished run produced."""
+
+    config: SystemConfig
+    horizon_us: float
+    metrics: MetricsCollector
+    test_stats: TestStats
+    fault_records: List[FaultRecord]
+    scheduler_name: str
+    mapper_name: str
+    power_policy_name: str
+    per_core_busy_us: Dict[int, float]
+    per_core_age_stress: Dict[int, float]
+    per_core_tests: Dict[int, int]
+    peak_temperature_c: Optional[float]
+    per_level_tests: Dict[int, int]
+    noc_avg_hops: float
+    events_fired: int
+    emergency_aborts: int = 0
+    skipped_no_budget: int = 0
+    #: Provenance manifest (config, seed, version, summary digest).
+    manifest: Optional[RunManifest] = None
+    #: :meth:`summary`'s row.  It is pickled with the result, so it rides
+    #: in a pool worker's reply and in the run cache.
+    _summary: Optional[Dict[str, float]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    # ------------------------------------------------------------------
+    @property
+    def throughput_ops_per_us(self) -> float:
+        return self.metrics.throughput_ops_per_us(self.horizon_us)
+
+    @property
+    def apps_completed(self) -> int:
+        return self.metrics.apps_completed
+
+    @property
+    def tests_completed(self) -> int:
+        return self.test_stats.completed
+
+    @property
+    def test_power_share(self) -> float:
+        return self.metrics.test_power_share(self.horizon_us)
+
+    def mean_detection_latency_us(self) -> Optional[float]:
+        latencies = [
+            r.detection_latency() for r in self.fault_records if r.detected
+        ]
+        if not latencies:
+            return None
+        return lsum(latencies) / len(latencies)
+
+    def summary(self) -> Dict[str, float]:
+        """Flat scalar summary (the rows experiments print), a new dict
+        per call.  Computed once per run, or on first use by a result
+        pickled without it."""
+        if self._summary is None:
+            waiting = self.metrics.mean_waiting_time()
+            self._summary = {
+                "apps_completed": float(self.metrics.apps_completed),
+                "tasks_completed": float(self.metrics.tasks_completed),
+                "throughput_ops_per_us": self.throughput_ops_per_us,
+                "mean_waiting_us": waiting if waiting is not None else 0.0,
+                "avg_power_w": self.metrics.average_power(self.horizon_us),
+                "budget_violation_rate": self.metrics.audit.violation_rate,
+                "tests_completed": float(self.test_stats.completed),
+                "tests_aborted": float(self.test_stats.aborted),
+                "test_power_share": self.test_power_share,
+                "faults_injected": float(len(self.fault_records)),
+                "faults_detected": float(
+                    lsum(1 for r in self.fault_records if r.detected)
+                ),
+            }
+        return dict(self._summary)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 if TYPE_CHECKING:
-    from repro.core.system import SimulationResult
+    from repro.metrics.collectors import SimulationResult
 
 
 def digest_of(parts: Iterable[object]) -> str:

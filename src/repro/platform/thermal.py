@@ -23,37 +23,10 @@ package-accurate absolute temperatures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.core.config_io import ThermalParameters
 from repro.platform.chip import Chip
-
-
-@dataclass(frozen=True)
-class ThermalParameters:
-    """RC constants of the lumped per-core thermal node."""
-
-    ambient_c: float = 45.0          # heatsink/ambient reference (°C)
-    r_self_c_per_w: float = 12.0     # core -> ambient thermal resistance
-    r_lateral_c_per_w: float = 8.0   # core <-> neighbour resistance
-    #: Thermal capacitance. Small manycore tiles have millisecond-scale
-    #: time constants (tau = R·C = 6 ms at the defaults), so temperatures
-    #: genuinely evolve within the 10-100 ms simulation horizons.
-    c_j_per_c: float = 0.0005
-    limit_c: float = 95.0            # junction limit used by TSP policies
-
-    def __post_init__(self) -> None:
-        if self.r_self_c_per_w <= 0 or self.r_lateral_c_per_w <= 0:
-            raise ValueError("thermal resistances must be positive")
-        if self.c_j_per_c <= 0:
-            raise ValueError("thermal capacitance must be positive")
-        if self.limit_c <= self.ambient_c:
-            raise ValueError("junction limit must exceed ambient")
-
-    @property
-    def tau_us(self) -> float:
-        """Self time constant R·C in microseconds."""
-        return self.r_self_c_per_w * self.c_j_per_c * 1e6
 
 
 class ThermalModel:

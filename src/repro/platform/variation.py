@@ -22,26 +22,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
+from repro.core.config_io import VariationParameters
 from repro.platform.chip import Chip
-
-
-@dataclass(frozen=True)
-class VariationParameters:
-    """Magnitudes of the variation components."""
-
-    sigma_systematic: float = 0.04   # peak amplitude of the spatial gradient
-    sigma_random: float = 0.03       # stddev of the per-core random part
-    leak_speed_coupling: float = 2.0  # leakage factor per unit speed delta
-    min_factor: float = 0.75         # clip floor (a core can't be arbitrarily slow)
-    max_factor: float = 1.25
-
-    def __post_init__(self) -> None:
-        if self.sigma_systematic < 0 or self.sigma_random < 0:
-            raise ValueError("variation magnitudes must be non-negative")
-        if not 0.0 < self.min_factor <= 1.0 <= self.max_factor:
-            raise ValueError("clip range must bracket 1.0")
 
 
 class VariationModel:

@@ -1,30 +1,21 @@
 """Power substrate: metering, TDP budget, PID budgeting, DVFS policies."""
 
-from repro.power.budget import BudgetAudit, PowerBudget
-from repro.power.manager import (
-    NaiveTDPManager,
-    NoOpPowerManager,
-    PIDPowerManager,
-    PowerManager,
-    TSPPowerManager,
-    WorstCaseTDPManager,
-    make_power_manager,
-)
-from repro.power.meter import PowerBreakdown, PowerMeter
-from repro.power.pid import PIDController, PIDGains
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BudgetAudit",
-    "NaiveTDPManager",
-    "NoOpPowerManager",
-    "PIDController",
-    "PIDGains",
-    "PIDPowerManager",
-    "PowerBreakdown",
-    "PowerBudget",
-    "PowerManager",
-    "PowerMeter",
-    "TSPPowerManager",
-    "WorstCaseTDPManager",
-    "make_power_manager",
-]
+_EXPORTS = {
+    "BudgetAudit": "budget",
+    "NaiveTDPManager": "manager",
+    "NoOpPowerManager": "manager",
+    "PIDController": "pid",
+    "PIDGains": "pid",
+    "PIDPowerManager": "manager",
+    "PowerBreakdown": "meter",
+    "PowerBudget": "budget",
+    "PowerManager": "manager",
+    "PowerMeter": "meter",
+    "TSPPowerManager": "manager",
+    "WorstCaseTDPManager": "manager",
+    "make_power_manager": "manager",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -17,12 +17,13 @@ HTTP so it can be driven directly by tests.  One engine owns:
   arrival order and takes one item per turn, so a tenant with a
   thousand queued points cannot starve a tenant with one;
 * **the worker fleet** — a persistent
-  :class:`~repro.experiments.parallel.WorkerPool` (``jobs >= 1``) or
+  :class:`~repro.experiments.pool.WorkerPool` (``jobs >= 1``) or
   thread pool (``jobs = 0``, handy for tests and tiny deployments),
-  both running :func:`~repro.experiments.parallel.execute`, the point
+  both running :func:`~repro.experiments.pool.execute`, the point
   executor sweeps and campaigns use.  A broken process pool is rebuilt
   once and the interrupted work retried, mirroring the campaign
-  executor's crash-tolerance.
+  executor's crash-tolerance.  A process pool keeps the model out of
+  this process.
 
 Determinism contract: every result leaving the engine is produced by
 ``run_system`` on a fully-resolved config, so its
@@ -40,8 +41,8 @@ from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
-from repro.core.system import SystemConfig
-from repro.experiments.parallel import Outcome, WorkerPool, execute
+from repro.core.config_io import SystemConfig
+from repro.experiments.pool import Outcome, WorkerPool, execute
 from repro.obs.provenance import result_digest
 from repro.serve.protocol import SweepRequest
 from repro.telemetry.registry import MetricsRegistry, count_run
@@ -73,7 +74,7 @@ class PointPayload:
     """What a completed point resolves to: identity plus the summary row.
 
     ``result_digest`` is :func:`repro.obs.provenance.result_digest` of
-    the full :class:`~repro.core.system.SimulationResult` — the identity
+    the full :class:`~repro.metrics.collectors.SimulationResult` — the identity
     the served-equals-direct contract is asserted on; ``summary`` is the
     scalar summary row clients actually consume.
     """
@@ -81,6 +82,11 @@ class PointPayload:
     digest: str
     result_digest: str
     summary: Dict[str, float]
+
+    @classmethod
+    def of(cls, digest: str, result) -> "PointPayload":
+        """The payload of ``result``, the run of the config ``digest`` names."""
+        return cls(digest, result_digest(result), result.summary())
 
 
 @dataclass(frozen=True)
@@ -193,13 +199,15 @@ class ServeEngine:
     async def start(self) -> None:
         """Create the worker pool and start the dispatcher task.
 
-        A process pool starts its forkserver here, before the listener
-        accepts its first connection, with the point executor already
-        imported into it.
+        Whatever runs points imports the model here, before the listener
+        accepts its first connection: a process pool's forkserver, or
+        this process when it runs them on threads.
         """
         if self.jobs >= 1:
             self._pool = WorkerPool(self.jobs)
         else:
+            import repro.experiments.parallel  # noqa: F401  (the model)
+
             self._pool = ThreadPoolExecutor(
                 max_workers=self.width, thread_name_prefix="serve-sim"
             )
@@ -331,13 +339,7 @@ class ServeEngine:
                 self._count("coalesced")
             elif kind == "cached":
                 future = loop.create_future()
-                future.set_result(
-                    PointPayload(
-                        digest=point.digest,
-                        result_digest=result_digest(payload),
-                        summary=payload.summary(),
-                    )
-                )
+                future.set_result(PointPayload.of(point.digest, payload))
                 self._count("cache_hits")
             else:
                 future = loop.create_future()
@@ -438,11 +440,7 @@ class ServeEngine:
             self.registry.histogram(
                 "serve.point_seconds", (0.01, 0.1, 0.5, 1.0, 5.0, 30.0)
             ).observe(elapsed)
-            payload = PointPayload(
-                digest=work.digest,
-                result_digest=result_digest(result),
-                summary=result.summary(),
-            )
+            payload = PointPayload.of(work.digest, result)
             if self.cache is not None:
                 try:
                     self.cache.put_result(work.digest, result, self.registry)

@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config_io import config_from_dict, config_to_dict
-from repro.core.system import SystemConfig
+from repro.core.config_io import SystemConfig, config_from_dict, config_to_dict
 from repro.obs.provenance import config_digest
 from repro.serve.jsonl import SpecError, decode_line, encode_line
 

@@ -17,12 +17,12 @@ them, so scheduler comparisons measure policy, not implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro._sum import lsum
 from repro.aging.faults import FaultInjector
 from repro.aging.model import AgingModel
+from repro.metrics.collectors import TestStats
 from repro.obs.journal import NULL_JOURNAL
 from repro.platform.chip import Chip
 from repro.platform.core import Core, CoreState
@@ -45,37 +45,6 @@ class TestSession:
     finish_event: Event
     #: Suite time (µs) already executed before this session (checkpoint).
     resumed_offset_us: float = 0.0
-
-    @property
-    def ends_at(self) -> float:
-        return self.started_at + self.duration_us
-
-
-@dataclass
-class TestStats:
-    """Aggregate test-campaign statistics."""
-
-    started: int = 0
-    completed: int = 0
-    aborted: int = 0
-    resumed: int = 0
-    detections: int = 0
-    test_time_us: float = 0.0
-    per_core_completed: Dict[int, int] = field(default_factory=dict)
-    per_level_completed: Dict[int, int] = field(default_factory=dict)
-    #: Gaps (µs) between successive completed tests of the same core —
-    #: the staleness a mapper/scheduler pair leaves on the die.
-    test_gaps_us: List[float] = field(default_factory=list)
-
-    def mean_gap_us(self) -> float:
-        if not self.test_gaps_us:
-            return 0.0
-        return lsum(self.test_gaps_us) / len(self.test_gaps_us)
-
-    def max_gap_us(self) -> float:
-        if not self.test_gaps_us:
-            return 0.0
-        return max(self.test_gaps_us)
 
 
 class TestRunner:

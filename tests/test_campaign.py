@@ -45,6 +45,7 @@ from repro.cli import main
 from repro.core.system import SystemConfig, run_system
 from repro.experiments.parallel import Outcome, RunFailed, execute, run_many
 from repro.obs.provenance import config_digest
+from repro.sim.trace import Trace
 
 #: Fast 4x4 base with fault injection on: one run is ~0.1-0.2 s.
 BASE = {
@@ -663,6 +664,29 @@ def test_warm_pass_fsyncs_once_for_all_its_hits(
         assert report.n_completed == n
         counts[n] = len(calls)
     assert counts[4] == counts[12] == 6, counts
+
+
+def test_warm_pass_integrates_no_power_trace(tmp_path, closes, monkeypatch):
+    """A cached result carries its summary row: a cold pass integrates
+    each point's three power traces once, in its run, and a warm pass
+    builds every record without integrating any."""
+    cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
+    spec = small_spec(base=dict(BASE, horizon_us=1000.0),
+                      seeds={"start": 1, "count": 2})
+    calls = []
+    integral = Trace.integral
+    monkeypatch.setattr(
+        Trace,
+        "integral",
+        lambda trace, *args: calls.append(args) or integral(trace, *args),
+    )
+    cold = run_campaign(str(tmp_path / "cold"), spec=spec, cache=cache)
+    assert len(calls) == 3 * cold.n_completed
+    calls.clear()
+    warm = run_campaign(str(tmp_path / "warm"), spec=spec, cache=cache,
+                        worker=_exploding_worker)
+    assert warm.n_completed == cold.n_completed
+    assert calls == []
 
 
 @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])

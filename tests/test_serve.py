@@ -49,6 +49,7 @@ from repro.serve import (
     sweep_request_doc,
 )
 from repro.serve.protocol import CampaignRequest
+from repro.sim.trace import Trace
 
 from tests.conftest import small_sweep_base
 
@@ -240,6 +241,34 @@ class TestEngine:
         assert counters["serve.coalesced"] == 1
         assert counters["serve.cache_hits"] == 3
         assert counters["sim.runs"] == counters["serve.computed"]
+
+    def test_a_served_point_integrates_its_power_traces_once(
+        self, tmp_path, closes, monkeypatch
+    ):
+        """A run's summary row is computed once, in the run, and travels
+        with the result: serving the point integrates its three power
+        traces once in all, and serving it from the cache not at all."""
+        calls = []
+        integral = Trace.integral
+        monkeypatch.setattr(
+            Trace,
+            "integral",
+            lambda trace, *args: calls.append(args) or integral(trace, *args),
+        )
+        cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
+        doc = {"points": [{"seed": 1}], "base": SMALL}
+
+        async def body(engine):
+            counts = []
+            for source in ("queued", "cached"):
+                calls.clear()
+                [ticket] = engine.submit(SweepRequest.parse(doc))
+                assert ticket.source == source
+                await ticket.future
+                counts.append(len(calls))
+            return counts
+
+        assert run_async(_with_engine(body, cache=cache)) == [3, 0]
 
     def test_tenant_quota_rejects_whole_request(self):
         async def body(engine):
