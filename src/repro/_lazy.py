@@ -9,12 +9,15 @@ import sys
 def lazy_exports(package, table):
     """``(__getattr__, __dir__)`` for ``package``; ``table`` maps each
     exported name to its submodule (``{"SystemConfig": "core"}``; a
-    leading dot climbs to the parent: ``".metrics.collectors"``)."""
+    leading dot climbs to the parent: ``".metrics.collectors"``).  A
+    name that maps to itself exports the submodule."""
 
     def __getattr__(name):
         if name not in table:
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
-        value = getattr(importlib.import_module(f".{table[name]}", package), name)
+        value = importlib.import_module(f".{table[name]}", package)
+        if table[name] != name:
+            value = getattr(value, name)
         setattr(sys.modules[package], name, value)
         return value
 

@@ -15,43 +15,24 @@ package, ``repro.metrics`` and ``repro.telemetry`` split the work:
 ``docs/observability.md``.
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from repro.obs import audit
-from repro.obs.journal import (
-    DEBUG_TYPES,
-    LEVELS,
-    NULL_JOURNAL,
-    SAMPLED_TYPES,
-    Journal,
-    JournalEvent,
-    events_of,
-)
-from repro.obs.profile import Profile
-from repro.obs.provenance import (
-    RunManifest,
-    config_digest,
-    digest_of,
-    experiment_provenance,
-    result_digest,
-    rows_digest,
-)
-
-__all__ = [
-    "DEBUG_TYPES",
-    "LEVELS",
-    "NULL_JOURNAL",
-    "SAMPLED_TYPES",
-    "Journal",
-    "JournalEvent",
-    "Profile",
-    "RunManifest",
-    "audit",
-    "config_digest",
-    "digest_of",
-    "events_of",
-    "experiment_provenance",
-    "result_digest",
-    "rows_digest",
-]
-
+_EXPORTS = {
+    "DEBUG_TYPES": "journal",
+    "LEVELS": "journal",
+    "NULL_JOURNAL": "journal",
+    "SAMPLED_TYPES": "journal",
+    "Journal": "journal",
+    "JournalEvent": "journal",
+    "Profile": "profile",
+    "RunManifest": "provenance",
+    "audit": "audit",
+    "config_digest": "provenance",
+    "digest_of": "provenance",
+    "events_of": "journal",
+    "experiment_provenance": "provenance",
+    "result_digest": "provenance",
+    "rows_digest": "provenance",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

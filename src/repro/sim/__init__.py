@@ -1,24 +1,18 @@
 """Discrete-event simulation kernel (engine, events, traces, RNG streams)."""
 
-from repro.sim.engine import SimulationError, Simulator
-from repro.sim.events import (
-    Event,
-    PRIORITY_CONTROL,
-    PRIORITY_EARLY,
-    PRIORITY_NORMAL,
-)
-from repro.sim.rng import StreamRegistry, derive_seed, make_rng
-from repro.sim.trace import Trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "PRIORITY_CONTROL",
-    "PRIORITY_EARLY",
-    "PRIORITY_NORMAL",
-    "SimulationError",
-    "Simulator",
-    "StreamRegistry",
-    "Trace",
-    "derive_seed",
-    "make_rng",
-]
+_EXPORTS = {
+    "Event": "events",
+    "PRIORITY_CONTROL": "events",
+    "PRIORITY_EARLY": "events",
+    "PRIORITY_NORMAL": "events",
+    "SimulationError": "engine",
+    "Simulator": "engine",
+    "StreamRegistry": "rng",
+    "Trace": "trace",
+    "derive_seed": "rng",
+    "make_rng": "rng",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
