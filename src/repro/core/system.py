@@ -66,7 +66,7 @@ from repro.workload.arrivals import (
     BurstyArrivalProcess,
     PoissonArrivalProcess,
 )
-from repro.workload.generator import PROFILE_PRESETS, RT_CLASSES
+from repro.workload.generator import PROFILE_PRESETS
 
 
 @functools.lru_cache(maxsize=64)
@@ -196,6 +196,8 @@ class ManycoreSystem:
 
     def _rt_rank_of_core(self, core) -> int:
         """Priority rank of the work on ``core`` (0 = hard-rt)."""
+        from repro.workload.generator import RT_CLASSES
+
         execution = self.executor.execution_on(core)
         if execution is None:
             return RT_CLASSES["best-effort"]
@@ -367,6 +369,8 @@ class ManycoreSystem:
             return None
         if not self.config.rt_priorities:
             return self.queue[0]
+        from repro.workload.generator import RT_CLASSES
+
         return min(
             self.queue,
             key=lambda app: (

@@ -46,6 +46,10 @@ class TestSession:
     #: Suite time (µs) already executed before this session (checkpoint).
     resumed_offset_us: float = 0.0
 
+    @property
+    def ends_at(self) -> float:
+        return self.started_at + self.duration_us
+
 
 class TestRunner:
     """Executes SBST sessions on cores.
