@@ -637,7 +637,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.obs import Profile
 
     with Profile() as profile:
-        status = _run_command(args)
+        # Via a frame cProfile saw start: it is charged the command's teardown.
+        status = (lambda: _run_command(args))()
     print(profile.report())
     return status
 

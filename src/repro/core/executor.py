@@ -21,7 +21,7 @@ its outgoing transfers have drained.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.aging.model import AgingModel
 from repro.noc.model import NocModel
@@ -217,33 +217,33 @@ class ExecutionEngine:
     # Transfers
     # ------------------------------------------------------------------
     def _start_transfer(self, app: ApplicationInstance, edge: Edge) -> None:
-        src_core = self.chip.cores[app.placement[edge.src]]
-        dst_core = self.chip.cores[app.placement[edge.dst]]
-        estimate = self.noc.begin_transfer(
-            src_core.position, dst_core.position, edge.volume_flits,
-            now=self.sim.now,
+        placement = app.placement
+        cores = self.chip.cores
+        flits = edge.volume_flits
+        latency_us, energy_uj, _, route = self.noc.admit(
+            cores[placement[edge.src]].position,
+            cores[placement[edge.dst]].position,
+            flits,
+            self.sim.now,
         )
-        if estimate.latency_us <= 0:
-            self.noc.end_transfer(
-                src_core.position, dst_core.position, edge.volume_flits
-            )
-            self._finish_transfer(app, edge, 0.0)
+        if latency_us <= 0:
+            self.noc.release(route, flits)
+            self._finish_transfer(app, edge)
             return
-        power_w = estimate.energy_uj / estimate.latency_us
+        power_w = energy_uj / latency_us
         self.meter.add_noc_power(power_w)
+        self.sim.schedule(
+            latency_us, self._complete_transfer, app, edge, power_w, route
+        )
 
-        def complete() -> None:
-            self.meter.remove_noc_power(power_w)
-            self.noc.end_transfer(
-                src_core.position, dst_core.position, edge.volume_flits
-            )
-            self._finish_transfer(app, edge, estimate.latency_us)
-
-        self.sim.schedule(estimate.latency_us, complete)
-
-    def _finish_transfer(
-        self, app: ApplicationInstance, edge: Edge, latency_us: float
+    def _complete_transfer(
+        self, app: ApplicationInstance, edge: Edge, power_w: float, route: Sequence[int]
     ) -> None:
+        self.meter.remove_noc_power(power_w)
+        self.noc.release(route, edge.volume_flits)
+        self._finish_transfer(app, edge)
+
+    def _finish_transfer(self, app: ApplicationInstance, edge: Edge) -> None:
         app.transferred_edges.add((edge.src, edge.dst))
         src_core = self.chip.cores[app.placement[edge.src]]
         pending = self._pending_out.get(src_core.core_id, 0) - 1

@@ -18,7 +18,10 @@ style and the proposed test-aware mapper) is factored here:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+import functools
+from itertools import accumulate
+from operator import add
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.noc.topology import Mesh
 from repro.platform.chip import Chip
@@ -107,31 +110,37 @@ def pick_first_node(
     # every available core per candidate — same counts, same winner.
     width = ctx.mesh.width
     height = ctx.mesh.height
-    pref = [[0] * (width + 1) for _ in range(height + 1)]
+    grid = [[0] * width for _ in range(height)]
     for other in ctx.available:
-        pref[other.y + 1][other.x + 1] += 1
-    for y in range(1, height + 1):
-        row = pref[y]
-        prev = pref[y - 1]
-        run = 0
-        for x in range(1, width + 1):
-            run += row[x]
-            row[x] = run + prev[x]
+        grid[other.y][other.x] += 1
+    pref = [[0] * (width + 1)]
+    for counts in grid:
+        # pref[y + 1][x + 1] = this row's running count + pref[y][x + 1]
+        pref.append([0, *map(add, accumulate(counts), pref[-1][1:])])
     best: Optional[Core] = None
-    best_key = None
+    best_key = 0.0
+    w1 = width - 1
+    h1 = height - 1
     for core in ctx.available:
-        x0 = max(0, core.x - radius)
-        y0 = max(0, core.y - radius)
-        x1 = min(width - 1, core.x + radius)
-        y1 = min(height - 1, core.y + radius)
+        x = core.x
+        y = core.y
+        # The window clamped to the mesh: ``max(0, v)``/``min(w1, v)`` inlined.
+        x0 = x - radius if x > radius else 0
+        y0 = y - radius if y > radius else 0
+        x1 = x + radius if x + radius < w1 else w1
+        y1 = y + radius if y + radius < h1 else h1
         score = float(
             pref[y1 + 1][x1 + 1] - pref[y0][x1 + 1]
             - pref[y1 + 1][x0] + pref[y0][x0]
         )
         if core_costs is not None:
             score -= core_costs[core.core_id]
-        key = (-score, core.core_id)
-        if best_key is None or key < best_key:
+        key = -score
+        if (
+            best is None
+            or key < best_key
+            or (key == best_key and core.core_id < best.core_id)
+        ):
             best_key = key
             best = core
     return best
@@ -159,8 +168,8 @@ def assign_tasks_near(
     # first-node bias, so float addition is exact here and those sums may
     # be regrouped freely: the distance splits into a per-core constant
     # (distance to the first node, hoisted below) plus separable per-axis
-    # predecessor distances read from small tables — O(width + height)
-    # absolute differences per task instead of O(|free| * preds).  Same
+    # predecessor distances: per task, one row of a per-axis distance
+    # table added per predecessor instead of O(|free| * preds).  Same
     # values, same (cost, core_id) winner as the naive double loop.  The
     # table cost is added last, as the naive loop did; without a table it
     # is 0.0, and adding 0.0 to the non-negative distance is exact.
@@ -180,20 +189,19 @@ def assign_tasks_near(
 
     width = ctx.mesh.width
     height = ctx.mesh.height
+    dist_x = _axis_distances(width)
+    dist_y = _axis_distances(height)
+    no_col = (0,) * width
+    no_row = (0,) * height
     predecessors = graph.predecessors
     for task_id in graph.topo_order:
-        pred_positions = [
-            positions[edge.src]
-            for edge in predecessors[task_id]
-            if edge.src in positions
-        ]
-        col = [0] * width
-        row = [0] * height
-        for px, py in pred_positions:
-            for x in range(width):
-                col[x] += abs(x - px)
-            for y in range(height):
-                row[y] += abs(y - py)
+        col = no_col
+        row = no_row
+        for edge in predecessors[task_id]:
+            placed = positions.get(edge.src)
+            if placed is not None:
+                col = list(map(add, col, dist_x[placed[0]]))
+                row = list(map(add, row, dist_y[placed[1]]))
         best_core = None
         best_cost = 0.0
         for core, base, cx, cy, extra in free.values():
@@ -211,3 +219,9 @@ def assign_tasks_near(
         positions[task_id] = best_core.position
         del free[best_core.core_id]
     return placement
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_distances(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """``table[p][x] == abs(x - p)`` for positions on an axis of ``n``."""
+    return tuple(tuple(abs(x - p) for x in range(n)) for p in range(n))

@@ -19,7 +19,7 @@ enough fidelity for the mapper comparisons (experiment E7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Sequence, Tuple
 
 from repro.noc.routing import Link, link_id, xy_link_ids
 from repro.noc.topology import Mesh, Position
@@ -44,12 +44,7 @@ class NocParameters:
 
 @dataclass(slots=True)
 class TransferEstimate:
-    """Result of admitting one transfer into the NoC model.
-
-    Treat as immutable; a plain slots dataclass because one is built per
-    transfer and the frozen-dataclass ``__setattr__`` guard makes
-    construction measurably slower on that path.
-    """
+    """Result of admitting one transfer into the NoC model (read-only)."""
 
     latency_us: float
     energy_uj: float
@@ -86,13 +81,9 @@ class NocModel:
         """
         return dict(self._link_load)
 
-    def occupy(self, link_ids: List[int], flits: float) -> None:
-        loads = self._link_load
-        get = loads.get
-        for lid in link_ids:
-            loads[lid] = get(lid, 0.0) + flits
-
-    def release(self, link_ids: List[int], flits: float) -> None:
+    def release(self, link_ids: Sequence[int], flits: float) -> None:
+        """Take ``flits`` off each link; ends a transfer whose ``route``
+        :meth:`admit` returned."""
         loads = self._link_load
         get = loads.get
         for lid in link_ids:
@@ -104,15 +95,24 @@ class NocModel:
             else:
                 loads[lid] = remaining
 
-    def busiest_load(self, link_ids: List[int]) -> float:
-        if not link_ids:
-            return 0.0
-        get = self._link_load.get
-        return max([get(lid, 0.0) for lid in link_ids])
-
     # ------------------------------------------------------------------
     # Transfers
     # ------------------------------------------------------------------
+    def _price(self, hops: int, flits: float, load: float) -> Tuple[float, float]:
+        """``(latency_us, energy_uj)`` of a non-empty transfer of ``flits``
+        over ``hops`` links whose busiest carries ``load`` flits."""
+        params = self.params
+        normalized = load / params.bandwidth_flits_per_us
+        serial = flits / params.bandwidth_flits_per_us
+        latency = (
+            hops * params.router_delay_us
+            + serial * (1.0 + params.congestion_alpha * normalized)
+        )
+        energy_pj = flits * (
+            hops * params.e_link_pj + (hops + 1) * params.e_router_pj
+        )
+        return latency, energy_pj * 1e-6
+
     def estimate(
         self, src: Position, dst: Position, flits: float, now: float = 0.0
     ) -> TransferEstimate:
@@ -125,66 +125,51 @@ class NocModel:
         """
         if flits < 0:
             raise ValueError("flit volume must be non-negative")
-        return self._estimate_ids(xy_link_ids(self.mesh, src, dst), flits)
-
-    def _estimate_ids(self, link_ids, flits: float) -> TransferEstimate:
-        """:meth:`estimate` with the route already resolved to link ids."""
+        link_ids = xy_link_ids(self.mesh, src, dst)
         hops = len(link_ids)
         if flits == 0 or hops == 0:
             return TransferEstimate(0.0, 0.0, hops, 0.0)
-        params = self.params
-        load = self.busiest_load(link_ids)
-        normalized = load / params.bandwidth_flits_per_us
-        serial = flits / params.bandwidth_flits_per_us
-        latency = (
-            hops * params.router_delay_us
-            + serial * (1.0 + params.congestion_alpha * normalized)
-        )
-        energy_pj = flits * (
-            hops * params.e_link_pj + (hops + 1) * params.e_router_pj
-        )
-        return TransferEstimate(latency, energy_pj * 1e-6, hops, load)
+        load = max([self._link_load.get(lid, 0.0) for lid in link_ids])
+        latency, energy_uj = self._price(hops, flits, load)
+        return TransferEstimate(latency, energy_uj, hops, load)
 
-    def begin_transfer(
+    def admit(
         self, src: Position, dst: Position, flits: float, now: float = 0.0
-    ) -> TransferEstimate:
-        """Admit a transfer: account its load and return its estimate."""
+    ) -> Tuple[float, float, float, Sequence[int]]:
+        """:meth:`begin_transfer` as ``(latency_us, energy_uj, max_link_load,
+        route)``, building no estimate; hand ``route`` (the link ids) to
+        :meth:`release` when the transfer ends."""
         if flits < 0:
             raise ValueError("flit volume must be non-negative")
         link_ids = xy_link_ids(self.mesh, src, dst)
         hops = len(link_ids)
         loads = self._link_load
         get = loads.get
+        # Busiest-load scan fused with occupancy: an XY route visits each
+        # link once, so reading a link and then writing it cannot affect
+        # another link's reading.  Loads are non-negative, so starting the
+        # maximum at 0.0 picks the same float ``max`` of the loads does.
+        load = 0.0
+        for lid in link_ids:
+            seen = get(lid, 0.0)
+            if seen > load:
+                load = seen
+            loads[lid] = seen + flits
         if flits == 0 or hops == 0:
-            estimate = TransferEstimate(0.0, 0.0, hops, 0.0)
+            latency = energy_uj = load = 0.0
         else:
-            # Fused busiest-load scan + occupancy: one table read per link
-            # instead of two.  Floats are untouched: ``max`` of the same
-            # loads, additions in the same link order.
-            params = self.params
-            current = [get(lid, 0.0) for lid in link_ids]
-            load = max(current)
-            normalized = load / params.bandwidth_flits_per_us
-            serial = flits / params.bandwidth_flits_per_us
-            latency = (
-                hops * params.router_delay_us
-                + serial * (1.0 + params.congestion_alpha * normalized)
-            )
-            energy_pj = flits * (
-                hops * params.e_link_pj + (hops + 1) * params.e_router_pj
-            )
-            estimate = TransferEstimate(latency, energy_pj * 1e-6, hops, load)
-            for lid, seen in zip(link_ids, current):
-                loads[lid] = seen + flits
-            self.total_flits += flits
-            self.total_flit_hops += flits * hops
-            self.total_energy_uj += estimate.energy_uj
-            return estimate
-        self.occupy(link_ids, flits)
+            latency, energy_uj = self._price(hops, flits, load)
         self.total_flits += flits
-        self.total_flit_hops += flits * estimate.hops
-        self.total_energy_uj += estimate.energy_uj
-        return estimate
+        self.total_flit_hops += flits * hops
+        self.total_energy_uj += energy_uj
+        return latency, energy_uj, load, link_ids
+
+    def begin_transfer(
+        self, src: Position, dst: Position, flits: float, now: float = 0.0
+    ) -> TransferEstimate:
+        """Admit a transfer: account its load and return its estimate."""
+        latency, energy_uj, load, link_ids = self.admit(src, dst, flits, now)
+        return TransferEstimate(latency, energy_uj, len(link_ids), load)
 
     def end_transfer(self, src: Position, dst: Position, flits: float) -> None:
         """Retire a transfer admitted with :meth:`begin_transfer`."""

@@ -22,10 +22,10 @@ substitution claimed in DESIGN.md.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Sequence, Tuple
 
 from repro.noc.model import NocParameters, TransferEstimate
-from repro.noc.routing import Link, xy_links
+from repro.noc.routing import Link, link_id, xy_link_ids
 from repro.noc.topology import Mesh, Position
 
 
@@ -35,7 +35,7 @@ class QueuedNocModel:
     def __init__(self, mesh: Mesh, params: NocParameters = NocParameters()) -> None:
         self.mesh = mesh
         self.params = params
-        self._link_free: Dict[Link, float] = {}
+        self._link_free: Dict[int, float] = {}  # link id -> free at
         self.total_flits: float = 0.0
         self.total_energy_uj: float = 0.0
         self.total_flit_hops: float = 0.0
@@ -43,39 +43,39 @@ class QueuedNocModel:
 
     # ------------------------------------------------------------------
     def link_free_at(self, link: Link) -> float:
-        return self._link_free.get(link, 0.0)
+        return self._link_free.get(link_id(self.mesh, link), 0.0)
 
     def _walk(
         self, src: Position, dst: Position, flits: float, now: float, commit: bool
-    ) -> TransferEstimate:
+    ) -> Tuple[float, float, int, float]:
+        """``(latency_us, energy_uj, hops, max_wait_us)``; reserves if ``commit``."""
         if flits < 0:
             raise ValueError("flit volume must be non-negative")
         if now < 0:
             raise ValueError("now must be non-negative")
-        links = xy_links(self.mesh, src, dst)
-        hops = len(links)
+        link_ids = xy_link_ids(self.mesh, src, dst)
+        hops = len(link_ids)
         if flits == 0 or hops == 0:
-            return TransferEstimate(0.0, 0.0, hops, 0.0)
-        serial = flits / self.params.bandwidth_flits_per_us
+            return 0.0, 0.0, hops, 0.0
+        params = self.params
+        serial = flits / params.bandwidth_flits_per_us
+        link_free = self._link_free
         arrival = now
         max_wait = 0.0
-        for link in links:
-            ready = arrival + self.params.router_delay_us
-            start = max(ready, self.link_free_at(link))
-            max_wait = max(max_wait, start - ready)
-            finish = start + serial
+        for lid in link_ids:
+            ready = arrival + params.router_delay_us
+            # ``max(ready, free)`` and ``max(max_wait, wait)``, spelled out.
+            free = link_free.get(lid, 0.0)
+            start = free if free > ready else ready
+            if start - ready > max_wait:
+                max_wait = start - ready
+            arrival = start + serial
             if commit:
-                self._link_free[link] = finish
-            arrival = finish
+                link_free[lid] = arrival
         energy_pj = flits * (
-            hops * self.params.e_link_pj + (hops + 1) * self.params.e_router_pj
+            hops * params.e_link_pj + (hops + 1) * params.e_router_pj
         )
-        return TransferEstimate(
-            latency_us=arrival - now,
-            energy_uj=energy_pj * 1e-6,
-            hops=hops,
-            max_link_load=max_wait,
-        )
+        return arrival - now, energy_pj * 1e-6, hops, max_wait
 
     # ------------------------------------------------------------------
     # NocModel-compatible interface
@@ -83,17 +83,29 @@ class QueuedNocModel:
     def estimate(
         self, src: Position, dst: Position, flits: float, now: float = 0.0
     ) -> TransferEstimate:
-        return self._walk(src, dst, flits, now, commit=False)
+        return TransferEstimate(*self._walk(src, dst, flits, now, commit=False))
+
+    def admit(
+        self, src: Position, dst: Position, flits: float, now: float = 0.0
+    ) -> Tuple[float, float, float, Sequence[int]]:
+        """:meth:`begin_transfer` as ``(latency_us, energy_uj, max_wait_us,
+        route)``; the route is empty, as :meth:`release` has nothing to do."""
+        latency, energy_uj, hops, wait = self._walk(src, dst, flits, now, True)
+        self.total_flits += flits
+        self.total_flit_hops += flits * hops
+        self.total_energy_uj += energy_uj
+        self.total_queue_wait_us += wait
+        return latency, energy_uj, wait, ()
 
     def begin_transfer(
         self, src: Position, dst: Position, flits: float, now: float = 0.0
     ) -> TransferEstimate:
-        result = self._walk(src, dst, flits, now, commit=True)
-        self.total_flits += flits
-        self.total_flit_hops += flits * result.hops
-        self.total_energy_uj += result.energy_uj
-        self.total_queue_wait_us += result.max_link_load
-        return result
+        latency, energy_uj, wait, _ = self.admit(src, dst, flits, now)
+        hops = len(xy_link_ids(self.mesh, src, dst))
+        return TransferEstimate(latency, energy_uj, hops, wait)
+
+    def release(self, route: Sequence[int], flits: float) -> None:
+        """No-op: reservations expire with simulated time."""
 
     def end_transfer(self, src: Position, dst: Position, flits: float) -> None:
         """No-op: reservations expire with simulated time."""

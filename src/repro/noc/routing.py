@@ -4,10 +4,10 @@ XY routing first corrects the X coordinate, then the Y coordinate.  It is
 deadlock-free on a mesh and is what the NoC manycore platforms this paper
 targets (and the group's companion NoC papers) use.
 
-Routes are static, so both :func:`xy_path` and :func:`xy_links` memoize
-their walks in the mesh's :class:`~repro.noc.topology.RouteCache`; the
-analytic and queued NoC models share one mesh and hence one table.
-:func:`xy_links` returns the cached tuple directly — treat it as
+Routes are static, so node paths and link-id sequences are memoized in
+the mesh's :class:`~repro.noc.topology.RouteCache`; the analytic and
+queued NoC models share one mesh and hence one table.
+:func:`xy_link_ids` returns the cached tuple directly — treat it as
 immutable.
 """
 
@@ -53,18 +53,9 @@ def xy_path(mesh: Mesh, src: Position, dst: Position) -> List[Position]:
 
 
 def xy_links(mesh: Mesh, src: Position, dst: Position) -> Sequence[Link]:
-    """Unidirectional links traversed by an XY-routed packet.
-
-    Returns the mesh's cached, immutable link tuple.
-    """
-    cache = mesh.route_cache.links
-    key = (src, dst)
-    links = cache.get(key)
-    if links is None:
-        path = _cached_path(mesh, src, dst)
-        links = tuple(zip(path, path[1:]))
-        cache[key] = links
-    return links
+    """Unidirectional links traversed by an XY-routed packet."""
+    path = _cached_path(mesh, src, dst)
+    return tuple(zip(path, path[1:]))
 
 
 def link_id(mesh: Mesh, link: Link) -> int:

@@ -16,21 +16,17 @@ class RouteCache:
     """Per-mesh memo of XY routes, filled lazily by :mod:`repro.noc.routing`.
 
     Routes on a mesh are static (deterministic XY), so once a
-    (source, destination) pair has been walked its node path and link
-    sequence never change.  Both the analytic and the queued NoC models
+    (source, destination) pair has been walked its node path and link ids
+    never change.  Both the analytic and the queued NoC models
     route through the same :class:`Mesh` instance and therefore share
     this table.  Entries are stored as tuples: callers may hold on to
     them without defensive copies.
     """
 
-    __slots__ = ("paths", "links", "link_ids")
+    __slots__ = ("paths", "link_ids")
 
     def __init__(self) -> None:
         self.paths: Dict[Tuple[Position, Position], Tuple[Position, ...]] = {}
-        self.links: Dict[
-            Tuple[Position, Position],
-            Tuple[Tuple[Position, Position], ...],
-        ] = {}
         self.link_ids: Dict[Tuple[Position, Position], Tuple[int, ...]] = {}
 
 

@@ -96,12 +96,6 @@ class Chip:
         self.cores: List[Core] = []
         self._by_pos: Dict[Tuple[int, int], Core] = {}
         self._state_ids: Dict[CoreState, Set[int]] = {s: set() for s in CoreState}
-        #: Memoized ``cores_in_state`` lists, invalidated per-state on
-        #: transitions; control planes query the same states many times
-        #: between transitions, so the sort is amortized away.
-        self._state_lists: Dict[CoreState, Optional[List[Core]]] = {
-            s: None for s in CoreState
-        }
         #: Memoized ``free_cores`` result, invalidated on any state change
         #: and (via the cores' owner callbacks) on any ownership change.
         self._free_list: Optional[List[Core]] = None
@@ -171,8 +165,6 @@ class Chip:
         if new is not old:
             self._state_ids[old].discard(core.core_id)
             self._state_ids[new].add(core.core_id)
-            self._state_lists[old] = None
-            self._state_lists[new] = None
             self._free_list = None
             if core._owner_app is None:
                 if old is CoreState.IDLE:
@@ -238,13 +230,8 @@ class Chip:
     # State summaries
     # ------------------------------------------------------------------
     def cores_in_state(self, state: CoreState) -> List[Core]:
-        """Cores in ``state``, ascending core id.  Treat as read-only."""
-        cached = self._state_lists[state]
-        if cached is None:
-            cores = self.cores
-            cached = [cores[i] for i in sorted(self._state_ids[state])]
-            self._state_lists[state] = cached
-        return cached
+        """Cores in ``state``, ascending core id (a new list per call)."""
+        return list(map(self.cores.__getitem__, sorted(self._state_ids[state])))
 
     def idle_cores(self) -> List[Core]:
         return self.cores_in_state(CoreState.IDLE)

@@ -22,7 +22,7 @@ Two policies are provided:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.journal import NULL_JOURNAL
 from repro.platform.chip import Chip
@@ -221,6 +221,8 @@ class PIDPowerManager(PowerManager):
         super().__init__(chip, meter, budget, actuator)
         self.controller = PIDController(budget.guarded_cap, gains)
         self.utilization_window_us = utilization_window_us
+        #: The chip's ladder, slow to fast, indexed without a method call.
+        self._levels: Tuple[VFLevel, ...] = tuple(chip.vf_table)
         # ``start_level_for`` may bisect the ladder instead of scanning it
         # iff busy power is nondecreasing level to level *in the model's
         # floats*.  Checking at activity 1.0 suffices: multiplying a sorted
@@ -275,50 +277,47 @@ class PIDPowerManager(PowerManager):
         """
         meter = self.meter
         headroom = self.current_cap() - meter.chip_power()
-        table = self.chip.vf_table
+        levels = self._levels
         # Inlined ``meter.added_power_if_busy`` with the loop-invariant
         # current core power hoisted; the float expression per level is
         # ``(dyn + leak·lf) - base``, identical to the meter's, and the
         # leakage comes from the meter's table of the model's values.
         base = meter.core_power(core)
         node = self.chip.node
-        model = self.chip.tech_model
+        dynamic_power = self.chip.tech_model.dynamic_power
         ctype = core.core_type
         leak = meter.leak_table[core.type_index]
         lf = core.leak_factor
-
-        def fits(index: int) -> bool:
-            level = table[index]
+        bisect = self._ladder_sorted
+        # Probe the top (unconstrained chips), then the floor (saturated
+        # ones), then bisect for the highest fitting level: on a sorted
+        # ladder the levels that fit are a prefix, so this is the level
+        # the top-down scan of an unsorted ladder returns.  Levels above
+        # ``hi`` do not fit; ``lo`` fits (-1: none seen yet).
+        lo = -1
+        hi = index = len(levels) - 1
+        while True:
+            level = levels[index]
             busy = (
-                model.dynamic_power(
-                    node, ctype, level.vdd, level.f_mhz, activity
-                )
+                dynamic_power(node, ctype, level.vdd, level.f_mhz, activity)
                 + leak[index] * lf
             )
-            return busy - base <= headroom
-
-        top = len(table) - 1
-        if self._ladder_sorted:
-            # ``fits`` is then monotone (true on a prefix of the ladder),
-            # so probe the common cases — unconstrained chips take the top
-            # level, saturated ones the floor — and bisect the rest for
-            # the highest fitting index.  Same level the scan returns.
-            if fits(top):
-                return table[top]
-            if not fits(0):
-                return table.min_level
-            lo, hi = 0, top - 1
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if fits(mid):
-                    lo = mid
-                else:
-                    hi = mid - 1
-            return table[lo]
-        for index in range(top, -1, -1):
-            if fits(index):
-                return table[index]
-        return table.min_level
+            if busy - base <= headroom:
+                if not bisect:
+                    return level
+                lo = index
+            else:
+                hi = index - 1
+            if hi < 0:
+                return levels[0]
+            if lo == hi:
+                return levels[lo]
+            if not bisect:
+                index = hi
+            elif lo < 0:
+                index = 0
+            else:
+                index = (lo + hi + 1) // 2
 
     def tick(self, now: float, dt: float) -> None:
         self._tick_now = now

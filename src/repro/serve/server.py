@@ -484,7 +484,12 @@ async def serve_main(
     server = ReproServer(config)
     await server.start()
     if port_file:
-        atomic_write_text(port_file, f"{server.port}\n")
+        # Renamed into place; no fsync, the port means nothing after a crash.
+        tmp = f"{port_file}.tmp"
+        os.makedirs(os.path.dirname(os.path.abspath(tmp)), exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(f"{server.port}\n")
+        os.replace(tmp, port_file)
     if install_signals:
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):

@@ -15,15 +15,14 @@ Determinism guarantees:
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
+from math import inf
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.sim.events import Event, PRIORITY_CONTROL, PRIORITY_NORMAL
+from repro.sim.events import Event, PRIORITY_CONTROL, PRIORITY_NORMAL, next_seq
 
-#: Heap entries are plain ``(time, priority, seq, event)`` tuples so the
-#: C heap implementation compares numbers directly instead of calling the
-#: dataclass-generated ``Event.__lt__``; the key is exactly the event's
-#: ordering key, so pop order is unchanged.
+#: Heap entries are ``(time, priority, seq, event)``: the event's ordering
+#: key first, so the C heap compares numbers and never calls ``Event.__lt__``.
 _HeapEntry = Tuple[float, int, int, Event]
 
 
@@ -48,6 +47,8 @@ class Simulator:
         self._stopped = False
         self.events_fired: int = 0
         self.heap_compactions: int = 0
+        #: Bound once: every event in the heap shares this callback.
+        self._cancel_cb = self._on_event_cancelled
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -64,9 +65,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}"
             )
-        event = Event(time=time, priority=priority, action=action, args=args)
-        event.cancel_cb = self._on_event_cancelled
-        heapq.heappush(self._heap, (time, priority, event.seq, event))
+        seq = next_seq()
+        event = Event(time, priority, seq, action, args, False, self._cancel_cb)
+        heappush(self._heap, (time, priority, seq, event))
         return event
 
     def _on_event_cancelled(self, _event: Event) -> None:
@@ -78,9 +79,10 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled events from the heap and restore the invariant."""
-        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
-        heapq.heapify(self._heap)
+        """Drop cancelled events, in place: :meth:`run` holds the list."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heapify(heap)
         self._n_cancelled = 0
         self.heap_compactions += 1
 
@@ -97,9 +99,9 @@ class Simulator:
         # Inlined ``at`` (minus its past-time check, vacuous for delay >= 0):
         # this is the busiest entry point into the kernel.
         time = self.now + delay
-        event = Event(time=time, priority=priority, action=action, args=args)
-        event.cancel_cb = self._on_event_cancelled
-        heapq.heappush(self._heap, (time, priority, event.seq, event))
+        seq = next_seq()
+        event = Event(time, priority, seq, action, args, False, self._cancel_cb)
+        heappush(self._heap, (time, priority, seq, event))
         return event
 
     def every(
@@ -138,34 +140,35 @@ class Simulator:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
         self._stopped = False
-        heappop = heapq.heappop
+        heap = self._heap
+        horizon = inf if until is None else until
+        fired = 0
         try:
-            heap = self._heap
             while heap:
-                time, _, _, event = heap[0]
+                entry = heappop(heap)
+                time, _, _, event = entry
                 if event.cancelled:
-                    heappop(heap)
                     self._n_cancelled -= 1
-                    # _compact() replaces the heap list object.
-                    heap = self._heap
                     continue
-                if until is not None and time > until:
+                if time > horizon:
+                    # Same key, so it goes back where it was in pop order.
+                    heappush(heap, entry)
                     break
-                heappop(heap)
                 event.cancel_cb = None  # popped: no longer tracked
                 self.now = time
                 # Inlined Event.fire(): a popped event is not cancelled
                 # (checked above) and cancellation from inside an action
                 # only affects *other* heap entries.
-                if event.action is not None:
-                    event.action(*event.args)
-                self.events_fired += 1
+                action = event.action
+                if action is not None:
+                    action(*event.args)
+                fired += 1
                 if self._stopped:
                     break
-                heap = self._heap
             if until is not None and not self._stopped and self.now < until:
                 self.now = until
         finally:
+            self.events_fired += fired
             self._running = False
         return self.now
 
@@ -176,7 +179,7 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or ``None``."""
         while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
+            heappop(self._heap)
             self._n_cancelled -= 1
         if not self._heap:
             return None

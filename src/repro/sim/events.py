@@ -22,7 +22,8 @@ PRIORITY_CONTROL = 80
 #: Priority for bookkeeping that must run before anything else at a time.
 PRIORITY_EARLY = 10
 
-_seq = itertools.count()
+#: Draws the next event sequence number from the process-wide counter.
+next_seq = itertools.count().__next__
 
 
 @dataclass(order=True, slots=True)
@@ -35,7 +36,7 @@ class Event:
 
     time: float
     priority: int
-    seq: int = field(default_factory=_seq.__next__)
+    seq: int = field(default_factory=next_seq)
     action: Callable[..., Any] = field(compare=False, default=None)
     args: Tuple[Any, ...] = field(compare=False, default=())
     cancelled: bool = field(compare=False, default=False)

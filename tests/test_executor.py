@@ -1,13 +1,20 @@
 """Tests for the execution engine (task runs, transfers, DVFS re-timing)."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aging.model import AgingModel
 from repro.core.executor import ExecutionEngine
 from repro.noc.model import NocModel
+from repro.noc.queued import QueuedNocModel
 from repro.noc.topology import Mesh
+from repro.platform.chip import Chip
 from repro.platform.core import CoreState
 from repro.power.meter import PowerMeter
+from repro.sim.engine import Simulator
 from repro.workload.application import ApplicationGraph, ApplicationInstance
 from repro.workload.task import Edge, Task
 
@@ -334,3 +341,112 @@ def test_level_change_mid_stall_credits_no_progress(sim, chip44):
     # 3500 ops done by t=1; no progress in [1, 5]; new stall [5, 15];
     # remaining 3500 ops at nominal finish at 15 + 1.
     assert done == [pytest.approx(16.0)]
+
+
+# ----------------------------------------------------------------------
+# Oracle: the executor's transfer path == begin_transfer/end_transfer
+# ----------------------------------------------------------------------
+_flits = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-3, max_value=5_000.0),
+    st.integers(min_value=1, max_value=400).map(float),
+)
+
+
+@st.composite
+def transfer_scripts(draw):
+    """A mesh and transfers ``(src core, dst core, flits, gap_us)``; each
+    starts ``gap_us`` after the previous one, so starts and completions
+    of earlier transfers interleave."""
+    width = draw(st.integers(2, 8))
+    height = draw(st.integers(2, 8))
+    core = st.integers(0, width * height - 1)
+    pair = st.one_of(core.map(lambda c: (c, c)), st.tuples(core, core))
+    steps = draw(
+        st.lists(
+            st.tuples(pair, _flits, st.sampled_from([0.0, 0.05, 0.3, 2.0, 9.0])),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    return width, height, [(s, d, f, gap) for (s, d), f, gap in steps]
+
+
+def _link_state(noc, mesh):
+    """Link loads (analytic model) or link free times (queued model)."""
+    if isinstance(noc, QueuedNocModel):
+        return [
+            noc.link_free_at((pos, other))
+            for pos in mesh.positions()
+            for other in mesh.neighbors(pos)
+        ]
+    return noc.link_loads()
+
+
+def _totals(noc):
+    return (
+        noc.total_flits,
+        noc.total_flit_hops,
+        noc.total_energy_uj,
+        getattr(noc, "total_queue_wait_us", None),
+    )
+
+
+def _through_executor(model, width, height, steps):
+    """Drive ``ExecutionEngine._start_transfer``; record per transfer the
+    NoC power it registers and the time its completion fires."""
+    sim = Simulator()
+    chip = Chip.build(width, height)
+    mesh = Mesh(width, height)
+    noc = model(mesh)
+    meter = PowerMeter(chip)
+    engine = ExecutionEngine(sim, chip, noc, meter)
+    powers, finished, states = [], [], []
+    add_noc_power = meter.add_noc_power
+    meter.add_noc_power = lambda watts: (powers.append(watts), add_noc_power(watts))
+    engine._finish_transfer = lambda app, edge, *_: finished.append((sim.now, edge.src))
+    app = SimpleNamespace(placement={})
+    for i, (src, dst, flits, gap) in enumerate(steps):
+        sim.run(until=sim.now + gap)
+        app.placement[2 * i], app.placement[2 * i + 1] = src, dst
+        engine._start_transfer(app, Edge(2 * i, 2 * i + 1, flits))
+        states.append((_link_state(noc, mesh), _totals(noc)))
+    sim.run()
+    states.append((_link_state(noc, mesh), _totals(noc)))
+    return powers, finished, states
+
+
+def _through_begin_end(model, width, height, steps):
+    """The same transfers through ``begin_transfer``/``end_transfer``."""
+    sim = Simulator()
+    mesh = Mesh(width, height)
+    noc = model(mesh)
+    powers, finished, states = [], [], []
+
+    def end(src, dst, flits, task):
+        noc.end_transfer(src, dst, flits)
+        finished.append((sim.now, task))
+
+    for i, (src, dst, flits, gap) in enumerate(steps):
+        sim.run(until=sim.now + gap)
+        src_pos, dst_pos = mesh.position(src), mesh.position(dst)
+        estimate = noc.begin_transfer(src_pos, dst_pos, flits, now=sim.now)
+        if estimate.latency_us <= 0:
+            end(src_pos, dst_pos, flits, 2 * i)
+        else:
+            powers.append(estimate.energy_uj / estimate.latency_us)
+            sim.schedule(estimate.latency_us, end, src_pos, dst_pos, flits, 2 * i)
+        states.append((_link_state(noc, mesh), _totals(noc)))
+    sim.run()
+    states.append((_link_state(noc, mesh), _totals(noc)))
+    return powers, finished, states
+
+
+@pytest.mark.parametrize("model", [NocModel, QueuedNocModel])
+@settings(max_examples=60, deadline=None)
+@given(script=transfer_scripts())
+def test_executor_transfers_match_begin_end_transfer(model, script):
+    width, height, steps = script
+    assert _through_executor(model, width, height, steps) == _through_begin_end(
+        model, width, height, steps
+    )

@@ -578,6 +578,57 @@ class TestHttpServer:
         assert done["aggregate_digest"] == direct.aggregate
         assert done["n_completed"] == direct.n_completed
 
+    def test_port_file_holds_the_whole_port_and_is_never_fsynced(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        from repro.serve import server as server_module
+
+        port_file = tmp_path / "run" / "port"
+        synced = []
+        fsync = os.fsync
+
+        def counting_fsync(fd):
+            synced.append(os.readlink(f"/proc/self/fd/{fd}"))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        started = []
+        start = server_module.ReproServer.start
+
+        async def recording_start(server):
+            started.append(server)
+            await start(server)
+
+        monkeypatch.setattr(server_module.ReproServer, "start", recording_start)
+
+        async def main():
+            ready = asyncio.Event()
+            serving = asyncio.create_task(
+                server_module.serve_main(
+                    ServeConfig(state_dir=str(tmp_path / "state")),
+                    port_file=str(port_file),
+                    install_signals=False,
+                    ready=ready,
+                )
+            )
+            await ready.wait()
+            text = port_file.read_text(encoding="utf-8")
+            port = started[0].port
+            started[0].request_shutdown()
+            return text, port, await serving
+
+        text, port, code = run_async(main())
+        assert code == 0
+        assert text == f"{port}\n"
+        # The port file's directory holds only it, and nothing there was
+        # fsynced (the server's state directory may be).
+        run_dir = os.path.realpath(port_file.parent)
+        assert os.listdir(run_dir) == ["port"]
+        assert [path for path in synced if path.startswith(run_dir)] == []
+        assert synced, "the fsync counter saw none of the state writes"
+
 
 # ----------------------------------------------------------------------
 # Campaign manager: resume identity without HTTP

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.events import PRIORITY_CONTROL, PRIORITY_EARLY, PRIORITY_NORMAL
@@ -154,3 +156,147 @@ def test_run_with_horizon_before_any_event(sim):
 
 def test_empty_run_returns_current_time(sim):
     assert sim.run() == 0.0
+
+
+# ----------------------------------------------------------------------
+# Oracle: random scripts fire in (time, priority, scheduling index) order
+# ----------------------------------------------------------------------
+_priorities = st.sampled_from([PRIORITY_EARLY, PRIORITY_NORMAL, PRIORITY_CONTROL])
+_delays = st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0, 30.0])
+_slices = st.tuples(st.integers(0, 10**6), st.integers(1, 3))
+_ops = st.one_of(
+    st.tuples(st.just("schedule"), _delays, _priorities, st.none() | _delays),
+    st.tuples(st.just("at"), _delays, _priorities, st.none() | _delays),
+    # A burst of ``n`` events, so that mass cancellation compacts the heap.
+    st.tuples(st.just("burst"), st.integers(1, 120), _priorities, _delays),
+    st.tuples(st.just("cancel"), _slices),
+    # An event whose action cancels a slice: compaction inside ``run``.
+    st.tuples(st.just("canceller"), _delays, _slices),
+    st.tuples(st.just("every"), st.sampled_from([1.0, 2.5, 6.0]), _delays, _priorities),
+    st.tuples(st.just("run"), _delays),
+)
+
+
+class _Reference:
+    """The kernel's contract, kept naively: pending entries ``[time,
+    priority, index, label, child_delay, period, on_fire]`` scanned for the
+    smallest ``(time, priority, index)``."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.pending = []
+        self.cancelled = set()
+        self.index = 0
+        self.fired = []
+
+    def add(self, time, priority, label, child=None, period=None, on_fire=None):
+        entry = [time, priority, self.index, label, child, period, on_fire]
+        self.index += 1
+        self.pending.append(entry)
+        return entry
+
+    def cancel(self, entry):
+        if entry in self.pending:
+            self.cancelled.add(entry[2])
+
+    def run(self, until):
+        while True:
+            live = [e for e in self.pending if e[2] not in self.cancelled]
+            if not live:
+                break
+            entry = min(live, key=lambda e: (e[0], e[1], e[2]))
+            if entry[0] > until:
+                break
+            self.pending.remove(entry)
+            time, priority, _, label, child, period, on_fire = entry
+            self.now = time
+            self.fired.append(label)
+            if on_fire is not None:
+                on_fire()
+            if child is not None:
+                self.add(time + child, PRIORITY_NORMAL, label + ("child",))
+            if period is not None:
+                self.add(time + period, priority, label, period=period)
+        if self.now < until:
+            self.now = until
+
+    def live(self):
+        return sum(1 for e in self.pending if e[2] not in self.cancelled)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    # Each script opens with a burst mostly in the future and an event
+    # that cancels all of it, so the heap compacts inside ``run``.
+    head=st.tuples(
+        st.tuples(st.just("burst"), st.integers(80, 120), _priorities,
+                  st.sampled_from([0.5, 1.0, 2.5])),
+        st.tuples(st.just("canceller"), st.sampled_from([0.0, 0.5]), st.just((0, 1))),
+    ),
+    tail=st.lists(_ops, max_size=25),
+)
+def test_random_scripts_fire_in_reference_order(head, tail):
+    script = [*head, *tail]
+    sim = Simulator()
+    ref = _Reference()
+    fired = []
+    handles = []  # (event, reference entry) per one-shot event
+
+    def chosen(start, stride):
+        return handles[start % max(1, len(handles)) :: stride]
+
+    def action(label, child):
+        fired.append(label)
+        if child is not None:
+            sim.schedule(child, fired.append, label + ("child",))
+
+    def canceller(label, start, stride):
+        fired.append(label)
+        for event, _ in chosen(start, stride):
+            event.cancel()
+
+    for step, op in enumerate(script):
+        kind, label = op[0], (step,)
+        if kind in ("schedule", "at"):
+            _, delay, priority, child = op
+            if kind == "schedule":
+                event = sim.schedule(delay, action, label, child, priority=priority)
+            else:
+                event = sim.at(sim.now + delay, action, label, child, priority=priority)
+            handles.append((event, ref.add(sim.now + delay, priority, label, child)))
+        elif kind == "burst":
+            _, n, priority, spread = op
+            for i in range(n):
+                delay = spread * (i % 7)
+                event = sim.schedule(delay, action, (step, i), None, priority=priority)
+                handles.append((event, ref.add(sim.now + delay, priority, (step, i))))
+        elif kind == "cancel":
+            for event, entry in chosen(*op[1]):
+                event.cancel()
+                ref.cancel(entry)
+        elif kind == "canceller":
+            _, delay, (start, stride) = op
+            sim.schedule(delay, canceller, label, start, stride)
+
+            def on_fire(start=start, stride=stride):
+                for _, entry in chosen(start, stride):
+                    ref.cancel(entry)
+
+            ref.add(sim.now + delay, PRIORITY_NORMAL, label, on_fire=on_fire)
+        elif kind == "every":
+            _, period, phase, priority = op
+            sim.every(period, lambda label=label: fired.append(label),
+                      phase=phase, priority=priority)
+            ref.add(sim.now + (phase + period), priority, label, period=period)
+        else:
+            until = sim.now + op[1]
+            sim.run(until=until)
+            ref.run(until)
+        assert sim.pending() == ref.live()
+        assert fired == ref.fired
+    horizon = sim.now + 40.0
+    sim.run(until=horizon)
+    ref.run(horizon)
+    assert fired == ref.fired
+    assert sim.now == ref.now
+    assert sim.pending() == ref.live()
