@@ -11,16 +11,22 @@ checker's whole contract:
   the reference config (the no-violation pin `tests/test_verify.py`
   makes over E1–E9, kept here so the perf gate cannot pass on a broken
   model);
-* **overhead** — the verified run's best-of-``--repeats`` wall clock is
-  within ``--max-overhead`` (default 10%) of the plain run's.  The
+* **overhead** — the median over ``--pairs`` (default 25, at least 9)
+  alternated plain/verified pairs of the per-pair wall-clock ratio is
+  within ``--max-overhead`` (default 10%) of 1.  The process pins
+  itself to one CPU, and each pair runs both variants back to back,
+  alternating which goes first, so host speed drift cancels within a
+  pair and the median discards the pairs a burst of host noise landed
+  in.  The
   checker re-derives every power channel through the unmemoized scan
-  each epoch, so this bounds the *audit* cost, not just the hook cost.
+  every 16th epoch, so this bounds the *audit* cost, not just the hook
+  cost.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_verify.py                    # full scale
     PYTHONPATH=src python benchmarks/bench_verify.py --horizon-us 20000 # CI smoke
-    PYTHONPATH=src python benchmarks/bench_verify.py --max-overhead 0.25
+    PYTHONPATH=src python benchmarks/bench_verify.py --pairs 9          # quicker
 
 CI runs with a relaxed ``--max-overhead``: shared runners are noisy and
 the local 10% tripwire would flake there.  Exit status is non-zero on a
@@ -31,6 +37,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
 import sys
 import time
 
@@ -52,40 +60,75 @@ def bench_config(horizon_us: float) -> SystemConfig:
     )
 
 
-def run_gate(horizon_us: float, repeats: int, max_overhead: float) -> dict:
+#: Fewest pairs whose median the gate trusts, and the default: on a
+#: shared 2 vCPU VM single pairs spread by ±15% around the median.
+MIN_PAIRS = 9
+PAIRS = 25
+
+
+def pin_to_one_cpu() -> None:
+    """Run on one CPU, so both variants of a pair see the same core."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run_gate(horizon_us: float, pairs: int, max_overhead: float) -> dict:
     """Plain run vs verified run, plus every gate check; returns the report.
 
-    The two variants are timed in interleaved pairs (best-of-``repeats``
-    each) after one untimed warmup: timing one variant's block after the
-    other's lets CPU frequency drift masquerade as checker overhead.
+    After one untimed warmup of each variant, ``pairs`` pairs are timed;
+    pair ``i`` runs the plain variant first when ``i`` is even and the
+    verified one first when it is odd.  The overhead is the median of
+    the per-pair ratios ``verified_s / plain_s`` minus 1.
     """
+    if pairs < MIN_PAIRS:
+        raise ValueError(f"need at least {MIN_PAIRS} pairs, got {pairs}")
     config = bench_config(horizon_us)
 
-    run_system(config)  # warmup, untimed
+    def plain_run():
+        return run_system(config), None
 
-    plain_s = verified_s = float("inf")
+    def verified_run():
+        checker = InvariantChecker()
+        return run_system(config, verifier=checker), checker
+
+    plain_run()
+    verified_run()  # warmups, untimed
+
+    ratios = []
+    plain_times = []
+    verified_times = []
     plain = verified = checker = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        plain = run_system(config)
-        plain_s = min(plain_s, time.perf_counter() - t0)
-
-        candidate = InvariantChecker()
-        t0 = time.perf_counter()
-        result = run_system(config, verifier=candidate)
-        verified_s = min(verified_s, time.perf_counter() - t0)
-        verified, checker = result, candidate
+    for index in range(pairs):
+        order = (plain_run, verified_run)
+        if index % 2:
+            order = order[::-1]
+        times = {}
+        for run in order:
+            t0 = time.perf_counter()
+            result, candidate = run()
+            times[run] = time.perf_counter() - t0
+            if candidate is None:
+                plain = result
+            else:
+                verified, checker = result, candidate
+        plain_times.append(times[plain_run])
+        verified_times.append(times[verified_run])
+        ratios.append(times[verified_run] / times[plain_run])
 
     plain_digest = digest_of(sorted(plain.summary().items()))
     verified_digest = digest_of(sorted(verified.summary().items()))
-    overhead = verified_s / plain_s - 1.0 if plain_s > 0 else float("inf")
+    overhead = statistics.median(ratios) - 1.0
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
     summary = checker.summary()
     report = {
         "horizon_us": horizon_us,
-        "repeats": repeats,
-        "plain_s": round(plain_s, 4),
-        "verified_s": round(verified_s, 4),
+        "pairs": pairs,
+        "plain_s": round(statistics.median(plain_times), 4),
+        "verified_s": round(statistics.median(verified_times), 4),
         "overhead": round(overhead, 4),
+        "overhead_q1": round(q1 - 1.0, 4),
+        "overhead_q3": round(q3 - 1.0, 4),
+        "pairs_over_budget": sum(r - 1.0 > max_overhead for r in ratios),
         "max_overhead": max_overhead,
         "plain_digest": plain_digest,
         "verified_digest": verified_digest,
@@ -117,8 +160,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--horizon-us", type=float, default=60_000.0)
     parser.add_argument(
-        "--repeats", type=int, default=3,
-        help="wall-clock measurements per variant; best is kept (default 3)",
+        "--pairs", type=int, default=PAIRS,
+        help=f"alternated plain/verified pairs timed (default {PAIRS}, at "
+        f"least {MIN_PAIRS}); the gate reads their median ratio",
     )
     parser.add_argument(
         "--max-overhead", type=float, default=0.10,
@@ -128,13 +172,19 @@ def main(argv=None) -> int:
         "--json", default=None, help="write the report to this path"
     )
     args = parser.parse_args(argv)
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be at least {MIN_PAIRS}")
 
-    report = run_gate(args.horizon_us, args.repeats, args.max_overhead)
+    pin_to_one_cpu()
+    report = run_gate(args.horizon_us, args.pairs, args.max_overhead)
 
     print(
         f"plain: {report['plain_s']:.3f}s   "
-        f"verified: {report['verified_s']:.3f}s   "
+        f"verified: {report['verified_s']:.3f}s (medians)   "
         f"overhead: {report['overhead']:+.1%} "
+        f"[q1 {report['overhead_q1']:+.1%}, q3 {report['overhead_q3']:+.1%}] "
+        f"median of {report['pairs']} pairs, "
+        f"{report['pairs_over_budget']} over "
         f"(budget {report['max_overhead']:.0%})"
     )
     print(

@@ -37,7 +37,7 @@ from typing import List, Optional
 from repro._sum import lsum
 from repro.metrics.collectors import FaultRecord
 from repro.platform.chip import Chip
-from repro.platform.core import Core
+from repro.platform.core import Core, CoreState
 
 
 @dataclass(frozen=True)
@@ -87,23 +87,26 @@ class FaultInjector:
 
     def tick(self, now: float, dt: float) -> List[FaultRecord]:
         """Sample injections over the epoch just elapsed."""
-        if self.params.base_hazard_per_us == 0.0:
+        params = self.params
+        base = params.base_hazard_per_us
+        if base == 0.0:
             return []
+        stress_scale = params.stress_scale
+        draw = self.rng.random
+        exp = math.exp
         injected: List[FaultRecord] = []
         n_levels = len(self.chip.vf_table)
-        max_manifest = max(
-            1, int(round(n_levels * self.params.max_manifest_fraction))
-        )
-        for core in self.chip:
-            if core.is_faulty() or core.fault_present:
+        max_manifest = max(1, int(round(n_levels * params.max_manifest_fraction)))
+        for core in self.chip.cores:
+            if core._state is CoreState.FAULTY or core.fault_present:
                 continue
-            p = 1.0 - math.exp(-self.hazard(core) * dt)
-            if self.rng.random() < p:
-                kind = (
-                    "low"
-                    if self.rng.random() < self.params.low_corner_fraction
-                    else "high"
-                )
+            hazard = (  # hazard(core), written out
+                base
+                * (1.0 + core.age_stress / stress_scale)
+                * core.core_type.fault_hazard_scale
+            )
+            if draw() < 1.0 - exp(-hazard * dt):
+                kind = "low" if draw() < params.low_corner_fraction else "high"
                 record = FaultRecord(
                     core_id=core.core_id,
                     injected_at=now,

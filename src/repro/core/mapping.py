@@ -26,7 +26,7 @@ from repro.mapping.base import (
     assign_tasks_near,
     pick_first_node,
 )
-from repro.platform.core import Core
+from repro.platform.core import Core, CoreState
 from repro.workload.application import ApplicationInstance
 
 
@@ -66,7 +66,7 @@ class TestAwareUtilizationMapper(RuntimeMapper):
         cost += self.criticality_weight * min(
             2.0, self.criticality.value(core, now)
         )
-        if core.is_testing():
+        if core.state is CoreState.TESTING:
             cost += self.testing_penalty
         # Heterogeneity: hot tile types cost extra.  The bias is exactly
         # 0.0 for std tiles and added only when nonzero, so homogeneous

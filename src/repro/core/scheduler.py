@@ -82,8 +82,8 @@ class PowerAwareTestScheduler(TestSchedulerBase):
         threshold = self.criticality.params.threshold
         min_interval = self.min_interval_us
         keyed = []
-        for core in self.chip.idle_cores():
-            if core.owner_app is None and now - core.last_test_end >= min_interval:
+        for core in self.chip.free_cores():
+            if now - core.last_test_end >= min_interval:
                 crit = value(core, now)
                 if crit >= threshold:
                     keyed.append((-crit, core.core_id, core))

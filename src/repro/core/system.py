@@ -461,10 +461,7 @@ class ManycoreSystem:
         dt = self.config.epoch_us
         self.injector.tick(now, dt)
         if self.thermal is not None:
-            self.thermal.step(
-                {core.core_id: self.meter.core_power(core) for core in self.chip},
-                dt,
-            )
+            self.thermal.step(dict(enumerate(self.meter.core_powers())), dt)
             self.metrics.trace.record(
                 "thermal.max_c", now, self.thermal.hottest()
             )

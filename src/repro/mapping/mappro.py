@@ -28,14 +28,13 @@ optimisation of the paper is an implementation detail we do not need.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.mapping.base import (
     MappingContext,
     RuntimeMapper,
     assign_tasks_near,
 )
-from repro.noc.topology import Mesh
 from repro.platform.core import Core
 from repro.workload.application import ApplicationInstance
 
@@ -62,22 +61,22 @@ class MapProMapper(RuntimeMapper):
         self, ctx: MappingContext, core: Core, radius: int
     ) -> float:
         """Distance-discounted availability around ``core``."""
-        total = 0.0
-        for other in ctx.available:
-            distance = Mesh.manhattan(core.position, other.position)
-            if distance <= 2 * radius:
-                total += self.gamma ** distance
-        return total
+        return _potential(core.position, ctx.available, self._discounts(radius))
 
     def potential_field(
         self, ctx: MappingContext, n_tasks: int
     ) -> Dict[int, float]:
         """The potential of every available node for this app size."""
-        radius = self.radius_for(n_tasks)
+        discounts = self._discounts(self.radius_for(n_tasks))
         return {
-            core.core_id: self.potential(ctx, core, radius)
+            core.core_id: _potential(core.position, ctx.available, discounts)
             for core in ctx.available
         }
+
+    def _discounts(self, radius: int) -> List[float]:
+        """``gamma ** d`` for every distance ``d`` inside the radius cut."""
+        gamma = self.gamma
+        return [gamma ** d for d in range(2 * radius + 1)]
 
     # ------------------------------------------------------------------
     def map_application(
@@ -91,3 +90,18 @@ class MapProMapper(RuntimeMapper):
         by_core: Dict[int, Core] = {c.core_id: c for c in ctx.available}
         best_id = min(field, key=lambda cid: (-field[cid], cid))
         return assign_tasks_near(app, ctx, by_core[best_id])
+
+
+def _potential(
+    position: Tuple[int, int], available: List[Core], discounts: List[float]
+) -> float:
+    """``Σ discounts[manhattan(position, m)]`` over ``available``, in order."""
+    x, y = position
+    reach = len(discounts) - 1
+    total = 0.0
+    for other in available:
+        ox, oy = other.position
+        distance = abs(x - ox) + abs(y - oy)
+        if distance <= reach:
+            total += discounts[distance]
+    return total

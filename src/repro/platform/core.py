@@ -71,14 +71,15 @@ class BusyWindow:
         if t1 <= t0:
             return 0.0
         total = 0.0
+        intervals = self._intervals
         # Skip straight to the first interval that can overlap the window;
         # everything before it ends at or before t0.
-        first = bisect_right(self._ends, t0)
-        for start, end in self._intervals[first:]:
+        for k in range(bisect_right(self._ends, t0), len(intervals)):
+            start, end = intervals[k]
             if start >= t1:
                 break
-            lo = max(start, t0)
-            hi = min(end, t1)
+            lo = t0 if t0 > start else start  # max(start, t0), min(end, t1)
+            hi = t1 if t1 < end else end
             if hi > lo:
                 total += hi - lo
         return total
@@ -251,12 +252,13 @@ class Core:
 
     def utilization(self, now: float, window: float) -> float:
         """Recent utilization including any in-flight busy interval."""
-        base = self.busy_window.busy_in(max(0.0, now - window), now)
-        if self.state is CoreState.BUSY and self.busy_until > now:
+        t0 = max(0.0, now - window)
+        base = self.busy_window.busy_in(t0, now)
+        if self._state is CoreState.BUSY and self.busy_until > now:
             # The open interval [start, busy_until) was not recorded yet;
             # count its elapsed part. Its start is at or before `now`, and
             # recorded intervals never overlap it.
-            start = max(max(0.0, now - window), self._open_interval_start(now))
+            start = max(t0, self._open_interval_start(now))
             if now > start:
                 base += now - start
         span = min(now, window)

@@ -23,7 +23,7 @@ package-accurate absolute temperatures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Mapping, Optional
 
 from repro.core.config_io import ThermalParameters
 from repro.platform.chip import Chip
@@ -41,6 +41,13 @@ class ThermalModel:
         self._neighbors: List[List[int]] = [
             [n.core_id for n in chip.neighbors(core)] for core in chip
         ]
+        # Euler stability: the fastest node time constant includes the
+        # lateral paths, C / (1/R_self + degree/R_lateral).
+        max_degree = max(len(n) for n in self._neighbors) if self._neighbors else 0
+        conductance = (
+            1.0 / params.r_self_c_per_w + max_degree / params.r_lateral_c_per_w
+        )
+        self._max_step_us: float = 0.1 * (params.c_j_per_c / conductance) * 1e6
         self.peak_seen_c: float = params.ambient_c
 
     # ------------------------------------------------------------------
@@ -68,7 +75,7 @@ class ThermalModel:
     # ------------------------------------------------------------------
     # Dynamics
     # ------------------------------------------------------------------
-    def step(self, core_powers: Dict[int, float], dt_us: float) -> None:
+    def step(self, core_powers: Mapping[int, float], dt_us: float) -> None:
         """Advance all temperatures by ``dt_us`` given per-core power (W).
 
         Missing entries in ``core_powers`` mean zero power (dark cores).
@@ -78,24 +85,24 @@ class ThermalModel:
         if dt_us <= 0:
             raise ValueError("dt must be positive")
         p = self.params
+        ambient = p.ambient_c
+        r_self = p.r_self_c_per_w
+        r_lateral = p.r_lateral_c_per_w
+        capacitance = p.c_j_per_c
+        neighbors = self._neighbors
+        powers = [core_powers.get(i, 0.0) for i in range(len(neighbors))]
         remaining = dt_us
-        # Euler stability: the fastest node time constant includes the
-        # lateral paths, C / (1/R_self + degree/R_lateral).
-        max_degree = max(len(n) for n in self._neighbors) if self._neighbors else 0
-        conductance = 1.0 / p.r_self_c_per_w + max_degree / p.r_lateral_c_per_w
-        max_step = 0.1 * (p.c_j_per_c / conductance) * 1e6
         while remaining > 0:
-            dt = min(remaining, max_step)
+            dt = min(remaining, self._max_step_us)
             remaining -= dt
             dt_s = dt * 1e-6
             current = self._temps
-            nxt = list(current)
-            for i, temp in enumerate(current):
-                power = core_powers.get(i, 0.0)
-                flow = power - (temp - p.ambient_c) / p.r_self_c_per_w
-                for j in self._neighbors[i]:
-                    flow -= (temp - current[j]) / p.r_lateral_c_per_w
-                nxt[i] = temp + flow * dt_s / p.c_j_per_c
+            nxt = []
+            for temp, power, around in zip(current, powers, neighbors):
+                flow = power - (temp - ambient) / r_self
+                for j in around:
+                    flow -= (temp - current[j]) / r_lateral
+                nxt.append(temp + flow * dt_s / capacitance)
             self._temps = nxt
         self.peak_seen_c = max(self.peak_seen_c, self.hottest())
 

@@ -30,6 +30,7 @@ periodic audit against the incremental sums via ``verify_every_n``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Dict, List, Optional
 
 from repro._sum import lsum
@@ -129,8 +130,8 @@ class PowerMeter:
             ]
             for ctype in chip.core_types
         ]
-        for core in chip:
-            self._refresh_core(core)
+        self._dirty_cores.update(range(n))
+        self._flush_dirty()
         chip.add_transition_listener(self._on_core_transition)
 
     # ------------------------------------------------------------------
@@ -153,49 +154,6 @@ class PowerMeter:
                 self._test_stale = True
         self._dirty_cores.add(core.core_id)
         self._sums_dirty = True
-
-    def _refresh_core(self, core: Core) -> None:
-        """Re-derive one core's cached channel contributions.
-
-        Reads the core's ``_state``/``_level``/``_leak_factor`` slots
-        directly (skipping the observer properties): this runs on every
-        transition of every core.
-        """
-        cid = core.core_id
-        state = core._state
-        level = core._level
-        busy = 0.0
-        testing = 0.0
-        if state is CoreState.BUSY or state is CoreState.TESTING:
-            activity = self._core_activity.get(cid, self.default_activity)
-            dyn = self._model.dynamic_power(
-                self.chip.node, core.core_type, level.vdd, level.f_mhz, activity
-            )
-            if state is CoreState.BUSY:
-                busy = dyn
-            else:
-                testing = dyn
-        else:
-            dyn = 0.0
-        self._dyn_w[cid] = dyn
-        if busy != self._busy_w[cid]:
-            self._busy_w[cid] = busy
-            self._workload_stale = True
-        if testing != self._testing_w[cid]:
-            self._testing_w[cid] = testing
-            self._test_stale = True
-        if state is CoreState.FAULTY:
-            leak = 0.0
-        else:
-            leak = (
-                self.leak_table[core.type_index][level.index]
-                * core._leak_factor
-            )
-            if state is CoreState.IDLE:
-                leak = leak * self.gated_leak_fraction
-        if leak != self._leak_w[cid]:
-            self._leak_w[cid] = leak
-            self._leak_stale = True
 
     def _refresh_sums(self) -> None:
         """Re-sum the stale channels from the per-core caches.
@@ -269,20 +227,59 @@ class PowerMeter:
     # Power computation
     # ------------------------------------------------------------------
     def _flush_dirty(self) -> None:
-        """Recompute every stale per-core contribution."""
+        """Re-derive the cached channel contributions of every dirty core.
+
+        Reads the ``_state``/``_level``/``_leak_factor`` slots directly
+        (skipping the observer properties).  A refresh is idempotent.
+        """
         cores = self.chip.cores
         for cid in self._dirty_cores:
-            self._refresh_core(cores[cid])
+            core = cores[cid]
+            state = core._state
+            level = core._level
+            busy = 0.0
+            testing = 0.0
+            if state is CoreState.BUSY or state is CoreState.TESTING:
+                dyn = self._model.dynamic_power(
+                    self.chip.node,
+                    core.core_type,
+                    level.vdd,
+                    level.f_mhz,
+                    self._core_activity.get(cid, self.default_activity),
+                )
+                if state is CoreState.BUSY:
+                    busy = dyn
+                else:
+                    testing = dyn
+            else:
+                dyn = 0.0
+            self._dyn_w[cid] = dyn
+            if busy != self._busy_w[cid]:
+                self._busy_w[cid] = busy
+                self._workload_stale = True
+            if testing != self._testing_w[cid]:
+                self._testing_w[cid] = testing
+                self._test_stale = True
+            if state is CoreState.FAULTY:
+                leak = 0.0
+            else:
+                leak = (
+                    self.leak_table[core.type_index][level.index]
+                    * core._leak_factor
+                )
+                if state is CoreState.IDLE:
+                    leak = leak * self.gated_leak_fraction
+            if leak != self._leak_w[cid]:
+                self._leak_w[cid] = leak
+                self._leak_stale = True
         self._dirty_cores.clear()
 
     def core_dynamic(self, core: Core, level: Optional[VFLevel] = None) -> float:
         """Dynamic power of ``core`` (0 unless busy or testing)."""
         if level is None:
-            cid = core.core_id
-            if cid in self._dirty_cores:
-                self._refresh_core(core)
-                self._dirty_cores.discard(cid)
-            return self._dyn_w[cid]
+            if self._dirty_cores:
+                self._flush_dirty()
+            return self._dyn_w[core.core_id]
         if core.state not in (CoreState.BUSY, CoreState.TESTING):
             return 0.0
         activity = self._core_activity.get(core.core_id, self.default_activity)
@@ -293,11 +290,9 @@ class PowerMeter:
     def core_leakage(self, core: Core, level: Optional[VFLevel] = None) -> float:
         """Leakage power of ``core`` given its gating state and variation."""
         if level is None:
-            cid = core.core_id
-            if cid in self._dirty_cores:
-                self._refresh_core(core)
-                self._dirty_cores.discard(cid)
-            return self._leak_w[cid]
+            if self._dirty_cores:
+                self._flush_dirty()
+            return self._leak_w[core.core_id]
         if core.state is CoreState.FAULTY:
             return 0.0
         leak = self.leak_table[core.type_index][level.index] * core.leak_factor
@@ -307,12 +302,17 @@ class PowerMeter:
 
     def core_power(self, core: Core, level: Optional[VFLevel] = None) -> float:
         if level is None:
+            if self._dirty_cores:
+                self._flush_dirty()
             cid = core.core_id
-            if cid in self._dirty_cores:
-                self._refresh_core(core)
-                self._dirty_cores.discard(cid)
             return self._dyn_w[cid] + self._leak_w[cid]
         return self.core_dynamic(core, level) + self.core_leakage(core, level)
+
+    def core_powers(self) -> List[float]:
+        """Every core's :meth:`core_power` (W), in core-id order."""
+        if self._dirty_cores:
+            self._flush_dirty()
+        return list(map(add, self._dyn_w, self._leak_w))
 
     def breakdown(self) -> PowerBreakdown:
         """Instantaneous chip power split into reporting channels."""
@@ -334,7 +334,8 @@ class PowerMeter:
         """Reference full scan over all cores (the pre-fast-path algorithm).
 
         Kept as the audit path: it re-derives every channel from live core
-        state straight through the technology model, table-free.
+        state (each core's ``_state``/``_level``/``_leak_factor`` slots,
+        read once) straight through the technology model, table-free.
         """
         workload = 0.0
         test = 0.0
@@ -342,25 +343,27 @@ class PowerMeter:
         node = self.chip.node
         model = self._model
         for core in self.chip:
-            if core.state in (CoreState.BUSY, CoreState.TESTING):
+            state = core._state
+            level = core._level
+            if state is CoreState.BUSY or state is CoreState.TESTING:
                 activity = self._core_activity.get(
                     core.core_id, self.default_activity
                 )
                 dyn = model.dynamic_power(
-                    node, core.core_type, core.level.vdd, core.level.f_mhz, activity
+                    node, core.core_type, level.vdd, level.f_mhz, activity
                 )
-                if core.state is CoreState.BUSY:
+                if state is CoreState.BUSY:
                     workload += dyn
                 else:
                     test += dyn
-            if core.state is CoreState.FAULTY:
+            if state is CoreState.FAULTY:
                 leak = 0.0
             else:
                 leak = (
-                    model.leakage_power(node, core.core_type, core.level.vdd)
-                    * core.leak_factor
+                    model.leakage_power(node, core.core_type, level.vdd)
+                    * core._leak_factor
                 )
-                if core.state is CoreState.IDLE:
+                if state is CoreState.IDLE:
                     leak = leak * self.gated_leak_fraction
             leakage += leak
         return PowerBreakdown(

@@ -66,9 +66,8 @@ class TestSchedulerBase:
         """Idle, unowned cores whose re-test interval has elapsed."""
         due = [
             c
-            for c in self.chip.idle_cores()
-            if c.owner_app is None
-            and now - c.last_test_end >= self.min_interval_us
+            for c in self.chip.free_cores()
+            if now - c.last_test_end >= self.min_interval_us
         ]
         # Longest-untested first: a deterministic, fair default order.
         due.sort(key=lambda c: (c.last_test_end, c.core_id))
@@ -88,14 +87,20 @@ class TestSchedulerBase:
         table = self.chip.vf_table
         if self.level_policy == "nominal":
             return table.max_level
+        # The first level minimising (last test time or -1, -stagger), with
+        # stagger (i + core_id) % n; staggers are distinct.
         n = len(table)
-        best_index = min(
-            range(n),
-            key=lambda i: (
-                core.level_last_test.get(i, -1.0),
-                -((i + core.core_id) % n),
-            ),
-        )
+        last_test = core.level_last_test.get
+        core_id = core.core_id
+        best_index, best_time, best_stagger = 0, last_test(0, -1.0), core_id % n
+        for i in range(1, n):
+            time = last_test(i, -1.0)
+            if time < best_time:
+                best_index, best_time, best_stagger = i, time, (i + core_id) % n
+            elif time == best_time:
+                stagger = (i + core_id) % n
+                if stagger > best_stagger:
+                    best_index, best_stagger = i, stagger
         return table[best_index]
 
     def session_cost(self, core: Core, level: VFLevel) -> float:
@@ -154,16 +159,12 @@ class RoundRobinTestScheduler(TestSchedulerBase):
         slots = self.max_concurrent - len(self.runner.active_sessions())
         if slots <= 0:
             return
-        due_ids = {c.core_id for c in self.due_cores(now)}
-        if not due_ids:
-            return
-        n = len(self.chip)
-        start_cursor = self._cursor
-        for offset in range(n):
-            if slots <= 0:
-                break
-            core = self.chip.core((start_cursor + offset) % n)
-            if core.core_id in due_ids:
-                self.runner.start(core, self.pick_level(core, now))
-                self._cursor = (core.core_id + 1) % n
-                slots -= 1
+        cores = self.chip.cores
+        n = len(cores)
+        start = self._cursor
+        # Due cores in cursor order: ids from the cursor up, then wrapping.
+        offsets = sorted((c.core_id - start) % n for c in self.due_cores(now))
+        for offset in offsets[:slots]:
+            core = cores[(start + offset) % n]
+            self.runner.start(core, self.pick_level(core, now))
+            self._cursor = (core.core_id + 1) % n

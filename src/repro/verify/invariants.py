@@ -30,7 +30,7 @@ run journal as ``verify.violation`` events when journaling is on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.platform.core import Core, CoreState
 
@@ -241,7 +241,7 @@ class TestNonIntrusivenessInvariant(Invariant):
     def on_tick(self, system, now, breakdown):
         problems = []
         for core in system.chip.testing_cores():
-            if core.owner_app is not None or core.current_task is not None:
+            if core._owner_app is not None or core.current_task is not None:
                 problems.append(self._problem(core))
         return problems
 
@@ -252,10 +252,11 @@ class TimeMonotonicityInvariant(Invariant):
     name = "time-monotonicity"
 
     def __init__(self) -> None:
-        self._last: Optional[float] = None
+        #: Latest time a hook observed; the fused listener advances it too.
+        self.last: Optional[float] = None
 
     def _advance(self, now: float):
-        last = self._last
+        last = self.last
         if last is not None and now < last:
             return [
                 (
@@ -263,7 +264,7 @@ class TimeMonotonicityInvariant(Invariant):
                     {"now_us": now, "previous_us": last},
                 )
             ]
-        self._last = now
+        self.last = now
         return None
 
     def on_transition(self, system, core, old, new, now):
@@ -470,7 +471,9 @@ class InvariantChecker:
                     fused[TestNonIntrusivenessInvariant],
                     fused[TimeMonotonicityInvariant],
                 )
-                system.chip.add_transition_listener(self._on_transition_fused)
+                system.chip.add_transition_listener(
+                    self._fused_listener(*self._fused)
+                )
             else:
                 system.chip.add_transition_listener(self._on_transition)
         if system.journal.enabled and self.emit_replay:
@@ -494,39 +497,44 @@ class InvariantChecker:
                 for message, details in problems:
                     self._record(inv.name, now, message, details)
 
-    def _on_transition_fused(
-        self, core: Core, old: CoreState, new: CoreState
-    ) -> None:
-        """Inlined predicates of the stock transition invariants.
+    def _fused_listener(self, legality, nonintr, mono) -> Callable:
+        """A listener inlining the predicates of the stock invariants.
 
         Semantically identical to :meth:`_on_transition` over the same
         invariants (``tests/test_verify.py`` pins the equivalence): each
         predicate mirrors its invariant's fast "property holds" path,
         and any suspect transition is handed back to the invariant
         object so violation messages and per-invariant state stay the
-        canonical ones.
+        canonical ones.  A closure: it runs on every core mutation.
         """
-        self.checks_run += len(self._transition_invariants)
-        legality, nonintr, mono = self._fused
-        if old is not new:
-            if legality is not None and (old, new) not in LEGAL_TRANSITIONS:
-                self._slow_check(legality, core, old, new)
-            if (
-                nonintr is not None
-                and new is CoreState.TESTING
-                and (
-                    core._owner_app is not None
-                    or core.current_task is not None
-                )
-            ):
-                self._slow_check(nonintr, core, old, new)
-        if mono is not None:
-            now = self._sim.now
-            last = mono._last
-            if last is not None and now < last:
-                self._slow_check(mono, core, old, new)
-            else:
-                mono._last = now
+        checks = len(self._transition_invariants)
+        sim = self._sim
+        slow_check = self._slow_check
+        testing = CoreState.TESTING
+
+        def listener(core: Core, old: CoreState, new: CoreState) -> None:
+            self.checks_run += checks
+            if old is not new:
+                if legality is not None and (old, new) not in LEGAL_TRANSITIONS:
+                    slow_check(legality, core, old, new)
+                if (
+                    nonintr is not None
+                    and new is testing
+                    and (
+                        core._owner_app is not None
+                        or core.current_task is not None
+                    )
+                ):
+                    slow_check(nonintr, core, old, new)
+            if mono is not None:
+                now = sim.now
+                last = mono.last
+                if last is not None and now < last:
+                    slow_check(mono, core, old, new)
+                else:
+                    mono.last = now
+
+        return listener
 
     def _slow_check(
         self, inv: Invariant, core: Core, old: CoreState, new: CoreState

@@ -294,3 +294,155 @@ def test_detection_latency_none_until_detected(injected_at, delay, level):
     assert latency is not None
     assert latency >= 0.0
     assert latency == pytest.approx(delay, abs=1e-6)
+
+
+# ----------------------------------------------------------------------
+# Oracle: tick == one hazard() draw per healthy core, in core-id order
+# ----------------------------------------------------------------------
+import math
+from types import SimpleNamespace
+
+from repro.aging import faults as faults_module
+from repro.aging.faults import FaultRecord
+from repro.platform.core import CoreState
+from repro.platform.coretypes import CORE_TYPES, CoreType
+
+#: A tile type whose hazard is exactly zero; registered for this module.
+ZERO_HAZARD = "zero-hazard-oracle"
+ORACLE_TYPES = ("std", "io", "o3", "accel", ZERO_HAZARD)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def zero_hazard_type():
+    CORE_TYPES[ZERO_HAZARD] = CoreType(
+        ZERO_HAZARD, "fault-draw oracle tile", fault_hazard_scale=0.0
+    )
+    yield
+    CORE_TYPES.pop(ZERO_HAZARD, None)
+
+
+def reference_tick(injector, now, dt):
+    """The injection epoch written plainly around ``hazard()``."""
+    params = injector.params
+    if params.base_hazard_per_us == 0.0:
+        return []
+    n_levels = len(injector.chip.vf_table)
+    max_manifest = max(1, int(round(n_levels * params.max_manifest_fraction)))
+    injected = []
+    for core in injector.chip:
+        if core.is_faulty() or core.fault_present:
+            continue
+        p = 1.0 - math.exp(-injector.hazard(core) * dt)
+        if injector.rng.random() < p:
+            kind = (
+                "low"
+                if injector.rng.random() < params.low_corner_fraction
+                else "high"
+            )
+            record = FaultRecord(
+                core_id=core.core_id,
+                injected_at=now,
+                manifest_level=injector.rng.randrange(max_manifest),
+                kind=kind,
+            )
+            core.fault_present = True
+            core.fault_injected_at = now
+            injector.records.append(record)
+            injected.append(record)
+    return injected
+
+
+@st.composite
+def fault_scenes(draw):
+    """A typed chip with stressed, faulty and latent-fault cores."""
+    width, height = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    n = width * height
+    grid = draw(
+        st.one_of(
+            st.just(()),
+            st.lists(st.sampled_from(ORACLE_TYPES), min_size=n, max_size=n).map(
+                tuple
+            ),
+        )
+    )
+    cores = [
+        (
+            draw(st.sampled_from([0.0, 3.0, 50.0, 400.0])),  # age_stress
+            draw(st.sampled_from(["ok", "ok", "ok", "faulty", "latent"])),
+        )
+        for _ in range(n)
+    ]
+    params = FaultParameters(
+        base_hazard_per_us=draw(st.sampled_from([0.0, 1e-5, 1e-3, 5e-3])),
+        stress_scale=draw(st.sampled_from([10.0, 50.0])),
+        max_manifest_fraction=draw(st.sampled_from([0.5, 1.0])),
+        low_corner_fraction=draw(st.sampled_from([0.0, 0.35, 1.0])),
+    )
+    stress_steps = draw(
+        st.lists(st.floats(0.0, 100.0), min_size=1, max_size=6)
+    )
+    return width, height, grid, cores, params, stress_steps
+
+
+def build_fault_chip(width, height, grid, cores):
+    chip = Chip.build(width, height, type_grid=grid)
+    for core, (stress, fate) in zip(chip, cores):
+        core.age_stress = stress
+        if fate == "faulty":
+            core.state = CoreState.FAULTY
+        elif fate == "latent":
+            core.fault_present = True
+    return chip
+
+
+@settings(max_examples=60, deadline=None)
+@given(scene=fault_scenes(), seed=st.integers(0, 2**16))
+def test_tick_draws_as_a_loop_over_hazard(scene, seed):
+    width, height, grid, cores, params, stress_steps = scene
+    chips = [build_fault_chip(width, height, grid, cores) for _ in range(2)]
+    fast, slow = (
+        FaultInjector(chip, params, random.Random(seed)) for chip in chips
+    )
+    dt = 100.0
+    for step, stress in enumerate(stress_steps):
+        now = dt * (step + 1)
+        got = fast.tick(now, dt)
+        want = reference_tick(slow, now, dt)
+        assert got == want
+        assert fast.rng.getstate() == slow.rng.getstate()
+        for a, b in zip(*chips):
+            a.age_stress += stress * (a.core_id % 3)
+            b.age_stress += stress * (b.core_id % 3)
+    assert fast.records == slow.records
+    assert [
+        (c.fault_present, c.fault_injected_at) for c in chips[0]
+    ] == [(c.fault_present, c.fault_injected_at) for c in chips[1]]
+
+
+def test_tick_evaluates_hazard_bit_for_bit(monkeypatch):
+    # The tick writes hazard()'s expression out inline; the exponent it
+    # hands to exp for each healthy core must be -hazard(core) * dt.
+    cores = [
+        (float(7 * i), ("faulty", "latent", "ok", "ok")[i % 4] if i % 5 else "ok")
+        for i in range(36)
+    ]
+    grid = tuple(ORACLE_TYPES[i % len(ORACLE_TYPES)] for i in range(36))
+    chip = build_fault_chip(6, 6, grid, cores)
+    injector = FaultInjector(
+        chip, FaultParameters(base_hazard_per_us=3e-4), random.Random(5)
+    )
+    exponents = []
+
+    def recording_exp(x):
+        exponents.append(x)
+        return math.exp(x)
+
+    monkeypatch.setattr(faults_module, "math", SimpleNamespace(exp=recording_exp))
+    dt = 100.0
+    healthy = [c for c in chip if not c.is_faulty() and not c.fault_present]
+    expected = [-injector.hazard(core) * dt for core in healthy]
+    injector.tick(0.0, dt)
+    assert exponents == expected
+    assert any(
+        core.core_type.fault_hazard_scale == 0.0 for core in healthy
+    )

@@ -1,6 +1,8 @@
 """Tests for the per-core state record and busy-window accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.platform.core import BusyWindow, Core, CoreState
 from repro.platform.dvfs import build_vf_table
@@ -25,6 +27,35 @@ def test_busy_window_accumulates_total():
     w.add(0.0, 10.0)
     w.add(20.0, 25.0)
     assert w.total_busy == 15.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pieces=st.lists(
+        st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 50.0)), max_size=8
+    ),
+    bounds=st.tuples(st.floats(0.0, 500.0), st.floats(0.0, 500.0)),
+)
+def test_busy_in_equals_an_overlap_scan_of_every_interval(pieces, bounds):
+    window = BusyWindow()
+    intervals = []
+    start = 0.0
+    for gap, length in pieces:
+        start += gap
+        window.add(start, start + length)
+        if length:
+            intervals.append((start, start + length))
+        start += length
+    t0, t1 = bounds
+    want = 0.0
+    if t1 > t0:
+        for lo, hi in intervals:
+            if lo >= t1:
+                break
+            lo, hi = max(lo, t0), min(hi, t1)
+            if hi > lo:
+                want += hi - lo
+    assert window.busy_in(t0, t1) == want
 
 
 def test_busy_in_clips_to_query_window():

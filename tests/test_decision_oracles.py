@@ -8,7 +8,8 @@ Each decision evaluates each candidate core once.  Pinned here:
 * **the same decisions** — the test-aware mapper's placement equals a
   reference that evaluates the policy cost per (task, candidate) pair,
   the algorithm the per-decision cost table replaced, written out below;
-  the contiguous mapper equals the same reference at zero cost (the
+  the contiguous mapper equals the same reference at zero cost; MapPro's
+  potential field equals the discounted sum evaluated node by node (the
   scheduler's ranking oracle is in ``tests/test_power_aware_scheduler.py``);
 * **the work** — one ``core_cost`` per available core per mapping
   decision, and one criticality evaluation per eligible core and one
@@ -27,6 +28,7 @@ from repro.core.scheduler import PowerAwareTestScheduler
 from repro.core.system import run_system
 from repro.mapping.base import MappingContext, square_region_score
 from repro.mapping.baselines import ContiguousMapper
+from repro.mapping.mappro import MapProMapper
 from repro.noc.topology import Mesh
 from repro.platform.chip import Chip
 from repro.platform.core import CoreState
@@ -167,6 +169,43 @@ def test_contiguous_placement_equals_reference_at_zero_cost(scene):
     assert ContiguousMapper().map_application(app, ctx) == reference_placement(
         lambda now, core: 0.0, app, ctx
     )
+
+
+def reference_potential(gamma, ctx, core, radius):
+    """``gamma ** manhattan`` summed over the available cores in the cut."""
+    total = 0.0
+    for other in ctx.available:
+        distance = Mesh.manhattan(core.position, other.position)
+        if distance <= 2 * radius:
+            total += gamma ** distance
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    scene=mapping_scenes(),
+    gamma=st.sampled_from([0.3, 0.6, 0.85]),
+    radius=st.integers(1, 3),
+)
+def test_mappro_field_equals_the_potential_of_each_node(scene, gamma, radius):
+    app, ctx = scene
+    mapper = MapProMapper(gamma)
+    n_tasks = app.graph.n_tasks
+    field = mapper.potential_field(ctx, n_tasks)
+    assert field == {
+        core.core_id: mapper.potential(ctx, core, mapper.radius_for(n_tasks))
+        for core in ctx.available
+    }
+    assert field == {
+        core.core_id: reference_potential(
+            gamma, ctx, core, mapper.radius_for(n_tasks)
+        )
+        for core in ctx.available
+    }
+    for core in ctx.available:
+        assert mapper.potential(ctx, core, radius) == reference_potential(
+            gamma, ctx, core, radius
+        )
 
 
 # ----------------------------------------------------------------------

@@ -42,7 +42,7 @@ def _assert_breakdown_matches_scan(meter: PowerMeter) -> None:
     ops=st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=15),   # core
-            st.integers(min_value=0, max_value=6),    # op kind
+            st.integers(min_value=0, max_value=8),    # op kind
             st.integers(min_value=0, max_value=7),    # parameter
         ),
         min_size=1,
@@ -58,6 +58,7 @@ def test_incremental_breakdown_matches_scan_under_random_transitions(ops):
         core = chip.cores[core_idx]
         # Ops 5 and 6 act on the busy (even parameter) or testing (odd)
         # set as a whole: empty it, or refill a run of cores into it.
+        # Ops 7 and 8 read single cores and every core between changes.
         channel_state = CoreState.BUSY if param % 2 == 0 else CoreState.TESTING
         if kind == 0:
             core.state = STATES[param % len(STATES)]
@@ -72,9 +73,24 @@ def test_incremental_breakdown_matches_scan_under_random_transitions(ops):
         elif kind == 5:
             for member in list(chip.cores_in_state(channel_state)):
                 member.state = CoreState.IDLE
-        else:
+        elif kind == 6:
             for offset in range(param + 1):
                 chip.cores[(core_idx + offset) % n].state = channel_state
+        elif kind == 7:
+            # Move the core's level before each single-core read: each
+            # reader must refresh it (and every other dirty core) and
+            # read what the live-state level path derives.
+            for read in ("core_power", "core_dynamic", "core_leakage"):
+                core.level = table[(core.level.index + 1 + param) % len(table)]
+                got = getattr(meter, read)(core)
+                assert got == getattr(meter, read)(core, core.level), read
+        else:
+            for offset in range(param + 1):
+                member = chip.cores[(core_idx + offset) % n]
+                member.level = table[(member.level.index + 1) % len(table)]
+            assert meter.core_powers() == [
+                meter.core_power(member, member.level) for member in chip.cores
+            ]
         _assert_breakdown_matches_scan(meter)
         # An empty channel reads int 0, as the sum over no members does.
         fast = meter.breakdown()

@@ -177,3 +177,143 @@ def test_round_robin_validation(rig):
     sim, chip, runner = rig
     with pytest.raises(ValueError):
         RoundRobinTestScheduler(chip, runner, max_concurrent=0)
+
+
+# ----------------------------------------------------------------------
+# Oracles: the due scans read the chip's free-core list
+# ----------------------------------------------------------------------
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.scheduler import PowerAwareTestScheduler
+from repro.platform.chip import Chip
+from repro.power.budget import PowerBudget
+from repro.sim.engine import Simulator
+
+_ACTIONS = ("idle", "busy", "faulty", "own", "release", "tested", "stress")
+
+
+def scan_rig(data, **kwargs):
+    chip = Chip.build(data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5)))
+    for core in chip:
+        core.stress_since_test = data.draw(st.sampled_from([0.0, 2.0, 50.0]))
+    sim = Simulator()
+    meter = PowerMeter(chip)
+    runner = TestRunner(sim, chip, meter, default_library(), AgingModel(chip.node))
+    return sim, chip, meter, runner
+
+
+def mutate(data, chip, now):
+    """A few direct state, ownership and history changes.
+
+    Cores under test are left to the runner that owns their session.
+    """
+    for _ in range(data.draw(st.integers(0, 6))):
+        core = chip.cores[data.draw(st.integers(0, len(chip) - 1))]
+        action = data.draw(st.sampled_from(_ACTIONS))
+        if core.state is CoreState.TESTING:
+            continue
+        if action == "idle":
+            core.state = CoreState.IDLE
+        elif action == "busy":
+            core.state = CoreState.BUSY
+        elif action == "faulty":
+            core.state = CoreState.FAULTY
+        elif action == "own":
+            core.owner_app = data.draw(st.integers(1, 3))
+        elif action == "release":
+            core.owner_app = None
+        elif action == "tested":
+            core.last_test_end = now - data.draw(st.sampled_from([0.0, 400.0, 500.0, 900.0]))
+        else:
+            core.stress_since_test = data.draw(st.sampled_from([0.0, 2.0, 50.0]))
+        if data.draw(st.booleans()):
+            chip.free_cores()  # memoize between mutations
+
+
+def reference_due(chip, now, min_interval):
+    """Due cores as a scan of the idle cores filtered on ownership."""
+    return [
+        core
+        for core in chip.idle_cores()
+        if core.owner_app is None and now - core.last_test_end >= min_interval
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_due_scans_equal_an_idle_and_unowned_scan(data):
+    sim, chip, meter, runner = scan_rig(data)
+    min_interval = data.draw(st.sampled_from([0.0, 500.0]))
+    sched = PowerAwareTestScheduler(
+        chip, runner, meter, PowerBudget(20.0), min_interval_us=min_interval
+    )
+    crit = sched.criticality
+    for step in range(data.draw(st.integers(1, 5))):
+        now = 1000.0 * (step + 1)
+        mutate(data, chip, now)
+        due = reference_due(chip, now, min_interval)
+        assert sched.due_cores(now) == sorted(
+            due, key=lambda c: (c.last_test_end, c.core_id)
+        )
+        assert sched.candidates(now) == crit.rank(
+            [core for core in due if crit.is_due(core, now)], now
+        )
+        # The scans leave the chip's memoized list as it was.
+        assert chip.free_cores() == [
+            core for core in chip.idle_cores() if core.owner_app is None
+        ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_round_robin_starts_due_cores_from_the_cursor(data):
+    sim, chip, meter, runner = scan_rig(data)
+    max_concurrent = data.draw(st.integers(1, 4))
+    sched = RoundRobinTestScheduler(
+        chip, runner, min_interval_us=500.0, max_concurrent=max_concurrent
+    )
+    n = len(chip)
+    cursor = 0
+    for step in range(data.draw(st.integers(1, 6))):
+        now = 1000.0 * (step + 1)
+        mutate(data, chip, now)
+        for session in runner.active_sessions():
+            if data.draw(st.booleans()):
+                runner.abort(session.core)
+        slots = max_concurrent - len(runner.active_sessions())
+        due = {core.core_id for core in reference_due(chip, now, 500.0)}
+        # Walk the ids from the cursor round to it, starting due cores.
+        expected = []
+        for offset in range(n):
+            if (cursor + offset) % n in due and len(expected) < slots:
+                expected.append((cursor + offset) % n)
+        before = runner.active_sessions()
+        sched.tick(now, 100.0)
+        started = [
+            s.core.core_id for s in runner.active_sessions() if s not in before
+        ]
+        assert started == expected
+        if expected:
+            cursor = (expected[-1] + 1) % n
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pick_level_is_the_first_least_recently_tested_level(data):
+    n_levels = data.draw(st.sampled_from([2, 3, 5, 8]))
+    chip = Chip.build(3, 3, n_vf_levels=n_levels)
+    sched = NoTestScheduler(chip, None)
+    times = st.sampled_from([0.0, 100.0, 250.0, 900.0])
+    for core in chip:
+        for index in range(n_levels):
+            if data.draw(st.booleans()):
+                core.level_last_test[index] = data.draw(times)
+        want = min(
+            range(n_levels),
+            key=lambda i: (
+                core.level_last_test.get(i, -1.0),
+                -((i + core.core_id) % n_levels),
+            ),
+        )
+        assert sched.pick_level(core, 1000.0) is chip.vf_table[want]

@@ -126,3 +126,70 @@ def test_tsp_dense_limit_is_self_path(chip44):
 def test_tsp_rejects_zero_cores(chip44):
     with pytest.raises(ValueError):
         thermal_safe_power(chip44, ThermalParameters(), active_cores=0)
+
+
+# ----------------------------------------------------------------------
+# Oracle: step == the docstring's forward-Euler recurrence
+# ----------------------------------------------------------------------
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.platform.chip import Chip
+
+
+def mesh_neighbours(width, height):
+    """Each node's neighbours, east, west, south, north (the chip's order)."""
+    out = []
+    for y in range(height):
+        for x in range(width):
+            around = []
+            for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                if 0 <= nx < width and 0 <= ny < height:
+                    around.append(ny * width + nx)
+            out.append(around)
+    return out
+
+
+def reference_step(temps, neighbours, powers, dt_us, p):
+    """Forward Euler, node by node, in substeps of at most 0.1 tau_min."""
+    degree = max(len(around) for around in neighbours)
+    conductance = 1.0 / p.r_self_c_per_w + degree / p.r_lateral_c_per_w
+    max_step = 0.1 * (p.c_j_per_c / conductance) * 1e6
+    remaining = dt_us
+    while remaining > 0:
+        dt = min(remaining, max_step)
+        remaining -= dt
+        new = []
+        for i, temp in enumerate(temps):
+            flow = powers.get(i, 0.0) - (temp - p.ambient_c) / p.r_self_c_per_w
+            for j in neighbours[i]:
+                flow -= (temp - temps[j]) / p.r_lateral_c_per_w
+            new.append(temp + flow * (dt * 1e-6) / p.c_j_per_c)
+        temps = new
+    return temps
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_step_equals_the_euler_recurrence(data):
+    width, height = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    n = width * height
+    params = ThermalParameters(
+        r_self_c_per_w=data.draw(st.sampled_from([6.0, 12.0, 20.0])),
+        r_lateral_c_per_w=data.draw(st.sampled_from([3.0, 8.0])),
+        c_j_per_c=data.draw(st.sampled_from([0.0002, 0.0005, 0.002])),
+    )
+    model = ThermalModel(Chip.build(width, height), params)
+    temps = [params.ambient_c] * n
+    peak = params.ambient_c
+    watts = st.floats(0.0, 12.0, allow_nan=False)
+    for _ in range(data.draw(st.integers(1, 3))):
+        # Sparse, empty or full power maps.
+        ids = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        powers = {i: data.draw(watts) for i in ids}
+        dt_us = data.draw(st.sampled_from([1.0, 37.5, 100.0, 250.0, 1000.0]))
+        model.step(powers, dt_us)
+        temps = reference_step(temps, mesh_neighbours(width, height), powers, dt_us, params)
+        peak = max(peak, max(temps))
+        assert model.temperatures() == temps
+        assert model.peak_seen_c == peak
