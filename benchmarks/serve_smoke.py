@@ -36,7 +36,10 @@ Usage::
     PYTHONPATH=src python benchmarks/serve_smoke.py --artifacts out/
 
 Exit status is non-zero on any stream failure, digest mismatch, missed
-resume, or unclean shutdown.
+resume, or unclean shutdown.  The smoke works in a ``serve-smoke-*``
+directory under ``TMPDIR`` and starts its servers with ``TMPDIR``
+inside it, so the forkserver directory a SIGKILLed server leaves
+(``pymp-*``) goes with it when a passing run removes it.
 """
 
 from __future__ import annotations
@@ -58,6 +61,10 @@ from repro.experiments.parallel import run_many
 from repro.obs.provenance import result_digest
 from repro.serve.campaigns import CAMPAIGNS_SUBDIR
 from repro.serve.client import LocalServer, ServeClient, sweep_request_doc
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "ledger"))
+# Imports only the standard library at module level.
+from workloads import SOCKET_DIR_MAX  # noqa: E402
 
 BASE = {"width": 2, "height": 2, "horizon_us": 2000.0}
 
@@ -353,6 +360,13 @@ def main() -> int:
     )
     args = parser.parse_args()
     workdir = Path(tempfile.mkdtemp(prefix="serve-smoke-"))
+    # The servers inherit TMPDIR, and their worker pools put the
+    # forkserver's socket directory there: keep it inside the work
+    # directory unless that is too deep for a socket path.
+    server_tmp = workdir / "tmp"
+    if len(str(server_tmp)) <= SOCKET_DIR_MAX:
+        server_tmp.mkdir()
+        os.environ["TMPDIR"] = str(server_tmp)
     rc = 1
     try:
         rc = smoke(args, workdir)

@@ -587,10 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver_rep.add_argument(
         "journal", help="JSONL journal written by run --journal --verify"
     )
-    ver_rep.add_argument(
-        "--tolerance-w", type=float, default=1e-9, metavar="W",
-        help="per-channel disagreement tolerance in watts (default 1e-9)",
-    )
 
     sub.add_parser("list", help="show experiments, scenarios, nodes, policies")
     return parser
@@ -1129,7 +1125,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if args.verify_command == "replay":
         try:
-            report = replay_journal(args.journal, tolerance_w=args.tolerance_w)
+            report = replay_journal(args.journal)
         except ReplayError as exc:
             print(f"cannot replay journal: {exc}", file=sys.stderr)
             return 2

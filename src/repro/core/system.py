@@ -267,7 +267,7 @@ class ManycoreSystem:
                 # High-rate state churn: only worth the listener call when
                 # the journal would actually keep core.transition events.
                 self.chip.add_transition_listener(self._journal_core_transition)
-        if self.verifier is not None and self.verifier.enabled:
+        if self.verifier is not None:
             # Last so the meter and journal listeners observe transitions
             # first; the checker is read-only either way.
             self.verifier.attach(self)
@@ -491,12 +491,10 @@ class ManycoreSystem:
             idle=len(self.chip.state_ids(CoreState.IDLE)),
             queued=len(self.queue),
         )
-        verifier = self.verifier
-        if verifier is not None and verifier.enabled:
+        if self.verifier is not None:
             # Reuses the breakdown this epoch already computed, so the
-            # checker adds no extra meter queries (and cannot disturb a
-            # verify_every_n audit cadence).
-            verifier.on_control_tick(self, now, breakdown)
+            # checker adds no extra meter queries.
+            self.verifier.on_control_tick(self, now, breakdown)
 
     # ------------------------------------------------------------------
     # Run

@@ -21,7 +21,6 @@ _EXPORTS = {
     "DEBUG_TYPES": "journal",
     "LEVELS": "journal",
     "NULL_JOURNAL": "journal",
-    "SAMPLED_TYPES": "journal",
     "Journal": "journal",
     "JournalEvent": "journal",
     "Profile": "profile",

@@ -18,9 +18,8 @@ Design constraints (the no-op-sink invariant, see DESIGN.md):
   seeded run reproduces the disabled run's results bit for bit (pinned by
   ``tests/test_obs.py`` and the perf-kernel bench).
 * **Filterable.**  Events carry a severity level (``info`` for decisions,
-  ``debug`` for high-rate state churn) and high-rate types can be
-  decimated with ``sample_every``; a bounded journal drops the newest
-  events past ``capacity`` and counts them in ``dropped``.
+  ``debug`` for high-rate state churn); a bounded journal drops the
+  newest events past ``capacity`` and counts them in ``dropped``.
 
 Events serialise to JSONL (one object per line) for archival and for the
 ``python -m repro obs`` summariser.
@@ -42,9 +41,6 @@ LEVELS = ("debug", "info")
 #: magnitude more often than any decision event — and the admission
 #: outcome it explains is already captured by ``app.map``'s ``waited_us``.
 DEBUG_TYPES = frozenset({"core.transition", "map.blocked"})
-
-#: Event types eligible for ``sample_every`` decimation (per-type).
-SAMPLED_TYPES = frozenset({"core.transition", "map.blocked", "pid.step"})
 
 
 @dataclass(frozen=True)
@@ -76,19 +72,16 @@ class JournalEvent:
 
 
 class Journal:
-    """Append-only structured event sink with level/sampling filters."""
+    """Append-only structured event sink with a level filter."""
 
     def __init__(
         self,
         enabled: bool = True,
         level: str = "info",
-        sample_every: int = 1,
         capacity: Optional[int] = None,
     ) -> None:
         if level not in LEVELS:
             raise ValueError(f"unknown journal level {level!r}; known: {LEVELS}")
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
         if capacity is not None and capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.enabled = enabled
@@ -96,10 +89,8 @@ class Journal:
         #: Precomputed ``enabled and level == "debug"`` so hot call sites
         #: can skip building debug-event payloads with one attribute read.
         self.debug = enabled and level == "debug"
-        self.sample_every = sample_every
         self.capacity = capacity
         self.dropped = 0
-        self._sample_counts: Dict[str, int] = {}
         # Hot path: emit() appends to three parallel lists instead of
         # building one record object per event.  This is deliberate GC
         # hygiene, not micro-optimisation: floats and strings are not
@@ -118,16 +109,11 @@ class Journal:
     # Recording
     # ------------------------------------------------------------------
     def emit(self, type: str, time: float, **data: object) -> None:
-        """Append one event (subject to the level/sampling/capacity filters)."""
+        """Append one event (subject to the level and capacity filters)."""
         if not self.enabled:
             return
         if type in DEBUG_TYPES and self.level != "debug":
             return
-        if self.sample_every > 1 and type in SAMPLED_TYPES:
-            seen = self._sample_counts.get(type, 0)
-            self._sample_counts[type] = seen + 1
-            if seen % self.sample_every:
-                return
         if self.capacity is not None and len(self._kinds) >= self.capacity:
             self.dropped += 1
             return

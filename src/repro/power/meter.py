@@ -23,8 +23,8 @@ The re-sum runs in ascending core-id order — exactly the order the
 original full scan used — and a ``+0.0`` term changes neither a plain
 nor a compensated float sum, so the fast path is **bit-identical** to
 the scan, not an approximation.
-The original scan survives as :meth:`scan_breakdown` and can be run as a
-periodic audit against the incremental sums via ``verify_every_n``.
+The original scan survives as :meth:`scan_breakdown`, the reference that
+:class:`repro.verify.PowerConservationInvariant` audits the sums against.
 """
 
 from __future__ import annotations
@@ -53,37 +53,20 @@ class PowerBreakdown:
         return self.workload + self.test + self.leakage + self.noc
 
 
-class MeterAuditError(RuntimeError):
-    """Incremental sums diverged from the full-scan audit (a meter bug)."""
-
-
 class PowerMeter:
-    """Computes instantaneous chip power from platform state.
-
-    ``verify_every_n`` is a debug knob: when positive, every n-th
-    :meth:`breakdown` additionally runs the original full scan and raises
-    :class:`MeterAuditError` if any channel deviates by more than
-    ``audit_tolerance_w`` — an always-on self-check for long soak runs.
-    """
+    """Computes instantaneous chip power from platform state."""
 
     def __init__(
         self,
         chip: Chip,
         gated_leak_fraction: float = 0.03,
         default_activity: float = 1.0,
-        verify_every_n: int = 0,
-        audit_tolerance_w: float = 1e-9,
     ) -> None:
         if not 0.0 <= gated_leak_fraction <= 1.0:
             raise ValueError("gated_leak_fraction must be in [0, 1]")
-        if verify_every_n < 0:
-            raise ValueError("verify_every_n must be non-negative")
         self.chip = chip
         self.gated_leak_fraction = gated_leak_fraction
         self.default_activity = default_activity
-        self.verify_every_n = verify_every_n
-        self.audit_tolerance_w = audit_tolerance_w
-        self.audits_passed = 0
         self._noc_power_w: float = 0.0
         # Activity/test factors set by the execution engine / test runner.
         self._core_activity: Dict[int, float] = {}
@@ -117,7 +100,6 @@ class PowerMeter:
         # back-to-back changes a task start produces (state, level,
         # activity) cost one refresh instead of three.
         self._dirty_cores: set = set()
-        self._queries = 0
         self._model = chip.tech_model
         #: Leakage depends on the supply voltage only, so a core's base
         #: leakage is one of len(vf_table) values per catalog type: one
@@ -318,17 +300,12 @@ class PowerMeter:
         """Instantaneous chip power split into reporting channels."""
         if self._sums_dirty:
             self._refresh_sums()
-        result = PowerBreakdown(
+        return PowerBreakdown(
             workload=self._workload_w,
             test=self._test_w,
             leakage=self._leakage_w,
             noc=self._noc_power_w,
         )
-        if self.verify_every_n:
-            self._queries += 1
-            if self._queries % self.verify_every_n == 0:
-                self._audit(result)
-        return result
 
     def scan_breakdown(self) -> PowerBreakdown:
         """Reference full scan over all cores (the pre-fast-path algorithm).
@@ -370,26 +347,8 @@ class PowerMeter:
             workload=workload, test=test, leakage=leakage, noc=self._noc_power_w
         )
 
-    def _audit(self, incremental: PowerBreakdown) -> None:
-        reference = self.scan_breakdown()
-        for channel in ("workload", "test", "leakage", "noc"):
-            got = getattr(incremental, channel)
-            want = getattr(reference, channel)
-            if abs(got - want) > self.audit_tolerance_w:
-                raise MeterAuditError(
-                    f"incremental {channel} power {got!r} diverged from "
-                    f"full-scan value {want!r} after {self._queries} queries"
-                )
-        self.audits_passed += 1
-
     def chip_power(self) -> float:
-        """Total chip power; same additions as ``breakdown().total``.
-
-        When auditing is enabled the query goes through :meth:`breakdown`
-        so it counts toward the ``verify_every_n`` cadence.
-        """
-        if self.verify_every_n:
-            return self.breakdown().total
+        """Total chip power; same additions as ``breakdown().total``."""
         if self._sums_dirty:
             self._refresh_sums()
         return self._workload_w + self._test_w + self._leakage_w + self._noc_power_w

@@ -3,13 +3,13 @@
 The correctness counterpart to :mod:`repro.obs`'s observability layer,
 in three pieces:
 
-* **Inline invariants** (:mod:`repro.verify.invariants`) — pluggable
-  :class:`Invariant` objects checked while the simulator runs: power
-  conservation (incremental meter vs. reference scan), budget
-  compliance with violation provenance, core state-machine legality,
-  test non-intrusiveness (SBST only on idle cores), event-time
-  monotonicity, NoC link sanity.  Attached via
-  ``run_system(config, verifier=InvariantChecker())`` or the CLI's
+* **Inline invariants** (:mod:`repro.verify.invariants`) — one fixed
+  catalog of :class:`Invariant` objects checked while the simulator
+  runs: power conservation (incremental meter vs. reference scan),
+  budget compliance with violation provenance, core state-machine
+  legality, test non-intrusiveness (SBST only on idle cores),
+  event-time monotonicity, NoC link sanity, thermal safety.  Attached
+  via ``run_system(config, verifier=InvariantChecker())`` or the CLI's
   ``--verify`` flag; with no checker a run is byte-identical to an
   unverified one.
 * **Metamorphic relations** (:mod:`repro.verify.relations`) —
@@ -37,6 +37,7 @@ from relations to paper claims.
 """
 
 from repro.verify.invariants import (
+    TOLERANCE_W,
     BudgetComplianceInvariant,
     Invariant,
     InvariantChecker,
@@ -47,7 +48,6 @@ from repro.verify.invariants import (
     TestNonIntrusivenessInvariant,
     ThermalSafetyInvariant,
     TimeMonotonicityInvariant,
-    VerificationError,
     default_invariants,
 )
 from repro.verify.relations import (
@@ -70,28 +70,19 @@ from repro.verify.relations import (
 from repro.verify.replay import ReplayError, ReplayReport, replay_journal
 
 
-def verify_config(
-    config,
-    invariants=None,
-    mode="record",
-    journal=None,
-    emit_replay=True,
-):
+def verify_config(config, journal=None):
     """Run one config under the invariant checker.
 
     Returns ``(result, checker)``; inspect ``checker.ok`` /
-    ``checker.violations`` / ``checker.summary()``.  ``invariants``
-    defaults to the full catalog, ``mode`` to recording (pass
-    ``"raise"`` to stop at the first violation).
+    ``checker.violations`` / ``checker.summary()``.  With a
+    ``journal`` the run also records the replay snapshots.
     """
     # Imported lazily: repro.core.system must not import repro.verify
     # (relations import SystemConfig machinery), so the dependency
     # points this way only.
     from repro.core.system import run_system
 
-    checker = InvariantChecker(
-        invariants=invariants, mode=mode, emit_replay=emit_replay
-    )
+    checker = InvariantChecker()
     result = run_system(config, journal=journal, verifier=checker)
     return result, checker
 
@@ -115,12 +106,12 @@ __all__ = [
     "ReplayReport",
     "SeedPermutationInvariance",
     "StateLegalityInvariant",
+    "TOLERANCE_W",
     "TestNonIntrusivenessInvariant",
     "ThermalSafetyInvariant",
     "TimeMonotonicityInvariant",
     "TypePermutationDarkInvariance",
     "TypedZeroHazardTypedZeroFaults",
-    "VerificationError",
     "ZeroHazardZeroFaults",
     "check_relations",
     "default_invariants",

@@ -11,8 +11,8 @@ Design constraints (the no-op-sink invariant, as for the journal):
 
 * **Off by default and free.**  The system holds ``verifier=None``
   unless a checker is passed in; every hook site guards with
-  ``if verifier is not None and verifier.enabled:``.  A run without a
-  checker is byte-identical to one before this module existed.
+  ``if verifier is not None:``.  A run without a checker is
+  byte-identical to one before this module existed.
 * **Read-only.**  Invariants may look at anything but touch nothing:
   no RNG draws, no model floats, no event scheduling.  Enabling the
   checker on a seeded run reproduces the unchecked run's summary digest
@@ -22,9 +22,8 @@ Design constraints (the no-op-sink invariant, as for the journal):
   the offending values, and — for the first one — a snapshot of the
   chip/power/queue state, so a red run is debuggable without a rerun.
 
-Violations are recorded (``mode="record"``) or raised
-(``mode="raise"`` → :class:`VerificationError`), and mirrored into the
-run journal as ``verify.violation`` events when journaling is on.
+Violations are recorded, and mirrored into the run journal as
+``verify.violation`` events when journaling is on.
 """
 
 from __future__ import annotations
@@ -49,8 +48,10 @@ LEGAL_TRANSITIONS = frozenset(
 )
 
 
-class VerificationError(RuntimeError):
-    """An invariant was violated and the checker runs in ``raise`` mode."""
+#: The one disagreement the power checks let through, in watts: the
+#: conservation audit, the budget cap, the NoC sign checks and the
+#: journal replay all compare against it.
+TOLERANCE_W = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class InvariantViolation:
 
 
 class Invariant:
-    """One pluggable runtime property.
+    """One runtime property of the catalog (:func:`default_invariants`).
 
     Subclasses override :meth:`on_transition` (called on every core
     state/level/leakage change) and/or :meth:`on_tick` (called once per
@@ -81,9 +82,6 @@ class Invariant:
 
     #: Stable identifier used in violations, reports and journal events.
     name = "invariant"
-
-    def on_attach(self, system) -> None:
-        """Called once when the checker attaches to a system."""
 
     def on_transition(
         self, system, core: Core, old: CoreState, new: CoreState, now: float
@@ -104,34 +102,32 @@ class PowerConservationInvariant(Invariant):
     The fast-path meter (PR 1) promises bit-identical sums to the
     original O(cores) scan; this re-derives every channel from live core
     state through the unmemoized analytic model and compares within
-    ``tolerance_w``.  The scan is the checker's one expensive probe
-    (~100 µs on an 8x8 mesh), so it samples every ``audit_every``-th
+    :data:`TOLERANCE_W`.  The scan is the checker's one expensive probe
+    (~100 µs on an 8x8 mesh), so it samples every :attr:`AUDIT_EVERY`-th
     epoch — the first epoch always audits — keeping the whole checker
-    inside the ≤10% overhead budget ``benchmarks/bench_verify.py``
-    enforces.  Pass ``audit_every=1`` for an every-epoch audit; the
-    journal replay cross-check covers every epoch regardless.
+    near the 10% overhead budget ``benchmarks/bench_verify.py``
+    enforces.  The journal replay cross-check covers every epoch.
     """
 
     name = "power-conservation"
 
-    def __init__(self, tolerance_w: float = 1e-9, audit_every: int = 16) -> None:
-        if audit_every < 1:
-            raise ValueError("audit_every must be >= 1")
-        self.tolerance_w = tolerance_w
-        self.audit_every = audit_every
+    #: Epochs per audit; the first epoch always audits.
+    AUDIT_EVERY = 16
+
+    def __init__(self) -> None:
         self._ticks_seen = 0
 
     def on_tick(self, system, now, breakdown):
         seen = self._ticks_seen
         self._ticks_seen = seen + 1
-        if seen % self.audit_every:
+        if seen % self.AUDIT_EVERY:
             return None
         reference = system.meter.scan_breakdown()
         problems = []
         for channel in ("workload", "test", "leakage", "noc"):
             got = getattr(breakdown, channel)
             want = getattr(reference, channel)
-            if abs(got - want) > self.tolerance_w:
+            if abs(got - want) > TOLERANCE_W:
                 problems.append(
                     (
                         f"meter {channel} channel {got!r} W diverged from "
@@ -159,13 +155,10 @@ class BudgetComplianceInvariant(Invariant):
 
     name = "budget-compliance"
 
-    def __init__(self, tolerance_w: float = 1e-9) -> None:
-        self.tolerance_w = tolerance_w
-
     def on_tick(self, system, now, breakdown):
         cap = system.budget.cap
         total = breakdown.total
-        if total <= cap + self.tolerance_w:
+        if total <= cap + TOLERANCE_W:
             return None
         return [
             (
@@ -252,7 +245,7 @@ class TimeMonotonicityInvariant(Invariant):
     name = "time-monotonicity"
 
     def __init__(self) -> None:
-        #: Latest time a hook observed; the fused listener advances it too.
+        #: Latest time a hook observed; the checker's listener advances it too.
         self.last: Optional[float] = None
 
     def _advance(self, now: float):
@@ -279,17 +272,15 @@ class NocLinkSanityInvariant(Invariant):
 
     The analytic NoC keeps per-link flit loads; a negative load means a
     release without a matching occupy.  The queued NoC has no per-link
-    ledger, so there only the registered NoC power is checked.
+    ledger, so there only the registered NoC power is checked.  Either
+    may sit up to :data:`TOLERANCE_W` below zero (float drift).
     """
 
     name = "noc-link-sanity"
 
-    def __init__(self, tolerance: float = 1e-9) -> None:
-        self.tolerance = tolerance
-
     def on_tick(self, system, now, breakdown):
         problems = []
-        if breakdown.noc < -self.tolerance:
+        if breakdown.noc < -TOLERANCE_W:
             problems.append(
                 (
                     f"registered NoC power is negative: {breakdown.noc!r} W",
@@ -299,7 +290,7 @@ class NocLinkSanityInvariant(Invariant):
         link_loads = getattr(system.noc, "link_loads", None)
         if callable(link_loads):
             for link, load in link_loads().items():
-                if load < -self.tolerance:
+                if load < -TOLERANCE_W:
                     problems.append(
                         (
                             f"link {link} carries negative load {load!r}",
@@ -377,7 +368,7 @@ STATE_CODES: Dict[CoreState, str] = {
 
 
 class InvariantChecker:
-    """Runs a set of invariants against one live simulation.
+    """Runs the invariant catalog against one live simulation.
 
     Attach via ``run_system(config, verifier=InvariantChecker())`` (or
     pass to :class:`~repro.core.system.ManycoreSystem`): the system
@@ -385,36 +376,21 @@ class InvariantChecker:
     :meth:`on_control_tick` once per epoch with the breakdown it already
     computed, so checking adds no extra meter queries.
 
-    ``mode`` is ``"record"`` (collect into :attr:`violations`, bounded
-    by ``max_violations``) or ``"raise"`` (first violation raises
-    :class:`VerificationError`).  When the attached system journals,
-    violations are mirrored as ``verify.violation`` events and — when
-    ``emit_replay`` — per-epoch ``verify.cores``/``verify.power``
-    snapshots are emitted for the offline re-simulator
-    (:func:`repro.verify.replay.replay_journal`).
+    Violations are collected into :attr:`violations`, at most
+    :attr:`MAX_VIOLATIONS` of them; later ones are counted in
+    :attr:`suppressed`.  When the attached system journals, violations
+    are mirrored as ``verify.violation`` events and per-epoch
+    ``verify.cores``/``verify.power`` snapshots are emitted for the
+    offline re-simulator (:func:`repro.verify.replay.replay_journal`).
     """
 
-    def __init__(
-        self,
-        invariants: Optional[List[Invariant]] = None,
-        mode: str = "record",
-        max_violations: int = 1000,
-        emit_replay: bool = True,
-        enabled: bool = True,
-    ) -> None:
-        if mode not in ("record", "raise"):
-            raise ValueError(f"unknown checker mode {mode!r}")
-        if max_violations < 1:
-            raise ValueError("max_violations must be >= 1")
-        self.invariants = (
-            list(invariants) if invariants is not None else default_invariants()
-        )
-        self.mode = mode
-        self.max_violations = max_violations
-        self.emit_replay = emit_replay
-        self.enabled = enabled
+    #: Violations recorded in full; the rest only count.
+    MAX_VIOLATIONS = 1000
+
+    def __init__(self) -> None:
+        self.invariants = default_invariants()
         self.violations: List[InvariantViolation] = []
-        #: Violations not recorded because ``max_violations`` was reached.
+        #: Violations not recorded because ``MAX_VIOLATIONS`` was reached.
         self.suppressed = 0
         self.checks_run = 0
         self.ticks_checked = 0
@@ -422,61 +398,28 @@ class InvariantChecker:
         self.first_snapshot: Optional[Dict[str, object]] = None
         self._system = None
         self._sim = None
-        self._transition_invariants: List[Invariant] = []
-        self._tick_invariants: List[Invariant] = []
-        #: Exact-type instances for the fused listener (see attach).
-        self._fused: Optional[tuple] = None
+        self._transition_invariants = [
+            inv
+            for inv in self.invariants
+            if type(inv).on_transition is not Invariant.on_transition
+        ]
+        self._tick_invariants = [
+            inv
+            for inv in self.invariants
+            if type(inv).on_tick is not Invariant.on_tick
+        ]
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
     def attach(self, system) -> None:
         """Subscribe to ``system``'s transition feed and journal."""
-        if not self.enabled:
-            return
         if self._system is not None:
             raise RuntimeError("checker is already attached to a system")
         self._system = system
         self._sim = system.sim
-        base_tr = Invariant.on_transition
-        base_tk = Invariant.on_tick
-        for inv in self.invariants:
-            inv.on_attach(system)
-            if type(inv).on_transition is not base_tr:
-                self._transition_invariants.append(inv)
-            if type(inv).on_tick is not base_tk:
-                self._tick_invariants.append(inv)
-        if self._transition_invariants:
-            # The transition feed fires on every core mutation (thousands
-            # per run), so when the subscribed invariants are exactly the
-            # stock ones a fused listener replays their cheap predicates
-            # inline and only falls back to the invariant objects to
-            # format an actual violation.  Custom invariants (or
-            # subclasses) get the generic per-invariant loop.
-            fused = {
-                StateLegalityInvariant: None,
-                TestNonIntrusivenessInvariant: None,
-                TimeMonotonicityInvariant: None,
-            }
-            fusable = True
-            for inv in self._transition_invariants:
-                if type(inv) in fused and fused[type(inv)] is None:
-                    fused[type(inv)] = inv
-                else:
-                    fusable = False
-                    break
-            if fusable:
-                self._fused = (
-                    fused[StateLegalityInvariant],
-                    fused[TestNonIntrusivenessInvariant],
-                    fused[TimeMonotonicityInvariant],
-                )
-                system.chip.add_transition_listener(
-                    self._fused_listener(*self._fused)
-                )
-            else:
-                system.chip.add_transition_listener(self._on_transition)
-        if system.journal.enabled and self.emit_replay:
+        system.chip.add_transition_listener(self._listener())
+        if system.journal.enabled:
             self._emit_platform(system)
 
     @property
@@ -487,26 +430,17 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # Hook entry points (called by ManycoreSystem)
     # ------------------------------------------------------------------
-    def _on_transition(self, core: Core, old: CoreState, new: CoreState) -> None:
-        system = self._system
-        now = system.sim.now
-        for inv in self._transition_invariants:
-            self.checks_run += 1
-            problems = inv.on_transition(system, core, old, new, now)
-            if problems:
-                for message, details in problems:
-                    self._record(inv.name, now, message, details)
+    def _listener(self) -> Callable:
+        """The transition listener: the catalog's transition checks, inlined.
 
-    def _fused_listener(self, legality, nonintr, mono) -> Callable:
-        """A listener inlining the predicates of the stock invariants.
-
-        Semantically identical to :meth:`_on_transition` over the same
-        invariants (``tests/test_verify.py`` pins the equivalence): each
-        predicate mirrors its invariant's fast "property holds" path,
-        and any suspect transition is handed back to the invariant
-        object so violation messages and per-invariant state stay the
-        canonical ones.  A closure: it runs on every core mutation.
+        The feed fires on every core mutation (thousands per run), so
+        the listener replays each transition invariant's cheap "property
+        holds" predicate inline, in catalog order, and hands a suspect
+        transition to that invariant's :meth:`~Invariant.on_transition`,
+        which formats the violation and keeps its own state canonical.
+        ``tests/test_verify.py`` pins it against a loop over the hooks.
         """
+        legality, nonintr, mono = self._transition_invariants
         checks = len(self._transition_invariants)
         sim = self._sim
         slow_check = self._slow_check
@@ -515,31 +449,26 @@ class InvariantChecker:
         def listener(core: Core, old: CoreState, new: CoreState) -> None:
             self.checks_run += checks
             if old is not new:
-                if legality is not None and (old, new) not in LEGAL_TRANSITIONS:
+                if (old, new) not in LEGAL_TRANSITIONS:
                     slow_check(legality, core, old, new)
-                if (
-                    nonintr is not None
-                    and new is testing
-                    and (
-                        core._owner_app is not None
-                        or core.current_task is not None
-                    )
+                if new is testing and (
+                    core._owner_app is not None
+                    or core.current_task is not None
                 ):
                     slow_check(nonintr, core, old, new)
-            if mono is not None:
-                now = sim.now
-                last = mono.last
-                if last is not None and now < last:
-                    slow_check(mono, core, old, new)
-                else:
-                    mono.last = now
+            now = sim.now
+            last = mono.last
+            if last is not None and now < last:
+                slow_check(mono, core, old, new)
+            else:
+                mono.last = now
 
         return listener
 
     def _slow_check(
         self, inv: Invariant, core: Core, old: CoreState, new: CoreState
     ) -> None:
-        """Run one invariant's full hook (the fused path's violation leg)."""
+        """Run one invariant's full hook (the listener's violation leg)."""
         now = self._sim.now
         problems = inv.on_transition(self._system, core, old, new, now)
         if problems:
@@ -555,7 +484,7 @@ class InvariantChecker:
             if problems:
                 for message, details in problems:
                     self._record(inv.name, now, message, details)
-        if system.journal.enabled and self.emit_replay:
+        if system.journal.enabled:
             self._emit_tick(system, now, breakdown)
 
     # ------------------------------------------------------------------
@@ -575,7 +504,7 @@ class InvariantChecker:
                 message=message,
                 **details,
             )
-        if len(self.violations) < self.max_violations:
+        if len(self.violations) < self.MAX_VIOLATIONS:
             self.violations.append(
                 InvariantViolation(
                     invariant=invariant,
@@ -586,10 +515,6 @@ class InvariantChecker:
             )
         else:
             self.suppressed += 1
-        if self.mode == "raise":
-            raise VerificationError(
-                f"[{invariant}] at t={now:g} us: {message}"
-            )
 
     @staticmethod
     def snapshot(system, now: float) -> Dict[str, object]:

@@ -35,7 +35,7 @@ from repro.platform.technology import (
     get_node,
     get_tech_model,
 )
-from repro.verify.invariants import LEGAL_TRANSITIONS
+from repro.verify.invariants import LEGAL_TRANSITIONS, TOLERANCE_W
 
 
 class ReplayError(ValueError):
@@ -47,8 +47,8 @@ class ReplayReport:
     """Outcome of one journal replay."""
 
     ticks_checked: int = 0
-    #: Per-channel disagreements beyond tolerance: dicts with ``time``,
-    #: ``channel``, ``recorded_w``, ``replayed_w``, ``error_w``.
+    #: Per-channel disagreements beyond ``TOLERANCE_W``: dicts with
+    #: ``time``, ``channel``, ``recorded_w``, ``replayed_w``, ``error_w``.
     mismatches: List[Dict[str, object]] = field(default_factory=list)
     #: Illegal transitions found in ``core.transition`` events.
     transition_violations: List[Dict[str, object]] = field(default_factory=list)
@@ -129,7 +129,7 @@ def _recompute(
     return workload, test, leakage
 
 
-def replay_journal(source, tolerance_w: float = 1e-9) -> ReplayReport:
+def replay_journal(source) -> ReplayReport:
     """Re-simulate a journal's power/state stream and cross-check it.
 
     ``source`` is a JSONL path, a :class:`~repro.obs.journal.Journal`,
@@ -214,7 +214,7 @@ def replay_journal(source, tolerance_w: float = 1e-9) -> ReplayReport:
                     report.max_abs_error_w = max(
                         report.max_abs_error_w, error
                     )
-                    if error > tolerance_w:
+                    if error > TOLERANCE_W:
                         report.mismatches.append(
                             {
                                 "time": event.time,
@@ -225,7 +225,7 @@ def replay_journal(source, tolerance_w: float = 1e-9) -> ReplayReport:
                             }
                         )
                 noc_w = float(event.data["noc_w"])
-                if noc_w < -tolerance_w:
+                if noc_w < -TOLERANCE_W:
                     report.mismatches.append(
                         {
                             "time": event.time,

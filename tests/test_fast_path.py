@@ -125,15 +125,14 @@ def test_zero_watt_member_still_moves_its_channel(chip44, state, channel):
     assert empty == 0 and type(empty) is int
 
 
-def test_builtin_audit_passes_under_churn(chip44):
-    meter = PowerMeter(chip44, verify_every_n=1)
+def test_breakdown_matches_scan_under_churn(chip44):
+    meter = PowerMeter(chip44)
     for step, core in enumerate(chip44):
         core.state = CoreState.BUSY if step % 2 == 0 else CoreState.TESTING
         meter.set_core_activity(core, 0.5 + step * 0.1)
-        meter.breakdown()
+        _assert_breakdown_matches_scan(meter)
         core.state = CoreState.IDLE
-        meter.breakdown()
-    assert meter.audits_passed >= 2 * len(chip44.cores)
+        _assert_breakdown_matches_scan(meter)
 
 
 def test_stale_activity_cleared_when_core_retires(chip44):

@@ -17,7 +17,7 @@ import dataclasses
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.system import ManycoreSystem, SystemConfig, run_system
@@ -28,18 +28,16 @@ from repro.platform.core import CoreState
 from repro.power.meter import PowerBreakdown
 from repro.verify import (
     BudgetMonotonicThroughput,
+    Invariant,
     InvariantChecker,
     LevelDomainCoverage,
     NoTestPolicyZeroTests,
     PowerConservationInvariant,
     ReplayError,
     SeedPermutationInvariance,
-    StateLegalityInvariant,
-    TestNonIntrusivenessInvariant,
-    TimeMonotonicityInvariant,
-    VerificationError,
     ZeroHazardZeroFaults,
     check_relations,
+    default_invariants,
     default_relations,
     replay_journal,
     verify_config,
@@ -67,12 +65,11 @@ def test_verified_run_is_byte_identical_to_unverified():
 
 
 def test_null_verifier_is_a_no_op():
-    disabled = InvariantChecker(invariants=[], enabled=False)
-    plain = run_system(SMALL)
-    nulled = run_system(SMALL, verifier=disabled)
-    assert not disabled.enabled
-    assert disabled.checks_run == 0
-    assert _digest(nulled) == _digest(plain)
+    """``verifier=None``, the only off switch, subscribes nothing."""
+    plain = ManycoreSystem(SMALL)
+    checked = ManycoreSystem(SMALL, verifier=InvariantChecker())
+    assert plain.verifier is None
+    assert len(checked.chip._listeners) == len(plain.chip._listeners) + 1
 
 
 def test_verified_run_with_journal_is_byte_identical():
@@ -128,8 +125,8 @@ def test_checker_cannot_attach_twice():
 # ----------------------------------------------------------------------
 # Negative tests: every invariant fires on an injected violation
 # ----------------------------------------------------------------------
-def _fresh(config=SMALL, **checker_kwargs):
-    checker = InvariantChecker(**checker_kwargs)
+def _fresh(config=SMALL):
+    checker = InvariantChecker()
     system = ManycoreSystem(config, verifier=checker)
     return system, checker
 
@@ -298,81 +295,124 @@ def test_a5_guard_binds_and_stays_thermal_safe():
     assert result.tests_completed < unguarded.tests_completed
 
 
-def test_fused_and_generic_transition_paths_agree():
-    """Stock invariants use the fused listener; subclasses force the
-    generic per-invariant loop.  Both must record identical violations."""
+#: The listener oracle's cores: four are enough, and make steps on the
+#: same core likely.
+_CORES = st.integers(min_value=0, max_value=3)
+_EIGHT = st.integers(min_value=0, max_value=7)
 
-    class CustomLegality(StateLegalityInvariant):
-        pass
+#: One step of the listener oracle: (op, core, value).
+_STEP = st.one_of(
+    st.tuples(st.just("state"), _CORES, st.sampled_from(list(CoreState))),
+    st.tuples(st.just("owner"), _CORES, st.sampled_from([None, 7, 9])),
+    st.tuples(st.just("task"), _CORES, st.sampled_from([None, "task"])),
+    st.tuples(st.just("level"), _CORES, _EIGHT),
+    st.tuples(st.just("leak"), _CORES, _EIGHT),
+    st.tuples(st.just("clock"), st.just(0), _EIGHT),
+)
 
-    fused_system, fused_checker = _fresh()
-    assert fused_checker._fused is not None
-    generic_checker = InvariantChecker(
-        invariants=[
-            CustomLegality(),
-            TestNonIntrusivenessInvariant(),
-            TimeMonotonicityInvariant(),
-        ]
-    )
-    generic_system = ManycoreSystem(SMALL, verifier=generic_checker)
-    assert generic_checker._fused is None
 
-    for system in (fused_system, generic_system):
-        core = system.chip.core(2)
-        core.owner_app = 9
-        core.state = CoreState.TESTING
-        system.chip.core(0).state = CoreState.FAULTY
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(_STEP, min_size=10, max_size=60))
+@example(steps=[
+    ("owner", 2, 9),
+    ("state", 2, CoreState.TESTING),
+    ("state", 0, CoreState.FAULTY),
+])
+@example(steps=[("task", 1, "task"), ("state", 1, CoreState.TESTING)])
+@example(steps=[
+    ("clock", 0, 5),
+    ("level", 1, 0),
+    ("clock", 0, 2),
+    ("leak", 1, 3),
+    ("state", 1, CoreState.BUSY),
+])
+def test_transition_listener_matches_reference_loop(steps):
+    """The checker's one transition listener records exactly what a loop
+    over the catalog's transition invariants' ``on_transition`` hooks
+    records: same invariants, times, messages, details and order.
 
-    fused = [(v.invariant, v.message, v.details) for v in fused_checker.violations]
-    generic = [
-        (v.invariant, v.message, v.details) for v in generic_checker.violations
+    Steps move a core to any state (legal or not), set or clear its
+    owner or task (so it may enter TESTING owned), retune its level or
+    leak factor (same-state callbacks), or assign the clock, backwards
+    included.
+    """
+    system, checker = _fresh()
+    reference = [
+        inv
+        for inv in default_invariants()
+        if type(inv).on_transition is not Invariant.on_transition
     ]
-    assert fused == generic
-    assert {name for name, _msg, _d in fused} == {
-        "state-legality",
-        "test-non-intrusiveness",
-    }
+    expected = []
+    calls = []
+
+    def reference_loop(core, old, new):
+        now = system.sim.now
+        for inv in reference:
+            calls.append(inv.name)
+            for message, details in inv.on_transition(
+                system, core, old, new, now
+            ) or ():
+                expected.append((inv.name, now, message, details))
+
+    system.chip.add_transition_listener(reference_loop)
+    table = system.chip.vf_table
+    for op, core_id, value in steps:
+        core = system.chip.core(core_id)
+        if op == "state":
+            core.state = value
+        elif op == "owner":
+            core.owner_app = value
+        elif op == "task":
+            core.current_task = value
+        elif op == "level":
+            core.level = table[value % len(table)]
+        elif op == "leak":
+            core.leak_factor = 1.0 + value * 0.05
+        else:
+            system.sim.now = value * 100.0
+    got = [
+        (v.invariant, v.time, v.message, v.details)
+        for v in checker.violations
+    ]
+    assert got == expected
+    assert checker.checks_run == len(calls)
 
 
 def test_power_conservation_audits_on_a_cadence():
-    invariant = PowerConservationInvariant(audit_every=4)
+    every = PowerConservationInvariant.AUDIT_EVERY
+    assert every == 16
+    invariant = PowerConservationInvariant()
     system, checker = _fresh()
     audited = []
     original = system.meter.scan_breakdown
 
     def counting_scan():
-        audited.append(True)
+        audited.append(tick)
         return original()
 
     system.meter.scan_breakdown = counting_scan
     breakdown = system.meter.breakdown()
-    for tick in range(8):
+    for tick in range(2 * every):
         invariant.on_tick(system, float(tick), breakdown)
-    assert len(audited) == 2  # ticks 0 and 4
-    with pytest.raises(ValueError):
-        PowerConservationInvariant(audit_every=0)
-
-
-def test_raise_mode_stops_at_first_violation():
-    system, checker = _fresh(mode="raise")
-    core = system.chip.core(0)
-    with pytest.raises(VerificationError, match="state-legality"):
-        core.state = CoreState.FAULTY
+    assert audited == [0, every]
 
 
 def test_max_violations_bounds_recording():
-    system, checker = _fresh(max_violations=2)
+    assert InvariantChecker.MAX_VIOLATIONS == 1000
+    system, checker = _fresh()
     breakdown = system.meter.breakdown()
     doctored = dataclasses.replace(breakdown, noc=-1.0)
-    # Tick 0 fires twice — power-conservation audits its first epoch
-    # (noc channel diverges from the scan) plus noc-link-sanity — and
-    # ticks 1..4 fall between conservation audits, firing sanity only.
-    for tick in range(5):
+    # Every tick fires noc-link-sanity; each audited tick (the first and
+    # every AUDIT_EVERY-th) also fires power-conservation, whose noc
+    # channel diverges from the scan.
+    ticks = InvariantChecker.MAX_VIOLATIONS + 1
+    audits = len(range(0, ticks, PowerConservationInvariant.AUDIT_EVERY))
+    for tick in range(ticks):
         checker.on_control_tick(system, float(tick), doctored)
-    assert len(checker.violations) == 2
-    assert checker.suppressed == 4
+    assert len(checker.violations) == InvariantChecker.MAX_VIOLATIONS
+    assert checker.suppressed == ticks + audits - len(checker.violations)
     assert not checker.ok
-    assert checker.summary()["violations"] == 6
+    assert checker.summary()["violations"] == ticks + audits
 
 
 def test_violations_are_mirrored_into_the_journal():
