@@ -10,7 +10,10 @@ and gates on both halves of the cache's contract:
 
 * **identity** — the cold and warm sweeps' ``rows_digest`` over the
   full-precision summary rows are byte-identical (a cached result is a
-  pickle round-trip of the original, so any drift is a bug);
+  pickle round-trip of the original, so any drift is a bug), and so
+  are their detail digests: each result's decoded trace series, its
+  ``manifest.to_dict()`` and the ``config_digest`` of its config (a
+  result keeps these in a lazily decoded blob no summary row reads);
 * **speed** — the warm sweep is at least ``--min-speedup`` (default
   10x) faster than the cold one.  Deserializing a blob is orders of
   magnitude cheaper than simulating, so 10x is a conservative floor
@@ -38,7 +41,7 @@ import time
 from repro.cache import RunCache
 from repro.core.system import SystemConfig
 from repro.experiments.parallel import run_many
-from repro.obs.provenance import rows_digest
+from repro.obs.provenance import config_digest, digest_of, rows_digest
 
 
 def sweep_configs(horizon_us: float, points: int):
@@ -55,6 +58,22 @@ def sweep_configs(horizon_us: float, points: int):
         )
         for i in range(points)
     ]
+
+
+def detail_digest(results) -> str:
+    """Digest over each result's decoded trace series, manifest and
+    config identity."""
+    parts = []
+    for result in results:
+        trace = result.metrics.trace
+        parts.append(
+            [
+                [(name, trace.series(name)) for name in trace.names()],
+                sorted(result.manifest.to_dict().items()),
+                config_digest(result.config),
+            ]
+        )
+    return digest_of(parts)
 
 
 def run_gate(
@@ -79,6 +98,8 @@ def run_gate(
 
     cold_digest = rows_digest([r.summary() for r in cold])
     warm_digest = rows_digest([r.summary() for r in warm])
+    cold_detail = detail_digest(cold)
+    warm_detail = detail_digest(warm)
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     report = {
         "points": points,
@@ -90,12 +111,16 @@ def run_gate(
         "min_speedup": min_speedup,
         "cold_digest": cold_digest,
         "warm_digest": warm_digest,
+        "cold_detail_digest": cold_detail,
+        "warm_detail_digest": warm_detail,
         "cold_stats": cold_cache.stats.as_dict(),
         "warm_stats": warm_cache.stats.as_dict(),
         "failures": [],
     }
     if warm_digest != cold_digest:
         report["failures"].append("digest mismatch: warm != cold")
+    if warm_detail != cold_detail:
+        report["failures"].append("detail digest mismatch: warm != cold")
     if cold_cache.stats.misses != points or cold_cache.stats.hits != 0:
         report["failures"].append(
             f"cold run expected {points} misses, got "
@@ -157,6 +182,8 @@ def main(argv=None) -> int:
     )
     print(f"cold digest: {report['cold_digest']}")
     print(f"warm digest: {report['warm_digest']}")
+    print(f"cold detail digest: {report['cold_detail_digest']}")
+    print(f"warm detail digest: {report['warm_detail_digest']}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)

@@ -25,8 +25,9 @@ import os
 
 #: Bump when the blob format (pickled ``SimulationResult``) or the key
 #: derivation changes incompatibly: old entries become unreachable
-#: instead of mis-deserialised.
-CACHE_SCHEMA = 1
+#: instead of mis-deserialised.  Schema 2: a result's metrics, manifest
+#: and config ride as one nested, lazily decoded pickle.
+CACHE_SCHEMA = 2
 
 #: Environment variable naming the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

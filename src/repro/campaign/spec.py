@@ -34,6 +34,7 @@ and the spec digest pins the directory to the spec that created it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -158,17 +159,28 @@ class StopRule:
 
 @dataclass(frozen=True)
 class CampaignPoint:
-    """One fully-resolved run of a campaign."""
+    """One fully-resolved run of a campaign.
+
+    Its :class:`~repro.core.system.SystemConfig` is built on first read
+    (when the point executes): a point the cache serves needs only its
+    digest and ``config_dict``.
+    """
 
     index: int
     digest: str
     cell: Cell
     seed: int
-    config: SystemConfig
+    #: The cell's resolved config (its seed is the default one).
+    cell_config: SystemConfig = field(compare=False, repr=False)
     #: ``config_to_dict(config)`` in JSON types (arrays as lists): the
     #: checkpoint record's ``config``.  The points of a cell share its
     #: nested blocks, so it is read-only.
     config_dict: Dict[str, object] = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def config(self) -> SystemConfig:
+        """The point's config: the cell's with this point's seed."""
+        return dataclasses.replace(self.cell_config, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -374,10 +386,10 @@ class CampaignSpec:
     ) -> List[CampaignPoint]:
         """The points of one cell for ``seeds``, indexed from ``start``.
 
-        Resolves and walks the cell's config once: each seed's config is
-        a ``dataclasses.replace`` of it, its digest comes from
-        :func:`~repro.obs.provenance.seed_digests`, and its
-        ``config_dict`` is the cell's with the seed set.
+        Resolves and walks the cell's config once: each seed's digest
+        comes from :func:`~repro.obs.provenance.seed_digests`, its
+        ``config_dict`` is the cell's with the seed set, and its config
+        is a ``dataclasses.replace`` of the cell's, made on first read.
         """
         config = self.cell_config(cell)
         data = _thaw(config_to_dict(config))
@@ -387,7 +399,7 @@ class CampaignSpec:
                 digest=digest,
                 cell=cell,
                 seed=seed,
-                config=dataclasses.replace(config, seed=seed),
+                cell_config=config,
                 config_dict=dict(data, seed=seed),
             )
             for i, (seed, digest) in enumerate(

@@ -78,7 +78,7 @@ def record_from_result(
             str(level): count
             for level, count in sorted(result.per_level_tests.items())
         },
-        "n_levels": point.config.n_vf_levels,
+        "n_levels": point.config_dict["n_vf_levels"],
         "names": {
             "scheduler": result.scheduler_name,
             "mapper": result.mapper_name,

@@ -197,9 +197,9 @@ class ExecutionEngine:
         if self.aging is not None and elapsed > 0:
             self.aging.accrue_busy(core, elapsed, core.level, task.activity)
         core.busy_window.add(execution.started_at, now)
+        # The meter's transition listener drops the task's activity.
         core.state = CoreState.IDLE
         core.busy_until = 0.0
-        self.meter.set_core_activity(core, None)
         app.mark_task_done(task.task_id)
         for hook in self.on_task_finished:
             hook(task, now)

@@ -13,7 +13,9 @@ The result plane: importing this module imports every class a pickled
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import pickle
+import threading
+from dataclasses import MISSING, dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro._sum import lsum
@@ -230,13 +232,69 @@ class FaultRecord:
         return self.detected_at - self.injected_at
 
 
+#: The attributes of a result that no cache-hit reader touches (its
+#: summary row, ``result_digest`` and checkpoint record read none of
+#: them), in the order they are pickled as one nested blob.
+_DETAIL = ("metrics", "manifest", "config")
+
+#: Pickle protocol of the nested blob (the run cache's, pinned).
+_DETAIL_PROTOCOL = 4
+
+#: Serializes first reads, so a result's detail is decoded once.
+_decode_lock = threading.Lock()
+
+
+class _Detail:
+    """A :class:`SimulationResult` attribute kept in its pickled detail
+    blob until the first read of any detail attribute.
+
+    A non-data descriptor: a value in the instance dict (set by
+    ``__init__``, by an assignment or by the decode) shadows it, so it
+    runs only for a result loaded in the lazy layout and not yet read.
+    A decode keeps an assigned value over the stored one.
+    """
+
+    def __init__(self, default: object = MISSING) -> None:
+        self.default = default
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, result: object, owner: Optional[type] = None) -> object:
+        if result is None:
+            # Class access: the dataclass field's default, if any.
+            if self.default is MISSING:
+                raise AttributeError(self.name)
+            return self.default
+        state = result.__dict__
+        with _decode_lock:
+            blob = state.get("_detail")
+            if blob is not None:
+                for name, value in zip(_DETAIL, pickle.loads(blob)):
+                    state.setdefault(name, value)
+                del state["_detail"]
+        if self.name in state:
+            return state[self.name]
+        if self.default is MISSING:
+            raise AttributeError(self.name)
+        return self.default
+
+
 @dataclass
 class SimulationResult:
-    """Bundle of everything a finished run produced."""
+    """Bundle of everything a finished run produced.
 
-    config: SystemConfig
+    A result pickles its ``metrics``, ``manifest`` and ``config`` as one
+    nested blob, decoded on the first read of any of them, so a cache
+    hit whose reader needs only the summary row, the digest and the
+    records skips the traces.  Pickling a result whose blob was never
+    decoded writes the blob's bytes unchanged.  A pickle of the eager
+    layout (every attribute in the outer pickle) loads as before.
+    """
+
+    config: SystemConfig = _Detail()
     horizon_us: float
-    metrics: MetricsCollector
+    metrics: MetricsCollector = _Detail()
     test_stats: TestStats
     fault_records: List[FaultRecord]
     scheduler_name: str
@@ -252,12 +310,21 @@ class SimulationResult:
     emergency_aborts: int = 0
     skipped_no_budget: int = 0
     #: Provenance manifest (config, seed, version, summary digest).
-    manifest: Optional[RunManifest] = None
+    manifest: Optional[RunManifest] = _Detail(None)
     #: :meth:`summary`'s row.  It is pickled with the result, so it rides
     #: in a pool worker's reply and in the run cache.
     _summary: Optional[Dict[str, float]] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__
+        if "_detail" in state and not any(name in state for name in _DETAIL):
+            return state
+        detail = tuple(getattr(self, name) for name in _DETAIL)
+        state = {k: v for k, v in self.__dict__.items() if k not in _DETAIL}
+        state["_detail"] = pickle.dumps(detail, protocol=_DETAIL_PROTOCOL)
+        return state
 
     # ------------------------------------------------------------------
     @property

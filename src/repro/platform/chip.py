@@ -96,13 +96,9 @@ class Chip:
         self.cores: List[Core] = []
         self._by_pos: Dict[Tuple[int, int], Core] = {}
         self._state_ids: Dict[CoreState, Set[int]] = {s: set() for s in CoreState}
-        #: Memoized ``free_cores`` result, invalidated on any state change
-        #: and (via the cores' owner callbacks) on any ownership change.
-        self._free_list: Optional[List[Core]] = None
-        #: Exact count of idle-and-unowned cores, maintained O(1) through
-        #: the state/ownership callbacks so admission checks need not build
-        #: the free list at all.
-        self._free_count: int = width * height
+        #: Ids of the idle-and-unowned cores, kept by the state and
+        #: ownership callbacks (every core starts idle and unowned).
+        self._free_ids: Set[int] = set(range(width * height))
         #: Monotonic change counter covering every state/level/leakage/
         #: ownership mutation; control code can compare two reads to know
         #: whether anything on the chip moved in between.
@@ -165,12 +161,11 @@ class Chip:
         if new is not old:
             self._state_ids[old].discard(core.core_id)
             self._state_ids[new].add(core.core_id)
-            self._free_list = None
             if core._owner_app is None:
                 if old is CoreState.IDLE:
-                    self._free_count -= 1
+                    self._free_ids.discard(core.core_id)
                 elif new is CoreState.IDLE:
-                    self._free_count += 1
+                    self._free_ids.add(core.core_id)
         for listener in self._listeners:
             listener(core, old, new)
 
@@ -178,14 +173,11 @@ class Chip:
         self, core: Core, old: Optional[int], new: Optional[int]
     ) -> None:
         self.mutations += 1
-        self._free_list = None
         if core._state is CoreState.IDLE:
-            # Exactly one of old/new is None (the setter filters no-ops,
-            # and app ids never change hands without a release in between).
             if new is None:
-                self._free_count += 1
+                self._free_ids.add(core.core_id)
             elif old is None:
-                self._free_count -= 1
+                self._free_ids.discard(core.core_id)
 
     def add_transition_listener(self, listener: TransitionListener) -> None:
         """Subscribe to core state/level/leakage changes (e.g. the meter)."""
@@ -249,24 +241,13 @@ class Chip:
         return [c for c in self.cores if c.core_id not in faulty]
 
     def free_cores(self) -> List[Core]:
-        """Cores the mapper may allocate right now (idle and unowned).
-
-        Treat the result as read-only: it is memoized until the next state
-        or ownership change.
-        """
-        cached = self._free_list
-        if cached is None:
-            cached = [
-                c
-                for c in self.cores_in_state(CoreState.IDLE)
-                if c._owner_app is None
-            ]
-            self._free_list = cached
-        return cached
+        """Cores the mapper may allocate right now (idle and unowned),
+        ascending core id (a new list per call)."""
+        return list(map(self.cores.__getitem__, sorted(self._free_ids)))
 
     def n_free_cores(self) -> int:
         """``len(free_cores())`` without building the list (O(1))."""
-        return self._free_count
+        return len(self._free_ids)
 
     def type_counts(self) -> Dict[CoreType, int]:
         """Tile count per :class:`CoreType`, in first-occurrence order."""

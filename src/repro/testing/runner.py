@@ -270,13 +270,13 @@ class TestRunner:
             hook(core, session)
 
     # ------------------------------------------------------------------
+    # An IDLE or FAULTY transition drops the session's activity factor in
+    # the meter's transition listener.
     def _to_idle(self, core: Core) -> None:
         core.state = CoreState.IDLE
         core.testing_until = 0.0
         core.level = self.chip.vf_table.max_level
-        self.meter.set_core_activity(core, None)
 
     def _retire(self, core: Core) -> None:
         core.state = CoreState.FAULTY
         core.testing_until = 0.0
-        self.meter.set_core_activity(core, None)

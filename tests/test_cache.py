@@ -32,9 +32,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import (
+    CACHE_SCHEMA,
     CacheStats,
     ContentStore,
     RunCache,
+    code_version,
     default_salt,
     run_key,
 )
@@ -99,6 +101,20 @@ def test_key_is_stable_and_config_sensitive():
 def test_key_is_salt_sensitive():
     assert run_key(BASE_DIGEST, "v1/s1") != run_key(BASE_DIGEST, "v2/s1")
     assert default_salt("e2") != default_salt()
+
+
+def test_a_schema_1_entry_reads_as_a_miss(tmp_path, closes):
+    """Schema 2 (the lazy result layout) never reads what schema 1
+    wrote: the entry misses cleanly, without counting as corrupt."""
+    assert CACHE_SCHEMA == 2
+    assert default_salt().endswith("/s2")
+    cache_dir = str(tmp_path / "cache")
+    old = closes(RunCache(cache_dir=cache_dir, salt=f"{code_version()}/s1"))
+    old.put_result(BASE_DIGEST, run_system(BASE))
+    old.close()
+    cache = closes(RunCache(cache_dir=cache_dir))
+    assert cache.get_result(BASE_DIGEST) is None
+    assert cache.stats.misses == 1 and cache.stats.corrupt == 0
 
 
 # ----------------------------------------------------------------------
@@ -337,6 +353,17 @@ def test_run_cache_round_trip(cache):
     assert summaries_digest([result]) == summaries_digest([again])
     assert cache.stats.hits == 1 and cache.stats.misses == 1
     assert cache.stats.hit_rate() == 0.5
+
+
+def test_storing_an_undecoded_hit_writes_its_bytes_unchanged(tmp_path, closes):
+    first = closes(RunCache(cache_dir=str(tmp_path / "a")))
+    key = first.put_result(BASE_DIGEST, run_system(BASE))
+    _status, stored = first.store.get(key)
+    hit = first.get_result(BASE_DIGEST)
+    second = closes(RunCache(cache_dir=str(tmp_path / "b")))
+    second.put_result(BASE_DIGEST, hit)
+    assert second.store.get(key)[1] == stored
+    assert "_detail" in vars(hit)
 
 
 def test_run_cache_unpicklable_blob_is_corrupt(cache):

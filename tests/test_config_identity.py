@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 from repro.aging.model import AgingParameters
 from repro.cache import RunCache, run_key
-from repro.campaign import CampaignSpec, run_campaign
+from repro.campaign import CampaignPoint, CampaignSpec, run_campaign
 from repro.core import config_io
 from repro.core.config_io import config_to_dict
 from repro.core.criticality import CriticalityParameters
@@ -288,3 +288,39 @@ def test_warm_fixed_campaign_derives_each_identity_once(
         "config_from_dict": n_cells,
         "config_to_dict": n_cells,
     }
+
+
+def test_a_point_builds_its_config_only_when_it_executes(
+    tmp_path, monkeypatch, closes
+):
+    spec = CampaignSpec.from_dict(
+        {
+            "name": "point-configs",
+            "base": {"width": 4, "height": 4, "horizon_us": 1000.0},
+            "grid": {"test_policy": ["power-aware", "none"]},
+            "seeds": {"start": 1, "count": 3},
+        }
+    )
+    built = []
+    build = CampaignPoint.config.func
+
+    def counting(point):
+        built.append(point.digest)
+        return build(point)
+
+    monkeypatch.setattr(CampaignPoint.config, "func", counting)
+    points = spec.fixed_points()
+    assert built == []
+    assert [config_digest(p.config) for p in points] == [
+        p.digest for p in points
+    ]
+    assert points[0].config is points[0].config
+    assert len(built) == len(points)
+    cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
+    built.clear()
+    run_campaign(str(tmp_path / "cold"), spec=spec, cache=cache)
+    assert sorted(built) == sorted(p.digest for p in points)
+    built.clear()
+    report = run_campaign(str(tmp_path / "warm"), spec=spec, cache=cache)
+    assert report.n_completed == len(points)
+    assert built == []

@@ -171,22 +171,43 @@ def test_free_count_tracks_direct_owner_and_state_writes(chip44):
         free = chip44.free_cores()
         assert chip44.n_free_cores() == len(free)
         assert [c.core_id for c in free] == sorted(c.core_id for c in free)
+        # A full scan: ids and order.
+        assert [c.core_id for c in free] == [
+            c.core_id
+            for c in chip44.cores
+            if c.state is CoreState.IDLE and c.owner_app is None
+        ]
 
+    check()
     assert chip44.n_free_cores() == 16
     core = chip44.cores[3]
     core.owner_app = 7
-    assert chip44.n_free_cores() == 15
     check()
+    assert chip44.n_free_cores() == 15
     core.owner_app = 9  # handoff between owners: still not free
+    check()
     assert chip44.n_free_cores() == 15
     core.state = CoreState.BUSY
+    check()
     assert chip44.n_free_cores() == 15
     core.owner_app = None  # busy but unowned: still not free
+    check()
     assert chip44.n_free_cores() == 15
-    check()
     core.state = CoreState.IDLE
-    assert chip44.n_free_cores() == 16
     check()
+    assert chip44.n_free_cores() == 16
+    other = chip44.cores[0]
+    other.state = CoreState.FAULTY  # idle to faulty while unowned
+    check()
+    assert chip44.n_free_cores() == 15
+    other.owner_app = 4  # owned while faulty
+    check()
+    other.state = CoreState.IDLE  # idle but still owned
+    check()
+    assert chip44.n_free_cores() == 15
+    other.owner_app = None
+    check()
+    assert chip44.n_free_cores() == 16
 
 
 def test_mutation_counter_advances_on_every_observable_change(chip44):

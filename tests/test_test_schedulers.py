@@ -228,7 +228,7 @@ def mutate(data, chip, now):
         else:
             core.stress_since_test = data.draw(st.sampled_from([0.0, 2.0, 50.0]))
         if data.draw(st.booleans()):
-            chip.free_cores()  # memoize between mutations
+            chip.free_cores()  # read between mutations
 
 
 def reference_due(chip, now, min_interval):
@@ -259,7 +259,7 @@ def test_due_scans_equal_an_idle_and_unowned_scan(data):
         assert sched.candidates(now) == crit.rank(
             [core for core in due if crit.is_due(core, now)], now
         )
-        # The scans leave the chip's memoized list as it was.
+        # The scans leave the chip's free set as it was.
         assert chip.free_cores() == [
             core for core in chip.idle_cores() if core.owner_app is None
         ]
