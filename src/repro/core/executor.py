@@ -32,7 +32,6 @@ from repro.power.meter import PowerMeter
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 from repro.workload.application import ApplicationInstance
-from repro.workload.task import Edge, Task
 
 
 @dataclass(slots=True)
@@ -40,7 +39,8 @@ class TaskExecution:
     """Bookkeeping of one in-flight task."""
 
     app: ApplicationInstance
-    task: Task
+    task_id: int
+    activity: float
     core: Core
     started_at: float
     last_update: float
@@ -82,9 +82,12 @@ class ExecutionEngine:
         self.start_level_provider: Callable[[Core, float], VFLevel] = (
             lambda core, activity: self.chip.vf_table.max_level
         )
-        #: Hooks: on_task_finished(task, now); on_app_finished(app, now);
-        #: on_cores_freed(now) fires when cores become allocatable again.
-        self.on_task_finished: List[Callable[[Task, float], None]] = []
+        #: Hooks: on_task_finished(app, task_id, now); on_app_finished(app,
+        #: now); on_cores_freed(now) fires when cores become allocatable
+        #: again.
+        self.on_task_finished: List[
+            Callable[[ApplicationInstance, int, float], None]
+        ] = []
         self.on_app_finished: List[Callable[[ApplicationInstance, float], None]] = []
         self.on_cores_freed: List[Callable[[float], None]] = []
 
@@ -105,7 +108,7 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     def admit(self, app: ApplicationInstance, placement: Dict[int, int]) -> None:
         """Claim cores per ``placement`` and start the application."""
-        if set(placement) != set(app.graph.tasks):
+        if set(placement) != set(range(app.graph.n_tasks)):
             raise ValueError("placement must cover exactly the app's tasks")
         core_ids = list(placement.values())
         if len(set(core_ids)) != len(core_ids):
@@ -122,7 +125,7 @@ class ExecutionEngine:
         app.placement = dict(placement)
         app.start_time = now
         self._apps[app.app_id] = app
-        for task_id in app.graph.roots():
+        for task_id in app.structure.roots:
             self._start_task(app, task_id)
 
     # ------------------------------------------------------------------
@@ -135,23 +138,26 @@ class ExecutionEngine:
                 f"core {core.core_id} expected idle for task start, "
                 f"got {core.state}"
             )
-        task = app.graph.tasks[task_id]
+        structure = app.structure
+        activity = structure.activity[task_id]
+        ops = structure.ops[task_id]
         now = self.sim.now
-        level = self.start_level_provider(core, task.activity)
+        level = self.start_level_provider(core, activity)
         core.state = CoreState.BUSY
         core.level = level
         core.busy_since = now
-        self.meter.set_core_activity(core, task.activity)
-        duration = task.duration_at(core.speed_at(level))
+        self.meter.set_core_activity(core, activity)
+        duration = ops / core.speed_at(level)
         core.busy_until = now + duration
         event = self.sim.schedule(duration, self._finish_task, core.core_id)
         self._running[core.core_id] = TaskExecution(
             app=app,
-            task=task,
+            task_id=task_id,
+            activity=activity,
             core=core,
             started_at=now,
             last_update=now,
-            ops_remaining=task.ops,
+            ops_remaining=ops,
             finish_event=event,
         )
 
@@ -169,7 +175,7 @@ class ExecutionEngine:
         productive = max(0.0, now - max(execution.last_update, execution.stall_until))
         done = productive * core.speed_at()
         if self.aging is not None and elapsed > 0:
-            self.aging.accrue_busy(core, elapsed, core.level, execution.task.activity)
+            self.aging.accrue_busy(core, elapsed, core.level, execution.activity)
         execution.ops_remaining = max(0.0, execution.ops_remaining - done)
         execution.last_update = now
         execution.finish_event.cancel()
@@ -191,20 +197,20 @@ class ExecutionEngine:
             return
         core = execution.core
         app = execution.app
-        task = execution.task
+        task_id = execution.task_id
         now = self.sim.now
         elapsed = now - execution.last_update
         if self.aging is not None and elapsed > 0:
-            self.aging.accrue_busy(core, elapsed, core.level, task.activity)
+            self.aging.accrue_busy(core, elapsed, core.level, execution.activity)
         core.busy_window.add(execution.started_at, now)
         # The meter's transition listener drops the task's activity.
         core.state = CoreState.IDLE
         core.busy_until = 0.0
-        app.mark_task_done(task.task_id)
+        app.mark_task_done(task_id)
         for hook in self.on_task_finished:
-            hook(task, now)
+            hook(app, task_id, now)
 
-        out_edges = app.graph.successors[task.task_id]
+        out_edges = app.structure.successors[task_id]
         if out_edges:
             self._pending_out[core_id] = len(out_edges)
             for edge in out_edges:
@@ -216,13 +222,14 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # Transfers
     # ------------------------------------------------------------------
-    def _start_transfer(self, app: ApplicationInstance, edge: Edge) -> None:
+    def _start_transfer(self, app: ApplicationInstance, edge: int) -> None:
+        structure = app.structure
         placement = app.placement
         cores = self.chip.cores
-        flits = edge.volume_flits
+        flits = structure.volume[edge]
         latency_us, energy_uj, _, route = self.noc.admit(
-            cores[placement[edge.src]].position,
-            cores[placement[edge.dst]].position,
+            cores[placement[structure.src[edge]]].position,
+            cores[placement[structure.dst[edge]]].position,
             flits,
             self.sim.now,
         )
@@ -237,15 +244,18 @@ class ExecutionEngine:
         )
 
     def _complete_transfer(
-        self, app: ApplicationInstance, edge: Edge, power_w: float, route: Sequence[int]
+        self, app: ApplicationInstance, edge: int, power_w: float, route: Sequence[int]
     ) -> None:
         self.meter.remove_noc_power(power_w)
-        self.noc.release(route, edge.volume_flits)
+        self.noc.release(route, app.structure.volume[edge])
         self._finish_transfer(app, edge)
 
-    def _finish_transfer(self, app: ApplicationInstance, edge: Edge) -> None:
-        app.transferred_edges.add((edge.src, edge.dst))
-        src_core = self.chip.cores[app.placement[edge.src]]
+    def _finish_transfer(self, app: ApplicationInstance, edge: int) -> None:
+        structure = app.structure
+        src = structure.src[edge]
+        dst = structure.dst[edge]
+        app.transferred_edges.add((src, dst))
+        src_core = self.chip.cores[app.placement[src]]
         pending = self._pending_out.get(src_core.core_id, 0) - 1
         if pending <= 0:
             self._pending_out.pop(src_core.core_id, None)
@@ -254,11 +264,11 @@ class ExecutionEngine:
             self._pending_out[src_core.core_id] = pending
         # Start the consumer if all of its inputs have now arrived.
         if (
-            edge.dst not in app.completed_tasks
-            and app.placement[edge.dst] not in self._running
-            and app.task_ready(edge.dst)
+            dst not in app.completed_tasks
+            and app.placement[dst] not in self._running
+            and app.task_ready(dst)
         ):
-            self._start_task(app, edge.dst)
+            self._start_task(app, dst)
         self._check_app_done(app)
 
     # ------------------------------------------------------------------

@@ -89,10 +89,10 @@ def arrival_trace(
     shared trace from being mutated.  ``lru_cache`` bounds the memo and
     is safe to call from concurrent threads (``repro serve``).
 
-    Each graph is kept as its drawn numbers until a mapper or the
-    executor first reads its structure, which happens only for apps
-    that get admitted; the build is locked, so threads sharing a trace
-    build each graph once.  A never-admitted app costs about 0.8 KB.
+    Each graph is only its drawn numbers, never mutated; a run derives
+    the structure of each graph it maps and drops it with the run
+    (:class:`~repro.workload.application.ApplicationInstance`), so an
+    app costs the trace about 0.7 KB however many runs admit it.
     """
     cls = BurstyArrivalProcess if bursty else PoissonArrivalProcess
     process = cls(
@@ -254,7 +254,9 @@ class ManycoreSystem:
     def _wire(self) -> None:
         self.executor.start_level_provider = self.power_manager.start_level_for
         self.executor.on_task_finished.append(
-            lambda task, now: self.metrics.on_task_finished(task.ops, now)
+            lambda app, task_id, now: self.metrics.on_task_finished(
+                app.structure.ops[task_id], now
+            )
         )
         self.executor.on_app_finished.append(self.metrics.on_app_finished)
         self.executor.on_cores_freed.append(lambda now: self._try_map())

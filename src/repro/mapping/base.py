@@ -161,8 +161,7 @@ def assign_tasks_near(
     (core id -> cost in hop-equivalents, one entry per available core).
     Returns ``None`` when the region runs out of cores.
     """
-    graph = app.graph
-    if graph.n_tasks > len(ctx.available):
+    if app.graph.n_tasks > len(ctx.available):
         return None
     # Every distance term is integer-valued except the exact half-integer
     # first-node bias, so float addition is exact here and those sums may
@@ -193,12 +192,14 @@ def assign_tasks_near(
     dist_y = _axis_distances(height)
     no_col = (0,) * width
     no_row = (0,) * height
-    predecessors = graph.predecessors
-    for task_id in graph.topo_order:
+    structure = app.structure
+    src = structure.src
+    predecessors = structure.predecessors
+    for task_id in structure.topo_order:
         col = no_col
         row = no_row
         for edge in predecessors[task_id]:
-            placed = positions.get(edge.src)
+            placed = positions.get(src[edge])
             if placed is not None:
                 col = list(map(add, col, dist_x[placed[0]]))
                 row = list(map(add, row, dist_y[placed[1]]))

@@ -48,9 +48,9 @@ class ScatterMapper(RuntimeMapper):
         self, app: ApplicationInstance, ctx: MappingContext
     ) -> Optional[Dict[int, int]]:
         cores = sorted(ctx.available, key=lambda c: c.core_id)
-        if len(app.graph) > len(cores):
+        if app.graph.n_tasks > len(cores):
             return None
-        order = app.graph.topo_order
+        order = app.structure.topo_order
         return {task_id: cores[i].core_id for i, task_id in enumerate(order)}
 
 
@@ -66,8 +66,8 @@ class RandomFreeMapper(RuntimeMapper):
         self, app: ApplicationInstance, ctx: MappingContext
     ) -> Optional[Dict[int, int]]:
         cores = sorted(ctx.available, key=lambda c: c.core_id)
-        if len(app.graph) > len(cores):
+        if app.graph.n_tasks > len(cores):
             return None
-        chosen = self.rng.sample(cores, len(app.graph))
-        order = app.graph.topo_order
+        chosen = self.rng.sample(cores, app.graph.n_tasks)
+        order = app.structure.topo_order
         return {task_id: chosen[i].core_id for i, task_id in enumerate(order)}

@@ -96,8 +96,8 @@ class MetricsCollector:
             AppRecord(
                 app_id=app.app_id,
                 name=app.graph.name,
-                n_tasks=len(app.graph),
-                total_ops=app.graph.total_ops(),
+                n_tasks=app.graph.n_tasks,
+                total_ops=lsum(app.structure.ops),
                 arrival_time=app.arrival_time,
                 start_time=app.start_time if app.start_time is not None else now,
                 finish_time=now,

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.journal import NULL_JOURNAL
 from repro.platform.chip import Chip
-from repro.platform.core import Core
+from repro.platform.core import Core, CoreState
 from repro.platform.dvfs import VFLevel
 from repro.power.budget import PowerBudget
 from repro.power.meter import PowerMeter
@@ -197,7 +197,10 @@ class WorstCaseTDPManager(PowerManager):
         return max(1, int(self.budget.guarded_cap / peak))
 
     def spare_core_slots(self) -> Optional[int]:
-        active = len(self.chip.busy_cores()) + len(self.chip.testing_cores())
+        chip = self.chip
+        active = len(chip.state_ids(CoreState.BUSY)) + len(
+            chip.state_ids(CoreState.TESTING)
+        )
         return max(0, self.max_active_cores() - active)
 
     def tick(self, now: float, dt: float) -> None:
@@ -434,10 +437,13 @@ class TSPPowerManager(PIDPowerManager):
     def current_cap(self) -> float:
         from repro.platform.thermal import thermal_safe_power
 
-        active = len(self.chip.busy_cores()) + len(self.chip.testing_cores())
+        chip = self.chip
+        active = len(chip.state_ids(CoreState.BUSY)) + len(
+            chip.state_ids(CoreState.TESTING)
+        )
         if active == 0:
             return self.budget.guarded_cap
-        per_core = thermal_safe_power(self.chip, self.thermal_params, active)
+        per_core = thermal_safe_power(chip, self.thermal_params, active)
         return min(self.budget.guarded_cap, per_core * active)
 
 
@@ -447,7 +453,7 @@ def make_power_manager(
     meter: PowerMeter,
     budget: PowerBudget,
 ) -> PowerManager:
-    """Factory used by configs: pid | naive | worst-case | none."""
+    """Factory used by configs: pid | tsp | naive | worst-case | none."""
     policies = {
         "pid": PIDPowerManager,
         "tsp": TSPPowerManager,

@@ -434,18 +434,25 @@ class ServeEngine:
                 self._fail(work, outcome.error)
                 return
             result = outcome.result
+            put_s = 0.0
+            if self.cache is not None:
+                # Before anything reads the result: a pooled worker's
+                # result is still undecoded, so the put stores the bytes
+                # the worker sent.  The put is not part of the point's
+                # time.
+                put_started = time.perf_counter()
+                try:
+                    self.cache.put_result(work.digest, result, self.registry)
+                except OSError:
+                    self._count("cache_put_errors")
+                put_s = time.perf_counter() - put_started
             count_run(self.registry, result)
-            elapsed = time.perf_counter() - started
+            elapsed = time.perf_counter() - started - put_s
             self._ewma_point_s += 0.2 * (elapsed - self._ewma_point_s)
             self.registry.histogram(
                 "serve.point_seconds", (0.01, 0.1, 0.5, 1.0, 5.0, 30.0)
             ).observe(elapsed)
             payload = PointPayload.of(work.digest, result)
-            if self.cache is not None:
-                try:
-                    self.cache.put_result(work.digest, result, self.registry)
-                except OSError:
-                    self._count("cache_put_errors")
             self._resolve(work, payload)
             self._count("computed")
         finally:

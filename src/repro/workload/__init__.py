@@ -1,6 +1,11 @@
 """Workload substrate: task graphs, generators, arrival processes."""
 
-from repro.workload.application import ApplicationGraph, ApplicationInstance
+from repro.workload.application import (
+    ApplicationGraph,
+    ApplicationInstance,
+    GraphStructure,
+    graph_structure,
+)
 from repro.workload.arrivals import (
     Arrival,
     BurstyArrivalProcess,
@@ -21,9 +26,11 @@ __all__ = [
     "Arrival",
     "BurstyArrivalProcess",
     "Edge",
+    "GraphStructure",
     "PROFILE_PRESETS",
     "PoissonArrivalProcess",
     "RT_CLASSES",
     "Task",
     "TaskGraphGenerator",
+    "graph_structure",
 ]

@@ -8,10 +8,10 @@ operation counts / communication volumes / activity factors are drawn from
 profile-specified ranges.  Everything is driven by an injected RNG stream,
 so a workload is a pure function of (seed, profile).
 
-The generator keeps each graph as its drawn numbers
-(:meth:`ApplicationGraph.from_draws`): a memoized arrival trace holds
-every app that arrives, and only the admitted ones ever need their
-``Task`` and ``Edge`` objects.
+A graph is only its drawn numbers (:meth:`ApplicationGraph.from_draws`):
+a memoized arrival trace holds every app that arrives, and each run
+derives the structure of the graphs it maps for itself
+(:func:`repro.workload.application.graph_structure`).
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class TaskGraphGenerator:
         self._counter = 0
 
     def generate(self, profile: ApplicationProfile, name: Optional[str] = None) -> ApplicationGraph:
-        """Draw one graph; its structure is built when first read."""
+        """Draw one graph."""
         random = self.rng.random
         getrandbits = self.rng.getrandbits
         self._counter += 1

@@ -101,9 +101,10 @@ def test_placement_still_contiguous(mapper, chip44):
     edges = [Edge(i, i + 1, 10.0) for i in range(3)]
     app = ApplicationInstance(1, ApplicationGraph("c", tasks, edges), 0.0)
     placement = mapper.map_application(app, make_ctx(chip44))
-    for edge in app.graph.edges:
-        a = chip44.core(placement[edge.src]).position
-        b = chip44.core(placement[edge.dst]).position
+    structure = app.structure
+    for src, dst in zip(structure.src, structure.dst):
+        a = chip44.core(placement[src]).position
+        b = chip44.core(placement[dst]).position
         assert Mesh.manhattan(a, b) <= 3
 
 

@@ -67,13 +67,15 @@ def reference_placement(cost, app, ctx):
             first, first_key = core, key
     free = list(ctx.available)
     placement, positions = {}, {}
-    for task_id in graph.topo_order:
+    structure = app.structure
+    for task_id in structure.topo_order:
         best, best_key = None, None
         for core in free:
             distance = 0.5 * (abs(core.x - first.x) + abs(core.y - first.y))
-            for edge in graph.predecessors[task_id]:
-                if edge.src in positions:
-                    px, py = positions[edge.src]
+            for edge in structure.predecessors[task_id]:
+                src = structure.src[edge]
+                if src in positions:
+                    px, py = positions[src]
                     distance += abs(core.x - px) + abs(core.y - py)
             key = (distance + cost(ctx.now, core), core.core_id)
             if best_key is None or key < best_key:

@@ -147,7 +147,9 @@ def test_cores_freed_hook_fires(rig):
 def test_task_finished_hook(rig):
     sim, chip, noc, meter, engine = rig
     seen = []
-    engine.on_task_finished.append(lambda task, now: seen.append(task.task_id))
+    engine.on_task_finished.append(
+        lambda app, task_id, now: seen.append(task_id)
+    )
     engine.admit(chain_app(3), {0: 0, 1: 1, 2: 2})
     sim.run()
     assert seen == [0, 1, 2]
@@ -404,12 +406,19 @@ def _through_executor(model, width, height, steps):
     powers, finished, states = [], [], []
     add_noc_power = meter.add_noc_power
     meter.add_noc_power = lambda watts: (powers.append(watts), add_noc_power(watts))
-    engine._finish_transfer = lambda app, edge, *_: finished.append((sim.now, edge.src))
-    app = SimpleNamespace(placement={})
+    # Transfer i is edge i, from task 2i (on core src) to task 2i + 1.
+    structure = SimpleNamespace(src=[], dst=[], volume=[])
+    app = SimpleNamespace(placement={}, structure=structure)
+    engine._finish_transfer = lambda app, edge, *_: finished.append(
+        (sim.now, structure.src[edge])
+    )
     for i, (src, dst, flits, gap) in enumerate(steps):
         sim.run(until=sim.now + gap)
         app.placement[2 * i], app.placement[2 * i + 1] = src, dst
-        engine._start_transfer(app, Edge(2 * i, 2 * i + 1, flits))
+        structure.src.append(2 * i)
+        structure.dst.append(2 * i + 1)
+        structure.volume.append(flits)
+        engine._start_transfer(app, i)
         states.append((_link_state(noc, mesh), _totals(noc)))
     sim.run()
     states.append((_link_state(noc, mesh), _totals(noc)))

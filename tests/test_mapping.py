@@ -78,7 +78,7 @@ def test_assign_tasks_near_full_and_injective(chip44):
     ctx = make_ctx(chip44)
     first = pick_first_node(ctx, 6)
     placement = assign_tasks_near(app, ctx, first)
-    assert set(placement) == set(app.graph.tasks)
+    assert set(placement) == set(range(app.graph.n_tasks))
     assert len(set(placement.values())) == 6
     assert set(placement.values()) <= ctx.available_ids
 
@@ -89,9 +89,10 @@ def test_assign_tasks_near_contiguity(chip44):
     ctx = make_ctx(chip44)
     first = pick_first_node(ctx, 6)
     placement = assign_tasks_near(app, ctx, first)
-    for edge in app.graph.edges:
-        a = chip44.core(placement[edge.src]).position
-        b = chip44.core(placement[edge.dst]).position
+    structure = app.structure
+    for src, dst in zip(structure.src, structure.dst):
+        a = chip44.core(placement[src]).position
+        b = chip44.core(placement[dst]).position
         assert Mesh.manhattan(a, b) <= 3
 
 
@@ -115,7 +116,7 @@ def test_mappers_produce_valid_placements(chip44, mapper):
     ctx = make_ctx(chip44)
     placement = mapper.map_application(app, ctx)
     assert placement is not None
-    assert set(placement) == set(app.graph.tasks)
+    assert set(placement) == set(range(app.graph.n_tasks))
     assert len(set(placement.values())) == 5
     assert set(placement.values()) <= ctx.available_ids
 
@@ -150,10 +151,10 @@ def test_contiguous_beats_scatter_on_hops(chip88):
     def hops(placement):
         return sum(
             Mesh.manhattan(
-                chip88.core(placement[e.src]).position,
-                chip88.core(placement[e.dst]).position,
+                chip88.core(placement[src]).position,
+                chip88.core(placement[dst]).position,
             )
-            for e in graph.edges
+            for src, dst in zip(app.structure.src, app.structure.dst)
         )
 
     contiguous = ContiguousMapper().map_application(app, ctx)

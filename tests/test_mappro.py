@@ -86,7 +86,7 @@ def test_placement_valid_and_injective(mapper, chip88):
     app = chain_app(6)
     ctx = make_ctx(chip88)
     placement = mapper.map_application(app, ctx)
-    assert set(placement) == set(app.graph.tasks)
+    assert set(placement) == set(range(app.graph.n_tasks))
     assert len(set(placement.values())) == 6
     assert set(placement.values()) <= ctx.available_ids
 

@@ -42,7 +42,7 @@ def test_any_generated_app_executes_to_completion(seed):
     gen = TaskGraphGenerator(random.Random(seed))
     graph = gen.generate(PROFILE_PRESETS["medium"])
     app = ApplicationInstance(1, graph, 0.0)
-    order = graph.topo_order
+    order = app.structure.topo_order
     placement = {task_id: i for i, task_id in enumerate(order)}
     finished = []
     engine.on_app_finished.append(lambda a, now: finished.append(a.app_id))

@@ -270,6 +270,49 @@ class TestEngine:
 
         assert run_async(_with_engine(body, cache=cache)) == [3, 0]
 
+    def test_a_computed_point_is_cached_as_its_worker_sent_it(
+        self, tmp_path, closes, monkeypatch
+    ):
+        """The engine puts a pooled worker's result before it reads the
+        result, so the cache stores the worker's bytes unchanged rather
+        than decoding and re-encoding them."""
+        import pickle
+
+        from repro.experiments.pool import Outcome, execute
+        from repro.serve import engine as engine_module
+
+        sent = []
+
+        def pooled_execute(config, timeout_s=None):
+            # What a pool worker's reply holds: the pickled result.
+            blob = pickle.dumps(execute(config, timeout_s).result, protocol=4)
+            sent.append(blob)
+            return Outcome(result=pickle.loads(blob))
+
+        monkeypatch.setattr(engine_module, "execute", pooled_execute)
+        cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
+        put_result = cache.put_result
+        puts = []
+
+        def spy(digest, result, telemetry=None):
+            puts.append("_detail" in vars(result))  # still undecoded?
+            key = put_result(digest, result, telemetry)
+            puts.append(cache.store.get(key)[1])
+            return key
+
+        monkeypatch.setattr(cache, "put_result", spy)
+        doc = {"points": [{"seed": 1}], "base": SMALL}
+
+        async def body(engine):
+            [ticket] = engine.submit(SweepRequest.parse(doc))
+            await ticket.future
+            return engine.registry.snapshot()
+
+        snapshot = run_async(_with_engine(body, cache=cache))
+        assert puts == [True, sent[0]]
+        assert snapshot["counters"]["sim.runs"] == 1
+        assert snapshot["histograms"]["serve.point_seconds"]["count"] == 1
+
     def test_tenant_quota_rejects_whole_request(self):
         async def body(engine):
             big = SweepRequest.parse(

@@ -5,7 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workload.application import ApplicationGraph, ApplicationInstance
+from repro.workload.application import (
+    ApplicationGraph,
+    ApplicationInstance,
+    graph_structure,
+)
 from repro.workload.arrivals import BurstyArrivalProcess, PoissonArrivalProcess
 from repro.workload.generator import (
     PROFILE_PRESETS,
@@ -20,6 +24,29 @@ def diamond() -> ApplicationGraph:
     tasks = [Task(i, ops=1000.0) for i in range(4)]
     edges = [Edge(0, 1, 10.0), Edge(0, 2, 10.0), Edge(1, 3, 10.0), Edge(2, 3, 10.0)]
     return ApplicationGraph("diamond", tasks, edges)
+
+
+def critical_path_ops(graph: ApplicationGraph) -> float:
+    """Longest chain of operations through the DAG (ignores comm)."""
+    structure = graph_structure(graph)
+    longest = {}
+    for task_id in structure.topo_order:
+        incoming = [
+            longest[structure.src[e]] for e in structure.predecessors[task_id]
+        ]
+        longest[task_id] = structure.ops[task_id] + max(incoming, default=0.0)
+    return max(longest.values(), default=0.0)
+
+
+def ready_tasks(app: ApplicationInstance, running) -> list:
+    """Tasks whose dependencies are satisfied and are not done/running."""
+    return [
+        t
+        for t in app.structure.topo_order
+        if t not in app.completed_tasks
+        and t not in running
+        and app.task_ready(t)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -50,8 +77,7 @@ def test_edge_validation():
 # ApplicationGraph
 # ----------------------------------------------------------------------
 def test_topo_order_respects_edges():
-    graph = diamond()
-    order = graph.topo_order
+    order = graph_structure(diamond()).topo_order
     assert order.index(0) < order.index(1)
     assert order.index(0) < order.index(2)
     assert order.index(1) < order.index(3)
@@ -59,20 +85,35 @@ def test_topo_order_respects_edges():
 
 
 def test_roots_and_sinks():
-    graph = diamond()
-    assert graph.roots() == [0]
-    assert graph.sinks() == [3]
+    structure = graph_structure(diamond())
+    assert structure.roots == [0]
+    assert structure.sinks == [3]
 
 
 def test_totals():
-    graph = diamond()
-    assert graph.total_ops() == pytest.approx(4000.0)
-    assert graph.total_comm_volume() == pytest.approx(40.0)
+    structure = graph_structure(diamond())
+    assert sum(structure.ops) == pytest.approx(4000.0)
+    assert sum(structure.volume) == pytest.approx(40.0)
 
 
 def test_critical_path():
-    graph = diamond()
-    assert graph.critical_path_ops() == pytest.approx(3000.0)  # 0 -> 1 -> 3
+    assert critical_path_ops(diamond()) == pytest.approx(3000.0)  # 0 -> 1 -> 3
+
+
+def test_hand_built_graph_packs_tasks_by_id_and_edges_in_order():
+    tasks = [Task(1, 20.0, 0.5), Task(0, 10.0, 0.25)]
+    graph = ApplicationGraph("two", tasks, [Edge(0, 1, 7.0)], rt_class="hard-rt")
+    assert (graph.name, graph.rt_class, graph.n_tasks, graph.n_edges) == (
+        "two", "hard-rt", 2, 1,
+    )
+    assert list(graph.values) == [10.0, 0.25, 20.0, 0.5, 7.0]
+    assert list(graph.ends) == [0, 1]
+    assert not hasattr(graph, "__dict__")
+
+
+def test_task_ids_must_be_dense():
+    with pytest.raises(ValueError, match="must be 0..1"):
+        ApplicationGraph("bad", [Task(0, 1.0), Task(2, 1.0)], [])
 
 
 def test_cycle_detection():
@@ -107,11 +148,11 @@ def test_instance_ready_logic():
 
 def test_instance_ready_tasks_excludes_running_and_done():
     app = ApplicationInstance(1, diamond(), arrival_time=0.0)
-    assert app.ready_tasks(running=[]) == [0]
-    assert app.ready_tasks(running=[0]) == []
+    assert ready_tasks(app, running=[]) == [0]
+    assert ready_tasks(app, running=[0]) == []
     app.mark_task_done(0)
     app.transferred_edges.update({(0, 1), (0, 2)})
-    assert app.ready_tasks(running=[]) == [1, 2]
+    assert ready_tasks(app, running=[]) == [1, 2]
 
 
 def test_instance_double_completion_rejected():
@@ -150,11 +191,10 @@ def test_generator_respects_profile_ranges():
     for _ in range(20):
         graph = gen.generate(profile)
         assert 5 <= len(graph) <= 9
-        for task in graph.tasks.values():
-            assert 100.0 <= task.ops <= 200.0
-            assert 0.5 <= task.activity <= 0.6
-        for edge in graph.edges:
-            assert 1.0 <= edge.volume_flits <= 2.0
+        structure = graph_structure(graph)
+        assert all(100.0 <= ops <= 200.0 for ops in structure.ops)
+        assert all(0.5 <= act <= 0.6 for act in structure.activity)
+        assert all(1.0 <= volume <= 2.0 for volume in structure.volume)
 
 
 def test_generator_graphs_are_connected_dags():
@@ -163,18 +203,19 @@ def test_generator_graphs_are_connected_dags():
         graph = gen.generate(PROFILE_PRESETS["medium"])
         # topological order exists (no exception) and every non-root task
         # has at least one predecessor
-        roots = set(graph.roots())
-        for task_id in graph.tasks:
+        structure = graph_structure(graph)
+        roots = set(structure.roots)
+        for task_id in range(graph.n_tasks):
             if task_id not in roots:
-                assert graph.predecessors[task_id]
+                assert structure.predecessors[task_id]
 
 
 def test_generator_deterministic_from_seed():
     a = TaskGraphGenerator(random.Random(7)).generate(PROFILE_PRESETS["small"])
     b = TaskGraphGenerator(random.Random(7)).generate(PROFILE_PRESETS["small"])
     assert len(a) == len(b)
-    assert [t.ops for t in a.tasks.values()] == [t.ops for t in b.tasks.values()]
-    assert [(e.src, e.dst) for e in a.edges] == [(e.src, e.dst) for e in b.edges]
+    assert a.values == b.values
+    assert a.ends == b.ends
 
 
 def test_generator_mix_weights():
@@ -205,7 +246,7 @@ def test_profile_validation():
 def test_generator_never_produces_cycles(seed):
     gen = TaskGraphGenerator(random.Random(seed))
     graph = gen.generate(PROFILE_PRESETS["large"])
-    assert len(graph.topo_order) == len(graph)
+    assert len(graph_structure(graph).topo_order) == len(graph)
 
 
 # ----------------------------------------------------------------------
