@@ -38,9 +38,9 @@ A warm phase then exercises the run cache (``--cache-dir``):
    finish at the same aggregate;
 7. ``cache verify`` on the cache must exit 0 (no corrupt blob).
 
-``--artifacts DIR`` copies the resumed campaign's manifest, checkpoint
-store and telemetry exports (``status.json``/``telemetry.prom``/
-``telemetry.json``) there for CI artifact upload.  Exit status is
+``--artifacts DIR`` copies the resumed campaign's spec, checkpoint
+store, status (``status.json``, the registry snapshot under
+``metrics``) and manifest there for CI artifact upload.  Exit status is
 non-zero on any step failure or digest mismatch.
 
 Usage::
@@ -262,8 +262,6 @@ def smoke(args: argparse.Namespace, workdir: Path) -> int:
             "results.jsonl",
             "spec.json",
             "status.json",
-            "telemetry.prom",
-            "telemetry.json",
         ):
             shutil.copy(interrupted / name, dest / name)
         print(f"[ok]   artifacts copied to {dest}")

@@ -434,7 +434,6 @@ def smoke(args: argparse.Namespace, workdir: Path) -> int:
         str(workdir / "straight"),
         spec=CampaignSpec.from_dict(CAMPAIGN_SPEC),
         jobs=args.jobs,
-        telemetry=False,
     )
     if straight.aggregate != resumed_digest:
         second.stop()
@@ -509,7 +508,6 @@ def check_fork_hazard(server: LocalServer, workdir: Path, jobs: int) -> int:
         str(workdir / "hazard-direct"),
         spec=CampaignSpec.from_dict(HAZARD_SPEC),
         jobs=jobs,
-        telemetry=False,
     )
     if served["aggregate_digest"] != direct.aggregate:
         return fail(

@@ -27,9 +27,9 @@ Integration points:
 
 Workers never touch the cache on any path.  Every call that counts
 traffic takes the caller's :class:`~repro.telemetry.MetricsRegistry`
-(``telemetry=``), so concurrent callers sharing one cache — overlapping
-campaigns under ``repro serve`` — each count their own ``cache.*``
-lookups.
+(``telemetry=``; ``None`` counts nothing), so concurrent callers sharing
+one cache — overlapping campaigns under ``repro serve`` — each count
+their own ``cache.*`` lookups.
 
 Correctness contract: a cache hit is byte-identical to a recompute
 (pickle round-trips preserve float bit patterns), so cold-vs-warm
@@ -57,10 +57,16 @@ from repro.cache.keys import (
 )
 from repro.cache.store import ContentStore, blob_digest
 from repro.obs.provenance import config_digest
-from repro.telemetry.registry import NULL_TELEMETRY, MetricsRegistry, count_run
+from repro.telemetry.registry import MetricsRegistry, count_run
 
 #: Pickle protocol pinned for blob stability within one schema version.
 _PICKLE_PROTOCOL = 4
+
+
+def _count(telemetry: Optional[MetricsRegistry], name: str) -> None:
+    """Add one to counter ``name`` of ``telemetry`` (``None``: nothing)."""
+    if telemetry is not None:
+        telemetry.counter(name).inc()
 
 
 @dataclass
@@ -143,15 +149,14 @@ class RunCache:
         unpicklable payload) delete the entry and report a miss so
         the caller transparently recomputes.
         """
-        tm = NULL_TELEMETRY if telemetry is None else telemetry
         key = self.key_for(digest)
         status, data = self.store.get(key)
         if status == "corrupt":
             self.stats.corrupt += 1
-            tm.counter("cache.corrupt").inc()
+            _count(telemetry, "cache.corrupt")
         if data is None:
             self.stats.misses += 1
-            tm.counter("cache.misses").inc()
+            _count(telemetry, "cache.misses")
             return None
         try:
             result = pickle.loads(data)
@@ -161,11 +166,11 @@ class RunCache:
             self.store.delete(key, reason="corrupt")
             self.stats.corrupt += 1
             self.stats.misses += 1
-            tm.counter("cache.corrupt").inc()
-            tm.counter("cache.misses").inc()
+            _count(telemetry, "cache.corrupt")
+            _count(telemetry, "cache.misses")
             return None
         self.stats.hits += 1
-        tm.counter("cache.hits").inc()
+        _count(telemetry, "cache.hits")
         return result
 
     def put_result(
@@ -178,24 +183,22 @@ class RunCache:
 
         Counts ``cache.puts`` (and any evictions) in ``telemetry``.
         """
-        tm = NULL_TELEMETRY if telemetry is None else telemetry
         key = self.key_for(digest)
         data = pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
         _digest, evicted = self.store.put(key, data)
         self.stats.puts += 1
-        tm.counter("cache.puts").inc()
+        _count(telemetry, "cache.puts")
         for victim in evicted:
             self.stats.evictions += 1
-            tm.counter("cache.evictions").inc()
+            _count(telemetry, "cache.evictions")
         return key
 
     def note_bypass(
         self, telemetry: Optional[MetricsRegistry] = None
     ) -> None:
         """Count one lookup that was deliberately not served."""
-        tm = NULL_TELEMETRY if telemetry is None else telemetry
         self.stats.bypasses += 1
-        tm.counter("cache.bypasses").inc()
+        _count(telemetry, "cache.bypasses")
 
     def get_or_run(
         self, config: object, telemetry: Optional[MetricsRegistry] = None

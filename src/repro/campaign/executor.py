@@ -40,7 +40,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.spec import CampaignPoint
 from repro.experiments.parallel import Outcome, WorkerPool, execute
-from repro.telemetry.registry import NULL_TELEMETRY
+from repro.telemetry.registry import MetricsRegistry
 
 
 class CampaignInterrupted(RuntimeError):
@@ -140,8 +140,10 @@ class RobustExecutor:
         self.worker = worker
         #: Supervisor-side registry for the executor's own machinery
         #: metrics (``exec.*``: retries, quarantines, queue depth) — a
-        #: no-op sink by default.
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        #: private one that nobody reads by default.
+        self.telemetry = (
+            telemetry if telemetry is not None else MetricsRegistry()
+        )
 
     # ------------------------------------------------------------------
     def run(

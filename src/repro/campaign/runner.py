@@ -187,7 +187,7 @@ def _serve_from_cache(
     cache,
     points: List[CampaignPoint],
     store: ResultStore,
-    telemetry: Optional[MetricsRegistry],
+    telemetry: MetricsRegistry,
 ) -> Tuple[int, List[CampaignPoint]]:
     """Checkpoint every point the cache already holds; return the rest.
 
@@ -224,7 +224,6 @@ def run_campaign(
     worker=None,
     resume: bool = False,
     cache=None,
-    telemetry: bool = True,
 ) -> CampaignReport:
     """Execute a campaign to completion (or controlled interruption).
 
@@ -253,13 +252,13 @@ def run_campaign(
     served from the cache on resume.  Cache-served records do not count
     toward ``interrupt_after`` (they cost no work worth crash-testing).
 
-    ``telemetry=True`` (the default) counts every computed point
-    (:func:`repro.telemetry.count_run`) and the campaign's cache traffic
-    into one registry, notes each point's worker pid and wall time as a
-    heartbeat, and flushes ``status.json``/``telemetry.prom``/
-    ``telemetry.json`` into the campaign directory for ``repro campaign
-    status``/``repro top``.  Telemetry is a write-only sink: checkpoint
-    rows and the aggregate digest are byte-identical with it on or off.
+    The campaign counts every computed point
+    (:func:`repro.telemetry.count_run`) and its cache traffic into a
+    registry of its own, notes each point's worker pid and wall time as
+    a heartbeat, and flushes ``status.json`` (the registry snapshot
+    under ``metrics``) into the campaign directory for ``repro campaign
+    status``/``repro top``.  No registry enters a run, so checkpoint
+    rows and the aggregate digest do not depend on what it counts.
     """
     if resume:
         spec = load_spec(campaign_dir)
@@ -272,18 +271,14 @@ def run_campaign(
     # The store keeps what it loads here and every record appended
     # below: the waves plan from it, and the report is built from it.
     records = store.records
-    registry: Optional[MetricsRegistry] = None
-    status: Optional[CampaignStatusWriter] = None
-    if telemetry:
-        registry = MetricsRegistry()
-        status = CampaignStatusWriter(
-            campaign_dir,
-            spec.name,
-            registry,
-            planned=spec.n_planned_points(),
-            already_done=len(records),
-            cache=cache,
-        )
+    registry = MetricsRegistry()
+    status = CampaignStatusWriter(
+        campaign_dir,
+        spec.name,
+        registry,
+        planned=spec.n_planned_points(),
+        already_done=len(records),
+    )
 
     executor_kwargs = {} if worker is None else {"worker": worker}
     executor = RobustExecutor(
@@ -309,11 +304,10 @@ def run_campaign(
         # The cache holds a stored result durably, so its checkpoint
         # line waits for the fsync that ends the wave.
         store.append(record_from_result(point, result), sync=not stored)
-        if status is not None:
-            count_run(registry, result)
-            status.note_worker(outcome.pid, outcome.wall_s)
-            status.note_points(1)
-            status.write("running")
+        count_run(registry, result)
+        status.note_worker(outcome.pid, outcome.wall_s)
+        status.note_points(1)
+        status.write("running")
 
     def on_failure(
         point: CampaignPoint, attempt: int, error: str, quarantined: bool
@@ -321,7 +315,7 @@ def run_campaign(
         failures.append(
             point.digest, point.seed, point.cell, attempt, error, quarantined
         )
-        if status is not None and quarantined:
+        if quarantined:
             status.note_quarantine(1)
             status.write("running")
 
@@ -347,13 +341,12 @@ def run_campaign(
                 served, missing = _serve_from_cache(
                     cache, missing, store, registry
                 )
-                if status is not None:
-                    status.note_points(served)
+                status.note_points(served)
                 if not missing:
                     # Nothing left to run in this wave: the next flush
                     # (at the latest the forced final one) reports it.
                     continue
-                if status is not None and served:
+                if served:
                     status.write("running")
             remaining_interrupt = (
                 None
@@ -381,8 +374,7 @@ def run_campaign(
     finally:
         # The forced final flush makes kill-and-resume inspectable: an
         # interrupted campaign leaves a status file saying so.
-        if status is not None:
-            status.write(final_state, force=True)
+        status.write(final_state, force=True)
     report = build_report(
         spec, store, quarantined=failures.quarantined(records)
     )

@@ -47,7 +47,6 @@ from repro.core.config_io import (
     unknown_fields,
 )
 from repro.core.system import SystemConfig
-from repro.metrics.stats import binomial_interval  # noqa: F401  (re-export convenience)
 from repro.obs.provenance import digest_of, seed_digests
 from repro.telemetry.export import atomic_write_text
 

@@ -291,12 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="testing/ops hook: simulate a crash after N "
                  "checkpointed results (exit code 3; resume continues)",
         )
-        p.add_argument(
-            "--no-telemetry", action="store_true",
-            help="skip collecting runtime telemetry and writing the "
-                 "status.json/telemetry.prom/telemetry.json files "
-                 "(results are identical either way)",
-        )
         _add_cache_flags(p)
 
     camp_run = camp_sub.add_parser(
@@ -366,11 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--interrupt-after", type=int, default=None, metavar="N",
         help="testing/ops hook: simulate a crash after N checkpointed "
              "results (exit code 3; rerunning resumes)",
-    )
-    dse_run.add_argument(
-        "--no-telemetry", action="store_true",
-        help="skip dse.* counters and per-generation status files "
-             "(results are identical either way)",
     )
     dse_run.add_argument(
         "--no-cache", action="store_true",
@@ -461,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--state-dir", default="serve-state", metavar="DIR",
-        help="server state directory: campaign checkpoints, final "
-             "status/metrics exports (default ./serve-state)",
+        help="server state directory: campaign checkpoints and the "
+             "final status.json (default ./serve-state)",
     )
     serve_p.add_argument(
         "--jobs", type=_jobs_arg, default=0, metavar="N",
@@ -902,7 +891,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         timeout_s=args.timeout_s,
         interrupt_after=args.interrupt_after,
         cache=cache,
-        telemetry=not args.no_telemetry,
     )
     try:
         if args.campaign_command == "run":
@@ -1046,7 +1034,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             cache=cache,
             interrupt_after=args.interrupt_after,
-            telemetry=not args.no_telemetry,
         )
     except SearchInterrupted as exc:
         print(str(exc), file=sys.stderr)

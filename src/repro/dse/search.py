@@ -672,7 +672,6 @@ def run_search(
     jobs: Optional[int] = None,
     cache=None,
     interrupt_after: Optional[int] = None,
-    telemetry: bool = True,
 ) -> SearchOutcome:
     """Run (or resume) a search to completion.
 
@@ -699,9 +698,7 @@ def run_search(
     spec = _prepare_search_dir(spec, search_dir)
     run_cache = _resolve_cache(cache, search_dir)
     try:
-        return _search(
-            spec, search_dir, jobs, run_cache, interrupt_after, telemetry
-        )
+        return _search(spec, search_dir, jobs, run_cache, interrupt_after)
     finally:
         if cache is None:  # the search opened its own cache
             run_cache.close()
@@ -713,7 +710,6 @@ def _search(
     jobs: Optional[int],
     run_cache,
     interrupt_after: Optional[int],
-    telemetry: bool,
 ) -> SearchOutcome:
     """:func:`run_search` once its directory and run cache are ready."""
     counters = {
@@ -833,7 +829,6 @@ def _search(
                     jobs=jobs,
                     cache=run_cache,
                     interrupt_after=remaining,
-                    telemetry=telemetry,
                 )
             except CampaignInterrupted:
                 completed_runs += max(0, len(store.load()) - before)

@@ -1,20 +1,18 @@
 """Cross-seed replication statistics.
 
-Single-seed numbers from a stochastic simulator are anecdotes; the
-experiment harness replicates runs across seeds and reports mean and a
-confidence half-width.  We use the Student-t interval (seeds are few) and
-keep everything dependency-free.
+Single-seed numbers from a stochastic simulator are anecdotes; a mean
+over seeds is reported with a confidence half-width (the Student-t
+interval, since seeds are few), and a detection rate with a binomial
+interval.  Everything here is dependency-free and imports no model
+code.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
-
-from repro.core.system import SimulationResult, SystemConfig
-from repro.experiments.parallel import run_many
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 #: Two-sided 95% Student-t critical values for small sample sizes
 #: (df = n - 1); beyond the table we fall back to the normal 1.96.
@@ -214,50 +212,3 @@ def estimate(samples: Sequence[float]) -> Estimate:
     t = _T_95.get(n - 1, 1.96)
     return Estimate(mean=mean, half_width=t * sd / math.sqrt(n), n=n)
 
-
-def replicate(
-    config: SystemConfig, seeds: Sequence[int], jobs: Optional[int] = None
-) -> List[SimulationResult]:
-    """Run the same configuration under each seed.
-
-    ``jobs`` spreads the replicas over worker processes; results are
-    identical to the serial run and ordered by ``seeds``.
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    return run_many([replace(config, seed=seed) for seed in seeds], jobs)
-
-
-def summarize_replicas(
-    results: Sequence[SimulationResult],
-) -> Dict[str, Estimate]:
-    """Per-metric estimates over the replicas' scalar summaries."""
-    if not results:
-        raise ValueError("need at least one result")
-    keys = results[0].summary().keys()
-    samples: Dict[str, List[float]] = {key: [] for key in keys}
-    for result in results:
-        for key, value in result.summary().items():
-            samples[key].append(value)
-    return {key: estimate(values) for key, values in samples.items()}
-
-
-def compare_policies(
-    base: SystemConfig,
-    field: str,
-    values: Sequence[object],
-    seeds: Sequence[int],
-    metric: Callable[[SimulationResult], float] = (
-        lambda r: r.throughput_ops_per_us
-    ),
-    jobs: Optional[int] = None,
-) -> Dict[object, Estimate]:
-    """Estimate ``metric`` for each policy value, paired across seeds."""
-    if not values:
-        raise ValueError("need at least one value")
-    out: Dict[object, Estimate] = {}
-    for value in values:
-        config = replace(base, **{field: value})
-        results = replicate(config, seeds, jobs)
-        out[value] = estimate([metric(result) for result in results])
-    return out

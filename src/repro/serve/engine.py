@@ -175,9 +175,7 @@ class ServeEngine:
         self.max_queue = max_queue
         self.tenant_quota = tenant_quota
         self.max_attempts = max_attempts
-        self.registry = (
-            registry if registry is not None else MetricsRegistry(enabled=True)
-        )
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.width = jobs if jobs >= 1 else 2
         self._pool: Optional[Union[WorkerPool, ThreadPoolExecutor]] = None
         self._tenants: Dict[str, _TenantState] = {}

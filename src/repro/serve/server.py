@@ -18,16 +18,15 @@ quota/backpressure rejections are **429 with a ``Retry-After`` header**
 (the body repeats the estimate machine-readably), and a draining server
 answers 503.  Graceful shutdown — SIGTERM/SIGINT or
 :meth:`ReproServer.shutdown` — stops admissions, finishes and streams
-every already-admitted point, flushes a final status/metrics export
-into the state dir, and only then closes the listener; campaigns keep
-checkpointing to the last instant, so even an ungraceful ``kill -9``
-loses nothing a resume cannot redo.
+every already-admitted point, flushes a final ``status.json`` (its
+``metrics`` the registry snapshot) into the state dir, and only then
+closes the listener; campaigns keep checkpointing to the last instant,
+so even an ungraceful ``kill -9`` loses nothing a resume cannot redo.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import signal
 import time
@@ -50,13 +49,9 @@ from repro.serve.protocol import (
     SpecError,
     SweepRequest,
 )
-from repro.telemetry.export import (
-    atomic_write_text,
-    prometheus_text,
-    snapshot_json,
-)
+from repro.telemetry.export import prometheus_text
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.status import MANIFEST_FILE, read_status
+from repro.telemetry.status import MANIFEST_FILE, read_status, write_status
 
 __all__ = ["ServeConfig", "ReproServer", "serve_main"]
 
@@ -95,7 +90,7 @@ class ReproServer:
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        self.registry = MetricsRegistry(enabled=True)
+        self.registry = MetricsRegistry()
         self.engine = ServeEngine(
             jobs=config.jobs,
             cache=config.cache,
@@ -152,7 +147,7 @@ class ReproServer:
 
         Order matters: flip to ``draining`` (new submissions get 503)
         while the listener stays open so in-flight streams finish, wait
-        for the engine, flush the final status files, then close the
+        for the engine, flush the final status file, then close the
         listener and the fleet.
         """
         if self.state == "stopped":
@@ -176,20 +171,14 @@ class ReproServer:
         return drained
 
     def flush_state_files(self) -> None:
-        """Atomically export status + metrics into the state dir."""
-        status = self.status_doc()
-        atomic_write_text(
-            os.path.join(self.config.state_dir, "status.json"),
-            json.dumps(status, indent=2, sort_keys=True) + "\n",
-        )
-        snapshot = self.registry.snapshot()
-        atomic_write_text(
-            os.path.join(self.config.state_dir, "telemetry.prom"),
-            prometheus_text(snapshot),
-        )
-        atomic_write_text(
-            os.path.join(self.config.state_dir, "telemetry.json"),
-            snapshot_json(snapshot, state=self.state, name=self.config.name),
+        """Atomically write ``status.json`` into the state dir.
+
+        It is the ``/status`` document plus, under ``metrics``, the
+        registry snapshot that ``/metrics`` renders.
+        """
+        write_status(
+            self.config.state_dir,
+            {**self.status_doc(), "metrics": self.registry.snapshot()},
         )
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Runtime telemetry: live metrics and status exports.
+"""Runtime telemetry: live metrics and the status file.
 
 How this package, ``repro.metrics`` and ``repro.obs`` split the work:
 ``docs/observability.md``.
@@ -9,25 +9,21 @@ the caller's process, wherever a computed result lands: ``run_many``,
 a campaign, ``repro serve``, ``RunCache.get_or_run`` and ``repro run
 --telemetry``.  So counting cannot change what a run computes, and
 every path counts the same run the same way.  A registry is always an
-argument (``run_many(telemetry=)``, the cache calls), never a
-process-wide default.  Its counters describe *computed* work: a cache
-hit adds ``cache.*`` counters but no ``sim.*`` ones.
+argument (``run_many(telemetry=)``, the cache calls; ``None`` counts
+nothing), never a process-wide default.  Its counters describe
+*computed* work: a cache hit adds ``cache.*`` counters but no ``sim.*``
+ones.
 """
 
 from __future__ import annotations
 
-from repro.telemetry.export import (
-    atomic_write_text,
-    prometheus_text,
-    snapshot_json,
-)
+from repro.telemetry.export import atomic_write_text, prometheus_text
 from repro.telemetry.registry import (
     INVARIANT_PREFIXES,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_TELEMETRY,
     count_run,
     invariant_view,
 )
@@ -38,10 +34,8 @@ __all__ = [
     "Histogram",
     "INVARIANT_PREFIXES",
     "MetricsRegistry",
-    "NULL_TELEMETRY",
     "atomic_write_text",
     "count_run",
     "invariant_view",
     "prometheus_text",
-    "snapshot_json",
 ]

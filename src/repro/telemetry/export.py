@@ -1,20 +1,19 @@
-"""Exposition formats: Prometheus text + JSON snapshot, written atomically.
+"""Prometheus text exposition, and the atomic file write every export uses.
 
-Both exporters are pure functions of a registry snapshot (the plain-dict
-form from ``MetricsRegistry.snapshot()``), so they can run in-process or
-over a snapshot loaded from disk.  Files are written with the same
-tmp → fsync → rename dance the checkpoint store uses, so a reader never
-sees a torn export.
+:func:`prometheus_text` is a pure function of a registry snapshot (the
+plain-dict form from ``MetricsRegistry.snapshot()``), so it can run
+in-process or over a snapshot loaded from disk.  Files are written with
+the same tmp → fsync → rename dance the checkpoint store uses, so a
+reader never sees a torn file.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from typing import List, Mapping
 
-__all__ = ["atomic_write_text", "prometheus_text", "snapshot_json"]
+__all__ = ["atomic_write_text", "prometheus_text"]
 
 
 def _sanitize(name: str) -> str:
@@ -80,12 +79,6 @@ def prometheus_text(snapshot: Mapping[str, object], prefix: str = "repro") -> st
         lines.append(f"{ident}_count {_fmt(data['count'])}")
 
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def snapshot_json(snapshot: Mapping[str, object], **extra: object) -> str:
-    """Render a snapshot (plus optional top-level extras) as pretty JSON."""
-    doc = {"schema": "repro.telemetry/1", **extra, "metrics": snapshot}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:

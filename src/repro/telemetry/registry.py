@@ -2,10 +2,10 @@
 
 Design constraints, in order of importance:
 
-1. **No-op null sink.**  A disabled registry (:data:`NULL_TELEMETRY`)
-   hands out shared null metric objects whose mutators do nothing.  No
-   registry ever enters a simulation, so counting cannot change what a
-   run computes.
+1. **Outside the run.**  No registry ever enters a simulation, so
+   counting cannot change what a run computes.  ``None`` is the one
+   "count nothing" value: :func:`count_run` and the run cache's calls
+   take it and count nothing.
 2. **One counting rule.**  A run is counted from its finished
    :class:`~repro.core.system.SimulationResult` by :func:`count_run`,
    in the caller's process, wherever the result lands.  Every field is
@@ -31,7 +31,6 @@ __all__ = [
     "Histogram",
     "INVARIANT_PREFIXES",
     "MetricsRegistry",
-    "NULL_TELEMETRY",
     "count_run",
     "invariant_view",
 ]
@@ -127,32 +126,6 @@ class Histogram:
         self.count += 1
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> None:  # noqa: D102 - no-op by design
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:  # noqa: D102 - no-op by design
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:  # noqa: D102 - no-op
-        pass
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram((1.0,))
-
-
 #: Namespaces whose values are a pure function of the simulated work —
 #: identical whether the work ran serially or pooled.  The complement
 #: (``exec.*``, ``campaign.*`` and any future machinery namespace)
@@ -193,12 +166,9 @@ class MetricsRegistry:
 
     One registry per *scope*: a sweep, a campaign or a server holds one,
     and every run it computes is counted into it by :func:`count_run`.
-    A disabled registry (``enabled=False``) is a pure null sink;
-    :data:`NULL_TELEMETRY` is the shared instance.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -207,18 +177,14 @@ class MetricsRegistry:
     # Metric accessors (create-on-first-use)
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
-        """The counter called ``name`` (a shared no-op when disabled)."""
-        if not self.enabled:
-            return _NULL_COUNTER
+        """The counter called ``name``."""
         metric = self._counters.get(name)
         if metric is None:
             metric = self._counters[name] = Counter()
         return metric
 
     def gauge(self, name: str) -> Gauge:
-        """The gauge called ``name`` (a shared no-op when disabled)."""
-        if not self.enabled:
-            return _NULL_GAUGE
+        """The gauge called ``name``."""
         metric = self._gauges.get(name)
         if metric is None:
             metric = self._gauges[name] = Gauge()
@@ -227,9 +193,7 @@ class MetricsRegistry:
     def histogram(
         self, name: str, bounds: Iterable[float] = DEFAULT_BOUNDS
     ) -> Histogram:
-        """The histogram called ``name`` (a shared no-op when disabled)."""
-        if not self.enabled:
-            return _NULL_HISTOGRAM
+        """The histogram called ``name``."""
         metric = self._histograms.get(name)
         if metric is None:
             metric = self._histograms[name] = Histogram(bounds)
@@ -278,16 +242,6 @@ class MetricsRegistry:
             "histograms": histograms,
         }
 
-    def clear(self) -> None:
-        """Drop every metric (the registry stays enabled/disabled as-is)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-
-
-#: The shared disabled registry that counting sites default to.
-NULL_TELEMETRY = MetricsRegistry(enabled=False)
-
 
 def count_run(registry: Optional[MetricsRegistry], result) -> None:
     """Count one computed run into ``registry`` (``None``: nothing).
@@ -301,7 +255,7 @@ def count_run(registry: Optional[MetricsRegistry], result) -> None:
     epoch from the ``power.total`` trace.  Callers count computed runs
     only: a cache hit simulated nothing and adds no ``sim.*`` counts.
     """
-    if registry is None or not registry.enabled:
+    if registry is None:
         return
     stats = result.test_stats
     audit = result.metrics.audit

@@ -1,20 +1,17 @@
-"""The live campaign status surface.
+"""The live status surface: one ``status.json`` per flush.
 
-A running campaign periodically flushes three files into its campaign
-directory, each written atomically so readers in other processes never
-see a torn document:
+A running campaign periodically flushes one file into its campaign
+directory, ``status.json``: progress, ETA, worker health and, under
+``metrics``, the campaign's registry snapshot.  ``repro serve`` flushes
+the same file into its state directory on shutdown.  Both write it with
+:func:`write_status`, atomically, so readers in other processes never
+see a torn document.
 
-* ``status.json``     — progress, ETA, worker health, the cache store's
-  state, and the campaign's registry snapshot;
-* ``telemetry.prom``  — the registry in Prometheus text format;
-* ``telemetry.json``  — the registry as a JSON snapshot.
-
-``repro campaign status <dir>`` and ``repro top`` read these files
-read-only.  For a campaign directory created before the telemetry
-pipeline existed (or a run with ``--no-telemetry``), there is no status
-file: :func:`load_status` degrades gracefully to row-count progress
-derived from the ``results.jsonl`` checkpoint store, so old checkpoint
-dirs stay inspectable forever.
+``repro campaign status <dir>`` and ``repro top`` read it read-only.
+For a campaign directory created before the telemetry pipeline existed
+there is no status file: :func:`load_status` degrades gracefully to
+row-count progress derived from the ``results.jsonl`` checkpoint store,
+so old checkpoint dirs stay inspectable forever.
 """
 
 from __future__ import annotations
@@ -22,18 +19,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
-from repro.telemetry.export import (
-    atomic_write_text,
-    prometheus_text,
-    snapshot_json,
-)
+from repro.telemetry.export import atomic_write_text
 from repro.telemetry.registry import MetricsRegistry
 
 __all__ = [
-    "PROM_FILE",
-    "SNAPSHOT_FILE",
+    "FLUSH_INTERVAL_S",
     "STATUS_FILE",
     "CampaignStatusWriter",
     "degraded_status",
@@ -41,6 +33,7 @@ __all__ = [
     "read_status",
     "render_status",
     "render_top",
+    "write_status",
 ]
 
 #: The campaign directory's checkpoint files (written by
@@ -51,21 +44,27 @@ FAILURES_FILE = "failures.jsonl"
 SPEC_FILE = "spec.json"
 MANIFEST_FILE = "manifest.json"
 STATUS_FILE = "status.json"
-PROM_FILE = "telemetry.prom"
-SNAPSHOT_FILE = "telemetry.json"
 
 #: Minimum seconds between throttled status flushes.
-DEFAULT_FLUSH_INTERVAL_S = 0.25
+FLUSH_INTERVAL_S = 0.25
+
+
+def write_status(directory: str, status: Mapping[str, object]) -> None:
+    """Atomically write ``status`` as ``directory/status.json``."""
+    atomic_write_text(
+        os.path.join(directory, STATUS_FILE),
+        json.dumps(status, indent=2, sort_keys=True) + "\n",
+    )
 
 
 class CampaignStatusWriter:
-    """Accumulates campaign progress and flushes the status files.
+    """Accumulates campaign progress and flushes ``status.json``.
 
     One writer per ``run_campaign`` invocation.  ``note_*`` calls are
     cheap; :meth:`write` throttles itself to at most one flush per
-    ``min_interval_s`` unless forced (the final flush in the runner's
-    ``finally`` block is always forced, with state ``complete`` or
-    ``interrupted``).
+    :data:`FLUSH_INTERVAL_S` unless forced (the final flush in the
+    runner's ``finally`` block is always forced, with state
+    ``complete`` or ``interrupted``).
     """
 
     def __init__(
@@ -75,16 +74,12 @@ class CampaignStatusWriter:
         registry: MetricsRegistry,
         planned: Optional[int] = None,
         already_done: int = 0,
-        cache=None,
-        min_interval_s: float = DEFAULT_FLUSH_INTERVAL_S,
     ) -> None:
         self.campaign_dir = campaign_dir
         self.name = name
         self.registry = registry
         self.planned = planned
         self.already_done = already_done
-        self.cache = cache
-        self.min_interval_s = min_interval_s
         self.started_at = time.time()
         self.done_this_run = 0
         self.quarantined = 0
@@ -123,14 +118,6 @@ class CampaignStatusWriter:
             eta_s = max(self.planned - done, 0) / rate
         snapshot = self.registry.snapshot()
         events = snapshot.get("counters", {}).get("sim.events", 0)  # type: ignore[union-attr]
-        cache_info: Optional[Dict[str, object]] = None
-        if self.cache is not None:
-            # The store's on-disk state.  The cache object's own session
-            # counters span every campaign that shared it (all of a
-            # server's); this campaign's lookups are its ``cache.*``
-            # counters in ``metrics``.
-            cache_info = self.cache.stats_dict()
-            del cache_info["session"]
         return {
             "schema": "repro.campaign.status/1",
             "name": self.name,
@@ -145,7 +132,6 @@ class CampaignStatusWriter:
             "rate_per_s": rate,
             "eta_s": eta_s,
             "events_per_s": int(events) / elapsed,
-            "cache": cache_info,
             "workers": {
                 str(pid): dict(entry) for pid, entry in sorted(self.workers.items())
             },
@@ -153,25 +139,12 @@ class CampaignStatusWriter:
         }
 
     def write(self, state: str = "running", force: bool = False) -> bool:
-        """Flush status + exports; returns whether a flush happened."""
+        """Flush ``status.json``; returns whether a flush happened."""
         now = time.time()
-        if not force and now - self._last_flush < self.min_interval_s:
+        if not force and now - self._last_flush < FLUSH_INTERVAL_S:
             return False
         self._last_flush = now
-        status = self.status(state)
-        snapshot = status["metrics"]
-        atomic_write_text(
-            os.path.join(self.campaign_dir, STATUS_FILE),
-            json.dumps(status, indent=2, sort_keys=True) + "\n",
-        )
-        atomic_write_text(
-            os.path.join(self.campaign_dir, PROM_FILE),
-            prometheus_text(snapshot),  # type: ignore[arg-type]
-        )
-        atomic_write_text(
-            os.path.join(self.campaign_dir, SNAPSHOT_FILE),
-            snapshot_json(snapshot, state=state, name=self.name),  # type: ignore[arg-type]
-        )
+        write_status(self.campaign_dir, self.status(state))
         return True
 
 
@@ -215,7 +188,6 @@ def degraded_status(campaign_dir: str) -> Dict[str, object]:
         "rate_per_s": None,
         "eta_s": None,
         "events_per_s": None,
-        "cache": None,
         "workers": {},
         "metrics": None,
     }

@@ -28,12 +28,6 @@ class Task:
         if self.activity <= 0:
             raise ValueError(f"task {self.task_id}: activity must be positive")
 
-    def duration_at(self, speed_ops_per_us: float) -> float:
-        """Execution time (µs) at the given core speed."""
-        if speed_ops_per_us <= 0:
-            raise ValueError("speed must be positive")
-        return self.ops / speed_ops_per_us
-
 
 @dataclass(frozen=True, slots=True)
 class Edge:

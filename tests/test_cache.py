@@ -600,7 +600,7 @@ def test_overlapping_campaigns_count_their_own_cache_traffic(tmp_path, closes):
     assert not b.is_alive()
 
     def counters(name):
-        path = tmp_path / name / "telemetry.json"
+        path = tmp_path / name / "status.json"
         return json.loads(path.read_text())["metrics"]["counters"]
 
     for name, n in (("a", 2), ("b", 3)):

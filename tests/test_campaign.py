@@ -46,6 +46,7 @@ from repro.core.system import SystemConfig, run_system
 from repro.experiments.parallel import Outcome, RunFailed, execute, run_many
 from repro.obs.provenance import config_digest
 from repro.sim.trace import Trace
+from repro.telemetry import status as status_module
 
 #: Fast 4x4 base with fault injection on: one run is ~0.1-0.2 s.
 BASE = {
@@ -629,15 +630,32 @@ def test_resume_after_kill_inside_the_served_batch(tmp_path, closes):
     assert cache.verify()["corrupt"] == []
 
 
-def _counting_fsyncs(monkeypatch):
+def _counting_fsyncs(monkeypatch, flushes=None):
+    """The inode of each fsync from now on, in order.  Given a list as
+    ``flushes``, a status flush (the clock paces them) appends the
+    number of its fsyncs there instead."""
     real_fsync = os.fsync
-    calls = []
+    calls, flushing = [], []
 
     def counting_fsync(fd):
-        calls.append(os.fstat(fd).st_ino)
+        if flushing:
+            flushing[-1] += 1
+        else:
+            calls.append(os.fstat(fd).st_ino)
         real_fsync(fd)
 
     monkeypatch.setattr(os, "fsync", counting_fsync)
+    if flushes is not None:
+        real_write_status = status_module.write_status
+
+        def write_status(directory, status):
+            flushing.append(0)
+            try:
+                real_write_status(directory, status)
+            finally:
+                flushes.append(flushing.pop())
+
+        monkeypatch.setattr(status_module, "write_status", write_status)
     return calls
 
 
@@ -646,7 +664,7 @@ def test_warm_pass_fsyncs_once_for_all_its_hits(
 ):
     """A fully warm pass costs the same durable writes at 4 and at 12
     points: the served records share one fsync (spec 1, records 1,
-    final status flush 3, manifest 1)."""
+    final status flush 1, manifest 1)."""
     cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
     specs = {
         n: small_spec(base=dict(BASE, horizon_us=1000.0),
@@ -663,7 +681,7 @@ def test_warm_pass_fsyncs_once_for_all_its_hits(
                               cache=cache, worker=_exploding_worker)
         assert report.n_completed == n
         counts[n] = len(calls)
-    assert counts[4] == counts[12] == 6, counts
+    assert counts[4] == counts[12] == 4, counts
 
 
 def test_warm_pass_integrates_no_power_trace(tmp_path, closes, monkeypatch):
@@ -695,9 +713,11 @@ def test_cold_pass_fsyncs_once_per_computed_point(
 ):
     """A cold pass costs one fsync per computed point: the cache's put,
     whose checkpoint line waits for the one fsync that ends the wave,
-    or without a cache the checkpoint line itself.  (Telemetry is off:
-    its status flushes are paced by the clock.)"""
-    calls = _counting_fsyncs(monkeypatch)
+    or without a cache the checkpoint line itself.  Status flushes are
+    paced by the clock, so they are counted apart: one fsync each, the
+    first point's and the final one at least."""
+    flushes = []
+    calls = _counting_fsyncs(monkeypatch, flushes)
     counts = {}
     for n in (4, 12):
         spec = small_spec(base=dict(BASE, horizon_us=1000.0),
@@ -705,14 +725,32 @@ def test_cold_pass_fsyncs_once_per_computed_point(
         cache = (closes(RunCache(cache_dir=str(tmp_path / f"cache-{n}")))
                  if cached else None)
         calls.clear()
+        flushes.clear()
         cdir = tmp_path / f"cold-{n}"
-        report = run_campaign(str(cdir), spec=spec, cache=cache,
-                              telemetry=False)
+        report = run_campaign(str(cdir), spec=spec, cache=cache)
         assert report.n_completed == n
         counts[n] = len(calls)
         results = os.stat(cdir / "results.jsonl").st_ino
         assert calls.count(results) == (1 if cached else n)
+        assert len(flushes) >= 2 and set(flushes) == {1}, flushes
     assert counts[12] - counts[4] == 8, counts
+
+
+def test_campaign_directory_holds_only_its_files(tmp_path, closes):
+    """Cold and warm passes leave the spec, the checkpoint, the status
+    and the manifest, and nothing else; a failed attempt adds its log."""
+    cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
+    spec = small_spec(base=dict(BASE, horizon_us=1000.0))
+    files = ["manifest.json", "results.jsonl", "spec.json", "status.json"]
+    for name in ("cold", "warm"):
+        run_campaign(str(tmp_path / name), spec=spec, cache=cache)
+        assert sorted(os.listdir(tmp_path / name)) == files, name
+    report = run_campaign(str(tmp_path / "failed"), spec=spec,
+                          worker=_fail_seed2_worker, retry=NO_BACKOFF)
+    assert len(report.quarantined) == 2
+    assert sorted(os.listdir(tmp_path / "failed")) == sorted(
+        files + ["failures.jsonl"]
+    )
 
 
 #: Exit status of a child killed at its chosen fsync.
@@ -772,9 +810,9 @@ def test_kill_at_every_fsync_of_a_cold_cached_campaign(tmp_path, closes):
     holds nothing corrupt, and the resume computes exactly the points
     the reopened cache lacks, so no completed put runs again.  The cold
     case starts from an empty cache.  The warm case starts from a copy
-    of one a cold pass filled: its six fsyncs are the spec, the served
-    batch, the three status and telemetry exports and the manifest, and
-    its resume stores nothing."""
+    of one a cold pass filled: its four fsyncs are the spec, the served
+    batch, the status flush and the manifest, and its resume stores
+    nothing."""
     spec = CampaignSpec.load(SMOKE_SPEC)
     filled = str(tmp_path / "filled")
     fill = RunCache(cache_dir=filled)
@@ -793,7 +831,7 @@ def test_kill_at_every_fsync_of_a_cold_cached_campaign(tmp_path, closes):
             code = _run_killed(cdir, cache_dir, spec, k, tear)
             if code == 0:
                 # The run finished before its k-th fsync.
-                assert (k == 7) if warm else (k > 10), (warm, k)
+                assert (k == 5) if warm else (k > 10), (warm, k)
                 break
             assert code == KILLED, (warm, tear, k, code)
             cache = closes(RunCache(cache_dir=cache_dir))

@@ -222,12 +222,8 @@ def test_campaign_identities_match_goldens(tmp_path, closes):
     spec = CampaignSpec.from_dict(golden["spec"])
     assert [p.digest for p in spec.fixed_points()] == golden["point_digests"]
     cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
-    cold = run_campaign(
-        str(tmp_path / "cold"), spec=spec, cache=cache, telemetry=False
-    )
-    warm = run_campaign(
-        str(tmp_path / "warm"), spec=spec, cache=cache, telemetry=False
-    )
+    cold = run_campaign(str(tmp_path / "cold"), spec=spec, cache=cache)
+    warm = run_campaign(str(tmp_path / "warm"), spec=spec, cache=cache)
     assert cold.aggregate == warm.aggregate == golden["aggregate_digest"]
     assert cache.stats.hits == len(golden["point_digests"])
 

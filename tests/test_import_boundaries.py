@@ -100,6 +100,12 @@ def test_config_and_result_planes_load_no_model(plane):
     assert _under(loaded, *_model()) == []
 
 
+def test_stats_load_no_model():
+    loaded = _fresh("import repro.metrics.stats\n" + _LOADED)
+    assert "repro.metrics.stats" in loaded
+    assert _under(loaded, *_model()) == []
+
+
 def test_result_plane_unpickles_a_result_alone(tmp_path):
     from repro.core.system import SystemConfig, run_system
 

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import shutil
 import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 import time
@@ -205,6 +207,11 @@ def test_pool_dies_with_its_sigkilled_owner():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    # A SIGKILLed owner cannot remove its forkserver's directory
+    # (pymp-*), so it makes it in one this test removes.  A short path:
+    # the forkserver's socket path must fit AF_UNIX's limit.
+    owner_tmp = tempfile.mkdtemp(prefix="owner-")
+    env["TMPDIR"] = owner_tmp
     owner = subprocess.Popen(
         [sys.executable, "-c", _OWNER], stdout=subprocess.PIPE, env=env,
         text=True,
@@ -227,3 +234,4 @@ def test_pool_dies_with_its_sigkilled_owner():
         owner.stdout.close()
         for pid in _running(family):
             os.kill(pid, signal.SIGKILL)
+        shutil.rmtree(owner_tmp)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import threading
 
 import pytest
@@ -614,9 +615,7 @@ class TestHttpServer:
 
         done = run_async(_with_server(body, state_dir=str(tmp_path)))
         direct = run_campaign(
-            str(tmp_path / "direct"),
-            spec=CampaignSpec.from_dict(spec_doc),
-            telemetry=False,
+            str(tmp_path / "direct"), spec=CampaignSpec.from_dict(spec_doc)
         )
         assert done["aggregate_digest"] == direct.aggregate
         assert done["n_completed"] == direct.n_completed
@@ -781,10 +780,12 @@ class TestStateFlush:
     def test_shutdown_writes_status_and_metrics(self, tmp_path):
         async def body(server, client):
             await client.sweep(sweep_doc((1,), tenant="flush"))
+            return server
 
-        run_async(_with_server(body, state_dir=str(tmp_path)))
+        server = run_async(_with_server(body, state_dir=str(tmp_path)))
+        assert sorted(os.listdir(tmp_path)) == ["campaigns", "status.json"]
         status = json.loads((tmp_path / "status.json").read_text())
         assert status["state"] == "stopped"
         assert status["points_done"] >= 1
-        prom = (tmp_path / "telemetry.prom").read_text()
-        assert "serve" in prom
+        assert status["metrics"] == server.registry.snapshot()
+        assert status["metrics"]["counters"]["serve.computed"] == 1

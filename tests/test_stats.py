@@ -5,20 +5,14 @@ import statistics
 
 import pytest
 
-from repro.core.system import SystemConfig
 from repro.metrics.stats import (
     Estimate,
     binomial_interval,
     clopper_pearson_interval,
-    compare_policies,
     estimate,
     halfwidth_met,
-    replicate,
-    summarize_replicas,
     wilson_interval,
 )
-
-QUICK = SystemConfig(horizon_us=6_000.0, arrival_rate_per_ms=8.0)
 
 
 # ----------------------------------------------------------------------
@@ -71,59 +65,6 @@ def test_overlap_logic():
     c = Estimate(mean=3.0, half_width=0.5, n=3)
     assert a.overlaps(b)
     assert not a.overlaps(c)
-
-
-# ----------------------------------------------------------------------
-# Replication
-# ----------------------------------------------------------------------
-def test_replicate_runs_each_seed():
-    results = replicate(QUICK, seeds=(1, 2))
-    assert len(results) == 2
-    assert results[0].config.seed == 1
-    assert results[1].config.seed == 2
-    assert results[0].summary() != results[1].summary()
-
-
-def test_replicate_rejects_no_seeds():
-    with pytest.raises(ValueError):
-        replicate(QUICK, seeds=())
-
-
-def test_summarize_replicas_keys_match_summary():
-    results = replicate(QUICK, seeds=(1, 2))
-    summary = summarize_replicas(results)
-    assert set(summary) == set(results[0].summary())
-    for est in summary.values():
-        assert est.n == 2
-
-
-def test_summarize_replicas_rejects_empty():
-    with pytest.raises(ValueError):
-        summarize_replicas([])
-
-
-def test_compare_policies_paired():
-    out = compare_policies(
-        QUICK, "test_policy", ("none", "unaware"), seeds=(1, 2)
-    )
-    assert set(out) == {"none", "unaware"}
-    assert all(e.n == 2 for e in out.values())
-
-
-def test_compare_policies_custom_metric():
-    out = compare_policies(
-        QUICK,
-        "test_policy",
-        ("none",),
-        seeds=(1,),
-        metric=lambda r: float(r.tests_completed),
-    )
-    assert out["none"].mean == 0.0
-
-
-def test_compare_policies_rejects_empty_values():
-    with pytest.raises(ValueError):
-        compare_policies(QUICK, "test_policy", (), seeds=(1,))
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Tests for the runtime telemetry pipeline (``repro.telemetry``).
 
-The contract pinned here is the null-sink/digest-identity guarantee:
-telemetry is write-only, so enabling it never changes what a run, a
-sweep or a campaign computes — and every path counts each computed run
-the same way (:func:`repro.telemetry.count_run`), so serial and pooled
-execution of the same work agree on every invariant
+The contract pinned here is the digest-identity guarantee: no registry
+enters a run, so counting never changes what a run, a sweep or a
+campaign computes — and every path counts each computed run the same
+way (:func:`repro.telemetry.count_run`), so serial and pooled execution
+of the same work agree on every invariant
 (``sim.*``/``power.*``/``test.*``/``cache.*``) counter.
 """
 
@@ -19,24 +19,20 @@ from dataclasses import replace
 import pytest
 
 from repro.campaign import CampaignInterrupted, CampaignSpec, run_campaign
+from repro.campaign.report import build_report
+from repro.campaign.store import ResultStore, record_from_result
 from repro.cli import main
 from repro.core.system import SystemConfig, run_system
 from repro.experiments.parallel import run_many
-from repro.obs.provenance import result_digest
+from repro.obs.provenance import config_digest, result_digest
 from repro.telemetry import (
     MetricsRegistry,
-    NULL_TELEMETRY,
     count_run,
     invariant_view,
 )
-from repro.telemetry.export import (
-    atomic_write_text,
-    prometheus_text,
-    snapshot_json,
-)
+from repro.telemetry import status as status_module
+from repro.telemetry.export import atomic_write_text, prometheus_text
 from repro.telemetry.status import (
-    PROM_FILE,
-    SNAPSHOT_FILE,
     STATUS_FILE,
     CampaignStatusWriter,
     degraded_status,
@@ -119,15 +115,6 @@ def test_snapshot_omits_untouched_metrics():
     assert snap["histograms"] == {}
 
 
-def test_null_registry_is_inert():
-    assert not NULL_TELEMETRY.enabled
-    NULL_TELEMETRY.counter("x").inc(100)
-    NULL_TELEMETRY.gauge("y").set(1.0)
-    NULL_TELEMETRY.histogram("z").observe(1.0)
-    snap = NULL_TELEMETRY.snapshot()
-    assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
-
-
 def test_invariant_view_filters_machinery_namespaces():
     reg = MetricsRegistry()
     reg.counter("sim.events").inc(10)
@@ -162,15 +149,6 @@ def test_prometheus_text_format():
     assert text.endswith("\n")
 
 
-def test_snapshot_json_schema_and_extras():
-    reg = MetricsRegistry()
-    reg.counter("sim.runs").inc()
-    doc = json.loads(snapshot_json(reg.snapshot(), state="running"))
-    assert doc["schema"] == "repro.telemetry/1"
-    assert doc["state"] == "running"
-    assert doc["metrics"]["counters"]["sim.runs"] == 1
-
-
 def test_atomic_write_text(tmp_path):
     path = str(tmp_path / "out.txt")
     atomic_write_text(path, "hello\n")
@@ -184,6 +162,38 @@ def test_atomic_write_text(tmp_path):
 # ----------------------------------------------------------------------
 # Single-run instrumentation: digest identity + expected counters
 # ----------------------------------------------------------------------
+def test_none_counts_nothing(tmp_path, closes, monkeypatch):
+    """``None`` is the one "count nothing" registry: ``count_run`` and
+    every cache call take it, and no registry counts anything."""
+    from repro.cache import RunCache
+
+    config = small_config()
+    result = run_system(config)
+    digest = config_digest(config)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("something counted into a registry")
+
+    for name in ("counter", "gauge", "histogram"):
+        monkeypatch.setattr(MetricsRegistry, name, forbidden)
+    count_run(None, result)
+    cache = closes(RunCache(cache_dir=str(tmp_path / "cache"), max_bytes=1))
+    assert cache.get_result(digest, None) is None  # a miss
+    cache.put_result(digest, result, None)
+    cache.put_result("other", result, None)  # evicts the first
+    cache.store.put(cache.key_for(digest), b"not a pickle")  # and "other"
+    assert cache.get_result(digest, None) is None  # corrupt
+    cache.note_bypass(None)
+    served, hit = cache.get_or_run(config, None)
+    assert not hit and result_digest(served) == result_digest(result)
+    assert cache.get_result(digest, None) is not None  # a hit
+    stats = cache.stats
+    assert (stats.misses, stats.puts, stats.evictions, stats.corrupt) == (
+        3, 3, 1, 1,
+    )
+    assert (stats.hits, stats.bypasses) == (1, 1)
+
+
 def test_run_system_digest_identical_with_telemetry():
     config = small_config()
     baseline = result_digest(run_system(config))
@@ -257,14 +267,20 @@ def test_concurrent_sweeps_count_into_their_own_registries():
 # Campaign status surface
 # ----------------------------------------------------------------------
 def test_campaign_digest_identical_with_telemetry(tmp_path):
-    off = run_campaign(
-        str(tmp_path / "off"), spec=small_spec(), telemetry=False
+    """A campaign counts into its registry and flushes its status; its
+    aggregate is that of its points run straight through ``run_system``,
+    with no registry anywhere, and the status is its one extra file."""
+    spec = small_spec()
+    report = run_campaign(str(tmp_path / "camp"), spec=spec)
+    straight = ResultStore(str(tmp_path / "straight.jsonl"))
+    straight.extend(
+        record_from_result(point, run_system(point.config))
+        for point in spec.fixed_points()
     )
-    on = run_campaign(str(tmp_path / "on"), spec=small_spec())
-    assert on.aggregate == off.aggregate
-    assert not os.path.exists(str(tmp_path / "off" / STATUS_FILE))
-    for name in (STATUS_FILE, PROM_FILE, SNAPSHOT_FILE):
-        assert os.path.exists(str(tmp_path / "on" / name))
+    assert report.aggregate == build_report(spec, straight).aggregate
+    assert sorted(os.listdir(str(tmp_path / "camp"))) == [
+        "manifest.json", "results.jsonl", "spec.json", STATUS_FILE,
+    ]
 
 
 def test_campaign_status_lifecycle_interrupt_then_resume(tmp_path):
@@ -286,9 +302,7 @@ def test_campaign_status_lifecycle_interrupt_then_resume(tmp_path):
     assert status["workers"], "no worker heartbeats recorded"
     metrics = status["metrics"]
     assert metrics["counters"]["exec.completed"] == 2  # this run only
-    # The Prometheus export mirrors the same snapshot.
-    with open(str(tmp_path / "camp" / PROM_FILE)) as handle:
-        assert "repro_sim_events_total" in handle.read()
+    assert "repro_sim_events_total" in prometheus_text(metrics)
 
 
 def test_campaign_paths_merge_to_identical_invariants(tmp_path):
@@ -313,17 +327,53 @@ def test_campaign_status_counts_only_its_own_cache_traffic(tmp_path, closes):
     status = read_status(str(tmp_path / "warm2"))
     assert status["metrics"]["counters"]["cache.hits"] == 4
     assert "cache.misses" not in status["metrics"]["counters"]
-    assert "session" not in status["cache"]
-    assert status["cache"]["entries"] == 4
+    assert "cache" not in status
     assert "cache      4/4 hits (100%)" in render_status(status).splitlines()
+
+
+def test_status_flush_makes_no_call_into_the_run_cache(
+    tmp_path, closes, monkeypatch
+):
+    """A flush reads the campaign's own counters only: through a cold
+    and a warm pass over one cache, no flush calls a cache method."""
+    from repro.cache import RunCache
+
+    cache = closes(RunCache(cache_dir=str(tmp_path / "cache")))
+    flushing, calls = [], []
+    real_write = CampaignStatusWriter.write
+
+    def write(self, *args, **kwargs):
+        flushing.append(True)
+        try:
+            return real_write(self, *args, **kwargs)
+        finally:
+            flushing.pop()
+
+    def spy(name, method):
+        def call(*args, **kwargs):
+            if flushing:
+                calls.append(name)
+            return method(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(CampaignStatusWriter, "write", write)
+    for name, method in list(vars(RunCache).items()):
+        if callable(method) and not name.startswith("__"):
+            monkeypatch.setattr(RunCache, name, spy(name, method))
+    for name in ("cold", "warm"):
+        run_campaign(str(tmp_path / name), spec=small_spec(), cache=cache)
+        assert read_status(str(tmp_path / name))["state"] == "complete"
+    assert cache.stats.hits == 4
+    assert calls == []
 
 
 def test_degraded_status_for_pre_telemetry_dir(tmp_path):
     """A PR-3-era checkpoint dir (no status file) stays inspectable."""
     cdir = str(tmp_path / "old")
-    run_campaign(cdir, spec=small_spec(), telemetry=False)
+    run_campaign(cdir, spec=small_spec())
     # Emulate the pre-telemetry layout exactly: spec + results only.
-    for name in ("manifest.json", "failures.jsonl"):
+    for name in ("manifest.json", "failures.jsonl", STATUS_FILE):
         path = os.path.join(cdir, name)
         if os.path.exists(path):
             os.unlink(path)
@@ -343,11 +393,10 @@ def test_degraded_status_rejects_non_campaign_dir(tmp_path):
         degraded_status(str(tmp_path))
 
 
-def test_status_writer_throttles_and_forces(tmp_path):
+def test_status_writer_throttles_and_forces(tmp_path, monkeypatch):
+    monkeypatch.setattr(status_module, "FLUSH_INTERVAL_S", 3600.0)
     reg = MetricsRegistry()
-    writer = CampaignStatusWriter(
-        str(tmp_path), "t", reg, planned=10, min_interval_s=3600.0
-    )
+    writer = CampaignStatusWriter(str(tmp_path), "t", reg, planned=10)
     assert writer.write("running") is True
     writer.note_points(3)
     assert writer.write("running") is False  # throttled
@@ -396,16 +445,6 @@ def test_cli_status_missing_dir_exit_codes(tmp_path, capsys):
     assert main(["campaign", "status", missing]) == 2
     assert main(["top", missing]) == 2
     capsys.readouterr()
-
-
-def test_cli_no_telemetry_flag(tmp_path):
-    spec_path = str(tmp_path / "spec.json")
-    small_spec().save(spec_path)
-    cdir = str(tmp_path / "camp")
-    assert main(
-        ["campaign", "run", spec_path, "--dir", cdir, "--no-telemetry"]
-    ) == 0
-    assert not os.path.exists(os.path.join(cdir, STATUS_FILE))
 
 
 def test_cli_run_telemetry_flag(capsys):

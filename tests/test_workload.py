@@ -52,18 +52,11 @@ def ready_tasks(app: ApplicationInstance, running) -> list:
 # ----------------------------------------------------------------------
 # Task / Edge
 # ----------------------------------------------------------------------
-def test_task_duration_at_speed():
-    task = Task(0, ops=3000.0)
-    assert task.duration_at(1500.0) == pytest.approx(2.0)
-
-
 def test_task_validation():
     with pytest.raises(ValueError):
         Task(0, ops=0.0)
     with pytest.raises(ValueError):
         Task(0, ops=10.0, activity=0.0)
-    with pytest.raises(ValueError):
-        Task(0, ops=10.0).duration_at(0.0)
 
 
 def test_edge_validation():
